@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from antsel import montecarlo
 from antsel.analytic import chi2n_cdf, pr_outage_quadrature
-from antsel.channel import complex_gaussian, stream_generator
+from antsel.channel import complex_gaussian, gram_inverse_diag, projection_height_sq, stream_generator
 from antsel.montecarlo import (
     EmpiricalCurve,
     ExperimentConfig,
     FitError,
     _ber_chunk_size,
+    _decode_columns,
     _detect_block,
+    _lattice_heights,
+    _maxmin_block,
     _outage_scalars,
     estimate_ber,
     estimate_dmt,
@@ -20,9 +24,25 @@ from antsel.montecarlo import (
     lemma_harness,
 )
 from antsel.receivers import LinkBudget, detect_df, detect_linear, qpsk_demodulate, qpsk_modulate
-from antsel.selection import select
+from antsel.selection import RULES, enumerate_subsets, select, subset_metrics
 
 GRID = tuple(np.geomspace(0.02, 0.5, 16))
+
+# (3,3,2) keeps the bare rule as its id; the general-L cases name their dimensions
+PER_DRAW_CASES = [pytest.param(rule, (3, 3, 2), id=rule) for rule in RULES] + [
+    pytest.param(rule, dims, id=f"{rule}-{dims[0]}x{dims[1]}x{dims[2]}")
+    for dims in ((5, 5, 3), (6, 6, 4)) for rule in ("maxmin", "random", "qr-greedy")
+]
+
+
+def lattice_table(H, L):
+    """(C(n_t, L), B) worst-stream heights gathered from the lattice's blocks."""
+    table = np.full((math.comb(H.shape[2], L), H.shape[0]), np.nan)
+    for first, heights in _lattice_heights(H, L):
+        assert np.isnan(table[first:first + len(heights)]).all()
+        table[first:first + len(heights)] = heights
+    assert not np.isnan(table).any()
+    return table
 
 
 def outage_config(rule, trials=20_000, seed=0, grid=GRID, **kw):
@@ -58,30 +78,101 @@ class TestOutageEngine:
         curve = estimate_outage(outage_config("random", trials=10_000, grid=(1e3,)))
         assert curve.hits[0] / curve.trials[0] >= 0.999
 
-    @pytest.mark.parametrize("rule", ["maxmin", "first-fixed", "first-ordered", "qr-greedy", "random"])
-    def test_engine_matches_per_draw_api(self, rule):
+    @pytest.mark.parametrize("rule,dims", PER_DRAW_CASES)
+    def test_engine_matches_per_draw_api(self, rule, dims):
         # regenerate the chunk's channel block and replay the per-draw rules
-        config = outage_config(rule, trials=300, seed=33, chunk_size=300)
+        n_t, n_r, L = dims
+        config = ExperimentConfig(n_t=n_t, n_r=n_r, L=L, rule=rule, trial_count=300,
+                                  master_seed=33, grid=GRID, chunk_size=300)
         rng = stream_generator(33, 0)
-        H = complex_gaussian(rng, (300, 3, 3))
+        H = complex_gaussian(rng, (300, n_r, n_t))
         scalars = _outage_scalars(config, H.copy(), rng)
         rng_replay = stream_generator(33, 0)
-        H_replay = complex_gaussian(rng_replay, (300, 3, 3))
+        H_replay = complex_gaussian(rng_replay, (300, n_r, n_t))
+        subsets = enumerate_subsets(n_t, L)
         if rule == "random":
-            idx = rng_replay.integers(0, 3, size=300)
+            idx = rng_replay.integers(0, len(subsets), size=300)
         for b in range(300):
             if rule == "random":
-                from antsel.selection import enumerate_subsets, subset_metrics
-
-                subset = enumerate_subsets(3, 2)[idx[b]]
-                expected = subset_metrics(H_replay[b], subset).min_height
+                expected = subset_metrics(H_replay[b], subsets[idx[b]]).min_height
             else:
-                out = select(rule, H_replay[b], 2)
+                out = select(rule, H_replay[b], L)
                 if rule == "maxmin":
                     expected = out.metrics.min_height
                 else:
                     expected = out.metrics.heights[out.decode_order[0]]
             assert scalars[b] == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("dims", [(5, 5, 3), (6, 6, 4)], ids=["5x5x3", "6x6x4"])
+    def test_random_reads_the_lattice_entry_it_draws(self, dims):
+        n_t, n_r, L = dims
+        config = ExperimentConfig(n_t=n_t, n_r=n_r, L=L, rule="random", trial_count=200,
+                                  master_seed=34, grid=GRID)
+        rng = stream_generator(34, 0)
+        H = complex_gaussian(rng, (200, n_r, n_t))
+        scalars = _outage_scalars(config, H, rng)
+        rng_replay = stream_generator(34, 0)
+        complex_gaussian(rng_replay, (200, n_r, n_t))
+        idx = rng_replay.integers(0, math.comb(n_t, L), size=200)
+        table = lattice_table(H, L)
+        np.testing.assert_allclose(scalars, table[idx, np.arange(200)], rtol=1e-9)
+        best, arg = _maxmin_block(H, L)
+        np.testing.assert_array_equal(best, table.max(axis=0))
+        np.testing.assert_array_equal(arg, table.argmax(axis=0))
+
+    def test_lattice_passes_split_lanes_without_changing_results(self, monkeypatch):
+        H = complex_gaussian(stream_generator(39, 0), (50, 5, 5))
+        table = lattice_table(H, 3)
+        monkeypatch.setattr(montecarlo, "_LATTICE_LANES", 7)
+        best, arg = _maxmin_block(H, 3)
+        np.testing.assert_array_equal(best, table.max(axis=0))
+        np.testing.assert_array_equal(arg, table.argmax(axis=0))
+
+    @pytest.mark.parametrize("rule", ["maxmin", "random", "qr-greedy"])
+    def test_single_stream_heights_are_column_norms(self, rule):
+        config = ExperimentConfig(n_t=4, n_r=3, L=1, rule=rule, trial_count=100,
+                                  master_seed=35, grid=GRID)
+        rng = stream_generator(35, 0)
+        H = complex_gaussian(rng, (100, 3, 4))
+        scalars = _outage_scalars(config, H, rng)
+        norms = np.sum(np.abs(H) ** 2, axis=1)
+        if rule == "random":
+            rng_replay = stream_generator(35, 0)
+            complex_gaussian(rng_replay, (100, 3, 4))
+            expected = norms[np.arange(100), rng_replay.integers(0, 4, size=100)]
+        else:
+            expected = norms.max(axis=1)
+        np.testing.assert_allclose(scalars, expected, rtol=1e-12)
+        np.testing.assert_array_equal(_maxmin_block(H, 1)[1], norms.argmax(axis=1))
+
+    @pytest.mark.parametrize("dims", [(3, 5, 3), (4, 4, 4)], ids=["3x5x3", "4x4x4"])
+    def test_all_columns_form_the_one_subset(self, dims):
+        n_t, n_r, L = dims
+        rng = stream_generator(36, 0)
+        H = complex_gaussian(rng, (50, n_r, n_t))
+        subset = enumerate_subsets(n_t, L)[0]
+        expected = [subset_metrics(H[b], subset).min_height for b in range(50)]
+        for rule in ("maxmin", "random"):
+            config = ExperimentConfig(n_t=n_t, n_r=n_r, L=L, rule=rule, trial_count=50,
+                                      master_seed=36, grid=GRID)
+            np.testing.assert_allclose(_outage_scalars(config, H, stream_generator(36, 1)), expected, rtol=1e-9)
+        np.testing.assert_array_equal(_maxmin_block(H, L)[1], 0)
+
+    @pytest.mark.parametrize("rule", ["maxmin", "random"])
+    def test_decode_columns_general_l(self, rule):
+        config = ExperimentConfig(n_t=5, n_r=5, L=3, rule=rule, trial_count=100,
+                                  master_seed=37, grid=(10.0,))
+        rng = stream_generator(37, 0)
+        H = complex_gaussian(rng, (100, 5, 5))
+        cols = _decode_columns(config, H, rng)
+        subsets = enumerate_subsets(5, 3)
+        if rule == "random":
+            rng_replay = stream_generator(37, 0)
+            complex_gaussian(rng_replay, (100, 5, 5))
+            picks = [subsets[i].indices for i in rng_replay.integers(0, len(subsets), size=100)]
+        else:
+            picks = [select("maxmin", H[b], 3).subset.indices for b in range(100)]
+        np.testing.assert_array_equal(cols, np.array(picks))
 
     def test_worker_invariance_and_determinism(self):
         config = outage_config("maxmin", trials=9_000, seed=5, chunk_size=2_500)
@@ -277,3 +368,64 @@ class TestIndependenceSuite:
     def test_needs_three_antennas(self):
         with pytest.raises(ValueError):
             independence_suite(2, 3, 1000)
+
+
+class TestLatticeAccuracy:
+    """Lattice heights on near-collinear columns against the QR oracle.
+
+    The last column is a random combination of columns 0..L-2 plus a part
+    orthogonal to them, scaled so the squared size of that part is
+    ``ratio`` times the combination's.  The subset (0..L-2, last) then has
+    a worst-stream height of order ``ratio`` times its largest squared
+    norm, the deep-threshold regime of the high-SNR curves.
+    """
+
+    RATIOS = np.geomspace(1e-2, 1e-12, 11)
+    DRAWS = 100
+
+    def errors(self, n_t, L):
+        """Per ratio: median height/norm, and the relative errors of the
+        lattice and of the batched-inverse route against the oracle."""
+        rng = stream_generator(38, 0)
+        base = complex_gaussian(rng, (self.DRAWS, L + 1, n_t))
+        coef = complex_gaussian(rng, (self.DRAWS, L - 1))
+        spare = complex_gaussian(rng, (self.DRAWS, L + 1))
+        sub = list(range(L - 1)) + [n_t - 1]
+        rank = [s.indices for s in enumerate_subsets(n_t, L)].index(tuple(sub))
+        comb = np.einsum("brk,bk->br", base[:, :, :L - 1], coef)
+        q, _ = np.linalg.qr(base[:, :, :L - 1])
+        orth = spare - np.einsum("brk,bk->br", q, np.einsum("brk,br->bk", q.conj(), spare))
+        orth *= (np.linalg.norm(comb, axis=1) / np.linalg.norm(orth, axis=1))[:, None]
+        rows = []
+        for ratio in self.RATIOS:
+            H = base.copy()
+            H[:, :, n_t - 1] = comb + math.sqrt(ratio) * orth
+            lattice = lattice_table(H, L)[rank]
+            depth, err_lattice, err_inverse = [], [], []
+            for b in range(self.DRAWS):
+                oracle = min(projection_height_sq(H[b], k, [c for c in sub if c != k]).height_sq for k in sub)
+                inverse = float((1.0 / gram_inverse_diag(H[b][:, sub])).min())
+                depth.append(oracle / np.max(np.sum(np.abs(H[b][:, sub]) ** 2, axis=0)))
+                err_lattice.append(abs(lattice[b] - oracle) / oracle)
+                err_inverse.append(abs(inverse - oracle) / oracle)
+            rows.append((float(np.median(depth)), np.array(err_lattice), np.array(err_inverse)))
+        return rows
+
+    @pytest.mark.parametrize("dims", [(5, 3), (6, 4)], ids=["nt5-L3", "nt6-L4"])
+    def test_lattice_no_worse_than_inverse_route(self, dims):
+        rows = self.errors(*dims)
+
+        def first_past(route):
+            # height/norm of the first ratio whose median relative error passes 1e-6
+            return next((depth for depth, *errs in rows if np.median(errs[route]) > 1e-6), 0.0)
+
+        # the lattice passes 1e-6 no earlier than the inverse-Gram route
+        assert first_past(0) <= first_past(1)
+        # the documented limit: median past 1e-6 only below height/norm 1e-10 ...
+        assert first_past(0) < 1e-10
+        for depth, lattice, inverse in rows:
+            # ... every draw within 1e-6 down to height/norm 1e-9 ...
+            if depth >= 1e-9:
+                assert lattice.max() < 1e-6
+            # ... and no route-specific loss at any depth
+            assert np.median(lattice) <= 3.0 * np.median(inverse) + 1e-15
