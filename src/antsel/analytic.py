@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, special
 
 HALF_PI = math.pi / 2.0
 
@@ -107,6 +106,8 @@ def chi2n_cdf(x, n: int):
     """
     if n < 1:
         raise ValueError(f"degrees parameter must be positive, got {n}")
+    from scipy import special
+
     xs = np.maximum(np.asarray(x, dtype=float), 0.0)
     out = special.gammainc(n, xs)
     return float(out) if np.isscalar(x) else out
@@ -216,6 +217,8 @@ def outage_coefficient(n_t: int, n_r: int) -> ExpansionCoefficients:
 
 def _tail_integral(y: float, m: int, n: int) -> float:
     """integral_y^inf F_z(w) w^{-(m+1)} dw with F_z the Gamma(n, 1) CDF."""
+    from scipy import integrate, special
+
     def integrand(w):
         return special.gammainc(n, w) * w ** (-(m + 1))
 
@@ -272,6 +275,8 @@ def exp_integral(k: int, x: float) -> float:
         j = -k
         s = sum(x ** i / math.factorial(i) for i in range(j + 1))
         return math.factorial(j) * math.exp(-x) * s / x ** (j + 1)
+    from scipy import special
+
     value = float(special.exp1(x))
     for i in range(1, k):
         value = (math.exp(-x) - x * value) / i

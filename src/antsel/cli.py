@@ -15,13 +15,22 @@ import csv
 import datetime
 import json
 import os
+import platform
 import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__, analytic
-from .montecarlo import ExperimentConfig, FitError, SlopeFit, estimate_ber, estimate_outage, fit_slope
+from .montecarlo import (
+    ExperimentConfig,
+    FitError,
+    SlopeFit,
+    _ber_chunk_size,
+    estimate_ber,
+    estimate_outage,
+    fit_slope,
+)
 from .selection import RULES
 from .receivers import FEEDBACK_MODES, ORDERING_MODES, RECEIVERS
 
@@ -33,7 +42,13 @@ class UsageError(Exception):
 @dataclass(frozen=True)
 class RunManifest:
     """Everything needed to reproduce a run: resolved configuration, seed,
-    timestamps and the files the run produced."""
+    timestamps and the files the run produced.
+
+    ``effective_chunk_size`` is the chunk the run was split into, which
+    keys the random streams: ``config.chunk_size`` for outage runs, and
+    for BER runs that size capped by the received-sample budget.
+    ``library_versions`` names the python, numpy and scipy releases.
+    """
 
     tool: str
     version: str
@@ -44,6 +59,8 @@ class RunManifest:
     workers: int
     config: dict
     outputs: tuple[str, ...]
+    effective_chunk_size: int
+    library_versions: dict
     slope_fit: dict | None = None
 
 
@@ -93,6 +110,17 @@ def _resolve_seed(value: int | None) -> int:
         return int(env)
     except ValueError:
         raise UsageError(f"ANTSEL_SEED must be an integer, got {env!r}") from None
+
+
+def _library_versions() -> dict:
+    # package metadata gives the versions without importing scipy
+    import importlib.metadata
+
+    return {
+        "python": platform.python_version(),
+        "numpy": importlib.metadata.version("numpy"),
+        "scipy": importlib.metadata.version("scipy"),
+    }
 
 
 def _utc_now() -> str:
@@ -160,7 +188,8 @@ def _cmd_outage(args: argparse.Namespace) -> int:
     manifest = RunManifest(
         tool="antsel", version=__version__, command="outage",
         created_utc=started, finished_utc=_utc_now(), master_seed=seed,
-        workers=args.workers, config=asdict(config), outputs=(args.out,), slope_fit=fit,
+        workers=args.workers, config=asdict(config), outputs=(args.out,),
+        effective_chunk_size=config.chunk_size, library_versions=_library_versions(), slope_fit=fit,
     )
     _write_manifest(args.out, manifest)
     return 0
@@ -186,6 +215,7 @@ def _cmd_ber(args: argparse.Namespace) -> int:
         tool="antsel", version=__version__, command="ber",
         created_utc=started, finished_utc=_utc_now(), master_seed=seed,
         workers=args.workers, config=asdict(config), outputs=(args.out,),
+        effective_chunk_size=_ber_chunk_size(config), library_versions=_library_versions(),
     )
     _write_manifest(args.out, manifest)
     return 0

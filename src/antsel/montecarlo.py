@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import receivers as rx
 from .analytic import chi2n_cdf, theta_cdf
@@ -495,92 +494,23 @@ def _apply_ordering(config: ExperimentConfig, H: np.ndarray, cols: np.ndarray) -
         return cols
     if ordering == "fixed":
         return np.sort(cols, axis=1)
-    if config.L == 2:
-        rows = np.arange(H.shape[0])
-        c0, c1 = cols[:, 0], cols[:, 1]
-        if ordering == "qr-reverse":
-            # greedy within the pair selects the larger norm first; decoding
-            # reverses, so the smaller-norm column is decoded first
-            norms = np.real(np.einsum("brt,brt->bt", H.conj(), H))
-            first_sel = np.where(norms[rows, c0] >= norms[rows, c1], c0, c1)
-            other = np.where(first_sel == c0, c1, c0)
-            return np.stack([other, first_sel], axis=1)
-        # vblast: decode first the stream with the larger nulled height
-        R, _ = _pair_heights_block(H)
-        h01 = R[rows, c0, c1]
-        h10 = R[rows, c1, c0]
-        first = np.where(h01 >= h10, c0, c1)
-        second = np.where(first == c0, c1, c0)
-        return np.stack([first, second], axis=1)
-    # general L: per-frame ordering via the receivers module
-    out = np.empty_like(cols)
-    budget = rx.LinkBudget(rho0=1.0, L=config.L)
-    for b in range(H.shape[0]):
-        sub = H[b][:, cols[b]]
-        if ordering == "vblast":
-            perm = rx.vblast_order(sub, budget)
-        else:
-            perm = _greedy_reverse_order(sub)
-        out[b] = cols[b][list(perm)]
-    return out
-
-
-def _greedy_reverse_order(sub: np.ndarray) -> tuple[int, ...]:
-    """Reverse greedy selection order of the columns of ``sub``."""
-    chosen, _ = _greedy_selection_block(sub[None, :, :], sub.shape[1])
-    return tuple(int(c) for c in chosen[0][::-1])
+    sub = np.take_along_axis(H, cols[:, None, :], axis=2)
+    if ordering == "vblast":
+        perm = rx.vblast_order_block(sub)
+    else:
+        # greedy within the subset; decoding reverses the selection order
+        perm = _greedy_selection_block(sub, config.L)[0][:, ::-1]
+    return np.take_along_axis(cols, perm, axis=1)
 
 
 def _detect_block(config: ExperimentConfig, Heff: np.ndarray, symbols: np.ndarray,
                   noise: np.ndarray, rho0: float) -> np.ndarray:
     """Detected bits for a block of frames whose columns are already in
     decode order (stream i of ``symbols`` rides column i of ``Heff``)."""
-    L = config.L
-    scale = math.sqrt(rho0 / L)
-    y = scale * np.einsum("brl,blt->brt", Heff, symbols) + noise
-    receiver, feedback = config.receiver, config.feedback
-
-    if L == 2 and receiver in ("zf", "df-zf"):
-        def rowsum(h, block):
-            return np.einsum("br,brt->bt", h.conj(), block)
-
-        h0, h1 = Heff[:, :, 0], Heff[:, :, 1]
-        if receiver == "zf":
-            g00 = np.real(np.einsum("br,br->b", h0.conj(), h0))
-            g11 = np.real(np.einsum("br,br->b", h1.conj(), h1))
-            g01 = np.einsum("br,br->b", h0.conj(), h1)
-            det = g00 * g11 - np.abs(g01) ** 2
-            u0, u1 = rowsum(h0, y), rowsum(h1, y)
-            est0 = (g11[:, None] * u0 - g01[:, None] * u1) / det[:, None]
-            est1 = (g00[:, None] * u1 - np.conj(g01)[:, None] * u0) / det[:, None]
-            detected = rx.qpsk_slice(np.stack([est0, est1], axis=1) / scale)
-        else:
-            n1 = np.real(np.einsum("br,br->b", h1.conj(), h1))
-            ip = np.einsum("br,br->b", h1.conj(), h0)
-            p0 = h0 - (ip / n1)[:, None] * h1
-            p0sq = np.real(np.einsum("br,br->b", p0.conj(), p0))
-            est0 = rowsum(p0, y) / (scale * p0sq[:, None])
-            det0 = rx.qpsk_slice(est0)
-            fed = symbols[:, 0, :] if feedback == "genie" else det0
-            y2 = y - scale * h0[:, :, None] * fed[:, None, :]
-            est1 = rowsum(h1, y2) / (scale * n1[:, None])
-            det1 = rx.qpsk_slice(est1)
-            detected = np.stack([det0, det1], axis=1)
-        return rx.qpsk_demodulate(detected)
-
-    budget = rx.LinkBudget(rho0=rho0, L=L)
-    order = tuple(range(L))
-    detected = np.empty_like(symbols)
-    for b in range(Heff.shape[0]):
-        if receiver in ("zf", "mmse"):
-            detected[b] = rx.detect_linear(Heff[b], y[b], budget, equalizer=receiver)
-        else:
-            detected[b] = rx.detect_df(
-                Heff[b], y[b], budget, order,
-                feedback=feedback,
-                transmitted=symbols[b] if feedback == "genie" else None,
-                front_end="mmse" if receiver == "df-mmse" else "zf",
-            )
+    budget = rx.LinkBudget(rho0=rho0, L=config.L)
+    y = budget.stream_scale * np.einsum("brl,blt->brt", Heff, symbols) + noise
+    detected = rx.detect_block(Heff, y, budget, config.receiver, config.feedback,
+                               symbols if config.feedback == "genie" else None)
     return rx.qpsk_demodulate(detected)
 
 
@@ -842,6 +772,7 @@ def independence_suite(n_t: int, n_r: int, trials: int, master_seed: int = 0,
     """
     if n_t < 3 or n_r < 2:
         raise ValueError(f"need n_t >= 3 and n_r >= 2, got ({n_t}, {n_r})")
+    from scipy import stats
 
     chain_len = min(n_t - 1, 3)
     n_angles = min(n_t - 1, 3)

@@ -9,6 +9,11 @@ Receiver identifiers: "zf", "mmse", "df-zf", "df-mmse".  Feedback modes:
 "actual" (sliced symbols are cancelled) and "genie" (true symbols are
 cancelled).  Ordering modes for decision feedback: "fixed", "vblast",
 "qr-reverse".
+
+Detection runs in one batched kernel, :func:`detect_block`, for every
+receiver, stream count and feedback mode; :func:`detect_linear`,
+:func:`detect_df` and :func:`vblast_order` validate one frame and call
+the batched kernels on a batch of one.
 """
 
 from __future__ import annotations
@@ -18,13 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import as_channel_matrix, gram_inverse_diag, projection_height_sq, require_full_column_rank
+from .channel import as_channel_matrix, projection_height_sq, require_full_column_rank
 
 RECEIVERS = ("zf", "mmse", "df-zf", "df-mmse")
 FEEDBACK_MODES = ("actual", "genie")
 ORDERING_MODES = ("fixed", "vblast", "qr-reverse")
 
 _SQRT2 = math.sqrt(2.0)
+#: Rail amplitude of unit-energy QPSK.
+_RAIL = 1.0 / _SQRT2
 
 
 @dataclass(frozen=True)
@@ -74,24 +81,35 @@ def qfunc(x) -> np.ndarray | float:
     return 0.5 * special.erfc(np.asarray(x) / _SQRT2)
 
 
+def _qpsk_points(positive: np.ndarray) -> np.ndarray:
+    """QPSK points from a (..., 2) mask of positive (in-phase, quadrature)
+    rails, written as the float pairs of a complex array.  Both rails are
+    exactly +-1/sqrt(2): the arithmetic rounds nothing."""
+    return (positive * (2.0 * _RAIL) - _RAIL).view(np.complex128)[..., 0]
+
+
 def qpsk_modulate(bits: np.ndarray) -> np.ndarray:
     """Map bit pairs (last axis of size 2) to unit-energy Gray QPSK points."""
     bits = np.asarray(bits)
     if bits.shape[-1] != 2:
         raise ValueError(f"expected trailing axis of 2 bits, got shape {bits.shape}")
-    return ((1 - 2 * bits[..., 0]) + 1j * (1 - 2 * bits[..., 1])) / _SQRT2
+    return _qpsk_points(bits == 0)
+
+
+def _rails(z) -> np.ndarray:
+    """(..., 2) float (in-phase, quadrature) pairs of complex ``z``."""
+    z = np.asarray(z, dtype=np.complex128)
+    return np.ascontiguousarray(z).view(np.float64).reshape(z.shape + (2,))
 
 
 def qpsk_slice(z: np.ndarray) -> np.ndarray:
     """Nearest QPSK constellation point, elementwise."""
-    z = np.asarray(z)
-    return (np.where(z.real >= 0, 1.0, -1.0) + 1j * np.where(z.imag >= 0, 1.0, -1.0)) / _SQRT2
+    return _qpsk_points(_rails(z) >= 0)
 
 
 def qpsk_demodulate(symbols: np.ndarray) -> np.ndarray:
     """Inverse of :func:`qpsk_modulate`; appends an axis of 2 bits."""
-    symbols = np.asarray(symbols)
-    return np.stack([(symbols.real < 0), (symbols.imag < 0)], axis=-1).astype(np.int64)
+    return (_rails(symbols) < 0).astype(np.int64)
 
 
 def qpsk_bit_error_rate(snr) -> np.ndarray | float:
@@ -168,6 +186,77 @@ def simulate_frame(H_s, budget: LinkBudget, bits: np.ndarray, noise: np.ndarray,
     return SymbolFrame(transmitted=symbols, received=received, detected=detected)
 
 
+def _nulling_rows(H: np.ndarray, lam: float) -> np.ndarray:
+    """(H^H H + lam I)^-1 H^H for a (B, n_r, m) block: the ZF (lam = 0)
+    or MMSE (lam = L / rho0) nulling vectors, one row per column of H."""
+    Hh = H.conj().transpose(0, 2, 1)
+    gram = Hh @ H
+    if lam:
+        gram = gram + lam * np.eye(H.shape[2])
+    return np.linalg.inv(gram) @ Hh
+
+
+def detect_block(Heff: np.ndarray, received: np.ndarray, budget: LinkBudget, receiver: str,
+                 feedback: str = "actual", transmitted: np.ndarray | None = None) -> np.ndarray:
+    """Detect a batch of frames with any receiver; the batched kernel
+    behind :func:`detect_linear` and :func:`detect_df`.
+
+    ``Heff`` (B, n_r, L) holds each frame's columns in decode order and
+    ``received`` (B, n_r, T) its received block; returns the (B, L, T)
+    detected QPSK symbols, stream i riding column i.  Stage s nulls with
+    the first row of (G_s + lam I)^-1 H_s^H over columns s..L-1, where
+    G_s = H_s^H H_s and lam = L / rho0 for the MMSE front ends ("mmse",
+    "df-mmse") and 0 for ZF, and slices.  Decision feedback then cancels
+    the sliced (feedback="actual") or true (feedback="genie", from
+    ``transmitted`` (B, L, T)) symbol before the next stage.  The linear
+    receivers are the one-stage case: every row of (G + lam I)^-1 H^H is
+    sliced at once.  Inputs are not validated; ZF assumes full column
+    rank.
+    """
+    lam = budget.L / budget.rho0 if receiver in ("mmse", "df-mmse") else 0.0
+    L = Heff.shape[2]
+    if receiver in ("zf", "mmse"):
+        return qpsk_slice((_nulling_rows(Heff, lam) @ received) / budget.stream_scale)
+    rows = np.concatenate([_nulling_rows(Heff[:, :, s:], lam)[:, :1] for s in range(L)], axis=1)
+    est = (rows @ received) / budget.stream_scale
+    # cancelling symbol s from the received block takes leak[:, t, s] times
+    # it off the estimate of every later stage t
+    leak = rows @ Heff
+    for stage in range(L):
+        sliced = qpsk_slice(est[:, stage])
+        est[:, stage] = sliced
+        fed_back = transmitted[:, stage] if feedback == "genie" else sliced
+        est[:, stage + 1:] -= leak[:, stage + 1:, stage, None] * fed_back[:, None, :]
+    return est
+
+
+def vblast_order_block(H: np.ndarray) -> np.ndarray:
+    """Batched V-BLAST decode order of the columns of each (n_r, L)
+    matrix in ``H`` (B, n_r, L): each step takes, among the columns not
+    yet decoded, the one with the smallest inverse-Gram diagonal entry
+    (the largest post-nulling SNR), ties to the earliest.  Returns (B, L)
+    column positions, first decoded first."""
+    B, _, L = H.shape
+    order = np.tile(np.arange(L), (B, 1))
+    for step in range(L - 1):
+        rest = order[:, step:]
+        sub = np.take_along_axis(H, rest[:, None, :], axis=2)
+        inv_diag = np.linalg.inv(sub.conj().transpose(0, 2, 1) @ sub).diagonal(axis1=1, axis2=2).real
+        best = inv_diag.argmin(axis=1)
+        # move the pick to the front, keeping the others in their order
+        pos = np.arange(L - step)
+        front = np.argsort(np.where(pos == best[:, None], -1, pos), axis=1, kind="stable")
+        order[:, step:] = np.take_along_axis(rest, front, axis=1)
+    return order
+
+
+def _check_received(H_s: np.ndarray, received) -> np.ndarray:
+    received = np.asarray(received, dtype=np.complex128)
+    if received.ndim != 2 or received.shape[0] != H_s.shape[0]:
+        raise ValueError(f"received block shape {received.shape} does not match {H_s.shape[0]} receive rows")
+    return received
+
+
 def detect_linear(H_s, received: np.ndarray, budget: LinkBudget, equalizer: str = "zf") -> np.ndarray:
     """Equalize and slice each stream independently.
 
@@ -175,19 +264,12 @@ def detect_linear(H_s, received: np.ndarray, budget: LinkBudget, equalizer: str 
     """
     H_s = as_channel_matrix(H_s)
     _check_streams(H_s, budget)
-    received = np.asarray(received, dtype=np.complex128)
-    if received.ndim != 2 or received.shape[0] != H_s.shape[0]:
-        raise ValueError(f"received block shape {received.shape} does not match {H_s.shape[0]} receive rows")
+    received = _check_received(H_s, received)
+    if equalizer not in ("zf", "mmse"):
+        raise ValueError(f"unknown equalizer {equalizer!r}")
     if equalizer == "zf":
         require_full_column_rank(H_s)
-        est = np.linalg.pinv(H_s) @ received
-    elif equalizer == "mmse":
-        gram = H_s.conj().T @ H_s
-        w = np.linalg.inv(gram + (budget.L / budget.rho0) * np.eye(budget.L)) @ H_s.conj().T
-        est = w @ received
-    else:
-        raise ValueError(f"unknown equalizer {equalizer!r}")
-    return qpsk_slice(est / budget.stream_scale)
+    return detect_block(H_s[None], received[None], budget, equalizer)[0]
 
 
 def detect_df(
@@ -208,10 +290,8 @@ def detect_df(
     """
     H_s = as_channel_matrix(H_s)
     _check_streams(H_s, budget)
-    received = np.asarray(received, dtype=np.complex128)
-    if received.ndim != 2 or received.shape[0] != H_s.shape[0]:
-        raise ValueError(f"received block shape {received.shape} does not match {H_s.shape[0]} receive rows")
-    order = tuple(int(i) for i in decode_order)
+    received = _check_received(H_s, received)
+    order = [int(i) for i in decode_order]
     if sorted(order) != list(range(budget.L)):
         raise ValueError(f"decode_order {decode_order} is not a permutation of 0..{budget.L - 1}")
     if feedback not in FEEDBACK_MODES:
@@ -219,25 +299,14 @@ def detect_df(
     if feedback == "genie":
         if transmitted is None:
             raise ValueError("genie feedback requires the transmitted block")
-        transmitted = np.asarray(transmitted, dtype=np.complex128)
+        transmitted = np.asarray(transmitted, dtype=np.complex128)[order][None]
     if front_end not in ("zf", "mmse"):
         raise ValueError(f"unknown front end {front_end!r}")
-
-    scale = budget.stream_scale
-    y = received.copy()
+    if front_end == "zf":
+        require_full_column_rank(H_s)
     detected = np.empty((budget.L, received.shape[1]), dtype=np.complex128)
-    for stage, k in enumerate(order):
-        cols = (k,) + order[stage + 1:]
-        sub = H_s[:, cols]
-        if front_end == "zf":
-            w = np.linalg.pinv(sub)[0]
-        else:
-            gram = sub.conj().T @ sub
-            w = (np.linalg.inv(gram + (budget.L / budget.rho0) * np.eye(len(cols))) @ sub.conj().T)[0]
-        sliced = qpsk_slice((w @ y) / scale)
-        detected[k] = sliced
-        fed_back = transmitted[k] if feedback == "genie" else sliced
-        y = y - scale * np.outer(H_s[:, k], fed_back)
+    detected[order] = detect_block(H_s[:, order][None], received[None], budget, "df-" + front_end,
+                                   feedback, transmitted)[0]
     return detected
 
 
@@ -266,10 +335,4 @@ def vblast_order(H_s, budget: LinkBudget) -> tuple[int, ...]:
     H_s = as_channel_matrix(H_s)
     _check_streams(H_s, budget)
     require_full_column_rank(H_s)
-    remaining = list(range(budget.L))
-    order: list[int] = []
-    while remaining:
-        diag = gram_inverse_diag(H_s[:, remaining])
-        best = int(np.argmin(diag))  # largest SNR = smallest inverse-Gram diagonal
-        order.append(remaining.pop(best))
-    return tuple(order)
+    return tuple(int(k) for k in vblast_order_block(H_s[None])[0])

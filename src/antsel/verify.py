@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, stats
 
 from . import analytic
 from . import receivers as rx
@@ -91,6 +90,8 @@ def quadrature_slope(n_t: int, n_r: int, restricted: bool = False,
 
 def analytic_selftest() -> list[CheckOutcome]:
     """Exact and near-exact identity checks of the analytic module."""
+    from scipy import integrate
+
     out: list[CheckOutcome] = []
 
     def record(name, passed, detail):
@@ -196,6 +197,8 @@ def analytic_anchor_check() -> list[CheckOutcome]:
 def marginal_ks_pvalues(n_t: int, n_r: int, samples: int, seed: int) -> tuple[float, float]:
     """KS p-values of the simulated pair height and angle against their
     closed-form laws, from `samples` independent draws."""
+    from scipy import stats
+
     rng = stream_generator(seed, 0)
     H = complex_gaussian(rng, (samples, n_r, 2))
     h0, h1 = H[:, :, 0], H[:, :, 1]
@@ -304,6 +307,8 @@ def greedy_first_layer_distribution_probe(samples: int, seed: int,
     finite-sample law even though the slope consequence holds, so this
     probe is reported without gating.
     """
+    from scipy import stats
+
     rng = stream_generator(seed, 0)
     H = complex_gaussian(rng, (samples, n_r, n_t))
     _, picked = _greedy_selection_block(H, 2)

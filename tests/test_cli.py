@@ -1,12 +1,24 @@
 import csv
+import importlib.metadata
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from antsel.cli import main, parse_grid, UsageError
 from antsel.montecarlo import EmpiricalCurve, fit_slope
+
+
+LIBRARY_VERSIONS = {
+    "python": platform.python_version(),
+    "numpy": importlib.metadata.version("numpy"),
+    "scipy": importlib.metadata.version("scipy"),
+}
 
 
 def read_curve_csv(path):
@@ -71,6 +83,8 @@ class TestOutageCommand:
         assert refit.stderr == manifest["slope_fit"]["stderr"]
         assert manifest["config"]["master_seed"] == 9
         assert manifest["config"]["grid"] == [float(r["x"]) for r in rows]
+        assert manifest["effective_chunk_size"] == manifest["config"]["chunk_size"] == 100_000
+        assert manifest["library_versions"] == LIBRARY_VERSIONS
 
     def test_bit_identical_reruns_and_workers(self, tmp_path):
         a = self.run_outage(tmp_path, "a.csv")
@@ -121,6 +135,19 @@ class TestBerCommand:
         rows = read_curve_csv(out)
         assert list(rows[0].keys()) == ["snr_db", "bit_errors", "bits", "ber"]
         assert all(int(r["bit_errors"]) == 0 for r in rows)
+
+    def test_manifest_records_effective_chunk_and_versions(self, tmp_path):
+        out = tmp_path / "ber.csv"
+        assert main([
+            "ber", "--nt", "3", "--nr", "3", "--L", "2", "--rule", "maxmin", "--snr-db", "10",
+            "--frames", "50", "--frame-symbols", "1000", "--chunk-size", "5000", "--seed", "4",
+            "--out", str(out),
+        ]) == 0
+        manifest = json.loads((tmp_path / "ber.csv.manifest.json").read_text())
+        # 2 * 10^6 received samples per chunk over 3 rows x 1000 symbols
+        assert manifest["config"]["chunk_size"] == 5000
+        assert manifest["effective_chunk_size"] == 666
+        assert manifest["library_versions"] == LIBRARY_VERSIONS
 
     def test_unknown_receiver_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -201,3 +228,15 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_import_loads_no_scipy():
+    # scipy costs about a second to import; only the functions that need it load it
+    import antsel
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(antsel.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import antsel.cli, antsel.verify; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

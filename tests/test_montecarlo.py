@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from antsel.montecarlo import (
     independence_suite,
     lemma_harness,
 )
-from antsel.receivers import LinkBudget, detect_df, detect_linear, qpsk_demodulate, qpsk_modulate
+from antsel.receivers import LinkBudget, detect_df, detect_linear, qpsk_demodulate, qpsk_modulate, qpsk_slice
 from antsel.selection import RULES, enumerate_subsets, select, subset_metrics
 
 GRID = tuple(np.geomspace(0.02, 0.5, 16))
@@ -33,6 +34,40 @@ PER_DRAW_CASES = [pytest.param(rule, (3, 3, 2), id=rule) for rule in RULES] + [
     pytest.param(rule, dims, id=f"{rule}-{dims[0]}x{dims[1]}x{dims[2]}")
     for dims in ((5, 5, 3), (6, 6, 4)) for rule in ("maxmin", "random", "qr-greedy")
 ]
+
+
+#: (receiver, feedback, L); the L = 2 cases keep "receiver-feedback" as their id
+FAST_PATH_CASES = [
+    pytest.param(receiver, feedback, L, id=f"{receiver}-{feedback}" + ("" if L == 2 else f"-L{L}"))
+    for L in (2, 3) for receiver in ("zf", "mmse", "df-zf", "df-mmse") for feedback in ("actual", "genie")
+]
+
+
+def nulling_oracle(H, y, rho0, receiver, feedback, transmitted):
+    """Per-frame reference detector, columns of ``H`` in decode order.
+
+    Stage s nulls the columns s..L-1 with the first row of the
+    pseudo-inverse (ZF) or of inv(G + (L / rho0) I) H^H (MMSE), slices,
+    and subtracts the sliced or true symbol from the received block;
+    the linear receivers slice every row of the full nulling matrix.
+    """
+    L = H.shape[1]
+    scale = math.sqrt(rho0 / L)
+
+    def nulling(sub):
+        if receiver in ("zf", "df-zf"):
+            return np.linalg.pinv(sub)
+        gram = sub.conj().T @ sub
+        return np.linalg.inv(gram + (L / rho0) * np.eye(sub.shape[1])) @ sub.conj().T
+
+    if receiver in ("zf", "mmse"):
+        return qpsk_slice(nulling(H) @ y / scale)
+    detected = np.empty((L, y.shape[1]), dtype=np.complex128)
+    for stage in range(L):
+        detected[stage] = qpsk_slice(nulling(H[:, stage:])[0] @ y / scale)
+        fed_back = transmitted[stage] if feedback == "genie" else detected[stage]
+        y = y - scale * np.outer(H[:, stage], fed_back)
+    return detected
 
 
 def lattice_table(H, L):
@@ -276,27 +311,56 @@ class TestBerEngine:
                                   master_seed=0, grid=(10.0,), frame_symbols=1000)
         assert _ber_chunk_size(config) * 3 * 1000 <= 2_000_000
 
-    @pytest.mark.parametrize("receiver,feedback", [("zf", "actual"), ("df-zf", "actual"), ("df-zf", "genie")])
-    def test_fast_path_matches_receivers_api(self, receiver, feedback):
-        rng = stream_generator(12, 0)
+    @pytest.mark.parametrize("receiver,feedback,L", FAST_PATH_CASES)
+    def test_fast_path_matches_receivers_api(self, receiver, feedback, L):
+        rng = stream_generator(12, L - 2)  # the L = 2 cases draw from stream 0
         frames, T, rho0 = 40, 8, 10.0
-        Heff = complex_gaussian(rng, (frames, 3, 2))
-        bits = rng.integers(0, 2, size=(frames, 2, T, 2))
+        Heff = complex_gaussian(rng, (frames, 3, L))
+        bits = rng.integers(0, 2, size=(frames, L, T, 2))
         symbols = qpsk_modulate(bits)
         noise = complex_gaussian(rng, (frames, 3, T))
-        config = ExperimentConfig(n_t=3, n_r=3, L=2, rule="maxmin", trial_count=frames,
+        config = ExperimentConfig(n_t=3, n_r=3, L=L, rule="maxmin", trial_count=frames,
                                   master_seed=0, grid=(10.0,), receiver=receiver, feedback=feedback)
         fast = _detect_block(config, Heff, symbols, noise, rho0)
-        budget = LinkBudget(rho0, 2)
+        budget = LinkBudget(rho0, L)
         scale = budget.stream_scale
         for b in range(frames):
             y = scale * (Heff[b] @ symbols[b]) + noise[b]
-            if receiver == "zf":
-                det = detect_linear(Heff[b], y, budget)
+            oracle = nulling_oracle(Heff[b], y, rho0, receiver, feedback, symbols[b])
+            np.testing.assert_array_equal(fast[b], qpsk_demodulate(oracle))
+            if receiver in ("zf", "mmse"):
+                det = detect_linear(Heff[b], y, budget, equalizer=receiver)
             else:
-                det = detect_df(Heff[b], y, budget, (0, 1), feedback=feedback,
-                                transmitted=symbols[b] if feedback == "genie" else None)
+                det = detect_df(Heff[b], y, budget, tuple(range(L)), feedback=feedback,
+                                transmitted=symbols[b] if feedback == "genie" else None,
+                                front_end=receiver[3:])
             np.testing.assert_array_equal(fast[b], qpsk_demodulate(det))
+
+    @pytest.mark.parametrize("ordering", ["vblast", "qr-reverse"])
+    def test_batched_orderings_match_projection_oracle(self, ordering):
+        draws, L = 250, 3
+        config = ExperimentConfig(n_t=5, n_r=4, L=L, rule="maxmin", trial_count=draws,
+                                  master_seed=40, grid=(10.0,))
+        H = complex_gaussian(stream_generator(40, 0), (draws, 4, 5))
+        cols = _decode_columns(config, H, None)
+        ordered = _decode_columns(dataclasses.replace(config, ordering=ordering), H, None)
+        for b in range(draws):
+            sub = H[b][:, cols[b]]
+            if ordering == "vblast":
+                # decode first the stream with the largest height against the rest
+                perm, rest = [], list(range(L))
+                while rest:
+                    heights = [projection_height_sq(sub, k, [j for j in rest if j != k]).height_sq for k in rest]
+                    perm.append(rest.pop(int(np.argmax(heights))))
+            else:
+                # greedy selection by height onto the complement of the picks, decoded in reverse
+                picks = []
+                for _ in range(L):
+                    heights = [-1.0 if k in picks else projection_height_sq(sub, k, picks).height_sq
+                               for k in range(L)]
+                    picks.append(int(np.argmax(heights)))
+                perm = picks[::-1]
+            np.testing.assert_array_equal(ordered[b], cols[b][perm])
 
     def test_mmse_loop_path_runs(self):
         config = ExperimentConfig(n_t=3, n_r=3, L=2, rule="maxmin", trial_count=50,

@@ -181,6 +181,21 @@ class TestDecisionFeedback:
             diag = (budget.rho0 / budget.L) * np.abs(np.diagonal(r)) ** 2
             np.testing.assert_allclose(snrs, diag[::-1], rtol=1e-9)
 
+    def test_decode_order_permutes_the_stages(self):
+        # decoding in order P equals decoding the columns H[:, P] in place order
+        H = rand_matrix(4, 3, seed=26)
+        budget = LinkBudget(6.0, 3)
+        rng = stream_generator(27, 0)
+        s = qpsk_modulate(rng.integers(0, 2, size=(3, 200, 2)))
+        y = transmit(H, budget, s, complex_gaussian(rng, (4, 200)))
+        order = (2, 0, 1)
+        for front_end in ("zf", "mmse"):
+            for feedback in ("actual", "genie"):
+                out = detect_df(H, y, budget, order, feedback=feedback, transmitted=s, front_end=front_end)
+                ref = detect_df(H[:, list(order)], y, budget, (0, 1, 2), feedback=feedback,
+                                transmitted=s[list(order)], front_end=front_end)
+                np.testing.assert_array_equal(out[list(order)], ref)
+
     def test_genie_requires_transmitted(self):
         H = rand_matrix(3, 2, seed=17)
         with pytest.raises(ValueError):
