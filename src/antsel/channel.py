@@ -40,9 +40,16 @@ def stream_generator(seed: int, stream: int) -> np.random.Generator:
 
 
 def complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Array of unit-variance circularly symmetric complex Gaussians."""
+    """Array of unit-variance circularly symmetric complex Gaussians.
+
+    Consecutive normal pairs are the (real, imaginary) parts; the pairs are
+    scaled in place and viewed as complex, so no complex temporary is made.
+    Scaling by the reciprocal of sqrt(2) is bit-identical to dividing the
+    complex numbers by sqrt(2), as numpy does complex / real.
+    """
     z = rng.standard_normal(size=tuple(shape) + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    z *= 1.0 / np.sqrt(2.0)
+    return z.view(np.complex128)[..., 0]
 
 
 def as_channel_matrix(matrix) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import os
 import platform
@@ -112,15 +113,22 @@ def _resolve_seed(value: int | None) -> int:
         raise UsageError(f"ANTSEL_SEED must be an integer, got {env!r}") from None
 
 
-def _library_versions() -> dict:
+@functools.lru_cache(maxsize=None)
+def _library_version_items() -> tuple[tuple[str, str], ...]:
     # package metadata gives the versions without importing scipy
     import importlib.metadata
 
-    return {
-        "python": platform.python_version(),
-        "numpy": importlib.metadata.version("numpy"),
-        "scipy": importlib.metadata.version("scipy"),
-    }
+    return (
+        ("python", platform.python_version()),
+        ("numpy", importlib.metadata.version("numpy")),
+        ("scipy", importlib.metadata.version("scipy")),
+    )
+
+
+def _library_versions() -> dict:
+    """Python, numpy and scipy releases, read once per process; every
+    call returns a dict of its own."""
+    return dict(_library_version_items())
 
 
 def _utc_now() -> str:

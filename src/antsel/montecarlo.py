@@ -29,9 +29,10 @@ from .selection import RULES
 #: Cap on complex received samples held by one BER chunk.
 _BER_CHUNK_SAMPLE_CAP = 2_000_000
 
-#: Channels per pass of the determinant lattice.  Keeps the lattice's
-#: working set cache-sized and its memory small next to the chunk's draw;
-#: 2048 was the fastest of 1024-49152 for (8, 8, 4).
+#: Channels per pass of the Gram-entry kernels (the determinant lattice,
+#: the pair table and the Cholesky greedy).  Keeps their working set
+#: cache-sized and their memory small next to the chunk's draw; 2048 was
+#: the fastest of 1024-49152 for the (8, 8, 4) lattice.
 _LATTICE_LANES = 2048
 
 
@@ -196,22 +197,55 @@ def _run_chunks(job, plan, workers: int) -> list:
 # vectorized selection kernels
 # ---------------------------------------------------------------------------
 
-def _pair_heights_block(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All single-column projection heights R[b, k, j] (column k against
-    column j) and the squared norms, for a block of channels."""
-    gram = np.einsum("bik,bij->bkj", H.conj(), H)
-    norms = np.real(np.einsum("bkk->bk", gram))
-    mag2 = np.abs(gram) ** 2
-    heights = norms[:, :, None] - mag2 / norms[:, None, :]
-    return heights, norms
-
-
 @functools.lru_cache(maxsize=None)
 def _subsets(n_t: int, L: int) -> np.ndarray:
     """(C(n_t, L), L) column indices of every size-L subset, lexicographic."""
     subsets = np.array(list(itertools.combinations(range(n_t), L)), dtype=np.int64).reshape(-1, L)
     subsets.setflags(write=False)
     return subsets
+
+
+def _pair_table(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column norms and the two heights of every column pair.
+
+    Returns ``norms`` (n_t, B), the squared column norms n_k, and ``fwd``,
+    ``bwd`` (C(n_t, 2), B): for the pair (i, j), i < j, of lexicographic
+    rank p, ``fwd[p]`` is the height of column i against column j,
+    n_i - |g_ij|^2 / n_j, and ``bwd[p]`` that of j against i,
+    n_j - |g_ij|^2 / n_i, where g_ij is entry (i, j) of G = H^H H.
+
+    The Gram entries are sums over the receive rows of products of the
+    real and imaginary planes of each pass of ``_LATTICE_LANES`` channels,
+    laid out as (n_r, n_t, lanes); at small n_t this beats a complex
+    matmul.  The rows are summed in order, elementwise, so a channel's
+    entries do not depend on the pass it falls in.  Every L = 2 rule reads
+    these arrays, so on common draws first-ordered >= first-fixed >=
+    maxmin >= random holds exactly, draw by draw.
+    """
+    B, n_r, n_t = H.shape
+    iu, ju = _subsets(n_t, 2).T
+    norms = np.empty((n_t, B))
+    fwd = np.empty((len(iu), B))
+    bwd = np.empty((len(iu), B))
+    for lo in range(0, B, _LATTICE_LANES):
+        hi = min(lo + _LATTICE_LANES, B)
+        floats = np.ascontiguousarray(H[lo:hi], dtype=np.complex128).view(np.float64)
+        re, im = np.ascontiguousarray(floats.reshape(hi - lo, n_r, n_t, 2).transpose(3, 1, 2, 0))
+        re_i, re_j, im_i, im_j = re[:, iu], re[:, ju], im[:, iu], im[:, ju]
+        # per receive row: |h_rk|^2 and the real and imaginary parts of conj(h_ri) h_rj
+        sq = re * re + im * im
+        g_re = re_i * re_j + im_i * im_j
+        g_im = re_i * im_j - im_i * re_j
+        for r in range(1, n_r):
+            sq[0] += sq[r]
+            g_re[0] += g_re[r]
+            g_im[0] += g_im[r]
+        n = sq[0]
+        mag2 = g_re[0] * g_re[0] + g_im[0] * g_im[0]
+        norms[:, lo:hi] = n
+        fwd[:, lo:hi] = n[iu] - mag2 / n[ju]
+        bwd[:, lo:hi] = n[ju] - mag2 / n[iu]
+    return norms, fwd, bwd
 
 
 @dataclass(frozen=True)
@@ -339,15 +373,14 @@ def _maxmin_block(H: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
     and the lexicographic rank of the subset achieving it (ties to the
     smallest rank, matching the per-draw rule).
 
-    L = 2 uses the closed-form pair heights; every other L runs the
-    determinant lattice of :func:`_lattice_heights` on
+    L = 2 reads the pair table of :func:`_pair_table`; every other L runs
+    the determinant lattice of :func:`_lattice_heights` on
     ``_LATTICE_LANES`` channels at a time.
     """
     if L == 2:
-        R, _ = _pair_heights_block(H)
-        iu, ju = np.triu_indices(H.shape[2], 1)
-        mins = np.minimum(R[:, iu, ju], R[:, ju, iu])
-        return mins.max(axis=1), mins.argmax(axis=1)
+        _, fwd, bwd = _pair_table(H)
+        mins = np.minimum(fwd, bwd)
+        return mins.max(axis=0), mins.argmax(axis=0)
     B = H.shape[0]
     best = np.full(B, -np.inf)
     arg = np.zeros(B, dtype=np.int64)
@@ -369,30 +402,53 @@ def _greedy_selection_block(H: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarr
     at step s and ``picked_heights[b, s]`` its projection height onto the
     complement of the span selected so far.  Ties resolve to the smallest
     column index, matching the per-draw rule.
+
+    L = 2 reads the pair table of :func:`_pair_table`: the first pick p has
+    the largest norm and the second maximizes n_j - |g_pj|^2 / n_p; at
+    n_t = 3 this is faster than the Cholesky path below.  Other
+    L run Cholesky row updates on G = H^H H, formed by one batched matmul
+    per pass of ``_LATTICE_LANES`` channels.  The residual d_j = h(j | picks)
+    starts at diag(G); each step takes p = argmax d over the columns not yet
+    picked, forms the Cholesky row r = (G[p, :] - sum_i conj(r_i[p]) r_i)
+    / sqrt(d_p) and lowers d by |r|^2.  The accuracy is that of the
+    lattice (see :func:`_lattice_heights`).
     """
-    B, n_r, n_t = H.shape
-    norms = np.real(np.einsum("brt,brt->bt", H.conj(), H))
-    proj = np.zeros((B, n_t))
-    basis = np.zeros((B, n_r, max(L - 1, 1)), dtype=np.complex128)
-    mask = np.zeros((B, n_t), dtype=bool)
+    B, _, n_t = H.shape
+    if L == 2:
+        norms, fwd, bwd = _pair_table(H)
+        iu, ju = _subsets(n_t, 2).T
+        lanes = np.arange(B)
+        first = norms.argmax(axis=0)
+        # heights against the first pick, on the pairs that hold it; within
+        # those, the pair rank rises with the other column, so ties go to
+        # the smallest index
+        against = np.where(iu[:, None] == first, bwd, np.where(ju[:, None] == first, fwd, -np.inf))
+        best = against.argmax(axis=0)
+        chosen = np.stack([first, iu[best] + ju[best] - first], axis=1)
+        picked = np.stack([norms[first, lanes], against[best, lanes]], axis=1)
+        return chosen, picked
     chosen = np.empty((B, L), dtype=np.int64)
     picked = np.empty((B, L))
-    rows = np.arange(B)
-    for step in range(L):
-        avail = np.where(mask, -np.inf, norms - proj)
-        pick = avail.argmax(axis=1)
-        chosen[:, step] = pick
-        picked[:, step] = avail[rows, pick]
-        mask[rows, pick] = True
-        if step < L - 1:
-            hcol = np.take_along_axis(H, pick[:, None, None], axis=2)[:, :, 0]
-            if step > 0:
-                coeff = np.einsum("brs,br->bs", basis[:, :, :step].conj(), hcol)
-                hcol = hcol - np.einsum("brs,bs->br", basis[:, :, :step], coeff)
-            nrm = np.sqrt(np.maximum(np.real(np.einsum("br,br->b", hcol.conj(), hcol)), 1e-300))
-            q = hcol / nrm[:, None]
-            basis[:, :, step] = q
-            proj = proj + np.abs(np.einsum("br,brt->bt", q.conj(), H)) ** 2
+    for lo in range(0, B, _LATTICE_LANES):
+        h = H[lo:lo + _LATTICE_LANES]
+        span = slice(lo, lo + len(h))
+        lanes = np.arange(len(h))
+        gram = h.conj().transpose(0, 2, 1) @ h
+        resid = gram.diagonal(axis1=1, axis2=2).real.copy()
+        rows = np.empty((L - 1, len(h), n_t), dtype=np.complex128)
+        for step in range(L):
+            pick = resid.argmax(axis=1)
+            pivot = resid[lanes, pick]
+            chosen[span, step] = pick
+            picked[span, step] = pivot
+            if step == L - 1:
+                break
+            resid[lanes, pick] = -np.inf
+            row = gram[lanes, pick]
+            for i in range(step):
+                row -= rows[i, lanes, pick, None].conj() * rows[i]
+            np.multiply(row, (1.0 / np.sqrt(np.maximum(pivot, 1e-300)))[:, None], out=rows[step])
+            resid -= rows[step].real ** 2 + rows[step].imag ** 2
     return chosen, picked
 
 
@@ -409,20 +465,17 @@ def _outage_scalars(config: ExperimentConfig, H: np.ndarray, rng: np.random.Gene
     if rule == "maxmin":
         return _maxmin_block(H, L)[0]
     if rule == "first-fixed":
-        R, _ = _pair_heights_block(H)
-        iu, ju = np.triu_indices(n_t, 1)
-        return R[:, iu, ju].max(axis=1)
+        return _pair_table(H)[1].max(axis=0)
     if rule == "first-ordered":
-        R, _ = _pair_heights_block(H)
-        iu, ju = np.triu_indices(n_t, 1)
-        return np.maximum(R[:, iu, ju], R[:, ju, iu]).max(axis=1)
+        _, fwd, bwd = _pair_table(H)
+        return np.maximum(fwd, bwd).max(axis=0)
     if rule == "qr-greedy":
         _, picked = _greedy_selection_block(H, L)
         return picked[:, L - 1]
     if rule == "random":
-        # evaluate only the drawn subset's columns: its best is its own
         subsets = _subsets(n_t, L)
         idx = rng.integers(0, len(subsets), size=H.shape[0])
+        # evaluate only the drawn subset's columns: its best is its own
         return _maxmin_block(np.take_along_axis(H, subsets[idx][:, None, :], axis=2), L)[0]
     raise ValueError(f"unknown rule {rule!r}")
 
@@ -465,20 +518,11 @@ def _decode_columns(config: ExperimentConfig, H: np.ndarray, rng: np.random.Gene
         subsets = _subsets(n_t, L)
         cols = subsets[rng.integers(0, len(subsets), size=B)]
     elif rule == "first-fixed":
-        R, _ = _pair_heights_block(H)
-        iu, ju = np.triu_indices(n_t, 1)
-        best = R[:, iu, ju].argmax(axis=1)
-        cols = np.stack([iu[best], ju[best]], axis=1)
+        cols = _subsets(n_t, 2)[_pair_table(H)[1].argmax(axis=0)]
     elif rule == "first-ordered":
-        R, _ = _pair_heights_block(H)
-        iu, ju = np.triu_indices(n_t, 1)
-        fwd, bwd = R[:, iu, ju], R[:, ju, iu]
-        both = np.concatenate([fwd, bwd], axis=1)
-        best = both.argmax(axis=1)
-        npairs = len(iu)
-        first = np.where(best < npairs, iu[best % npairs], ju[best % npairs])
-        second = np.where(best < npairs, ju[best % npairs], iu[best % npairs])
-        cols = np.stack([first, second], axis=1)
+        _, fwd, bwd = _pair_table(H)
+        pairs = _subsets(n_t, 2)
+        cols = np.concatenate([pairs, pairs[:, ::-1]])[np.concatenate([fwd, bwd]).argmax(axis=0)]
     elif rule == "qr-greedy":
         chosen, _ = _greedy_selection_block(H, L)
         cols = chosen[:, ::-1]  # detection order is the reverse of selection order
@@ -503,15 +547,35 @@ def _apply_ordering(config: ExperimentConfig, H: np.ndarray, cols: np.ndarray) -
     return np.take_along_axis(cols, perm, axis=1)
 
 
-def _detect_block(config: ExperimentConfig, Heff: np.ndarray, symbols: np.ndarray,
-                  noise: np.ndarray, rho0: float) -> np.ndarray:
-    """Detected bits for a block of frames whose columns are already in
-    decode order (stream i of ``symbols`` rides column i of ``Heff``)."""
-    budget = rx.LinkBudget(rho0=rho0, L=config.L)
-    y = budget.stream_scale * np.einsum("brl,blt->brt", Heff, symbols) + noise
-    detected = rx.detect_block(Heff, y, budget, config.receiver, config.feedback,
-                               symbols if config.feedback == "genie" else None)
-    return rx.qpsk_demodulate(detected)
+def _detect_grid(config: ExperimentConfig, Heff: np.ndarray, bits: np.ndarray,
+                 noise: np.ndarray) -> Iterator[np.ndarray]:
+    """Detected QPSK symbols at each SNR point of ``config.grid``, in
+    order, for a block of frames whose columns are already in decode order
+    (stream i of the symbols of ``bits`` rides column i of ``Heff``).
+
+    The noiseless received block is formed once.  The nulling rows are
+    formed again only when their lam changes, so the ZF rows (lam = 0) are
+    formed once and the MMSE rows at every point.  Each point then does
+    the arithmetic of one ``receivers.detect_block`` call.  The points
+    share one buffer for the received block, so besides the noise the
+    chunk holds at most two (B, n_r, T) blocks.
+    """
+    symbols = rx.qpsk_modulate(bits)
+    clean = np.einsum("brl,blt->brt", Heff, symbols)
+    # the transmitted symbols are kept for genie feedback only
+    genie = symbols if config.feedback == "genie" else None
+    del symbols
+    nulling, lam = None, None
+    # a one-point grid builds its received block in the noiseless one
+    received = np.empty_like(clean) if len(config.grid) > 1 else clean
+    for snr_db in config.grid:
+        budget = rx.LinkBudget(rho0=10.0 ** (snr_db / 10.0), L=config.L)
+        if (point_lam := rx.nulling_lam(config.receiver, budget)) != lam:
+            lam = point_lam
+            nulling = rx.nulling_block(Heff, config.receiver, lam)
+        np.multiply(budget.stream_scale, clean, out=received)
+        received += noise
+        yield rx.detect_nulled(nulling, received, budget.stream_scale, config.feedback, genie)
 
 
 def _ber_chunk_size(config: ExperimentConfig) -> int:
@@ -526,17 +590,14 @@ def _ber_chunk(args: tuple[ExperimentConfig, int, int]) -> tuple[np.ndarray, np.
     H = complex_gaussian(rng, (frames, n_r, n_t))
     bits = rng.integers(0, 2, size=(frames, L, T, 2))
     noise = complex_gaussian(rng, (frames, n_r, T))
-    symbols = rx.qpsk_modulate(bits)
     cols = _decode_columns(config, H, rng)
     Heff = np.take_along_axis(H, cols[:, None, :], axis=2)
     errors = np.zeros(len(config.grid), dtype=np.int64)
-    counted = np.zeros(len(config.grid), dtype=np.int64)
-    for p_i, snr_db in enumerate(config.grid):
-        rho0 = 10.0 ** (snr_db / 10.0)
-        det_bits = _detect_block(config, Heff, symbols, noise, rho0)
-        errors[p_i] = int(np.sum(det_bits != bits))
-        counted[p_i] = bits.size
-    return errors, counted
+    detections = _detect_grid(config, Heff, bits, noise)
+    for p_i in range(len(config.grid)):
+        # no name holds a detected block while the next one is built
+        errors[p_i] = rx.count_bit_errors(next(detections), bits)
+    return errors, np.full(len(config.grid), bits.size, dtype=np.int64)
 
 
 def estimate_ber(config: ExperimentConfig, workers: int = 1) -> EmpiricalCurve:
@@ -780,18 +841,20 @@ def independence_suite(n_t: int, n_r: int, trials: int, master_seed: int = 0,
     angle_parts: list[list[np.ndarray]] = [[] for _ in range(n_angles)]
     shared_parts: list[np.ndarray] = []
     norm0_parts: list[np.ndarray] = []
+    # row of the pair table holding the height of column i against column j > i
+    rank = {(int(i), int(j)): p for p, (i, j) in enumerate(_subsets(n_t, 2))}
 
     for i, count in _chunk_plan(trials, chunk_size):
         rng = stream_generator(master_seed, i)
         H = complex_gaussian(rng, (count, n_r, n_t))
-        R, norms = _pair_heights_block(H)
+        norms, fwd, _ = _pair_table(H)
         for k in range(chain_len):
-            chain_parts[k].append(R[:, k, k + 1])
+            chain_parts[k].append(fwd[rank[k, k + 1]])
         for j in range(n_angles):
-            ratio = np.clip(R[:, 0, j + 1] / norms[:, 0], 0.0, 1.0)
+            ratio = np.clip(fwd[rank[0, j + 1]] / norms[0], 0.0, 1.0)
             angle_parts[j].append(np.arcsin(np.sqrt(ratio)))
-        shared_parts.append(R[:, 0, 2])
-        norm0_parts.append(norms[:, 0])
+        shared_parts.append(fwd[rank[0, 2]])
+        norm0_parts.append(norms[0])
 
     chain = [np.concatenate(p) for p in chain_parts]
     angles = [np.concatenate(p) for p in angle_parts]

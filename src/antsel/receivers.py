@@ -112,6 +112,13 @@ def qpsk_demodulate(symbols: np.ndarray) -> np.ndarray:
     return (_rails(symbols) < 0).astype(np.int64)
 
 
+def count_bit_errors(symbols: np.ndarray, bits: np.ndarray) -> int:
+    """Number of entries of ``bits`` that :func:`qpsk_demodulate` of
+    ``symbols`` gets wrong, counted without forming the demodulated
+    integer array."""
+    return int(np.count_nonzero((_rails(symbols) < 0) != bits))
+
+
 def qpsk_bit_error_rate(snr) -> np.ndarray | float:
     """Exact AWGN bit error rate of Gray QPSK at per-symbol SNR ``snr``."""
     return qfunc(np.sqrt(np.asarray(snr, dtype=float)))
@@ -196,6 +203,45 @@ def _nulling_rows(H: np.ndarray, lam: float) -> np.ndarray:
     return np.linalg.inv(gram) @ Hh
 
 
+def nulling_lam(receiver: str, budget: LinkBudget) -> float:
+    """Regularization lam of a receiver's nulling rows: L / rho0 for the
+    MMSE front ends ("mmse", "df-mmse"), 0 for ZF."""
+    return budget.L / budget.rho0 if receiver in ("mmse", "df-mmse") else 0.0
+
+
+def nulling_block(Heff: np.ndarray, receiver: str, lam: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """The rows step of :func:`detect_block`, which depends on the
+    channel and on lam but not on the received block.
+
+    Returns ``(rows, leak)``.  For the linear receivers ``rows`` (B, L, n_r)
+    is (G + lam I)^-1 H^H and ``leak`` is None.  For decision feedback row s
+    is the first row of (G_s + lam I)^-1 H_s^H over columns s..L-1, and
+    ``leak = rows @ Heff``: cancelling symbol s from the received block takes
+    ``leak[:, t, s]`` times it off the estimate of every later stage t.
+    """
+    if receiver in ("zf", "mmse"):
+        return _nulling_rows(Heff, lam), None
+    rows = np.concatenate([_nulling_rows(Heff[:, :, s:], lam)[:, :1] for s in range(Heff.shape[2])], axis=1)
+    return rows, rows @ Heff
+
+
+def detect_nulled(nulling: tuple[np.ndarray, np.ndarray | None], received: np.ndarray, stream_scale: float,
+                  feedback: str = "actual", transmitted: np.ndarray | None = None) -> np.ndarray:
+    """The slice/cancel step of :func:`detect_block`: null ``received``
+    (B, n_r, T) with the ``nulling`` of :func:`nulling_block`, slice, and,
+    for decision feedback, cancel stage by stage."""
+    rows, leak = nulling
+    est = (rows @ received) / stream_scale
+    if leak is None:
+        return qpsk_slice(est)
+    for stage in range(rows.shape[1]):
+        sliced = qpsk_slice(est[:, stage])
+        est[:, stage] = sliced
+        fed_back = transmitted[:, stage] if feedback == "genie" else sliced
+        est[:, stage + 1:] -= leak[:, stage + 1:, stage, None] * fed_back[:, None, :]
+    return est
+
+
 def detect_block(Heff: np.ndarray, received: np.ndarray, budget: LinkBudget, receiver: str,
                  feedback: str = "actual", transmitted: np.ndarray | None = None) -> np.ndarray:
     """Detect a batch of frames with any receiver; the batched kernel
@@ -211,23 +257,11 @@ def detect_block(Heff: np.ndarray, received: np.ndarray, budget: LinkBudget, rec
     ``transmitted`` (B, L, T)) symbol before the next stage.  The linear
     receivers are the one-stage case: every row of (G + lam I)^-1 H^H is
     sliced at once.  Inputs are not validated; ZF assumes full column
-    rank.
+    rank.  The two steps are :func:`nulling_block` and
+    :func:`detect_nulled`.
     """
-    lam = budget.L / budget.rho0 if receiver in ("mmse", "df-mmse") else 0.0
-    L = Heff.shape[2]
-    if receiver in ("zf", "mmse"):
-        return qpsk_slice((_nulling_rows(Heff, lam) @ received) / budget.stream_scale)
-    rows = np.concatenate([_nulling_rows(Heff[:, :, s:], lam)[:, :1] for s in range(L)], axis=1)
-    est = (rows @ received) / budget.stream_scale
-    # cancelling symbol s from the received block takes leak[:, t, s] times
-    # it off the estimate of every later stage t
-    leak = rows @ Heff
-    for stage in range(L):
-        sliced = qpsk_slice(est[:, stage])
-        est[:, stage] = sliced
-        fed_back = transmitted[:, stage] if feedback == "genie" else sliced
-        est[:, stage + 1:] -= leak[:, stage + 1:, stage, None] * fed_back[:, None, :]
-    return est
+    nulling = nulling_block(Heff, receiver, nulling_lam(receiver, budget))
+    return detect_nulled(nulling, received, budget.stream_scale, feedback, transmitted)
 
 
 def vblast_order_block(H: np.ndarray) -> np.ndarray:

@@ -55,6 +55,15 @@ class TestSampling:
         assert isinstance(s, ChannelSample)
         assert (s.seed, s.draw_index) == (5, 9)
 
+    @pytest.mark.parametrize("shape", [(3,), (4, 3, 3), (1000, 8, 8), (2, 0, 3)])
+    def test_in_place_draw_is_bit_identical_to_complex_combine(self, shape):
+        z = stream_generator(44, 1).standard_normal(size=shape + (2,))
+        reference = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+        draw = complex_gaussian(stream_generator(44, 1), shape)
+        assert draw.shape == shape and draw.dtype == np.complex128
+        assert draw.flags.c_contiguous
+        assert draw.tobytes() == reference.tobytes()
+
 
 class TestProjectionHeight:
     def test_orthogonal_columns(self):

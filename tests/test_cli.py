@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from antsel.cli import main, parse_grid, UsageError
+from antsel.cli import _library_versions, main, parse_grid, UsageError
 from antsel.montecarlo import EmpiricalCurve, fit_slope
 
 
@@ -148,6 +148,14 @@ class TestBerCommand:
         assert manifest["config"]["chunk_size"] == 5000
         assert manifest["effective_chunk_size"] == 666
         assert manifest["library_versions"] == LIBRARY_VERSIONS
+
+    def test_manifests_own_their_version_dicts(self):
+        # the versions are read once per process; each manifest gets a dict of its own
+        first = _library_versions()
+        first["numpy"] = "edited"
+        second = _library_versions()
+        assert second == LIBRARY_VERSIONS
+        assert second is not _library_versions()
 
     def test_unknown_receiver_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from antsel.montecarlo import (
     FitError,
     _ber_chunk_size,
     _decode_columns,
-    _detect_block,
+    _detect_grid,
+    _greedy_selection_block,
     _lattice_heights,
     _maxmin_block,
     _outage_scalars,
+    _pair_table,
     estimate_ber,
     estimate_dmt,
     estimate_outage,
@@ -24,7 +27,7 @@ from antsel.montecarlo import (
     independence_suite,
     lemma_harness,
 )
-from antsel.receivers import LinkBudget, detect_df, detect_linear, qpsk_demodulate, qpsk_modulate, qpsk_slice
+from antsel.receivers import LinkBudget, detect_block, detect_df, detect_linear, qpsk_modulate, qpsk_slice
 from antsel.selection import RULES, enumerate_subsets, select, subset_metrics
 
 GRID = tuple(np.geomspace(0.02, 0.5, 16))
@@ -32,7 +35,11 @@ GRID = tuple(np.geomspace(0.02, 0.5, 16))
 # (3,3,2) keeps the bare rule as its id; the general-L cases name their dimensions
 PER_DRAW_CASES = [pytest.param(rule, (3, 3, 2), id=rule) for rule in RULES] + [
     pytest.param(rule, dims, id=f"{rule}-{dims[0]}x{dims[1]}x{dims[2]}")
-    for dims in ((5, 5, 3), (6, 6, 4)) for rule in ("maxmin", "random", "qr-greedy")
+    for dims, rules in (((5, 5, 3), ("maxmin", "random", "qr-greedy")),
+                        ((6, 6, 4), ("maxmin", "random", "qr-greedy")),
+                        ((5, 4, 2), RULES),
+                        ((8, 8, 4), ("qr-greedy",)))
+    for rule in rules
 ]
 
 
@@ -163,6 +170,39 @@ class TestOutageEngine:
         np.testing.assert_array_equal(best, table.max(axis=0))
         np.testing.assert_array_equal(arg, table.argmax(axis=0))
 
+    def test_pair_table_and_greedy_split_lanes_without_changing_results(self, monkeypatch):
+        H = complex_gaussian(stream_generator(41, 0), (50, 4, 5))
+        table = _pair_table(H)
+        greedy = {L: _greedy_selection_block(H, L) for L in (2, 4)}
+        monkeypatch.setattr(montecarlo, "_LATTICE_LANES", 7)
+        for whole, split in zip(table, _pair_table(H)):
+            np.testing.assert_array_equal(split, whole)
+        for L, (chosen, picked) in greedy.items():
+            split_chosen, split_picked = _greedy_selection_block(H, L)
+            np.testing.assert_array_equal(split_chosen, chosen)
+            np.testing.assert_array_equal(split_picked, picked)
+
+    def test_pair_rules_are_ordered_draw_by_draw(self):
+        # first-ordered >= first-fixed >= maxmin >= random on common draws, exactly
+        H = complex_gaussian(stream_generator(42, 0), (20_000, 3, 3))
+        scalars = [_outage_scalars(outage_config(rule), H, stream_generator(42, 1))
+                   for rule in ("first-ordered", "first-fixed", "maxmin", "random")]
+        for upper, lower in zip(scalars, scalars[1:]):
+            assert np.all(upper >= lower)
+        assert np.any(scalars[0] > scalars[1]) and np.any(scalars[2] > scalars[3])
+
+    def test_greedy_allocates_far_less_than_the_channel_block(self):
+        H = complex_gaussian(stream_generator(43, 0), (30_000, 8, 8))
+        tracemalloc.start()
+        try:
+            _greedy_selection_block(H, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the Gram matrix and its Cholesky rows live one lane pass at a time;
+        # projecting the whole block at every step took more than H itself
+        assert peak < H.nbytes / 3
+
     @pytest.mark.parametrize("rule", ["maxmin", "random", "qr-greedy"])
     def test_single_stream_heights_are_column_norms(self, rule):
         config = ExperimentConfig(n_t=4, n_r=3, L=1, rule=rule, trial_count=100,
@@ -208,6 +248,19 @@ class TestOutageEngine:
         else:
             picks = [select("maxmin", H[b], 3).subset.indices for b in range(100)]
         np.testing.assert_array_equal(cols, np.array(picks))
+
+    @pytest.mark.parametrize("rule", ["maxmin", "first-fixed", "first-ordered", "qr-greedy"])
+    def test_decode_columns_pair_rules(self, rule):
+        # columns first-decoded first, as the per-draw rule's subset in its decode order
+        config = ExperimentConfig(n_t=5, n_r=4, L=2, rule=rule, trial_count=200,
+                                  master_seed=46, grid=(10.0,))
+        H = complex_gaussian(stream_generator(46, 0), (200, 4, 5))
+        cols = _decode_columns(config, H, None)
+        expected = []
+        for b in range(200):
+            out = select(rule, H[b], 2)
+            expected.append([out.subset.indices[i] for i in out.decode_order])
+        np.testing.assert_array_equal(cols, np.array(expected))
 
     def test_worker_invariance_and_determinism(self):
         config = outage_config("maxmin", trials=9_000, seed=5, chunk_size=2_500)
@@ -321,20 +374,40 @@ class TestBerEngine:
         noise = complex_gaussian(rng, (frames, 3, T))
         config = ExperimentConfig(n_t=3, n_r=3, L=L, rule="maxmin", trial_count=frames,
                                   master_seed=0, grid=(10.0,), receiver=receiver, feedback=feedback)
-        fast = _detect_block(config, Heff, symbols, noise, rho0)
+        # the config's one SNR point, 10 dB, is rho0
+        (fast,) = _detect_grid(config, Heff, bits, noise)
         budget = LinkBudget(rho0, L)
         scale = budget.stream_scale
         for b in range(frames):
             y = scale * (Heff[b] @ symbols[b]) + noise[b]
             oracle = nulling_oracle(Heff[b], y, rho0, receiver, feedback, symbols[b])
-            np.testing.assert_array_equal(fast[b], qpsk_demodulate(oracle))
+            np.testing.assert_array_equal(fast[b], oracle)
             if receiver in ("zf", "mmse"):
                 det = detect_linear(Heff[b], y, budget, equalizer=receiver)
             else:
                 det = detect_df(Heff[b], y, budget, tuple(range(L)), feedback=feedback,
                                 transmitted=symbols[b] if feedback == "genie" else None,
                                 front_end=receiver[3:])
-            np.testing.assert_array_equal(fast[b], qpsk_demodulate(det))
+            np.testing.assert_array_equal(fast[b], det)
+
+    @pytest.mark.parametrize("receiver", ["zf", "mmse", "df-zf", "df-mmse"])
+    def test_snr_grid_reuses_only_snr_free_work(self, receiver):
+        # every point of a multi-point grid equals a fresh detect_block call
+        rng = stream_generator(45, 0)
+        frames, T, L = 30, 6, 2
+        Heff = complex_gaussian(rng, (frames, 3, L))
+        bits = rng.integers(0, 2, size=(frames, L, T, 2))
+        noise = complex_gaussian(rng, (frames, 3, T))
+        symbols = qpsk_modulate(bits)
+        grid = (4.0, 10.0, 16.0)
+        config = ExperimentConfig(n_t=3, n_r=3, L=L, rule="maxmin", trial_count=frames,
+                                  master_seed=0, grid=grid, receiver=receiver)
+        points = list(_detect_grid(config, Heff, bits, noise))
+        assert len(points) == len(grid)
+        for snr_db, fast in zip(grid, points):
+            budget = LinkBudget(10.0 ** (snr_db / 10.0), L)
+            y = budget.stream_scale * np.einsum("brl,blt->brt", Heff, symbols) + noise
+            np.testing.assert_array_equal(fast, detect_block(Heff, y, budget, receiver))
 
     @pytest.mark.parametrize("ordering", ["vblast", "qr-reverse"])
     def test_batched_orderings_match_projection_oracle(self, ordering):
@@ -435,21 +508,29 @@ class TestIndependenceSuite:
 
 
 class TestLatticeAccuracy:
-    """Lattice heights on near-collinear columns against the QR oracle.
+    """Gram-route heights on near-collinear columns against the QR oracle.
 
     The last column is a random combination of columns 0..L-2 plus a part
     orthogonal to them, scaled so the squared size of that part is
     ``ratio`` times the combination's.  The subset (0..L-2, last) then has
     a worst-stream height of order ``ratio`` times its largest squared
-    norm, the deep-threshold regime of the high-SNR curves.
+    norm, the deep-threshold regime of the high-SNR curves.  Each Gram
+    route (the lattice, the L = 2 pair table, the greedy's picked heights)
+    must meet the same bounds.
     """
 
     RATIOS = np.geomspace(1e-2, 1e-12, 11)
     DRAWS = 100
 
-    def errors(self, n_t, L):
-        """Per ratio: median height/norm, and the relative errors of the
-        lattice and of the batched-inverse route against the oracle."""
+    def errors(self, n_t, L, route):
+        """Per ratio: median height/norm, and the relative errors of
+        ``route`` and of the batched-inverse route against the oracle.
+
+        "lattice" and "pairs" give the subset's worst-stream height from
+        the lattice or the pair table; "greedy" runs the greedy selection
+        on the subset's columns and gives its last pick's height, which the
+        oracle measures against the earlier picks.
+        """
         rng = stream_generator(38, 0)
         base = complex_gaussian(rng, (self.DRAWS, L + 1, n_t))
         coef = complex_gaussian(rng, (self.DRAWS, L - 1))
@@ -464,32 +545,55 @@ class TestLatticeAccuracy:
         for ratio in self.RATIOS:
             H = base.copy()
             H[:, :, n_t - 1] = comb + math.sqrt(ratio) * orth
-            lattice = lattice_table(H, L)[rank]
-            depth, err_lattice, err_inverse = [], [], []
+            if route == "lattice":
+                values = lattice_table(H, L)[rank]
+            elif route == "pairs":
+                _, fwd, bwd = _pair_table(H)
+                values = np.minimum(fwd, bwd)[rank]
+            else:
+                chosen, picked = _greedy_selection_block(H[:, :, sub], L)
+                values = picked[:, -1]
+            depth, err_route, err_inverse = [], [], []
             for b in range(self.DRAWS):
-                oracle = min(projection_height_sq(H[b], k, [c for c in sub if c != k]).height_sq for k in sub)
-                inverse = float((1.0 / gram_inverse_diag(H[b][:, sub])).min())
-                depth.append(oracle / np.max(np.sum(np.abs(H[b][:, sub]) ** 2, axis=0)))
-                err_lattice.append(abs(lattice[b] - oracle) / oracle)
+                H_s = H[b][:, sub]
+                if route == "greedy":
+                    last, earlier = chosen[b, -1], chosen[b, :-1]
+                    oracle = projection_height_sq(H_s, last, earlier).height_sq
+                    inverse = float(1.0 / gram_inverse_diag(H_s)[last])
+                else:
+                    oracle = min(projection_height_sq(H_s, k, [c for c in range(L) if c != k]).height_sq
+                                 for k in range(L))
+                    inverse = float((1.0 / gram_inverse_diag(H_s)).min())
+                depth.append(oracle / np.max(np.sum(np.abs(H_s) ** 2, axis=0)))
+                err_route.append(abs(values[b] - oracle) / oracle)
                 err_inverse.append(abs(inverse - oracle) / oracle)
-            rows.append((float(np.median(depth)), np.array(err_lattice), np.array(err_inverse)))
+            rows.append((float(np.median(depth)), np.array(err_route), np.array(err_inverse)))
         return rows
 
-    @pytest.mark.parametrize("dims", [(5, 3), (6, 4)], ids=["nt5-L3", "nt6-L4"])
-    def test_lattice_no_worse_than_inverse_route(self, dims):
-        rows = self.errors(*dims)
-
+    def check(self, rows):
         def first_past(route):
             # height/norm of the first ratio whose median relative error passes 1e-6
             return next((depth for depth, *errs in rows if np.median(errs[route]) > 1e-6), 0.0)
 
-        # the lattice passes 1e-6 no earlier than the inverse-Gram route
+        # the Gram route passes 1e-6 no earlier than the inverse-Gram route
         assert first_past(0) <= first_past(1)
         # the documented limit: median past 1e-6 only below height/norm 1e-10 ...
         assert first_past(0) < 1e-10
-        for depth, lattice, inverse in rows:
+        for depth, gram_route, inverse in rows:
             # ... every draw within 1e-6 down to height/norm 1e-9 ...
             if depth >= 1e-9:
-                assert lattice.max() < 1e-6
+                assert gram_route.max() < 1e-6
             # ... and no route-specific loss at any depth
-            assert np.median(lattice) <= 3.0 * np.median(inverse) + 1e-15
+            assert np.median(gram_route) <= 3.0 * np.median(inverse) + 1e-15
+
+    @pytest.mark.parametrize("dims", [(5, 3), (6, 4)], ids=["nt5-L3", "nt6-L4"])
+    def test_lattice_no_worse_than_inverse_route(self, dims):
+        self.check(self.errors(*dims, "lattice"))
+
+    @pytest.mark.parametrize("n_t", [3, 5], ids=["nt3", "nt5"])
+    def test_pair_table_no_worse_than_inverse_route(self, n_t):
+        self.check(self.errors(n_t, 2, "pairs"))
+
+    @pytest.mark.parametrize("dims", [(3, 2), (5, 3), (6, 4)], ids=["nt3-L2", "nt5-L3", "nt6-L4"])
+    def test_greedy_no_worse_than_inverse_route(self, dims):
+        self.check(self.errors(*dims, "greedy"))

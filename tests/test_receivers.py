@@ -6,6 +6,7 @@ import pytest
 from antsel.channel import complex_gaussian, projection_height_sq, qr_factorize, stream_generator
 from antsel.receivers import (
     LinkBudget,
+    count_bit_errors,
     detect_df,
     detect_linear,
     df_stage_snrs,
@@ -44,6 +45,14 @@ class TestBudgetAndConstellation:
         symbols = qpsk_modulate(bits)
         np.testing.assert_allclose(np.abs(symbols), 1.0, rtol=1e-12)
         np.testing.assert_array_equal(qpsk_demodulate(symbols), bits)
+
+    def test_bit_error_count_matches_demodulated_bits(self):
+        rng = stream_generator(0, 1)
+        bits = rng.integers(0, 2, size=(30, 2, 16, 2))
+        symbols = complex_gaussian(rng, (30, 2, 16))
+        expected = int(np.sum(qpsk_demodulate(symbols) != bits))
+        assert 0 < expected < bits.size
+        assert count_bit_errors(symbols, bits) == expected
 
     def test_slicing_recovers_clean_points(self):
         symbols = qpsk_modulate(np.array([[0, 0], [0, 1], [1, 0], [1, 1]]))
