@@ -8,11 +8,14 @@ order (channels, then frame bits, then noise, then any rule randomness).
 Chunk results merge by integer addition, so output is bit-identical for
 any worker count or schedule, and experiments that share a master seed
 see identical channel draws regardless of the rule under test.
+
+Each chunk selects with one call of the batched kernels of
+:mod:`antsel.selection`; this module keeps the chunk plan, the draws, the
+decode-order overrides, detection over the SNR grid and the counting.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -24,16 +27,10 @@ import numpy as np
 from . import receivers as rx
 from .analytic import chi2n_cdf, theta_cdf
 from .channel import complex_gaussian, stream_generator
-from .selection import RULES
+from .selection import RULES, _greedy_selection_block, _outage_scalars, _pair_table, _subsets, select_block
 
 #: Cap on complex received samples held by one BER chunk.
 _BER_CHUNK_SAMPLE_CAP = 2_000_000
-
-#: Channels per pass of the Gram-entry kernels (the determinant lattice,
-#: the pair table and the Cholesky greedy).  Keeps their working set
-#: cache-sized and their memory small next to the chunk's draw; 2048 was
-#: the fastest of 1024-49152 for the (8, 8, 4) lattice.
-_LATTICE_LANES = 2048
 
 
 class FitError(RuntimeError):
@@ -194,297 +191,14 @@ def _run_chunks(job, plan, workers: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# vectorized selection kernels
+# outage experiments
 # ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=None)
-def _subsets(n_t: int, L: int) -> np.ndarray:
-    """(C(n_t, L), L) column indices of every size-L subset, lexicographic."""
-    subsets = np.array(list(itertools.combinations(range(n_t), L)), dtype=np.int64).reshape(-1, L)
-    subsets.setflags(write=False)
-    return subsets
-
-
-def _pair_table(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column norms and the two heights of every column pair.
-
-    Returns ``norms`` (n_t, B), the squared column norms n_k, and ``fwd``,
-    ``bwd`` (C(n_t, 2), B): for the pair (i, j), i < j, of lexicographic
-    rank p, ``fwd[p]`` is the height of column i against column j,
-    n_i - |g_ij|^2 / n_j, and ``bwd[p]`` that of j against i,
-    n_j - |g_ij|^2 / n_i, where g_ij is entry (i, j) of G = H^H H.
-
-    The Gram entries are sums over the receive rows of products of the
-    real and imaginary planes of each pass of ``_LATTICE_LANES`` channels,
-    laid out as (n_r, n_t, lanes); at small n_t this beats a complex
-    matmul.  The rows are summed in order, elementwise, so a channel's
-    entries do not depend on the pass it falls in.  Every L = 2 rule reads
-    these arrays, so on common draws first-ordered >= first-fixed >=
-    maxmin >= random holds exactly, draw by draw.
-    """
-    B, n_r, n_t = H.shape
-    iu, ju = _subsets(n_t, 2).T
-    norms = np.empty((n_t, B))
-    fwd = np.empty((len(iu), B))
-    bwd = np.empty((len(iu), B))
-    for lo in range(0, B, _LATTICE_LANES):
-        hi = min(lo + _LATTICE_LANES, B)
-        floats = np.ascontiguousarray(H[lo:hi], dtype=np.complex128).view(np.float64)
-        re, im = np.ascontiguousarray(floats.reshape(hi - lo, n_r, n_t, 2).transpose(3, 1, 2, 0))
-        re_i, re_j, im_i, im_j = re[:, iu], re[:, ju], im[:, iu], im[:, ju]
-        # per receive row: |h_rk|^2 and the real and imaginary parts of conj(h_ri) h_rj
-        sq = re * re + im * im
-        g_re = re_i * re_j + im_i * im_j
-        g_im = re_i * im_j - im_i * re_j
-        for r in range(1, n_r):
-            sq[0] += sq[r]
-            g_re[0] += g_re[r]
-            g_im[0] += g_im[r]
-        n = sq[0]
-        mag2 = g_re[0] * g_re[0] + g_im[0] * g_im[0]
-        norms[:, lo:hi] = n
-        fwd[:, lo:hi] = n[iu] - mag2 / n[ju]
-        bwd[:, lo:hi] = n[ju] - mag2 / n[iu]
-    return norms, fwd, bwd
-
-
-@dataclass(frozen=True)
-class _LeafBlock:
-    """The size-L subsets P + (t, j), t < j, below one prefix P of size L-2.
-
-    ``lower_first`` ranks P + (start,) among the (L-1)-subsets; the ranks of
-    P + (t,) for t >= start follow it.  ``leaf_first`` ranks the block's
-    first leaf among the L-subsets.  ``minors[i, p]`` ranks leaf p with its
-    i-th column dropped among the (L-1)-subsets.
-    """
-
-    start: int
-    lower_first: int
-    leaf_first: int
-    first: np.ndarray
-    second: np.ndarray
-    minors: np.ndarray
-
-
-@functools.lru_cache(maxsize=None)
-def _lattice_plan(n_t: int, L: int) -> tuple:
-    """Visit order of the determinant lattice for size-L subsets, L >= 2.
-
-    The prefix tree is walked depth first with children in decreasing
-    column order.  An ``(m, t)`` step extends the current prefix of size m
-    by column t; a :class:`_LeafBlock` closes a prefix of size L-2.  The
-    order visits prefixes in decreasing lexicographic order, so when a
-    block is reached every (L-1)-minor its leaves need (each lies below a
-    lexicographically larger prefix, or is P + (t,) itself) is known.
-    """
-    lower = {c: r for r, c in enumerate(itertools.combinations(range(n_t), L - 1))}
-    upper = {c: r for r, c in enumerate(itertools.combinations(range(n_t), L))}
-    plan: list = []
-
-    def walk(prefix: tuple[int, ...]) -> None:
-        start = prefix[-1] + 1 if prefix else 0
-        m = len(prefix)
-        if m == L - 2:
-            pairs = list(itertools.combinations(range(start, n_t), 2))
-            leaves = [prefix + p for p in pairs]
-            minors = np.array([[lower[s[:i] + s[i + 1:]] for s in leaves] for i in range(L)],
-                              dtype=np.int64).reshape(L, len(pairs))
-            first, second = (np.array(c, dtype=np.int64) for c in zip(*pairs)) if pairs else (None, None)
-            plan.append(_LeafBlock(start, lower[prefix + (start,)], upper[leaves[0]] if leaves else -1,
-                                   first, second, minors))
-            return
-        # the final prefix needs one column after it: t <= n_t - L + m + 1
-        for t in range(n_t - L + m + 1, start - 1, -1):
-            plan.append((m, t))
-            walk(prefix + (t,))
-
-    walk(())
-    return tuple(plan)
-
-
-def _lattice_heights(H: np.ndarray, L: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Worst-stream heights of every size-L column subset from one
-    determinant lattice of the Gram matrix G = H^H H.
-
-    Yields ``(first_rank, heights)`` blocks: ``heights[p]`` (shape (B,)) is
-    the worst-stream height of the subset of lexicographic rank
-    ``first_rank + p``.  Blocks come in decreasing rank order, leaves
-    within a block in increasing order; together they cover every subset
-    once.
-
-    Each height is a ratio of principal Gram minors,
-    h(k | S minus k) = det G_S / det G_{S minus k}, so the worst stream of S
-    is det G_S / max_k det G_{S minus k}.  G is formed once by one batched
-    matmul and laid out as (n_t, n_t, B).  The prefix tree of the
-    lexicographic subsets is walked depth first, carrying the Cholesky
-    rows of the prefix and the residual diagonal d_j = h(j | prefix): a
-    child costs one row update and det G_{T+j} = det G_T * d_j.  Only the
-    (L-1)-minors are stored, in one (C(n_t, L-1), B) table; the size-L
-    determinants are reduced block by block as they are yielded.
-
-    Accuracy: as on any Gram route, a worst-stream height h of a subset
-    whose largest squared column norm is n has a relative error of order
-    eps * n / h.  On near-collinear columns (TestLatticeAccuracy in
-    tests/test_montecarlo.py) every draw stays within 1e-6 of the QR
-    oracle down to h / n = 1e-9, and the median error passes 1e-6 near
-    h / n = 6e-11, the same depth as the inverse-Gram route of
-    ``channel.gram_inverse_diag``.  Thresholds that deep need the QR route
-    of ``channel.projection_height_sq``.
-    """
-    B, _, n_t = H.shape
-    gram = np.ascontiguousarray(np.matmul(H.conj().transpose(0, 2, 1), H).transpose(1, 2, 0))
-    cols = np.arange(n_t)
-    if L == 1:
-        yield 0, gram[cols, cols].real
-        return
-    depth = L - 2
-    rows = np.empty((depth, n_t, B), dtype=np.complex128)
-    diag = np.empty((depth + 1, n_t, B))
-    diag[0] = gram[cols, cols].real
-    det = np.empty((depth + 1, B))
-    det[0] = 1.0
-    lower = np.empty((math.comb(n_t, L - 1), B))
-    for step in _lattice_plan(n_t, L):
-        if isinstance(step, tuple):
-            m, t = step
-            u = gram[t, t + 1:].copy()
-            for i in range(m):
-                u -= rows[i, t].conj() * rows[i, t + 1:]
-            pivot = diag[m, t]
-            row = rows[m, t + 1:]
-            np.multiply(u, 1.0 / np.sqrt(pivot), out=row)
-            diag[m + 1, t + 1:] = diag[m, t + 1:] - (row.real ** 2 + row.imag ** 2)
-            np.multiply(det[m], pivot, out=det[m + 1])
-            continue
-        d = diag[depth, step.start:]
-        np.multiply(det[depth], d, out=lower[step.lower_first: step.lower_first + len(d)])
-        if step.first is None:
-            continue
-        t, j = step.first, step.second
-        schur = gram[t, j]  # entries (t, j) of the prefix's Schur complement
-        for i in range(depth):
-            schur -= rows[i, t].conj() * rows[i, j]
-        det_s = (d[t - step.start] * d[j - step.start] - (schur.real ** 2 + schur.imag ** 2)) * det[depth]
-        yield step.leaf_first, det_s / lower[step.minors].max(axis=0)
-
-
-def _maxmin_block(H: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Best worst-stream height over every size-L subset of H's columns,
-    and the lexicographic rank of the subset achieving it (ties to the
-    smallest rank, matching the per-draw rule).
-
-    L = 2 reads the pair table of :func:`_pair_table`; every other L runs
-    the determinant lattice of :func:`_lattice_heights` on
-    ``_LATTICE_LANES`` channels at a time.
-    """
-    if L == 2:
-        _, fwd, bwd = _pair_table(H)
-        mins = np.minimum(fwd, bwd)
-        return mins.max(axis=0), mins.argmax(axis=0)
-    B = H.shape[0]
-    best = np.full(B, -np.inf)
-    arg = np.zeros(B, dtype=np.int64)
-    for lo in range(0, B, _LATTICE_LANES):
-        lanes = slice(lo, lo + _LATTICE_LANES)
-        for first, heights in _lattice_heights(H[lanes], L):
-            top = heights.max(axis=0)
-            # blocks arrive in decreasing rank: >= keeps the smallest rank on ties
-            take = top >= best[lanes]
-            best[lanes] = np.where(take, top, best[lanes])
-            arg[lanes] = np.where(take, first + heights.argmax(axis=0), arg[lanes])
-    return best, arg
-
-
-def _greedy_selection_block(H: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Batched greedy column selection.
-
-    Returns (chosen, picked_heights): ``chosen[b, s]`` is the column taken
-    at step s and ``picked_heights[b, s]`` its projection height onto the
-    complement of the span selected so far.  Ties resolve to the smallest
-    column index, matching the per-draw rule.
-
-    L = 2 reads the pair table of :func:`_pair_table`: the first pick p has
-    the largest norm and the second maximizes n_j - |g_pj|^2 / n_p; at
-    n_t = 3 this is faster than the Cholesky path below.  Other
-    L run Cholesky row updates on G = H^H H, formed by one batched matmul
-    per pass of ``_LATTICE_LANES`` channels.  The residual d_j = h(j | picks)
-    starts at diag(G); each step takes p = argmax d over the columns not yet
-    picked, forms the Cholesky row r = (G[p, :] - sum_i conj(r_i[p]) r_i)
-    / sqrt(d_p) and lowers d by |r|^2.  The accuracy is that of the
-    lattice (see :func:`_lattice_heights`).
-    """
-    B, _, n_t = H.shape
-    if L == 2:
-        norms, fwd, bwd = _pair_table(H)
-        iu, ju = _subsets(n_t, 2).T
-        lanes = np.arange(B)
-        first = norms.argmax(axis=0)
-        # heights against the first pick, on the pairs that hold it; within
-        # those, the pair rank rises with the other column, so ties go to
-        # the smallest index
-        against = np.where(iu[:, None] == first, bwd, np.where(ju[:, None] == first, fwd, -np.inf))
-        best = against.argmax(axis=0)
-        chosen = np.stack([first, iu[best] + ju[best] - first], axis=1)
-        picked = np.stack([norms[first, lanes], against[best, lanes]], axis=1)
-        return chosen, picked
-    chosen = np.empty((B, L), dtype=np.int64)
-    picked = np.empty((B, L))
-    for lo in range(0, B, _LATTICE_LANES):
-        h = H[lo:lo + _LATTICE_LANES]
-        span = slice(lo, lo + len(h))
-        lanes = np.arange(len(h))
-        gram = h.conj().transpose(0, 2, 1) @ h
-        resid = gram.diagonal(axis1=1, axis2=2).real.copy()
-        rows = np.empty((L - 1, len(h), n_t), dtype=np.complex128)
-        for step in range(L):
-            pick = resid.argmax(axis=1)
-            pivot = resid[lanes, pick]
-            chosen[span, step] = pick
-            picked[span, step] = pivot
-            if step == L - 1:
-                break
-            resid[lanes, pick] = -np.inf
-            row = gram[lanes, pick]
-            for i in range(step):
-                row -= rows[i, lanes, pick, None].conj() * rows[i]
-            np.multiply(row, (1.0 / np.sqrt(np.maximum(pivot, 1e-300)))[:, None], out=rows[step])
-            resid -= rows[step].real ** 2 + rows[step].imag ** 2
-    return chosen, picked
-
-
-def _outage_scalars(config: ExperimentConfig, H: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Per-trial scalar thresholded by the outage experiment.
-
-    maxmin: best worst-stream height over all subsets.  first-fixed /
-    first-ordered: the maximized first-layer height.  qr-greedy: the
-    first decoded layer's height (last greedy increment).  random: the
-    worst-stream height of a uniformly chosen subset.
-    """
-    n_t, L = config.n_t, config.L
-    rule = config.rule
-    if rule == "maxmin":
-        return _maxmin_block(H, L)[0]
-    if rule == "first-fixed":
-        return _pair_table(H)[1].max(axis=0)
-    if rule == "first-ordered":
-        _, fwd, bwd = _pair_table(H)
-        return np.maximum(fwd, bwd).max(axis=0)
-    if rule == "qr-greedy":
-        _, picked = _greedy_selection_block(H, L)
-        return picked[:, L - 1]
-    if rule == "random":
-        subsets = _subsets(n_t, L)
-        idx = rng.integers(0, len(subsets), size=H.shape[0])
-        # evaluate only the drawn subset's columns: its best is its own
-        return _maxmin_block(np.take_along_axis(H, subsets[idx][:, None, :], axis=2), L)[0]
-    raise ValueError(f"unknown rule {rule!r}")
-
 
 def _outage_chunk(args: tuple[ExperimentConfig, int, int]) -> np.ndarray:
     config, chunk_index, count = args
     rng = stream_generator(config.master_seed, chunk_index)
     H = complex_gaussian(rng, (count, config.n_r, config.n_t))
-    scalars = _outage_scalars(config, H, rng)
+    scalars = _outage_scalars(config.rule, H, config.L, rng)
     grid = np.asarray(config.grid)
     return np.searchsorted(np.sort(scalars), grid, side="right").astype(np.int64)
 
@@ -506,30 +220,6 @@ def estimate_outage(config: ExperimentConfig, workers: int = 1) -> EmpiricalCurv
 # ---------------------------------------------------------------------------
 # BER experiments
 # ---------------------------------------------------------------------------
-
-def _decode_columns(config: ExperimentConfig, H: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Selected columns per frame, ordered first-decoded first."""
-    B = H.shape[0]
-    n_t, L = config.n_t, config.L
-    rule = config.rule
-    if rule == "maxmin":
-        cols = _subsets(n_t, L)[_maxmin_block(H, L)[1]]
-    elif rule == "random":
-        subsets = _subsets(n_t, L)
-        cols = subsets[rng.integers(0, len(subsets), size=B)]
-    elif rule == "first-fixed":
-        cols = _subsets(n_t, 2)[_pair_table(H)[1].argmax(axis=0)]
-    elif rule == "first-ordered":
-        _, fwd, bwd = _pair_table(H)
-        pairs = _subsets(n_t, 2)
-        cols = np.concatenate([pairs, pairs[:, ::-1]])[np.concatenate([fwd, bwd]).argmax(axis=0)]
-    elif rule == "qr-greedy":
-        chosen, _ = _greedy_selection_block(H, L)
-        cols = chosen[:, ::-1]  # detection order is the reverse of selection order
-    else:
-        raise ValueError(f"unknown rule {rule!r}")
-    return _apply_ordering(config, H, cols)
-
 
 def _apply_ordering(config: ExperimentConfig, H: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Reorder selected columns per the decode-order override, if any."""
@@ -590,7 +280,7 @@ def _ber_chunk(args: tuple[ExperimentConfig, int, int]) -> tuple[np.ndarray, np.
     H = complex_gaussian(rng, (frames, n_r, n_t))
     bits = rng.integers(0, 2, size=(frames, L, T, 2))
     noise = complex_gaussian(rng, (frames, n_r, T))
-    cols = _decode_columns(config, H, rng)
+    cols = _apply_ordering(config, H, select_block(config.rule, H, L, rng))
     Heff = np.take_along_axis(H, cols[:, None, :], axis=2)
     errors = np.zeros(len(config.grid), dtype=np.int64)
     detections = _detect_grid(config, Heff, bits, noise)

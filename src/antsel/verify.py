@@ -22,7 +22,6 @@ from .channel import complex_gaussian, qr_factorize, sample_channel, stream_gene
 from .montecarlo import (
     ExperimentConfig,
     SlopeFit,
-    _greedy_selection_block,
     estimate_ber,
     estimate_dmt,
     estimate_outage,
@@ -30,14 +29,24 @@ from .montecarlo import (
     independence_suite,
     lemma_harness,
 )
-from .selection import select_qr_greedy
+from .selection import _greedy_selection_block, _pair_table, select_qr_greedy
 
 #: Threshold grid spanning the informative sub-saturation decade for
 #: (3, 3, 2)-sized problems; the slope fit clips it further by hit counts.
 OUTAGE_GRID = tuple(np.geomspace(0.02, 0.5, 32))
 
+# Acceptance bounds, read by run_verification and tests/test_acceptance.py.
+#: Outage slope window of every selection rule, and of random selection.
 SLOPE_WINDOW_SELECTED = (3.2, 4.8)
 SLOPE_WINDOW_RANDOM = (1.7, 2.3)
+#: Least gap between the maxmin and the random outage slope.
+SLOPE_SEPARATION = 1.5
+#: Window of the diversity estimate at multiplexing gain 1.
+DMT_WINDOW_UNIT_GAIN = (1.5, 2.5)
+#: Largest gap between the diversity estimate at gain 0 and the maxmin outage slope.
+DMT_ZERO_GAIN_GAP = 0.3
+#: Largest relative error of the greedy DF stage SNRs against the triangular diagonal.
+STAGE_ORACLE_BOUND = 1e-9
 
 _SCALES = {
     "quick": dict(
@@ -200,13 +209,9 @@ def marginal_ks_pvalues(n_t: int, n_r: int, samples: int, seed: int) -> tuple[fl
     from scipy import stats
 
     rng = stream_generator(seed, 0)
-    H = complex_gaussian(rng, (samples, n_r, 2))
-    h0, h1 = H[:, :, 0], H[:, :, 1]
-    n0 = np.real(np.einsum("br,br->b", h0.conj(), h0))
-    n1 = np.real(np.einsum("br,br->b", h1.conj(), h1))
-    ip = np.abs(np.einsum("br,br->b", h0.conj(), h1)) ** 2
-    heights = n0 - ip / n1
-    angles = np.arcsin(np.sqrt(np.clip(heights / n0, 0.0, 1.0)))
+    norms, fwd, _ = _pair_table(complex_gaussian(rng, (samples, n_r, 2)))
+    heights = fwd[0]  # column 0 against column 1
+    angles = np.arcsin(np.sqrt(np.clip(heights / norms[0], 0.0, 1.0)))
     ks_height = stats.kstest(heights, lambda v: analytic.chi2n_cdf(v, n_r - 1))
     ks_angle = stats.kstest(angles, lambda v: analytic.theta_cdf(v, n_r))
     return float(ks_height.pvalue), float(ks_angle.pvalue)
@@ -379,14 +384,14 @@ def run_verification(scale: str = "quick", seed: int = 0, workers: int = 1) -> l
         and lo <= fits["first-ordered"].slope <= hi
         and lo <= fits["qr-greedy"].slope <= hi
         and rlo <= fits["random"].slope <= rhi
-        and sep >= 1.5
+        and sep >= SLOPE_SEPARATION
     )
     detail = ", ".join(f"{k}={v.slope:.2f}" for k, v in fits.items())
     out.append(CheckOutcome("outage slopes (3,3,2)", slope_ok, True, detail, dt))
 
     (worst, first_ok), dt = _timed(qr_df_stage_oracle, 100, seed)
     out.append(CheckOutcome("greedy DF stage SNRs match triangular diagonal",
-                            worst < 1e-9 and first_ok, True,
+                            worst < STAGE_ORACLE_BOUND and first_ok, True,
                             f"worst relative error = {worst:.2e}; first pick max-norm: {first_ok}", dt))
 
     ber, dt = _timed(ber_ordering_test, p["ber_frames"], p["ber_snr_db"], seed, workers)
@@ -396,7 +401,8 @@ def run_verification(scale: str = "quick", seed: int = 0, workers: int = 1) -> l
 
     dmt, dt = _timed(dmt_estimates, p["dmt_trials"], seed, workers)
     d0, d1 = dmt[0.0].slope, dmt[1.0].slope
-    dmt_ok = 1.5 <= d1 <= 2.5 and abs(d0 - fits["maxmin"].slope) <= 0.3
+    dlo, dhi = DMT_WINDOW_UNIT_GAIN
+    dmt_ok = dlo <= d1 <= dhi and abs(d0 - fits["maxmin"].slope) <= DMT_ZERO_GAIN_GAP
     out.append(CheckOutcome("diversity-multiplexing estimates", dmt_ok, True,
                             f"d(0) = {d0:.2f}, d(1) = {d1:.2f}", dt))
 

@@ -5,14 +5,11 @@ experiments.  Each test prints a one-line verdict so a verbose run reads
 as a checklist.
 """
 
-import math
 import time
 
-import numpy as np
 import pytest
 
 from antsel import verify
-from antsel.analytic import leading_coefficient_exact
 from antsel.montecarlo import independence_suite, lemma_harness
 
 SEED = 20250809
@@ -50,36 +47,17 @@ def test_criterion_02_analytic_slope():
 
 
 def test_criterion_03_coefficient_identities():
+    # the self-test holds the coefficient positivity and tail-bound checks
+    # for 2..12, the series limit, the binomial identity and both
+    # exponential-integral checks, each at its contractual tolerance
     t0 = time.perf_counter()
-    from fractions import Fraction
-
-    for n_t in range(2, 13):
-        for n_r in range(2, 13):
-            m = (n_t - 1) * (n_r - 1)
-            assert leading_coefficient_exact(n_t, n_r) > 0
-            tail = sum(Fraction(math.factorial(k), math.factorial(m + k + 1)) for k in range(n_t - 2))
-            # the bound constrains the factorial-ratio tail sum (the
-            # m-scaled coefficient would violate it already at (3,3))
-            assert tail < Fraction(1, m * math.factorial(m))
-
-    from antsel.analytic import binomial_identity_check, exp_integral, series_partial
-
-    assert abs(series_partial(4, 1000) - 1.0 / 480.0) / (1.0 / 480.0) < 1e-9
-    assert all(binomial_identity_check(m, k) for m in range(1, 21) for k in range(m))
-    from scipy import integrate
-
-    for k in range(-4, 9):
-        for x in (0.1, 1.0, 5.0):
-            ref, _ = integrate.quad(lambda t: t ** (-k) * math.exp(-x * t), 1.0, np.inf,
-                                    epsabs=0.0, epsrel=1e-13, limit=300)
-            assert abs(exp_integral(k, x) - ref) / abs(ref) < 1e-10
-    for k in range(1, 7):
-        for x in (0.1, 1.0, 5.0):
-            res = k * exp_integral(k + 1, x) - math.exp(-x) + x * exp_integral(k, x)
-            assert abs(res) < 1e-12
+    outcomes = verify.analytic_selftest()
     elapsed = time.perf_counter() - t0
+    failed = [f"{o.name}: {o.detail}" for o in outcomes if not o.passed]
+    assert not failed, failed
     assert elapsed < 10.0
-    report(3, "coefficient positivity and special-function identities", f"{elapsed:.2f}s")
+    report(3, "coefficient positivity and special-function identities",
+           f"{len(outcomes)} identities in {elapsed:.2f}s")
 
 
 def test_criterion_04_marginal_distributions():
@@ -110,21 +88,24 @@ def test_criterion_06_diversity_order_separation(outage_fits):
     rnd = outage_fits["random"].slope
     ff = outage_fits["first-fixed"].slope
     fo = outage_fits["first-ordered"].slope
-    assert 3.2 <= mm <= 4.8
-    assert 1.7 <= rnd <= 2.3
-    assert mm - rnd >= 1.5
-    assert 3.2 <= ff <= 4.8
-    assert 3.2 <= fo <= 4.8
+    lo, hi = verify.SLOPE_WINDOW_SELECTED
+    rlo, rhi = verify.SLOPE_WINDOW_RANDOM
+    assert lo <= mm <= hi
+    assert rlo <= rnd <= rhi
+    assert mm - rnd >= verify.SLOPE_SEPARATION
+    assert lo <= ff <= hi
+    assert lo <= fo <= hi
     report(6, "diversity-order separation",
            f"maxmin {mm:.2f}, random {rnd:.2f}, first-fixed {ff:.2f}, first-ordered {fo:.2f}")
 
 
 def test_criterion_07_qr_df_structure(outage_fits):
     worst, first_ok = verify.qr_df_stage_oracle(100, SEED)
-    assert worst < 1e-9
+    assert worst < verify.STAGE_ORACLE_BOUND
     assert first_ok
     qr = outage_fits["qr-greedy"].slope
-    assert 3.2 <= qr <= 4.8
+    lo, hi = verify.SLOPE_WINDOW_SELECTED
+    assert lo <= qr <= hi
     report(7, "greedy/decision-feedback structure",
            f"stage-SNR error {worst:.1e}, first-layer slope {qr:.2f}")
 
@@ -141,8 +122,9 @@ def test_criterion_09_dmt(outage_fits):
     fits = verify.dmt_estimates(FULL_TRIALS, SEED + 1)
     d1 = fits[1.0].slope
     d0 = fits[0.0].slope
-    assert 1.5 <= d1 <= 2.5
-    assert abs(d0 - outage_fits["maxmin"].slope) <= 0.3
+    lo, hi = verify.DMT_WINDOW_UNIT_GAIN
+    assert lo <= d1 <= hi
+    assert abs(d0 - outage_fits["maxmin"].slope) <= verify.DMT_ZERO_GAIN_GAP
     report(9, "diversity-multiplexing estimates", f"d(0) = {d0:.2f}, d(1) = {d1:.2f}")
 
 

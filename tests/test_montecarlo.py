@@ -5,21 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from antsel import montecarlo
+from qr_oracle import reference_columns, reference_scalar
+
+from antsel import selection
 from antsel.analytic import chi2n_cdf, pr_outage_quadrature
 from antsel.channel import complex_gaussian, gram_inverse_diag, projection_height_sq, stream_generator
 from antsel.montecarlo import (
     EmpiricalCurve,
     ExperimentConfig,
     FitError,
+    _apply_ordering,
     _ber_chunk_size,
-    _decode_columns,
     _detect_grid,
-    _greedy_selection_block,
-    _lattice_heights,
-    _maxmin_block,
-    _outage_scalars,
-    _pair_table,
     estimate_ber,
     estimate_dmt,
     estimate_outage,
@@ -28,7 +25,17 @@ from antsel.montecarlo import (
     lemma_harness,
 )
 from antsel.receivers import LinkBudget, detect_block, detect_df, detect_linear, qpsk_modulate, qpsk_slice
-from antsel.selection import RULES, enumerate_subsets, select, subset_metrics
+from antsel.selection import (
+    RULES,
+    _greedy_selection_block,
+    _lattice_heights,
+    _maxmin_block,
+    _outage_scalars,
+    _pair_table,
+    enumerate_subsets,
+    select_block,
+    subset_metrics,
+)
 
 GRID = tuple(np.geomspace(0.02, 0.5, 16))
 
@@ -122,13 +129,11 @@ class TestOutageEngine:
 
     @pytest.mark.parametrize("rule,dims", PER_DRAW_CASES)
     def test_engine_matches_per_draw_api(self, rule, dims):
-        # regenerate the chunk's channel block and replay the per-draw rules
+        # regenerate the chunk's channel block and replay the rules on the QR route
         n_t, n_r, L = dims
-        config = ExperimentConfig(n_t=n_t, n_r=n_r, L=L, rule=rule, trial_count=300,
-                                  master_seed=33, grid=GRID, chunk_size=300)
         rng = stream_generator(33, 0)
         H = complex_gaussian(rng, (300, n_r, n_t))
-        scalars = _outage_scalars(config, H.copy(), rng)
+        scalars = _outage_scalars(rule, H.copy(), L, rng)
         rng_replay = stream_generator(33, 0)
         H_replay = complex_gaussian(rng_replay, (300, n_r, n_t))
         subsets = enumerate_subsets(n_t, L)
@@ -138,21 +143,15 @@ class TestOutageEngine:
             if rule == "random":
                 expected = subset_metrics(H_replay[b], subsets[idx[b]]).min_height
             else:
-                out = select(rule, H_replay[b], L)
-                if rule == "maxmin":
-                    expected = out.metrics.min_height
-                else:
-                    expected = out.metrics.heights[out.decode_order[0]]
+                expected = reference_scalar(rule, H_replay[b], reference_columns(rule, H_replay[b], L))
             assert scalars[b] == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("dims", [(5, 5, 3), (6, 6, 4)], ids=["5x5x3", "6x6x4"])
     def test_random_reads_the_lattice_entry_it_draws(self, dims):
         n_t, n_r, L = dims
-        config = ExperimentConfig(n_t=n_t, n_r=n_r, L=L, rule="random", trial_count=200,
-                                  master_seed=34, grid=GRID)
         rng = stream_generator(34, 0)
         H = complex_gaussian(rng, (200, n_r, n_t))
-        scalars = _outage_scalars(config, H, rng)
+        scalars = _outage_scalars("random", H, L, rng)
         rng_replay = stream_generator(34, 0)
         complex_gaussian(rng_replay, (200, n_r, n_t))
         idx = rng_replay.integers(0, math.comb(n_t, L), size=200)
@@ -165,7 +164,7 @@ class TestOutageEngine:
     def test_lattice_passes_split_lanes_without_changing_results(self, monkeypatch):
         H = complex_gaussian(stream_generator(39, 0), (50, 5, 5))
         table = lattice_table(H, 3)
-        monkeypatch.setattr(montecarlo, "_LATTICE_LANES", 7)
+        monkeypatch.setattr(selection, "_LATTICE_LANES", 7)
         best, arg = _maxmin_block(H, 3)
         np.testing.assert_array_equal(best, table.max(axis=0))
         np.testing.assert_array_equal(arg, table.argmax(axis=0))
@@ -174,7 +173,7 @@ class TestOutageEngine:
         H = complex_gaussian(stream_generator(41, 0), (50, 4, 5))
         table = _pair_table(H)
         greedy = {L: _greedy_selection_block(H, L) for L in (2, 4)}
-        monkeypatch.setattr(montecarlo, "_LATTICE_LANES", 7)
+        monkeypatch.setattr(selection, "_LATTICE_LANES", 7)
         for whole, split in zip(table, _pair_table(H)):
             np.testing.assert_array_equal(split, whole)
         for L, (chosen, picked) in greedy.items():
@@ -185,7 +184,7 @@ class TestOutageEngine:
     def test_pair_rules_are_ordered_draw_by_draw(self):
         # first-ordered >= first-fixed >= maxmin >= random on common draws, exactly
         H = complex_gaussian(stream_generator(42, 0), (20_000, 3, 3))
-        scalars = [_outage_scalars(outage_config(rule), H, stream_generator(42, 1))
+        scalars = [_outage_scalars(rule, H, 2, stream_generator(42, 1))
                    for rule in ("first-ordered", "first-fixed", "maxmin", "random")]
         for upper, lower in zip(scalars, scalars[1:]):
             assert np.all(upper >= lower)
@@ -205,11 +204,9 @@ class TestOutageEngine:
 
     @pytest.mark.parametrize("rule", ["maxmin", "random", "qr-greedy"])
     def test_single_stream_heights_are_column_norms(self, rule):
-        config = ExperimentConfig(n_t=4, n_r=3, L=1, rule=rule, trial_count=100,
-                                  master_seed=35, grid=GRID)
         rng = stream_generator(35, 0)
         H = complex_gaussian(rng, (100, 3, 4))
-        scalars = _outage_scalars(config, H, rng)
+        scalars = _outage_scalars(rule, H, 1, rng)
         norms = np.sum(np.abs(H) ** 2, axis=1)
         if rule == "random":
             rng_replay = stream_generator(35, 0)
@@ -228,38 +225,29 @@ class TestOutageEngine:
         subset = enumerate_subsets(n_t, L)[0]
         expected = [subset_metrics(H[b], subset).min_height for b in range(50)]
         for rule in ("maxmin", "random"):
-            config = ExperimentConfig(n_t=n_t, n_r=n_r, L=L, rule=rule, trial_count=50,
-                                      master_seed=36, grid=GRID)
-            np.testing.assert_allclose(_outage_scalars(config, H, stream_generator(36, 1)), expected, rtol=1e-9)
+            np.testing.assert_allclose(_outage_scalars(rule, H, L, stream_generator(36, 1)), expected, rtol=1e-9)
         np.testing.assert_array_equal(_maxmin_block(H, L)[1], 0)
 
     @pytest.mark.parametrize("rule", ["maxmin", "random"])
     def test_decode_columns_general_l(self, rule):
-        config = ExperimentConfig(n_t=5, n_r=5, L=3, rule=rule, trial_count=100,
-                                  master_seed=37, grid=(10.0,))
         rng = stream_generator(37, 0)
         H = complex_gaussian(rng, (100, 5, 5))
-        cols = _decode_columns(config, H, rng)
+        cols = select_block(rule, H, 3, rng)
         subsets = enumerate_subsets(5, 3)
         if rule == "random":
             rng_replay = stream_generator(37, 0)
             complex_gaussian(rng_replay, (100, 5, 5))
             picks = [subsets[i].indices for i in rng_replay.integers(0, len(subsets), size=100)]
         else:
-            picks = [select("maxmin", H[b], 3).subset.indices for b in range(100)]
+            picks = [reference_columns("maxmin", H[b], 3) for b in range(100)]
         np.testing.assert_array_equal(cols, np.array(picks))
 
     @pytest.mark.parametrize("rule", ["maxmin", "first-fixed", "first-ordered", "qr-greedy"])
     def test_decode_columns_pair_rules(self, rule):
-        # columns first-decoded first, as the per-draw rule's subset in its decode order
-        config = ExperimentConfig(n_t=5, n_r=4, L=2, rule=rule, trial_count=200,
-                                  master_seed=46, grid=(10.0,))
+        # columns first-decoded first, as the QR-route rule gives them
         H = complex_gaussian(stream_generator(46, 0), (200, 4, 5))
-        cols = _decode_columns(config, H, None)
-        expected = []
-        for b in range(200):
-            out = select(rule, H[b], 2)
-            expected.append([out.subset.indices[i] for i in out.decode_order])
+        cols = select_block(rule, H, 2)
+        expected = [reference_columns(rule, H[b], 2) for b in range(200)]
         np.testing.assert_array_equal(cols, np.array(expected))
 
     def test_worker_invariance_and_determinism(self):
@@ -415,8 +403,8 @@ class TestBerEngine:
         config = ExperimentConfig(n_t=5, n_r=4, L=L, rule="maxmin", trial_count=draws,
                                   master_seed=40, grid=(10.0,))
         H = complex_gaussian(stream_generator(40, 0), (draws, 4, 5))
-        cols = _decode_columns(config, H, None)
-        ordered = _decode_columns(dataclasses.replace(config, ordering=ordering), H, None)
+        cols = select_block("maxmin", H, L)
+        ordered = _apply_ordering(dataclasses.replace(config, ordering=ordering), H, cols)
         for b in range(draws):
             sub = H[b][:, cols[b]]
             if ordering == "vblast":

@@ -2,12 +2,19 @@ import itertools
 
 import numpy as np
 import pytest
+from qr_oracle import reference_columns, reference_scalar
 
 from antsel.channel import complex_gaussian, stream_generator
 from antsel.selection import (
+    RULES,
     AntennaSubset,
+    _lattice_heights,
+    _outage_scalars,
+    _pair_table,
+    _subsets,
     enumerate_subsets,
     select,
+    select_block,
     select_first_layer_fixed,
     select_first_layer_ordered,
     select_maxmin,
@@ -15,6 +22,11 @@ from antsel.selection import (
     select_random,
     subset_metrics,
 )
+
+#: (rule, (n_t, n_r, L)) cases of the batch-of-one tests
+BLOCK_CASES = [pytest.param(rule, (5, 4, 2), id=f"{rule}-5x4x2") for rule in RULES] + [
+    pytest.param(rule, (5, 5, 3), id=f"{rule}-5x5x3") for rule in ("maxmin", "random", "qr-greedy")
+]
 
 
 def rand_matrix(n_r, n_t, seed=0, stream=0):
@@ -158,6 +170,13 @@ class TestFirstLayerOrdered:
         assert fixed.subset == ordered.subset
         assert ordered.decode_order == (0, 1)
 
+    def test_forward_height_wins_an_exact_cross_pair_tie(self):
+        # height 4 is reached backward in (0,1) and (0,2) and both ways in
+        # (1,2): a forward height beats any backward one
+        out = select_first_layer_ordered(diag_columns([1.0, 4.0, 4.0]))
+        assert out.subset.indices == (1, 2)
+        assert out.decode_order == (0, 1)
+
     def test_scaling_invariance(self):
         H = rand_matrix(3, 4, seed=7)
         assert select_first_layer_ordered(-3.0 * H).subset == select_first_layer_ordered(H).subset
@@ -242,3 +261,79 @@ class TestCrossRuleProperties:
             for rule in ("first-fixed", "first-ordered", "qr-greedy", "random"):
                 other = select(rule, H, 2, rng)
                 assert best >= other.metrics.min_height - 1e-12
+
+
+class TestBatchOfOne:
+    @pytest.mark.parametrize("rule,dims", BLOCK_CASES)
+    def test_select_is_a_row_of_select_block(self, rule, dims):
+        n_t, n_r, L = dims
+        H = complex_gaussian(stream_generator(21, 0), (100, n_r, n_t))
+        cols = select_block(rule, H, L, stream_generator(21, 1))
+        rng = stream_generator(21, 1)
+        for b in range(100):
+            out = select(rule, H[b], L, rng)
+            assert out.rule == rule
+            assert out.subset.indices == tuple(sorted(cols[b]))
+            assert tuple(out.subset.indices[p] for p in out.decode_order) == tuple(cols[b])
+            assert out.metrics == subset_metrics(H[b], out.subset)
+
+    @pytest.mark.parametrize("rule,H,L,rng", [
+        pytest.param("best-effort", rand_matrix(3, 3), 2, None, id="unknown-rule"),
+        pytest.param("random", rand_matrix(3, 3), 2, None, id="random-without-rng"),
+        pytest.param("first-ordered", rand_matrix(4, 4), 3, None, id="first-layer-at-L3"),
+        pytest.param("maxmin", np.array([[1.0, np.nan], [0.0, 1.0]]), 2, None, id="non-finite"),
+        pytest.param("qr-greedy", rand_matrix(2, 4), 3, None, id="fewer-rows-than-streams"),
+    ])
+    def test_select_rejects(self, rule, H, L, rng):
+        with pytest.raises(ValueError):
+            select(rule, H, L, rng)
+
+
+class TestDeadAntenna:
+    """An all-zero column: every height against it is the other column's
+    norm and every subset holding it has worst-stream height 0."""
+
+    @pytest.mark.parametrize("L", [2, 3])
+    @pytest.mark.parametrize("dead", [0, 2, 4], ids=["first", "middle", "last"])
+    def test_every_rule_matches_the_qr_oracle(self, L, dead):
+        H = complex_gaussian(stream_generator(22, dead), (40, 5, 5))
+        H[:, :, dead] = 0
+        for rule in RULES if L == 2 else ("maxmin", "random", "qr-greedy"):
+            cols = select_block(rule, H, L, stream_generator(23, 0))
+            scalars = _outage_scalars(rule, H, L, stream_generator(23, 0))
+            rng = stream_generator(23, 0)
+            for b in range(40):
+                expected = reference_columns(rule, H[b], L, rng)
+                assert tuple(cols[b]) == expected, rule
+                assert scalars[b] == pytest.approx(reference_scalar(rule, H[b], expected), rel=1e-9)
+
+    @pytest.mark.parametrize("dead", [(2,), (1, 3)], ids=["one", "two"])
+    def test_kernel_heights(self, dead):
+        H = complex_gaussian(stream_generator(24, 0), (30, 5, 5))
+        H[:, :, list(dead)] = 0
+        norms, fwd, bwd = _pair_table(H)
+        for p, (i, j) in enumerate(_subsets(5, 2)):
+            if j in dead:
+                np.testing.assert_array_equal(fwd[p], norms[i])
+            if i in dead:
+                np.testing.assert_array_equal(bwd[p], norms[j])
+        ranks = [p for p, subset in enumerate(_subsets(5, 3)) if set(subset) & set(dead)]
+        for first, heights in _lattice_heights(H, 3):
+            for p, row in enumerate(heights, start=first):
+                if p in ranks:
+                    np.testing.assert_array_equal(row, 0.0)
+                else:
+                    assert np.all(row > 0)
+
+
+class TestCollinearColumns:
+    def test_maxmin_avoids_a_dependent_pair(self):
+        # column 3 is a multiple of column 1, so every subset holding both has
+        # height 0; a lattice prefix holding both gets a pivot near zero, of
+        # either sign after rounding
+        H = complex_gaussian(stream_generator(25, 0), (100, 5, 6))
+        H[:, :, 3] = (0.3 + 0.2j) * H[:, :, 1]
+        cols = select_block("maxmin", H, 4)
+        for b in range(100):
+            assert not {1, 3} <= set(cols[b])
+            assert tuple(cols[b]) == reference_columns("maxmin", H[b], 4)
