@@ -239,33 +239,43 @@ def _apply_ordering(config: ExperimentConfig, H: np.ndarray, cols: np.ndarray) -
 
 def _detect_grid(config: ExperimentConfig, Heff: np.ndarray, bits: np.ndarray,
                  noise: np.ndarray) -> Iterator[np.ndarray]:
-    """Detected QPSK symbols at each SNR point of ``config.grid``, in
-    order, for a block of frames whose columns are already in decode order
-    (stream i of the symbols of ``bits`` rides column i of ``Heff``).
+    """Stream estimates at each SNR point of ``config.grid``, in order, for
+    a block of frames whose columns are already in decode order (stream i
+    of the symbols of ``bits`` rides column i of ``Heff``).  Their rail
+    signs are the decisions (``receivers.qpsk_slice`` gives the symbols);
+    the next point overwrites them.
 
-    The noiseless received block is formed once.  The nulling rows are
-    formed again only when their lam changes, so the ZF rows (lam = 0) are
-    formed once and the MMSE rows at every point.  Each point then does
-    the arithmetic of one ``receivers.detect_block`` call.  The points
-    share one buffer for the received block, so besides the noise the
-    chunk holds at most two (B, n_r, T) blocks.
+    No received block is formed: at stream scale s each point detects
+    y = G x + z / s, the matched-filter output over s, from the Gram
+    matrices G, the symbols x and the noise projection z = Heff^H noise.
+    G x and z are formed once per chunk and the stage matrices once per
+    distinct lam (ZF once, MMSE at every point), so a point costs the
+    arithmetic of one ``receivers.detect_block`` call on (B, L, T)
+    blocks.  The noise is dropped once z exists (with the caller's
+    reference gone, it is freed), the symbols too unless feedback is
+    genie, and the points share one buffer for y and one for the
+    estimates.
     """
+    z = rx.matched_filter(Heff, noise)
+    del noise
     symbols = rx.qpsk_modulate(bits)
-    clean = np.einsum("brl,blt->brt", Heff, symbols)
+    G = rx.matched_filter(Heff, Heff)
+    Gx = G @ symbols
     # the transmitted symbols are kept for genie feedback only
     genie = symbols if config.feedback == "genie" else None
     del symbols
-    nulling, lam = None, None
-    # a one-point grid builds its received block in the noiseless one
-    received = np.empty_like(clean) if len(config.grid) > 1 else clean
+    stages, lam, est = None, None, None
+    # a one-point grid builds y in z, which no later point needs
+    y = np.empty_like(z) if len(config.grid) > 1 else z
     for snr_db in config.grid:
         budget = rx.LinkBudget(rho0=10.0 ** (snr_db / 10.0), L=config.L)
         if (point_lam := rx.nulling_lam(config.receiver, budget)) != lam:
             lam = point_lam
-            nulling = rx.nulling_block(Heff, config.receiver, lam)
-        np.multiply(budget.stream_scale, clean, out=received)
-        received += noise
-        yield rx.detect_nulled(nulling, received, budget.stream_scale, config.feedback, genie)
+            stages = rx.stage_matrices(G, config.receiver, lam)
+        np.multiply(z, 1.0 / budget.stream_scale, out=y)
+        y += Gx
+        est = rx.detect_matched(stages, y, config.feedback, genie, out=est)
+        yield est
 
 
 def _ber_chunk_size(config: ExperimentConfig) -> int:
@@ -278,15 +288,15 @@ def _ber_chunk(args: tuple[ExperimentConfig, int, int]) -> tuple[np.ndarray, np.
     n_r, n_t, L, T = config.n_r, config.n_t, config.L, config.frame_symbols
     rng = stream_generator(config.master_seed, chunk_index)
     H = complex_gaussian(rng, (frames, n_r, n_t))
-    bits = rng.integers(0, 2, size=(frames, L, T, 2))
+    bits = rng.integers(0, 2, size=(frames, L, T, 2)).astype(bool)
     noise = complex_gaussian(rng, (frames, n_r, T))
     cols = _apply_ordering(config, H, select_block(config.rule, H, L, rng))
     Heff = np.take_along_axis(H, cols[:, None, :], axis=2)
     errors = np.zeros(len(config.grid), dtype=np.int64)
     detections = _detect_grid(config, Heff, bits, noise)
-    for p_i in range(len(config.grid)):
-        # no name holds a detected block while the next one is built
-        errors[p_i] = rx.count_bit_errors(next(detections), bits)
+    del noise  # _detect_grid frees it once it holds the noise projection
+    for p_i, est in enumerate(detections):
+        errors[p_i] = rx.count_bit_errors(est, bits)
     return errors, np.full(len(config.grid), bits.size, dtype=np.int64)
 
 

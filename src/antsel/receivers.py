@@ -2,8 +2,7 @@
 
 The working constellation is unit-energy QPSK with Gray mapping: one bit
 rides the in-phase rail and one the quadrature rail, so slicing decisions
-are independent per rail.  A symbol-error view is also exposed since the
-diversity behaviour is modulation generic.
+are independent per rail.
 
 Receiver identifiers: "zf", "mmse", "df-zf", "df-mmse".  Feedback modes:
 "actual" (sliced symbols are cancelled) and "genie" (true symbols are
@@ -11,7 +10,11 @@ cancelled).  Ordering modes for decision feedback: "fixed", "vblast",
 "qr-reverse".
 
 Detection runs in one batched kernel, :func:`detect_block`, for every
-receiver, stream count and feedback mode; :func:`detect_linear`,
+receiver, stream count and feedback mode.  It works on the L-entry
+matched-filter output Heff^H y of each symbol, a sufficient statistic for
+the linear and the nulling-and-cancelling receivers, so its steps split
+into work that needs only the channel (:func:`stage_matrices`) and work
+per received block (:func:`detect_matched`).  :func:`detect_linear`,
 :func:`detect_df` and :func:`vblast_order` validate one frame and call
 the batched kernels on a batch of one.
 """
@@ -97,9 +100,11 @@ def qpsk_modulate(bits: np.ndarray) -> np.ndarray:
 
 
 def _rails(z) -> np.ndarray:
-    """(..., 2) float (in-phase, quadrature) pairs of complex ``z``."""
+    """(..., 2) float (in-phase, quadrature) pairs of complex ``z``; a view
+    whenever the last axis of ``z`` is contiguous."""
     z = np.asarray(z, dtype=np.complex128)
-    return np.ascontiguousarray(z).view(np.float64).reshape(z.shape + (2,))
+    flat = z if z.ndim and z.strides[-1] == z.itemsize else np.ascontiguousarray(z)
+    return flat.view(np.float64).reshape(z.shape + (2,))
 
 
 def qpsk_slice(z: np.ndarray) -> np.ndarray:
@@ -122,12 +127,6 @@ def count_bit_errors(symbols: np.ndarray, bits: np.ndarray) -> int:
 def qpsk_bit_error_rate(snr) -> np.ndarray | float:
     """Exact AWGN bit error rate of Gray QPSK at per-symbol SNR ``snr``."""
     return qfunc(np.sqrt(np.asarray(snr, dtype=float)))
-
-
-def qpsk_symbol_error_rate(snr) -> np.ndarray | float:
-    """Exact AWGN symbol error rate of QPSK at per-symbol SNR ``snr``."""
-    p = qfunc(np.sqrt(np.asarray(snr, dtype=float)))
-    return 1.0 - (1.0 - p) ** 2
 
 
 def _check_streams(H_s: np.ndarray, budget: LinkBudget) -> None:
@@ -193,14 +192,11 @@ def simulate_frame(H_s, budget: LinkBudget, bits: np.ndarray, noise: np.ndarray,
     return SymbolFrame(transmitted=symbols, received=received, detected=detected)
 
 
-def _nulling_rows(H: np.ndarray, lam: float) -> np.ndarray:
-    """(H^H H + lam I)^-1 H^H for a (B, n_r, m) block: the ZF (lam = 0)
-    or MMSE (lam = L / rho0) nulling vectors, one row per column of H."""
-    Hh = H.conj().transpose(0, 2, 1)
-    gram = Hh @ H
-    if lam:
-        gram = gram + lam * np.eye(H.shape[2])
-    return np.linalg.inv(gram) @ Hh
+def matched_filter(Heff: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Heff^H @ block for a batch: the (B, L, T) matched-filter output of
+    a (B, n_r, T) block, or the (B, L, L) Gram matrices when ``block`` is
+    ``Heff``."""
+    return Heff.conj().transpose(0, 2, 1) @ block
 
 
 def nulling_lam(receiver: str, budget: LinkBudget) -> float:
@@ -209,35 +205,40 @@ def nulling_lam(receiver: str, budget: LinkBudget) -> float:
     return budget.L / budget.rho0 if receiver in ("mmse", "df-mmse") else 0.0
 
 
-def nulling_block(Heff: np.ndarray, receiver: str, lam: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """The rows step of :func:`detect_block`, which depends on the
-    channel and on lam but not on the received block.
+def stage_matrices(G: np.ndarray, receiver: str, lam: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """The stage step of :func:`detect_block`, which depends on the Gram
+    matrices ``G`` (B, L, L) and on lam but not on the received data.
 
-    Returns ``(rows, leak)``.  For the linear receivers ``rows`` (B, L, n_r)
-    is (G + lam I)^-1 H^H and ``leak`` is None.  For decision feedback row s
-    is the first row of (G_s + lam I)^-1 H_s^H over columns s..L-1, and
-    ``leak = rows @ Heff``: cancelling symbol s from the received block takes
+    Returns ``(V, leak)``.  For the linear receivers V = (G + lam I)^-1 and
+    ``leak`` is None.  For decision feedback row s of V is the first row of
+    (G_s + lam I)^-1 placed at columns s..L-1, where G_s is G over columns
+    s..L-1, and ``leak = V @ G``: cancelling symbol s takes
     ``leak[:, t, s]`` times it off the estimate of every later stage t.
     """
+    L = G.shape[-1]
+    regularized = G + lam * np.eye(L) if lam else G
     if receiver in ("zf", "mmse"):
-        return _nulling_rows(Heff, lam), None
-    rows = np.concatenate([_nulling_rows(Heff[:, :, s:], lam)[:, :1] for s in range(Heff.shape[2])], axis=1)
-    return rows, rows @ Heff
+        return np.linalg.inv(regularized), None
+    V = np.zeros_like(G)
+    for s in range(L):
+        V[:, s, s:] = np.linalg.inv(regularized[:, s:, s:])[:, 0]
+    return V, V @ G
 
 
-def detect_nulled(nulling: tuple[np.ndarray, np.ndarray | None], received: np.ndarray, stream_scale: float,
-                  feedback: str = "actual", transmitted: np.ndarray | None = None) -> np.ndarray:
-    """The slice/cancel step of :func:`detect_block`: null ``received``
-    (B, n_r, T) with the ``nulling`` of :func:`nulling_block`, slice, and,
-    for decision feedback, cancel stage by stage."""
-    rows, leak = nulling
-    est = (rows @ received) / stream_scale
+def detect_matched(stages: tuple[np.ndarray, np.ndarray | None], y: np.ndarray, feedback: str = "actual",
+                   transmitted: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """The per-SNR step of :func:`detect_block`: apply the ``stages`` of
+    :func:`stage_matrices` to the matched-filter output per unit stream
+    amplitude ``y`` (B, L, T) and, for decision feedback, cancel stage by
+    stage.  Returns the (B, L, T) stream estimates, written to ``out``
+    when given; their rail signs are the decisions, and
+    :func:`qpsk_slice` of them gives the detected symbols."""
+    V, leak = stages
+    est = np.matmul(V, y, out=out)
     if leak is None:
-        return qpsk_slice(est)
-    for stage in range(rows.shape[1]):
-        sliced = qpsk_slice(est[:, stage])
-        est[:, stage] = sliced
-        fed_back = transmitted[:, stage] if feedback == "genie" else sliced
+        return est
+    for stage in range(V.shape[1] - 1):
+        fed_back = transmitted[:, stage] if feedback == "genie" else qpsk_slice(est[:, stage])
         est[:, stage + 1:] -= leak[:, stage + 1:, stage, None] * fed_back[:, None, :]
     return est
 
@@ -249,19 +250,24 @@ def detect_block(Heff: np.ndarray, received: np.ndarray, budget: LinkBudget, rec
 
     ``Heff`` (B, n_r, L) holds each frame's columns in decode order and
     ``received`` (B, n_r, T) its received block; returns the (B, L, T)
-    detected QPSK symbols, stream i riding column i.  Stage s nulls with
-    the first row of (G_s + lam I)^-1 H_s^H over columns s..L-1, where
-    G_s = H_s^H H_s and lam = L / rho0 for the MMSE front ends ("mmse",
-    "df-mmse") and 0 for ZF, and slices.  Decision feedback then cancels
+    detected QPSK symbols, stream i riding column i.  Detection works on
+    the matched-filter output Heff^H received, a sufficient statistic for
+    every receiver here.  Stage s applies the first row of
+    (G_s + lam I)^-1 to the entries s..L-1 of that output, where G_s is
+    the Gram matrix of columns s..L-1 and lam = L / rho0 for the MMSE
+    front ends ("mmse", "df-mmse") and 0 for ZF, and slices; this equals
+    nulling the received block with the first row of
+    (G_s + lam I)^-1 H_s^H.  Decision feedback then cancels
     the sliced (feedback="actual") or true (feedback="genie", from
     ``transmitted`` (B, L, T)) symbol before the next stage.  The linear
-    receivers are the one-stage case: every row of (G + lam I)^-1 H^H is
-    sliced at once.  Inputs are not validated; ZF assumes full column
-    rank.  The two steps are :func:`nulling_block` and
-    :func:`detect_nulled`.
+    receivers are the one-stage case: every row of (G + lam I)^-1 is
+    applied at once.  Inputs are not validated; ZF assumes full column
+    rank.  The steps are :func:`matched_filter`, :func:`stage_matrices`
+    and :func:`detect_matched`.
     """
-    nulling = nulling_block(Heff, receiver, nulling_lam(receiver, budget))
-    return detect_nulled(nulling, received, budget.stream_scale, feedback, transmitted)
+    stages = stage_matrices(matched_filter(Heff, Heff), receiver, nulling_lam(receiver, budget))
+    y = matched_filter(Heff, received) * (1.0 / budget.stream_scale)
+    return qpsk_slice(detect_matched(stages, y, feedback, transmitted))
 
 
 def vblast_order_block(H: np.ndarray) -> np.ndarray:

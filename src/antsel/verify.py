@@ -35,7 +35,8 @@ from .selection import _greedy_selection_block, _pair_table, select_qr_greedy
 #: (3, 3, 2)-sized problems; the slope fit clips it further by hit counts.
 OUTAGE_GRID = tuple(np.geomspace(0.02, 0.5, 32))
 
-# Acceptance bounds, read by run_verification and tests/test_acceptance.py.
+# Acceptance bounds, read by run_verification, tests/test_acceptance.py and
+# the BER-ordering check of tests/test_cli.py.
 #: Outage slope window of every selection rule, and of random selection.
 SLOPE_WINDOW_SELECTED = (3.2, 4.8)
 SLOPE_WINDOW_RANDOM = (1.7, 2.3)
@@ -47,6 +48,10 @@ DMT_WINDOW_UNIT_GAIN = (1.5, 2.5)
 DMT_ZERO_GAIN_GAP = 0.3
 #: Largest relative error of the greedy DF stage SNRs against the triangular diagonal.
 STAGE_ORACLE_BOUND = 1e-9
+#: Significance level the KS p-values of the height and angle marginals must exceed.
+KS_SIGNIFICANCE = 0.01
+#: One-sided z the DF BER of qr-greedy must clear below first-fixed (5 % level).
+BER_ORDERING_Z = 1.645
 
 _SCALES = {
     "quick": dict(
@@ -229,17 +234,6 @@ def outage_slope_fits(trials: int, seed: int, workers: int = 1,
     return fits
 
 
-def sandwich_holds(trials: int, seed: int) -> bool:
-    """On common draws the all-pairs-low event implies the selection
-    outage event, so the first-fixed curve can never exceed maxmin."""
-    curves = {}
-    for rule in ("first-fixed", "maxmin"):
-        config = ExperimentConfig(n_t=3, n_r=3, L=2, rule=rule, trial_count=trials,
-                                  master_seed=seed, grid=OUTAGE_GRID)
-        curves[rule] = estimate_outage(config)
-    return all(a <= b for a, b in zip(curves["first-fixed"].hits, curves["maxmin"].hits))
-
-
 def qr_df_stage_oracle(draws: int, seed: int, n_t: int = 3, n_r: int = 3, L: int = 2,
                        rho0: float = 10.0) -> tuple[float, bool]:
     """Genie decision-feedback stage SNRs against the squared triangular
@@ -366,7 +360,7 @@ def run_verification(scale: str = "quick", seed: int = 0, workers: int = 1) -> l
 
     for n_t, n_r in ((3, 3), (4, 2)):
         (pv_h, pv_a), dt = _timed(marginal_ks_pvalues, n_t, n_r, 100_000, seed)
-        out.append(CheckOutcome(f"KS marginals ({n_t},{n_r})", pv_h > 0.01 and pv_a > 0.01, True,
+        out.append(CheckOutcome(f"KS marginals ({n_t},{n_r})", pv_h > KS_SIGNIFICANCE and pv_a > KS_SIGNIFICANCE, True,
                                 f"height p = {pv_h:.3f}, angle p = {pv_a:.3f}", dt))
 
     report, dt = _timed(independence_suite, 4, 3, p["independence_trials"], seed)
@@ -395,7 +389,7 @@ def run_verification(scale: str = "quick", seed: int = 0, workers: int = 1) -> l
                             f"worst relative error = {worst:.2e}; first pick max-norm: {first_ok}", dt))
 
     ber, dt = _timed(ber_ordering_test, p["ber_frames"], p["ber_snr_db"], seed, workers)
-    out.append(CheckOutcome("DF BER ordering greedy < first-layer", ber["z"] > 1.645, True,
+    out.append(CheckOutcome("DF BER ordering greedy < first-layer", ber["z"] > BER_ORDERING_Z, True,
                             f"qr = {ber['qr_ber']:.2e}, ff = {ber['ff_ber']:.2e}, z = {ber['z']:.2f} "
                             f"at {p['ber_snr_db']} dB", dt))
 

@@ -65,8 +65,8 @@ def test_criterion_04_marginal_distributions():
     details = []
     for n_t, n_r in ((3, 3), (4, 2)):
         pv_h, pv_a = verify.marginal_ks_pvalues(n_t, n_r, 100_000, SEED)
-        assert pv_h > 0.01, f"height KS failed for ({n_t},{n_r}): p={pv_h}"
-        assert pv_a > 0.01, f"angle KS failed for ({n_t},{n_r}): p={pv_a}"
+        assert pv_h > verify.KS_SIGNIFICANCE, f"height KS failed for ({n_t},{n_r}): p={pv_h}"
+        assert pv_a > verify.KS_SIGNIFICANCE, f"angle KS failed for ({n_t},{n_r}): p={pv_a}"
         details.append(f"({n_t},{n_r}): p_h={pv_h:.3f}, p_a={pv_a:.3f}")
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
@@ -113,7 +113,7 @@ def test_criterion_07_qr_df_structure(outage_fits):
 def test_criterion_08_ber_ordering():
     res = verify.ber_ordering_test(200_000, 20.0, SEED)
     assert res["qr_bits"] >= 10 ** 6 and res["ff_bits"] >= 10 ** 6
-    assert res["z"] > 1.645, res
+    assert res["z"] > verify.BER_ORDERING_Z, res
     report(8, "decision-feedback BER ordering at 20 dB",
            f"qr {res['qr_ber']:.2e} < first-fixed {res['ff_ber']:.2e}, z = {res['z']:.2f}")
 

@@ -12,6 +12,7 @@ import pytest
 
 from antsel.cli import _library_versions, main, parse_grid, UsageError
 from antsel.montecarlo import EmpiricalCurve, fit_slope
+from antsel.verify import BER_ORDERING_Z
 
 
 LIBRARY_VERSIONS = {
@@ -182,7 +183,7 @@ class TestBerCommand:
         assert n1 >= 10 ** 6 and n2 >= 10 ** 6
         pooled = (e1 + e2) / (n1 + n2)
         z = (e2 / n2 - e1 / n1) / math.sqrt(pooled * (1 - pooled) * (1 / n1 + 1 / n2))
-        assert z > 1.645
+        assert z > BER_ORDERING_Z
 
 
 class TestAnalyticCommand:

@@ -15,6 +15,7 @@ from antsel.montecarlo import (
     ExperimentConfig,
     FitError,
     _apply_ordering,
+    _ber_chunk,
     _ber_chunk_size,
     _detect_grid,
     estimate_ber,
@@ -54,6 +55,16 @@ PER_DRAW_CASES = [pytest.param(rule, (3, 3, 2), id=rule) for rule in RULES] + [
 FAST_PATH_CASES = [
     pytest.param(receiver, feedback, L, id=f"{receiver}-{feedback}" + ("" if L == 2 else f"-L{L}"))
     for L in (2, 3) for receiver in ("zf", "mmse", "df-zf", "df-mmse") for feedback in ("actual", "genie")
+]
+
+
+#: (receiver, feedback, L) of the SNR-grid test; the L = 2 actual-feedback
+#: cases keep the bare receiver as their id
+GRID_CASES = [pytest.param(receiver, "actual", 2, id=receiver) for receiver in ("zf", "mmse", "df-zf", "df-mmse")] + [
+    pytest.param("df-zf", "genie", 2, id="df-zf-genie"),
+    pytest.param("df-mmse", "genie", 2, id="df-mmse-genie"),
+    pytest.param("df-mmse", "actual", 3, id="df-mmse-L3"),
+    pytest.param("df-mmse", "genie", 3, id="df-mmse-genie-L3"),
 ]
 
 
@@ -352,6 +363,24 @@ class TestBerEngine:
                                   master_seed=0, grid=(10.0,), frame_symbols=1000)
         assert _ber_chunk_size(config) * 3 * 1000 <= 2_000_000
 
+    def test_ber_chunk_peak_memory(self):
+        # a one-point (3,3,2) df-zf chunk at the sample cap forms no received
+        # block and works on (B, L, T) blocks: about 2.9x the noise block's
+        # bytes; a (B, n_r, T) received block, or the noise held through
+        # detection, takes it near or above 4x
+        config = ExperimentConfig(n_t=3, n_r=3, L=2, rule="qr-greedy", trial_count=10 ** 6,
+                                  master_seed=46, grid=(14.0,), receiver="df-zf", frame_symbols=50)
+        frames = _ber_chunk_size(config)
+        assert frames == 13_333
+        noise_bytes = frames * config.n_r * config.frame_symbols * 16
+        tracemalloc.start()
+        try:
+            _ber_chunk((config, 0, frames))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * noise_bytes
+
     @pytest.mark.parametrize("receiver,feedback,L", FAST_PATH_CASES)
     def test_fast_path_matches_receivers_api(self, receiver, feedback, L):
         rng = stream_generator(12, L - 2)  # the L = 2 cases draw from stream 0
@@ -363,7 +392,7 @@ class TestBerEngine:
         config = ExperimentConfig(n_t=3, n_r=3, L=L, rule="maxmin", trial_count=frames,
                                   master_seed=0, grid=(10.0,), receiver=receiver, feedback=feedback)
         # the config's one SNR point, 10 dB, is rho0
-        (fast,) = _detect_grid(config, Heff, bits, noise)
+        (fast,) = [qpsk_slice(est) for est in _detect_grid(config, Heff, bits, noise)]
         budget = LinkBudget(rho0, L)
         scale = budget.stream_scale
         for b in range(frames):
@@ -378,24 +407,31 @@ class TestBerEngine:
                                 front_end=receiver[3:])
             np.testing.assert_array_equal(fast[b], det)
 
-    @pytest.mark.parametrize("receiver", ["zf", "mmse", "df-zf", "df-mmse"])
-    def test_snr_grid_reuses_only_snr_free_work(self, receiver):
+    @pytest.mark.parametrize("receiver,feedback,L", GRID_CASES)
+    def test_snr_grid_reuses_only_snr_free_work(self, receiver, feedback, L):
         # every point of a multi-point grid equals a fresh detect_block call
-        rng = stream_generator(45, 0)
-        frames, T, L = 30, 6, 2
+        # and the per-frame oracle; the estimates are sliced as they come,
+        # since the next point overwrites them
+        rng = stream_generator(45, L - 2)
+        frames, T = 30, 6
         Heff = complex_gaussian(rng, (frames, 3, L))
         bits = rng.integers(0, 2, size=(frames, L, T, 2))
         noise = complex_gaussian(rng, (frames, 3, T))
         symbols = qpsk_modulate(bits)
         grid = (4.0, 10.0, 16.0)
         config = ExperimentConfig(n_t=3, n_r=3, L=L, rule="maxmin", trial_count=frames,
-                                  master_seed=0, grid=grid, receiver=receiver)
-        points = list(_detect_grid(config, Heff, bits, noise))
+                                  master_seed=0, grid=grid, receiver=receiver, feedback=feedback)
+        points = [qpsk_slice(est) for est in _detect_grid(config, Heff, bits, noise)]
         assert len(points) == len(grid)
+        genie = symbols if feedback == "genie" else None
         for snr_db, fast in zip(grid, points):
-            budget = LinkBudget(10.0 ** (snr_db / 10.0), L)
+            rho0 = 10.0 ** (snr_db / 10.0)
+            budget = LinkBudget(rho0, L)
             y = budget.stream_scale * np.einsum("brl,blt->brt", Heff, symbols) + noise
-            np.testing.assert_array_equal(fast, detect_block(Heff, y, budget, receiver))
+            np.testing.assert_array_equal(fast, detect_block(Heff, y, budget, receiver, feedback, genie))
+            for b in range(frames):
+                np.testing.assert_array_equal(fast[b], nulling_oracle(Heff[b], y[b], rho0, receiver, feedback,
+                                                                      symbols[b]))
 
     @pytest.mark.parametrize("ordering", ["vblast", "qr-reverse"])
     def test_batched_orderings_match_projection_oracle(self, ordering):

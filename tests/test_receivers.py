@@ -54,6 +54,17 @@ class TestBudgetAndConstellation:
         assert 0 < expected < bits.size
         assert count_bit_errors(symbols, bits) == expected
 
+    def test_strided_views_slice_and_count_like_copies(self):
+        # a stage row of a (B, L, T) block is sliced in place; a transposed
+        # block, whose last axis is not contiguous, is copied first
+        rng = stream_generator(0, 2)
+        block = complex_gaussian(rng, (5, 3, 8))
+        for view in (block[:, 1], block.transpose(0, 2, 1)):
+            bits = rng.integers(0, 2, size=view.shape + (2,))
+            copy = view.copy()
+            np.testing.assert_array_equal(qpsk_slice(view), qpsk_slice(copy))
+            assert count_bit_errors(view, bits) == count_bit_errors(copy, bits)
+
     def test_slicing_recovers_clean_points(self):
         symbols = qpsk_modulate(np.array([[0, 0], [0, 1], [1, 0], [1, 1]]))
         np.testing.assert_allclose(qpsk_slice(symbols + 0.1 - 0.05j), symbols)

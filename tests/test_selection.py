@@ -9,6 +9,7 @@ from antsel.selection import (
     RULES,
     AntennaSubset,
     _lattice_heights,
+    _max_argmax,
     _outage_scalars,
     _pair_table,
     _subsets,
@@ -64,6 +65,18 @@ class TestEnumeration:
             AntennaSubset((1, 1))
         with pytest.raises(ValueError):
             AntennaSubset((2, 1))
+
+
+class TestShortAxisArgmax:
+    @pytest.mark.parametrize("rows", [1, 2, 3, 6])
+    def test_matches_argmax_with_ties(self, rows):
+        # few distinct values make ties common, including rows 0 and the last
+        a = np.random.default_rng(rows).integers(0, 3, size=(rows, 400)).astype(float)
+        a[:, 0] = 1.0
+        a[:, 1] = -np.inf
+        top, arg = _max_argmax(a)
+        np.testing.assert_array_equal(top, a.max(axis=0))
+        np.testing.assert_array_equal(arg, a.argmax(axis=0))
 
 
 class TestSubsetMetrics:
