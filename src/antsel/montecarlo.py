@@ -29,8 +29,15 @@ from .analytic import chi2n_cdf, theta_cdf
 from .channel import complex_gaussian, stream_generator
 from .selection import RULES, _greedy_selection_block, _outage_scalars, _pair_table, _subsets, select_block
 
-#: Cap on complex received samples held by one BER chunk.
+#: Cap on the complex noise samples (n_r per symbol) one BER chunk draws.
+#: It sets the chunk size, which keys the chunk streams, so manifests
+#: record it as ``effective_chunk_size``.
 _BER_CHUNK_SAMPLE_CAP = 2_000_000
+#: Complex samples of one (frames, L, frame_symbols) array of a BER
+#: detection block, 1 MiB, so that the arrays of a block stay in a core's
+#: L2 cache.  Block sizes from 16k to 128k samples ran alike on a 2 MiB L2
+#: (the sweep is in BENCH_7.json); larger blocks and whole chunks ran slower.
+_BER_BLOCK_SAMPLES = 65_536
 
 
 class FitError(RuntimeError):
@@ -248,16 +255,15 @@ def _detect_grid(config: ExperimentConfig, Heff: np.ndarray, bits: np.ndarray,
     No received block is formed: at stream scale s each point detects
     y = G x + z / s, the matched-filter output over s, from the Gram
     matrices G, the symbols x and the noise projection z = Heff^H noise.
-    G x and z are formed once per chunk and the stage matrices once per
+    G x and z are formed once per call and the stage matrices once per
     distinct lam (ZF once, MMSE at every point), so a point costs the
     arithmetic of one ``receivers.detect_block`` call on (B, L, T)
-    blocks.  The noise is dropped once z exists (with the caller's
-    reference gone, it is freed), the symbols too unless feedback is
-    genie, and the points share one buffer for y and one for the
-    estimates.
+    blocks.  The symbols are dropped unless feedback is genie, and the
+    points share one buffer for y and one for the estimates.  Every step
+    works frame by frame, so the estimates of a frame do not depend on
+    the other frames of the call.
     """
     z = rx.matched_filter(Heff, noise)
-    del noise
     symbols = rx.qpsk_modulate(bits)
     G = rx.matched_filter(Heff, Heff)
     Gx = G @ symbols
@@ -284,6 +290,15 @@ def _ber_chunk_size(config: ExperimentConfig) -> int:
 
 
 def _ber_chunk(args: tuple[ExperimentConfig, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Bit errors and bits counted at each SNR point over one chunk.
+
+    The chunk draws whole, in the documented order (channels, bits, noise,
+    then the rule's randomness), and selects and orders its columns in one
+    call each.  The column gather, detection and counting then run on
+    blocks of max(1, ``_BER_BLOCK_SAMPLES`` // (L T)) frames, whose
+    (B, L, T) arrays stay in cache; each of these steps is per frame, so
+    the counts are the same for any block size.
+    """
     config, chunk_index, frames = args
     n_r, n_t, L, T = config.n_r, config.n_t, config.L, config.frame_symbols
     rng = stream_generator(config.master_seed, chunk_index)
@@ -291,12 +306,13 @@ def _ber_chunk(args: tuple[ExperimentConfig, int, int]) -> tuple[np.ndarray, np.
     bits = rng.integers(0, 2, size=(frames, L, T, 2)).astype(bool)
     noise = complex_gaussian(rng, (frames, n_r, T))
     cols = _apply_ordering(config, H, select_block(config.rule, H, L, rng))
-    Heff = np.take_along_axis(H, cols[:, None, :], axis=2)
     errors = np.zeros(len(config.grid), dtype=np.int64)
-    detections = _detect_grid(config, Heff, bits, noise)
-    del noise  # _detect_grid frees it once it holds the noise projection
-    for p_i, est in enumerate(detections):
-        errors[p_i] = rx.count_bit_errors(est, bits)
+    block = max(1, _BER_BLOCK_SAMPLES // (L * T))
+    for start in range(0, frames, block):
+        part = slice(start, start + block)
+        Heff = np.take_along_axis(H[part], cols[part, None, :], axis=2)
+        for p_i, est in enumerate(_detect_grid(config, Heff, bits[part], noise[part])):
+            errors[p_i] += rx.count_bit_errors(est, bits[part])
     return errors, np.full(len(config.grid), bits.size, dtype=np.int64)
 
 

@@ -212,17 +212,23 @@ def stage_matrices(G: np.ndarray, receiver: str, lam: float) -> tuple[np.ndarray
     Returns ``(V, leak)``.  For the linear receivers V = (G + lam I)^-1 and
     ``leak`` is None.  For decision feedback row s of V is the first row of
     (G_s + lam I)^-1 placed at columns s..L-1, where G_s is G over columns
-    s..L-1, and ``leak = V @ G``: cancelling symbol s takes
-    ``leak[:, t, s]`` times it off the estimate of every later stage t.
+    s..L-1, and the strictly lower triangle of ``leak`` holds that of
+    V @ G: cancelling symbol s takes ``leak[:, t, s]`` times it off the
+    estimate of every later stage t.  The rest of ``leak`` is zero.
     """
     L = G.shape[-1]
     regularized = G + lam * np.eye(L) if lam else G
     if receiver in ("zf", "mmse"):
         return np.linalg.inv(regularized), None
     V = np.zeros_like(G)
-    for s in range(L):
+    for s in range(L - 1):
         V[:, s, s:] = np.linalg.inv(regularized[:, s:, s:])[:, 0]
-    return V, V @ G
+    V[:, L - 1, L - 1] = 1.0 / regularized[:, L - 1, L - 1]
+    leak = np.zeros_like(G)
+    for t in range(1, L):
+        # row t of V is zero before column t
+        leak[:, t, :t] = (V[:, t, t:, None] * G[:, t:, :t]).sum(axis=1)
+    return V, leak
 
 
 def detect_matched(stages: tuple[np.ndarray, np.ndarray | None], y: np.ndarray, feedback: str = "actual",
