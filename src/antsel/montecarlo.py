@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -131,14 +131,18 @@ class SlopeFit:
     points_used: int
 
 
-def _weighted_loglog_fit(x: np.ndarray, hits: np.ndarray, trials: np.ndarray,
-                         min_hits: int, p_max: float) -> tuple[float, float, float, np.ndarray]:
-    """WLS of log(hits/trials) on log(x) over the usable points.
+def fit_slope(curve: EmpiricalCurve, min_hits: int = 10, p_max: float = 0.2) -> SlopeFit:
+    """Weighted least-squares log-log slope of an empirical curve over its
+    usable range.
 
-    Weights are the inverse delta-method variances of log p_hat,
-    hits / (1 - p_hat).  Returns (slope, intercept, slope stderr, mask).
+    Only points with at least ``min_hits`` events and probability at most
+    ``p_max`` enter the fit: small enough to probe the asymptote, large
+    enough for meaningful counts.  Weights are the inverse delta-method
+    variances of log p_hat, hits / (1 - p_hat).
     """
-    p = hits / trials
+    x = np.asarray(curve.abscissa, dtype=float)
+    hits = np.asarray(curve.hits, dtype=float)
+    p = hits / np.asarray(curve.trials, dtype=float)
     usable = (hits >= min_hits) & (p <= p_max)
     n_use = int(usable.sum())
     if n_use < 3:
@@ -156,23 +160,9 @@ def _weighted_loglog_fit(x: np.ndarray, hits: np.ndarray, trials: np.ndarray,
     denom = s_w * s_xx - s_x * s_x
     slope = (s_w * s_xy - s_x * s_y) / denom
     intercept = (s_y - slope * s_x) / s_w
-    stderr = math.sqrt(s_w / denom)
-    return float(slope), float(intercept), float(stderr), usable
-
-
-def fit_slope(curve: EmpiricalCurve, min_hits: int = 10, p_max: float = 0.2) -> SlopeFit:
-    """Fit the log-log slope of an empirical curve over its usable range.
-
-    Only points with at least ``min_hits`` events and probability at most
-    ``p_max`` enter the fit: small enough to probe the asymptote, large
-    enough for meaningful counts.
-    """
-    x = np.asarray(curve.abscissa, dtype=float)
-    hits = np.asarray(curve.hits, dtype=float)
-    trials = np.asarray(curve.trials, dtype=float)
-    slope, intercept, stderr, usable = _weighted_loglog_fit(x, hits, trials, min_hits, p_max)
     xs = x[usable]
-    return SlopeFit(slope, intercept, stderr, (float(xs.min()), float(xs.max())), int(usable.sum()))
+    return SlopeFit(float(slope), float(intercept), float(math.sqrt(s_w / denom)),
+                    (float(xs.min()), float(xs.max())), n_use)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +330,7 @@ def estimate_ber(config: ExperimentConfig, workers: int = 1) -> EmpiricalCurve:
 
 def estimate_dmt(n_t: int, n_r: int, L: int, rule: str, r: float,
                  rho_grid_db: Sequence[float], trials: int, master_seed: int = 0,
-                 chunk_size: int = 100_000, workers: int = 1,
-                 min_hits: int = 10, p_max: float = 0.2) -> SlopeFit:
+                 workers: int = 1) -> SlopeFit:
     """Empirical diversity order at multiplexing gain ``r``.
 
     At each SNR rho the outage event is the rule scalar falling below
@@ -359,16 +348,12 @@ def estimate_dmt(n_t: int, n_r: int, L: int, rule: str, r: float,
     order = np.argsort(thresholds)
     config = ExperimentConfig(
         n_t=n_t, n_r=n_r, L=L, rule=rule, trial_count=trials,
-        master_seed=master_seed, grid=tuple(thresholds[order]), chunk_size=chunk_size,
+        master_seed=master_seed, grid=tuple(thresholds[order]),
     )
-    curve = estimate_outage(config, workers=workers)
-    hits_sorted = np.asarray(curve.hits, dtype=float)
-    hits = np.empty_like(hits_sorted)
-    hits[order] = hits_sorted
-    trials_arr = np.full(len(rho), float(trials))
-    slope, intercept, stderr, usable = _weighted_loglog_fit(rho, hits, trials_arr, min_hits, p_max)
-    used = rho[usable]
-    return SlopeFit(-slope, intercept, stderr, (float(used.min()), float(used.max())), int(usable.sum()))
+    hits = np.empty(len(rho), dtype=np.int64)
+    hits[order] = estimate_outage(config, workers=workers).hits
+    fit = fit_slope(EmpiricalCurve(tuple(rho), tuple(hits.tolist()), (trials,) * len(rho)))
+    return replace(fit, slope=-fit.slope)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +391,6 @@ def _count_curve(values_per_chunk, grid: np.ndarray, trials: int) -> EmpiricalCu
 
 
 def lemma_harness(lemma: str, parameters: Sequence[float], trials: int, master_seed: int = 0,
-                  chunk_size: int = 1_000_000, grid: Sequence[float] | None = None,
                   tolerance: float | None = None) -> LemmaReport:
     """Slope checks for the three synthetic tail-exponent statements.
 
@@ -420,14 +404,14 @@ def lemma_harness(lemma: str, parameters: Sequence[float], trials: int, master_s
     product slopes must agree and stay at or below n_a.
     """
     lemma = str(lemma).upper()
-    plan = _chunk_plan(trials, chunk_size)
+    plan = _chunk_plan(trials, 1_000_000)
+    exps = [float(n) for n in parameters]
+    if not exps or any(n <= 0 for n in exps):
+        raise ValueError(f"exponents must be positive, got {parameters}")
 
     if lemma == "III":
-        exps = [float(n) for n in parameters]
-        if not exps or any(n <= 0 for n in exps):
-            raise ValueError(f"exponents must be positive, got {parameters}")
         tol = 0.15 if tolerance is None else tolerance
-        gr = np.geomspace(5e-3, 0.8, 28) if grid is None else np.asarray(sorted(grid))
+        gr = np.geomspace(5e-3, 0.8, 28)
         expected = sum(exps)
 
         def chunk_values(i, n):
@@ -441,11 +425,8 @@ def lemma_harness(lemma: str, parameters: Sequence[float], trials: int, master_s
         return LemmaReport(lemma, (fit,), expected, tol, passed)
 
     if lemma == "IV":
-        exps = [float(n) for n in parameters]
-        if not exps or any(n <= 0 for n in exps):
-            raise ValueError(f"exponents must be positive, got {parameters}")
         tol = 0.1 if tolerance is None else tolerance
-        gr = np.geomspace(1e-4, 0.3, 28) if grid is None else np.asarray(sorted(grid))
+        gr = np.geomspace(1e-4, 0.3, 28)
         psi = (math.pi / 2.0) / len(exps)  # keeps the sum inside the monotone range of sin^2
         expected = 0.5 * sum(exps)
 
@@ -465,13 +446,11 @@ def lemma_harness(lemma: str, parameters: Sequence[float], trials: int, master_s
         return LemmaReport(lemma, (fit_sum, fit_max), expected, tol, agree and on_target, checks)
 
     if lemma == "V":
-        n_a, n_b = (float(v) for v in parameters)
-        if n_a <= 0 or n_b <= 0:
-            raise ValueError(f"exponents must be positive, got {parameters}")
+        n_a, n_b = exps
         if n_a != int(n_a):
             raise ValueError("the Gamma shape n_a must be an integer")
         tol = 0.1 if tolerance is None else tolerance
-        gr = np.geomspace(1e-4, 0.5, 28) if grid is None else np.asarray(sorted(grid))
+        gr = np.geomspace(1e-4, 0.5, 28)
 
         def chunk_products(i, n):
             rng = stream_generator(master_seed, i)
@@ -516,6 +495,11 @@ class IndependenceReport:
         return all(c.passed for c in self.checks)
 
 
+#: Significance level the KS p-values of the height and angle marginals
+#: must exceed, here and in :mod:`antsel.verify`.
+KS_SIGNIFICANCE = 0.01
+
+
 def _corr(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.corrcoef(x, y)[0, 1])
 
@@ -537,8 +521,7 @@ def _product_cdf_checks(name: str, x: np.ndarray, y: np.ndarray,
 
 
 def independence_suite(n_t: int, n_r: int, trials: int, master_seed: int = 0,
-                       chunk_size: int = 200_000, corr_bound: float = 0.01,
-                       ks_significance: float = 0.01, ks_samples: int = 100_000) -> IndependenceReport:
+                       corr_bound: float = 0.01) -> IndependenceReport:
     """Statistical checks of the pairwise-height independence structure.
 
     Verifies that chained heights (column k against column k+1) are
@@ -551,6 +534,7 @@ def independence_suite(n_t: int, n_r: int, trials: int, master_seed: int = 0,
         raise ValueError(f"need n_t >= 3 and n_r >= 2, got ({n_t}, {n_r})")
     from scipy import stats
 
+    chunk_size, ks_samples = 200_000, 100_000
     chain_len = min(n_t - 1, 3)
     n_angles = min(n_t - 1, 3)
     chain_parts: list[list[np.ndarray]] = [[] for _ in range(chain_len)]
@@ -596,11 +580,11 @@ def independence_suite(n_t: int, n_r: int, trials: int, master_seed: int = 0,
 
     ks_n = min(ks_samples, trials)
     ks_r = stats.kstest(chain[0][:ks_n], lambda v: chi2n_cdf(v, n_r - 1))
-    checks.append(CheckResult("KS height marginal p-value", float(ks_r.pvalue), ks_significance,
-                              ks_r.pvalue > ks_significance, "must exceed the significance level"))
+    checks.append(CheckResult("KS height marginal p-value", float(ks_r.pvalue), KS_SIGNIFICANCE,
+                              ks_r.pvalue > KS_SIGNIFICANCE, "must exceed the significance level"))
     ks_t = stats.kstest(angles[0][:ks_n], lambda v: theta_cdf(v, n_r))
-    checks.append(CheckResult("KS angle marginal p-value", float(ks_t.pvalue), ks_significance,
-                              ks_t.pvalue > ks_significance, "must exceed the significance level"))
+    checks.append(CheckResult("KS angle marginal p-value", float(ks_t.pvalue), KS_SIGNIFICANCE,
+                              ks_t.pvalue > KS_SIGNIFICANCE, "must exceed the significance level"))
 
     c_dep = abs(_corr(chain[0], shared))
     checks.append(CheckResult("negative control: shared-norm pair detected", c_dep, 0.05, c_dep > 0.05,

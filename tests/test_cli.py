@@ -12,7 +12,7 @@ import pytest
 
 from antsel.cli import _library_versions, main, parse_grid, UsageError
 from antsel.montecarlo import EmpiricalCurve, fit_slope
-from antsel.verify import BER_ORDERING_Z
+from antsel.verify import BER_MIN_BITS, BER_ORDERING_Z
 
 
 LIBRARY_VERSIONS = {
@@ -180,7 +180,7 @@ class TestBerCommand:
             row = read_curve_csv(out)[0]
             bers[rule] = (int(row["bit_errors"]), int(row["bits"]))
         (e1, n1), (e2, n2) = bers["qr-greedy"], bers["first-fixed"]
-        assert n1 >= 10 ** 6 and n2 >= 10 ** 6
+        assert n1 >= BER_MIN_BITS and n2 >= BER_MIN_BITS
         pooled = (e1 + e2) / (n1 + n2)
         z = (e2 / n2 - e1 / n1) / math.sqrt(pooled * (1 - pooled) * (1 / n1 + 1 / n2))
         assert z > BER_ORDERING_Z
@@ -219,6 +219,17 @@ class TestVerifyPlumbing:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--scale", "huge"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("gating, code, result", [(True, 1, "FAIL"), (False, 0, "PASS")])
+    def test_only_gating_rows_fail_the_run(self, monkeypatch, capsys, gating, code, result):
+        from antsel import verify
+
+        rows = [verify.CheckOutcome("holds", True, True, "ok"), verify.CheckOutcome("breaks", False, gating, "bad")]
+        monkeypatch.setattr(verify, "run_verification", lambda **kwargs: rows)
+        assert main(["verify", "--seed", "3"]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"result: {result}"
+        assert ("FAIL" if gating else "info") in lines[2]
 
     def test_mutated_angle_law_is_detected(self, monkeypatch):
         # stand-in for an injected-bug build: a wrong angle-law exponent
