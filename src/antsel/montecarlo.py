@@ -242,35 +242,42 @@ def _detect_grid(config: ExperimentConfig, Heff: np.ndarray, bits: np.ndarray,
     signs are the decisions (``receivers.qpsk_slice`` gives the symbols);
     the next point overwrites them.
 
-    No received block is formed: at stream scale s each point detects
-    y = G x + z / s, the matched-filter output over s, from the Gram
+    Detection runs in the error domain.  At stream scale s the
+    matched-filter output over s is y = G x + z / s, with the Gram
     matrices G, the symbols x and the noise projection z = Heff^H noise.
-    G x and z are formed once per call and the stage matrices once per
-    distinct lam (ZF once, MMSE at every point), so a point costs the
-    arithmetic of one ``receivers.detect_block`` call on (B, L, T)
-    blocks.  The symbols are dropped unless feedback is genie, and the
-    points share one buffer for y and one for the estimates.  Every step
-    works frame by frame, so the estimates of a frame do not depend on
-    the other frames of the call.
+    Every receiver's stage matrix V has V G = I - lam V on the columns it
+    nulls and the decision-feedback leak below them, so the estimate
+    before cancellation is x + V (z / s - lam x) and no G x is formed.
+    For ZF (lam = 0) W = V z is formed once per call, as (V Heff^H) noise,
+    and a point costs est = x + W / s; the MMSE front ends build their
+    stage matrices and one matmul per point.  Actual feedback then takes
+    the leak times (sliced - x) off the later stages; genie feedback
+    cancels nothing.  Every step works frame by frame, so the estimates
+    of a frame do not depend on the other frames of the call.
     """
-    z = rx.matched_filter(Heff, noise)
-    symbols = rx.qpsk_modulate(bits)
+    x = rx.qpsk_modulate(bits)
     G = rx.matched_filter(Heff, Heff)
-    Gx = G @ symbols
-    # the transmitted symbols are kept for genie feedback only
-    genie = symbols if config.feedback == "genie" else None
-    del symbols
-    stages, lam, est = None, None, None
-    # a one-point grid builds y in z, which no later point needs
-    y = np.empty_like(z) if len(config.grid) > 1 else z
+    if regularized := config.receiver in ("mmse", "df-mmse"):
+        z = rx.matched_filter(Heff, noise)
+        u = np.empty_like(z)
+    else:
+        V, leak = rx.stage_matrices(G, config.receiver, 0.0)
+        W = (V @ Heff.conj().transpose(0, 2, 1)) @ noise
+    est = np.empty_like(x)
     for snr_db in config.grid:
         budget = rx.LinkBudget(rho0=10.0 ** (snr_db / 10.0), L=config.L)
-        if (point_lam := rx.nulling_lam(config.receiver, budget)) != lam:
-            lam = point_lam
-            stages = rx.stage_matrices(G, config.receiver, lam)
-        np.multiply(z, 1.0 / budget.stream_scale, out=y)
-        y += Gx
-        est = rx.detect_matched(stages, y, config.feedback, genie, out=est)
+        if regularized:
+            lam = rx.nulling_lam(config.receiver, budget)
+            V, leak = rx.stage_matrices(G, config.receiver, lam)
+            np.multiply(x, lam, out=est)
+            np.multiply(z, 1.0 / budget.stream_scale, out=u)
+            u -= est
+            np.matmul(V, u, out=est)
+        else:
+            np.multiply(W, 1.0 / budget.stream_scale, out=est)
+        est += x
+        if config.feedback == "actual":
+            rx.detect_matched(leak, est, cancelled=x)
         yield est
 
 
@@ -279,12 +286,25 @@ def _ber_chunk_size(config: ExperimentConfig) -> int:
     return min(config.chunk_size, cap)
 
 
+def _draw_bits(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """The (*shape, 2) bool bits of ``rng.integers(0, 2, (*shape, 2))``,
+    drawn as one raw 64-bit word per pair.  That call keeps bit 31 of each
+    32-bit half-word, low half first, and an even count of bits empties
+    its half-word buffer, so the generator is left in the same state."""
+    words = rng.bit_generator.random_raw(math.prod(shape)).reshape(shape)
+    bits = np.empty(shape + (2,), dtype=bool)
+    np.right_shift(words, 63, out=bits[..., 1], casting="unsafe")
+    words <<= 32
+    np.right_shift(words, 63, out=bits[..., 0], casting="unsafe")
+    return bits
+
+
 def _ber_chunk(args: tuple[ExperimentConfig, int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Bit errors and bits counted at each SNR point over one chunk.
 
     The chunk draws whole, in the documented order (channels, bits, noise,
     then the rule's randomness), and selects and orders its columns in one
-    call each.  The column gather, detection and counting then run on
+    call each; :func:`_draw_bits` gives the bits of ``rng.integers(0, 2)``.  The column gather, detection and counting then run on
     blocks of max(1, ``_BER_BLOCK_SAMPLES`` // (L T)) frames, whose
     (B, L, T) arrays stay in cache; each of these steps is per frame, so
     the counts are the same for any block size.
@@ -293,7 +313,7 @@ def _ber_chunk(args: tuple[ExperimentConfig, int, int]) -> tuple[np.ndarray, np.
     n_r, n_t, L, T = config.n_r, config.n_t, config.L, config.frame_symbols
     rng = stream_generator(config.master_seed, chunk_index)
     H = complex_gaussian(rng, (frames, n_r, n_t))
-    bits = rng.integers(0, 2, size=(frames, L, T, 2)).astype(bool)
+    bits = _draw_bits(rng, (frames, L, T))
     noise = complex_gaussian(rng, (frames, n_r, T))
     cols = _apply_ordering(config, H, select_block(config.rule, H, L, rng))
     errors = np.zeros(len(config.grid), dtype=np.int64)

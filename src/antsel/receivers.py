@@ -14,9 +14,18 @@ receiver, stream count and feedback mode.  It works on the L-entry
 matched-filter output Heff^H y of each symbol, a sufficient statistic for
 the linear and the nulling-and-cancelling receivers, so its steps split
 into work that needs only the channel (:func:`stage_matrices`) and work
-per received block (:func:`detect_matched`).  :func:`detect_linear`,
-:func:`detect_df` and :func:`vblast_order` validate one frame and call
-the batched kernels on a batch of one.
+per received block.  :func:`detect_linear`, :func:`detect_df` and
+:func:`vblast_order` validate one frame and call the batched kernels on a
+batch of one.
+
+With G = Heff^H Heff and lam = L / rho0 for the MMSE front ends (0 for
+ZF), every receiver's stage matrix V has V G = I - lam V on the columns
+it nulls, with the strictly lower decision-feedback leak below them.  At
+stream scale s the estimate of the symbols x is therefore
+x + V (Heff^H noise / s - lam x) + sum over earlier stages of
+leak * (x - fed back): a caller that holds x and the noise, as the BER
+engine does, can detect in this error domain without forming G x.
+:func:`detect_matched` is the one cancellation routine of both routes.
 """
 
 from __future__ import annotations
@@ -192,6 +201,13 @@ def simulate_frame(H_s, budget: LinkBudget, bits: np.ndarray, noise: np.ndarray,
     return SymbolFrame(transmitted=symbols, received=received, detected=detected)
 
 
+#: Share of its diagonal entry below which a stage's Schur complement
+#: counts as zero.  Exactly dependent columns leave a share within about
+#: 10 eps of zero, of either sign; for Gaussian columns a share this small
+#: has a probability of order 1e-13 or less.
+_DEPENDENT_SHARE = 256 * np.finfo(float).eps
+
+
 def matched_filter(Heff: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Heff^H @ block for a batch: the (B, L, T) matched-filter output of
     a (B, n_r, T) block, or the (B, L, L) Gram matrices when ``block`` is
@@ -215,15 +231,44 @@ def stage_matrices(G: np.ndarray, receiver: str, lam: float) -> tuple[np.ndarray
     s..L-1, and the strictly lower triangle of ``leak`` holds that of
     V @ G: cancelling symbol s takes ``leak[:, t, s]`` times it off the
     estimate of every later stage t.  The rest of ``leak`` is zero.
+
+    One recursion serves both.  It borders P, the inverse of the trailing
+    block of G + lam I from column s + 1 on, with the diagonal entry a and
+    the column b below it: with u = P b and the Schur complement
+    sigma = a - b^H u, the bordered inverse is
+    [[1, -u^H], [-u, sigma P + u u^H]] / sigma, and its first row is
+    stage s.  Raises ``np.linalg.LinAlgError`` when some sigma is not above
+    ``_DEPENDENT_SHARE`` times its a: the column lies in the span of the
+    later ones up to rounding.  Only a rank-deficient ZF block gives that:
+    an MMSE block keeps sigma >= lam, far above the share at any SNR
+    below about 120 dB.
     """
-    L = G.shape[-1]
-    regularized = G + lam * np.eye(L) if lam else G
-    if receiver in ("zf", "mmse"):
-        return np.linalg.inv(regularized), None
-    V = np.zeros_like(G)
-    for s in range(L - 1):
-        V[:, s, s:] = np.linalg.inv(regularized[:, s:, s:])[:, 0]
-    V[:, L - 1, L - 1] = 1.0 / regularized[:, L - 1, L - 1]
+    B, L, _ = G.shape
+    linear = receiver in ("zf", "mmse")
+    V = None if linear else np.zeros_like(G)
+    inv = np.empty((B, 0, 0), dtype=G.dtype)  # of the empty block after the last column
+    for s in range(L - 1, -1, -1):
+        a = G[:, s, s].real + lam
+        b = G[:, s + 1:, s]
+        u = (inv * b[:, None, :]).sum(axis=2)
+        sigma = a - (b.conj() * u).real.sum(axis=1)
+        if not (sigma > _DEPENDENT_SHARE * a).all():
+            raise np.linalg.LinAlgError("singular matrix")
+        r = 1.0 / sigma
+        row = u.conj() * -r[:, None]
+        if not linear:
+            V[:, s, s] = r
+            V[:, s, s + 1:] = row
+            if s == 0:
+                break
+        bordered = np.empty((B, L - s, L - s), dtype=G.dtype)
+        bordered[:, 0, 0] = r
+        bordered[:, 0, 1:] = row
+        bordered[:, 1:, 0] = row.conj()
+        np.subtract(inv, u[:, :, None] * row[:, None, :], out=bordered[:, 1:, 1:])
+        inv = bordered
+    if linear:
+        return inv, None
     leak = np.zeros_like(G)
     for t in range(1, L):
         # row t of V is zero before column t
@@ -231,20 +276,26 @@ def stage_matrices(G: np.ndarray, receiver: str, lam: float) -> tuple[np.ndarray
     return V, leak
 
 
-def detect_matched(stages: tuple[np.ndarray, np.ndarray | None], y: np.ndarray, feedback: str = "actual",
-                   transmitted: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """The per-SNR step of :func:`detect_block`: apply the ``stages`` of
-    :func:`stage_matrices` to the matched-filter output per unit stream
-    amplitude ``y`` (B, L, T) and, for decision feedback, cancel stage by
-    stage.  Returns the (B, L, T) stream estimates, written to ``out``
-    when given; their rail signs are the decisions, and
-    :func:`qpsk_slice` of them gives the detected symbols."""
-    V, leak = stages
-    est = np.matmul(V, y, out=out)
+def detect_matched(leak: np.ndarray | None, est: np.ndarray, feedback: str = "actual",
+                   transmitted: np.ndarray | None = None, cancelled: np.ndarray | None = None) -> np.ndarray:
+    """The cancelling step of :func:`detect_block`: decision feedback on
+    ``est`` (B, L, T), the stream estimates before cancellation, in place,
+    stage by stage, with the ``leak`` of :func:`stage_matrices` (None for
+    the linear receivers, which cancel nothing).  Stage s feeds back its
+    sliced estimate (feedback="actual") or the true symbols of
+    ``transmitted`` (B, L, T) (feedback="genie") and takes ``leak[:, t, s]``
+    times (fed back - ``cancelled``) off every later stage t.
+    ``cancelled`` (B, L, T) holds the symbols whose leak ``est`` no longer
+    carries: the true symbols when ``est`` was formed in the error domain,
+    None when it is V times the matched-filter output.  Returns ``est``;
+    its rail signs are the decisions, and :func:`qpsk_slice` of it gives
+    the detected symbols."""
     if leak is None:
         return est
-    for stage in range(V.shape[1] - 1):
+    for stage in range(est.shape[1] - 1):
         fed_back = transmitted[:, stage] if feedback == "genie" else qpsk_slice(est[:, stage])
+        if cancelled is not None:
+            fed_back = fed_back - cancelled[:, stage]
         est[:, stage + 1:] -= leak[:, stage + 1:, stage, None] * fed_back[:, None, :]
     return est
 
@@ -271,9 +322,9 @@ def detect_block(Heff: np.ndarray, received: np.ndarray, budget: LinkBudget, rec
     rank.  The steps are :func:`matched_filter`, :func:`stage_matrices`
     and :func:`detect_matched`.
     """
-    stages = stage_matrices(matched_filter(Heff, Heff), receiver, nulling_lam(receiver, budget))
+    V, leak = stage_matrices(matched_filter(Heff, Heff), receiver, nulling_lam(receiver, budget))
     y = matched_filter(Heff, received) * (1.0 / budget.stream_scale)
-    return qpsk_slice(detect_matched(stages, y, feedback, transmitted))
+    return qpsk_slice(detect_matched(leak, V @ y, feedback, transmitted))
 
 
 def vblast_order_block(H: np.ndarray) -> np.ndarray:

@@ -452,6 +452,9 @@ def run_verification(scale: str = "quick", seed: int = 0, workers: int = 1) -> l
         raise ValueError(f"unknown scale {scale!r}; expected one of {sorted(_SCALES)}")
     p = _SCALES[scale]
     out: list[CheckOutcome] = []
+    # the rows load scipy lazily; loading it here keeps the import out of
+    # the first row's seconds
+    from scipy import integrate, special, stats  # noqa: F401
 
     def row(verdict, measure, *args):
         t0 = time.perf_counter()

@@ -260,3 +260,23 @@ def test_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_verify_loads_scipy_before_the_first_timed_row():
+    # the first row's measurement sees scipy loaded, so its seconds hold no import
+    import antsel
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(antsel.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "from antsel import verify\n"
+            "class FirstRow(Exception): pass\n"
+            "def first_row(*args):\n"
+            "    raise FirstRow([m for m in ('scipy.integrate', 'scipy.special', 'scipy.stats') if m in sys.modules])\n"
+            "verify.quadrature_anchor_ratio = first_row\n"
+            "try:\n"
+            "    verify.run_verification('quick')\n"
+            "except FirstRow as row:\n"
+            "    print(row.args[0])\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "['scipy.integrate', 'scipy.special', 'scipy.stats']"

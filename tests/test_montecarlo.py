@@ -26,7 +26,18 @@ from antsel.montecarlo import (
     independence_suite,
     lemma_harness,
 )
-from antsel.receivers import LinkBudget, detect_block, detect_df, detect_linear, qpsk_modulate, qpsk_slice
+from antsel.receivers import (
+    FEEDBACK_MODES,
+    ORDERING_MODES,
+    RECEIVERS,
+    LinkBudget,
+    detect_block,
+    detect_df,
+    detect_linear,
+    qpsk_demodulate,
+    qpsk_modulate,
+    qpsk_slice,
+)
 from antsel.selection import (
     RULES,
     _greedy_selection_block,
@@ -452,6 +463,51 @@ class TestBerEngine:
             for b in range(frames):
                 np.testing.assert_array_equal(fast[b], nulling_oracle(Heff[b], y[b], rho0, receiver, feedback,
                                                                       symbols[b]))
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (7, 2, 5), (30, 3, 4)])
+    def test_raw_word_bits_match_the_integers_route(self, shape):
+        # the chunk's bits, then its next normal draw, then random's subset
+        # draw, all as if the bits came from rng.integers(0, 2)
+        raw, ref = stream_generator(48, 3), stream_generator(48, 3)
+        for rng in (raw, ref):
+            complex_gaussian(rng, (shape[0], 3, 4))  # the channel draw before the bits
+        bits = montecarlo._draw_bits(raw, shape)
+        assert bits.dtype == bool and bits.shape == shape + (2,)
+        np.testing.assert_array_equal(bits, ref.integers(0, 2, size=shape + (2,)).astype(bool))
+        np.testing.assert_array_equal(raw.standard_normal(2 * 3 * shape[0] * shape[2]),
+                                      ref.standard_normal(2 * 3 * shape[0] * shape[2]))
+        subsets = math.comb(4, 2)
+        np.testing.assert_array_equal(raw.integers(0, subsets, size=shape[0]),
+                                      ref.integers(0, subsets, size=shape[0]))
+
+    @pytest.mark.parametrize("L", [2, 3])
+    @pytest.mark.parametrize("rule", ["qr-greedy", "maxmin", "random"])
+    def test_chunk_counts_match_received_block_route(self, rule, L):
+        # an independent route: draw as documented (bits through
+        # rng.integers), form y = s Heff x + n and detect it with
+        # detect_block, which works on the matched-filter output of y
+        frames, T, grid = 25, 6, (0.0, 6.0, 12.0, 18.0)
+        for receiver, feedback, ordering in itertools.product(RECEIVERS, FEEDBACK_MODES, (None,) + ORDERING_MODES):
+            config = ExperimentConfig(n_t=4, n_r=3, L=L, rule=rule, trial_count=frames, master_seed=49,
+                                      grid=grid, receiver=receiver, feedback=feedback, ordering=ordering,
+                                      frame_symbols=T)
+            rng = stream_generator(49, 0)
+            H = complex_gaussian(rng, (frames, 3, 4))
+            bits = rng.integers(0, 2, size=(frames, L, T, 2))
+            noise = complex_gaussian(rng, (frames, 3, T))
+            cols = _apply_ordering(config, H, select_block(rule, H, L, rng))
+            Heff = np.take_along_axis(H, cols[:, None, :], axis=2)
+            symbols = qpsk_modulate(bits)
+            expected = []
+            for snr_db in grid:
+                budget = LinkBudget(10.0 ** (snr_db / 10.0), L)
+                received = budget.stream_scale * (Heff @ symbols) + noise
+                detected = detect_block(Heff, received, budget, receiver, feedback, symbols)
+                expected.append(int(np.count_nonzero(qpsk_demodulate(detected) != bits)))
+            errors, counted = _ber_chunk((config, 0, frames))
+            assert expected[0] > 0
+            assert errors.tolist() == expected, (receiver, feedback, ordering)
+            assert counted.tolist() == [bits.size] * len(grid)
 
     @pytest.mark.parametrize("ordering", ["vblast", "qr-reverse"])
     def test_batched_orderings_match_projection_oracle(self, ordering):
