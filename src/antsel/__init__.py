@@ -61,8 +61,6 @@ from .montecarlo import (
     EmpiricalCurve,
     ExperimentConfig,
     FitError,
-    IndependenceReport,
-    LemmaReport,
     SlopeFit,
     estimate_ber,
     estimate_dmt,

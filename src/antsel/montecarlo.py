@@ -1,6 +1,8 @@
-"""Reproducible Monte Carlo engines: outage curves, BER curves,
-diversity-multiplexing estimates, and the statistical harnesses for the
-independence and exponential-equivalence checks.
+"""Reproducible Monte Carlo engines and measurements: outage curves, BER
+curves, diversity-multiplexing estimates, slope fits, and the statistics
+of the independence and exponential-equivalence harnesses.  Everything
+here returns plain values (curves, fits, correlations, p-values); the
+bounds those values are judged by live in :mod:`antsel.verify`.
 
 Trials are partitioned into fixed-size chunks; chunk i draws every random
 quantity from the Philox stream keyed by (master_seed, i), in a fixed
@@ -19,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -380,175 +382,109 @@ def estimate_dmt(n_t: int, n_r: int, L: int, rule: str, r: float,
 # exponential-equivalence harnesses
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
-    """One named statistic against its bound."""
-
-    name: str
-    value: float
-    bound: float
-    passed: bool
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class LemmaReport:
-    """Fits and verdict of one synthetic exponential-equivalence harness."""
-
-    lemma: str
-    fits: tuple[SlopeFit, ...]
-    expected_slope: float
-    tolerance: float
-    passed: bool
-    checks: tuple[CheckResult, ...] = field(default_factory=tuple)
-
-
-def _count_curve(values_per_chunk, grid: np.ndarray, trials: int) -> EmpiricalCurve:
-    hits = np.zeros(len(grid), dtype=np.int64)
-    for vals in values_per_chunk:
-        hits += np.searchsorted(np.sort(vals), grid, side="right")
-    return EmpiricalCurve(tuple(grid), tuple(int(h) for h in hits), (trials,) * len(grid))
-
-
-def lemma_harness(lemma: str, parameters: Sequence[float], trials: int, master_seed: int = 0,
-                  tolerance: float | None = None) -> LemmaReport:
-    """Slope checks for the three synthetic tail-exponent statements.
-
-    "III": ``parameters`` are the CDF exponents n_k (each variable is
-    U^(1/n_k)); the sum's small-x exponent must be sum(n_k).
-    "IV": same variables squeezed into (0, (pi/2)/K) and mapped through
-    sin^2; both the sum and the max variant must show exponent
-    sum(n_k)/2, and must agree with each other.
-    "V": ``parameters`` = (n_a, n_b); a is Gamma(n_a, 1) and two
-    differently-shaped [0, 1] factors share CDF exponent n_b; the two
-    product slopes must agree and stay at or below n_a.
-    """
-    lemma = str(lemma).upper()
-    plan = _chunk_plan(trials, 1_000_000)
-    exps = [float(n) for n in parameters]
-    if not exps or any(n <= 0 for n in exps):
-        raise ValueError(f"exponents must be positive, got {parameters}")
-
+def _lemma_case(lemma: str, exps: list[float]):
+    """Threshold grid and chunk sampler of one harness.  The sampler maps
+    (rng, n) to the value arrays whose small-x tails are fitted, one per
+    curve."""
+    n = np.asarray(exps)
     if lemma == "III":
-        tol = 0.15 if tolerance is None else tolerance
-        gr = np.geomspace(5e-3, 0.8, 28)
-        expected = sum(exps)
+        def sample(rng, count):
+            return ((rng.random((count, len(exps))) ** (1.0 / n)).sum(axis=1),)
 
-        def chunk_values(i, n):
-            rng = stream_generator(master_seed, i)
-            u = rng.random((n, len(exps)))
-            return (u ** (1.0 / np.asarray(exps))).sum(axis=1)
-
-        curve = _count_curve((chunk_values(i, n) for i, n in plan), gr, trials)
-        fit = fit_slope(curve)
-        passed = abs(fit.slope - expected) <= tol
-        return LemmaReport(lemma, (fit,), expected, tol, passed)
+        return np.geomspace(5e-3, 0.8, 28), sample
 
     if lemma == "IV":
-        tol = 0.1 if tolerance is None else tolerance
-        gr = np.geomspace(1e-4, 0.3, 28)
         psi = (math.pi / 2.0) / len(exps)  # keeps the sum inside the monotone range of sin^2
-        expected = 0.5 * sum(exps)
 
-        def chunk_pair(i, n):
-            rng = stream_generator(master_seed, i)
-            u = rng.random((n, len(exps)))
-            th = psi * u ** (1.0 / np.asarray(exps))
+        def sample(rng, count):
+            th = psi * rng.random((count, len(exps))) ** (1.0 / n)
             return np.sin(th.sum(axis=1)) ** 2, np.sin(th.max(axis=1)) ** 2
 
-        pairs = [chunk_pair(i, n) for i, n in plan]
-        curve_sum = _count_curve((p[0] for p in pairs), gr, trials)
-        curve_max = _count_curve((p[1] for p in pairs), gr, trials)
-        fit_sum, fit_max = fit_slope(curve_sum), fit_slope(curve_max)
-        agree = abs(fit_sum.slope - fit_max.slope) <= tol
-        on_target = abs(fit_sum.slope - expected) <= tol and abs(fit_max.slope - expected) <= tol
-        checks = (CheckResult("sum-vs-max slope gap", abs(fit_sum.slope - fit_max.slope), tol, agree),)
-        return LemmaReport(lemma, (fit_sum, fit_max), expected, tol, agree and on_target, checks)
+        return np.geomspace(1e-4, 0.3, 28), sample
 
     if lemma == "V":
         n_a, n_b = exps
         if n_a != int(n_a):
             raise ValueError("the Gamma shape n_a must be an integer")
-        tol = 0.1 if tolerance is None else tolerance
-        gr = np.geomspace(1e-4, 0.5, 28)
 
-        def chunk_products(i, n):
-            rng = stream_generator(master_seed, i)
-            a = rng.gamma(n_a, 1.0, size=n)
-            b1 = rng.random(n) ** (1.0 / n_b)
+        def sample(rng, count):
+            a = rng.gamma(n_a, 1.0, size=count)
+            b1 = rng.random(count) ** (1.0 / n_b)
             # second factor with the same exponent but a different shape:
             # CDF 2 x^{n_b} - x^{2 n_b}
-            b2 = (1.0 - np.sqrt(1.0 - rng.random(n))) ** (1.0 / n_b)
+            b2 = (1.0 - np.sqrt(1.0 - rng.random(count))) ** (1.0 / n_b)
             return a * b1, a * b2
 
-        pairs = [chunk_products(i, n) for i, n in plan]
-        curve1 = _count_curve((p[0] for p in pairs), gr, trials)
-        curve2 = _count_curve((p[1] for p in pairs), gr, trials)
-        fit1, fit2 = fit_slope(curve1), fit_slope(curve2)
-        agree = abs(fit1.slope - fit2.slope) <= tol
-        below = fit1.slope <= n_a + tol and fit2.slope <= n_a + tol
-        checks = (
-            CheckResult("product slope gap", abs(fit1.slope - fit2.slope), tol, agree),
-            CheckResult("slope at most n_a", max(fit1.slope, fit2.slope), n_a + tol, below,
-                        "products with [0,1] factors cannot outpace the bare variable"),
-        )
-        return LemmaReport(lemma, (fit1, fit2), min(n_a, n_b), tol, agree and below, checks)
+        return np.geomspace(1e-4, 0.5, 28), sample
 
     raise ValueError(f"unknown lemma {lemma!r}; expected III, IV or V")
+
+
+def lemma_harness(lemma: str, parameters: Sequence[float], trials: int,
+                  master_seed: int = 0) -> tuple[SlopeFit, ...]:
+    """Fitted small-x tail exponents of the synthetic variables of one
+    exponential-equivalence statement.
+
+    "III": ``parameters`` are the CDF exponents n_k (each variable is
+    U^(1/n_k)); one fit, of the sum, whose exponent is sum(n_k).
+    "IV": same variables squeezed into (0, (pi/2)/K) and mapped through
+    sin^2; the fits of the sum and of the max variant, both of exponent
+    sum(n_k)/2.
+    "V": ``parameters`` = (n_a, n_b); a is Gamma(n_a, 1) and two
+    differently-shaped [0, 1] factors share CDF exponent n_b; the fits of
+    the two products, which agree and stay at or below n_a.
+
+    Each chunk is drawn, counted into the curves and dropped, so memory
+    does not grow with ``trials``.
+    """
+    lemma = str(lemma).upper()
+    exps = [float(n) for n in parameters]
+    if not exps or any(n <= 0 for n in exps):
+        raise ValueError(f"exponents must be positive, got {parameters}")
+    grid, sample = _lemma_case(lemma, exps)
+    hits = sum(np.stack([np.searchsorted(np.sort(v), grid, side="right")
+                         for v in sample(stream_generator(master_seed, i), count)])
+               for i, count in _chunk_plan(trials, 1_000_000))
+    return tuple(fit_slope(EmpiricalCurve(tuple(grid), tuple(int(h) for h in row), (trials,) * len(grid)))
+                 for row in hits)
 
 
 # ---------------------------------------------------------------------------
 # independence suite
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IndependenceReport:
-    """Pairwise correlation, product-CDF, and marginal-law test results."""
-
-    n_t: int
-    n_r: int
-    trials: int
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-#: Significance level the KS p-values of the height and angle marginals
-#: must exceed, here and in :mod:`antsel.verify`.
-KS_SIGNIFICANCE = 0.01
-
-
 def _corr(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.corrcoef(x, y)[0, 1])
 
 
-def _product_cdf_checks(name: str, x: np.ndarray, y: np.ndarray,
-                        probes: Sequence[float]) -> list[CheckResult]:
+def _product_cdf_gaps(name: str, x: np.ndarray, y: np.ndarray,
+                      probes: Sequence[float]) -> dict[str, tuple[float, float]]:
+    """|F_xy - F_x F_y| at each pair of probes, with its asymptotic
+    standard deviation under independence."""
     n = len(x)
-    out = []
+    out = {}
     for a in probes:
         for b in probes:
             fx = float(np.mean(x <= a))
             fy = float(np.mean(y <= b))
             fxy = float(np.mean((x <= a) & (y <= b)))
-            # asymptotic std of F_xy - F_x F_y at a point, under independence
             sigma = math.sqrt(max(fx * (1 - fx) * fy * (1 - fy), 1e-300) / n)
-            gap = abs(fxy - fx * fy)
-            out.append(CheckResult(f"{name} product CDF at ({a}, {b})", gap, 3 * sigma, gap <= 3 * sigma))
+            out[f"{name} product CDF at ({a}, {b})"] = (abs(fxy - fx * fy), sigma)
     return out
 
 
-def independence_suite(n_t: int, n_r: int, trials: int, master_seed: int = 0,
-                       corr_bound: float = 0.01) -> IndependenceReport:
-    """Statistical checks of the pairwise-height independence structure.
+def independence_suite(n_t: int, n_r: int, trials: int, master_seed: int = 0) -> dict:
+    """Statistics of the pairwise-height independence structure.
 
-    Verifies that chained heights (column k against column k+1) are
-    uncorrelated with product-form joint CDFs, that the reference angles
-    from column 0 behave likewise, that the marginals match the closed
-    forms, and that a deliberately dependent pair (two heights sharing
-    column 0's norm) is detected as dependent.
+    Returns a dict of plain values: ``correlations``, the named (signed)
+    correlations of chained heights (column k against column k+1), of the
+    reference angles from column 0 and of column 0's norm against its
+    first angle; ``cdf_gaps``, the named product-CDF gaps of chained
+    heights and angles, each with its standard deviation under
+    independence; ``ks_pvalues``, the KS p-values of the height and angle
+    marginals against their closed forms; and ``control_correlation``,
+    the correlation of a deliberately dependent pair (two heights sharing
+    column 0's norm).
     """
     if n_t < 3 or n_r < 2:
         raise ValueError(f"need n_t >= 3 and n_r >= 2, got ({n_t}, {n_r})")
@@ -581,33 +517,25 @@ def independence_suite(n_t: int, n_r: int, trials: int, master_seed: int = 0,
     shared = np.concatenate(shared_parts)
     norm0 = np.concatenate(norm0_parts)
 
-    checks: list[CheckResult] = []
+    correlations = {}
+    cdf_gaps = {}
     probes = (0.5, 1.0)
     for i, j in itertools.combinations(range(chain_len), 2):
-        c = abs(_corr(chain[i], chain[j]))
-        checks.append(CheckResult(f"|corr| chain heights ({i},{i + 1})x({j},{j + 1})", c, corr_bound, c <= corr_bound))
-    checks.extend(_product_cdf_checks("chain heights (0,1)x(1,2)", chain[0], chain[1], probes))
+        correlations[f"chain heights ({i},{i + 1})x({j},{j + 1})"] = _corr(chain[i], chain[j])
+    cdf_gaps.update(_product_cdf_gaps("chain heights (0,1)x(1,2)", chain[0], chain[1], probes))
     if chain_len >= 3:
-        checks.extend(_product_cdf_checks("chain heights (1,2)x(2,3)", chain[1], chain[2], probes))
-
+        cdf_gaps.update(_product_cdf_gaps("chain heights (1,2)x(2,3)", chain[1], chain[2], probes))
     for i, j in itertools.combinations(range(n_angles), 2):
-        c = abs(_corr(angles[i], angles[j]))
-        checks.append(CheckResult(f"|corr| reference angles (0,{i + 1})x(0,{j + 1})", c, corr_bound, c <= corr_bound))
-    checks.extend(_product_cdf_checks("reference angles (0,1)x(0,2)", angles[0], angles[1], probes))
-
-    c_norm = abs(_corr(norm0, angles[0]))
-    checks.append(CheckResult("|corr| norm vs angle", c_norm, corr_bound, c_norm <= corr_bound))
+        correlations[f"reference angles (0,{i + 1})x(0,{j + 1})"] = _corr(angles[i], angles[j])
+    cdf_gaps.update(_product_cdf_gaps("reference angles (0,1)x(0,2)", angles[0], angles[1], probes))
+    correlations["norm vs angle"] = _corr(norm0, angles[0])
 
     ks_n = min(ks_samples, trials)
-    ks_r = stats.kstest(chain[0][:ks_n], lambda v: chi2n_cdf(v, n_r - 1))
-    checks.append(CheckResult("KS height marginal p-value", float(ks_r.pvalue), KS_SIGNIFICANCE,
-                              ks_r.pvalue > KS_SIGNIFICANCE, "must exceed the significance level"))
-    ks_t = stats.kstest(angles[0][:ks_n], lambda v: theta_cdf(v, n_r))
-    checks.append(CheckResult("KS angle marginal p-value", float(ks_t.pvalue), KS_SIGNIFICANCE,
-                              ks_t.pvalue > KS_SIGNIFICANCE, "must exceed the significance level"))
-
-    c_dep = abs(_corr(chain[0], shared))
-    checks.append(CheckResult("negative control: shared-norm pair detected", c_dep, 0.05, c_dep > 0.05,
-                              "heights sharing one column's norm must show correlation"))
-
-    return IndependenceReport(n_t=n_t, n_r=n_r, trials=trials, checks=tuple(checks))
+    ks_height = stats.kstest(chain[0][:ks_n], lambda v: chi2n_cdf(v, n_r - 1))
+    ks_angle = stats.kstest(angles[0][:ks_n], lambda v: theta_cdf(v, n_r))
+    return {
+        "correlations": correlations,
+        "cdf_gaps": cdf_gaps,
+        "ks_pvalues": (float(ks_height.pvalue), float(ks_angle.pvalue)),
+        "control_correlation": _corr(chain[0], shared),
+    }

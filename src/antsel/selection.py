@@ -423,8 +423,8 @@ def _outage_scalars(rule: str, H: np.ndarray, L: int, rng: np.random.Generator |
     maxmin: best worst-stream height over all subsets.  first-fixed /
     first-ordered: the maximized first-layer height.  qr-greedy: the
     first decoded layer's height (last greedy increment).  random: the
-    worst-stream height of a uniformly chosen subset, drawn as in
-    :func:`select_block`.
+    worst-stream height of the uniformly chosen subset that
+    :func:`select_block` draws.
     """
     if rule == "maxmin":
         return _maxmin_block(H, L)[0]
@@ -437,10 +437,8 @@ def _outage_scalars(rule: str, H: np.ndarray, L: int, rng: np.random.Generator |
         _, picked = _greedy_selection_block(H, L)
         return picked[:, L - 1]
     if rule == "random":
-        subsets = _subsets(H.shape[2], L)
-        idx = rng.integers(0, len(subsets), size=H.shape[0])
         # evaluate only the drawn subset's columns: its best is its own
-        return _maxmin_block(np.take_along_axis(H, subsets[idx][:, None, :], axis=2), L)[0]
+        return _maxmin_block(np.take_along_axis(H, select_block("random", H, L, rng)[:, None, :], axis=2), L)[0]
     raise ValueError(f"unknown selection rule {rule!r}; expected one of {RULES}")
 
 

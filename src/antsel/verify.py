@@ -2,10 +2,12 @@
 
 Every acceptance criterion splits into a measurement and a verdict.  A
 measurement (``quadrature_slope``, ``outage_slope_fits``,
-``ber_ordering_test``, ...) returns plain values: fits, p-values, counts.
-A verdict (the ``check_*`` functions) takes those values and returns one
-:class:`CheckOutcome`; it holds the criterion's window, tolerance or
-significance level, and nothing else does.
+``ber_ordering_test``, ``montecarlo.independence_suite``,
+``montecarlo.lemma_harness``, ...) returns plain values: fits,
+correlations, p-values, counts.  A verdict (the ``check_*`` functions)
+takes those values and returns one :class:`CheckOutcome`; it holds the
+criterion's window, tolerance or significance level, and nothing else
+does.
 
 :func:`run_verification` measures each row at one of two scales, times it
 and calls its verdict.  "full" runs the statistical checks at their
@@ -29,7 +31,6 @@ from . import analytic
 from . import receivers as rx
 from .channel import complex_gaussian, qr_factorize, sample_channel, stream_generator
 from .montecarlo import (
-    KS_SIGNIFICANCE,
     ExperimentConfig,
     SlopeFit,
     estimate_ber,
@@ -69,9 +70,24 @@ STAGE_ORACLE_BOUND = 1e-9
 BER_ORDERING_Z = 1.645
 #: Fewest bits each rule of the BER-ordering check must count.
 BER_MIN_BITS = 10 ** 6
+#: Significance level every KS p-value of criteria 4 and 5 must exceed.
+KS_SIGNIFICANCE = 0.01
+#: Largest |correlation| of two chained heights, of two reference angles,
+#: and of column 0's norm against its first angle.
+INDEPENDENCE_CORR_BOUND = 0.01
+#: Multiple of its standard deviation under independence that a
+#: product-CDF gap |F_xy - F_x F_y| may reach.
+PRODUCT_CDF_SIGMAS = 3
+#: Least |correlation| the negative control (two heights sharing column
+#: 0's norm) must show for the suite to count as able to see dependence.
+CONTROL_CORR_FLOOR = 0.05
+#: Largest gap of each harness's fitted tail exponents from their target
+#: (III, IV), from each other (IV, V) and above n_a (V).
+LEMMA_TOLERANCES = {"III": 0.15, "IV": 0.1, "V": 0.1}
 
 # Shapes and sample sizes that do not change with the scale.
 MARGINAL_SHAPES = ((3, 3), (4, 2))
+INDEPENDENCE_SHAPE = (4, 3)
 MARGINAL_SAMPLES = 100_000
 STAGE_ORACLE_DRAWS = 100
 PROBE_SAMPLES = 100_000
@@ -296,8 +312,8 @@ def dmt_estimates(trials: int, seed: int, workers: int = 1) -> dict[float, Slope
             for r, rho_db in grids.items()}
 
 
-def lemma_reports(trials: int, seed: int) -> dict:
-    """The three exponential-equivalence harnesses of ``LEMMA_CASES``."""
+def lemma_fits(trials: int, seed: int) -> dict[str, tuple[SlopeFit, ...]]:
+    """The fits of the three exponential-equivalence harnesses of ``LEMMA_CASES``."""
     return {lemma: lemma_harness(lemma, params, trials, master_seed=seed) for lemma, params in LEMMA_CASES}
 
 
@@ -376,11 +392,21 @@ def check_marginals(shape: tuple[int, int], pvalues: tuple[float, float]) -> Che
                         f"height p = {pv_h:.3f}, angle p = {pv_a:.3f}")
 
 
-def check_independence(report) -> CheckOutcome:
-    """Criterion 5: every check of an ``IndependenceReport`` holds."""
-    failed = [c.name for c in report.checks if not c.passed]
-    return CheckOutcome(f"independence structure ({report.n_t},{report.n_r})", not failed, True,
-                        f"failed: {failed}" if failed else f"{len(report.checks)} checks hold")
+def check_independence(shape: tuple[int, int], stats: dict) -> CheckOutcome:
+    """Criterion 5, on the statistics of ``independence_suite``: every
+    correlation within ``INDEPENDENCE_CORR_BOUND``, every product-CDF gap
+    within ``PRODUCT_CDF_SIGMAS`` of its standard deviation, both KS
+    p-values above ``KS_SIGNIFICANCE`` and the negative control above
+    ``CONTROL_CORR_FLOOR``."""
+    pv_h, pv_a = stats["ks_pvalues"]
+    holds = {f"|corr| {name}": abs(c) <= INDEPENDENCE_CORR_BOUND for name, c in stats["correlations"].items()}
+    holds.update((name, gap <= PRODUCT_CDF_SIGMAS * sigma) for name, (gap, sigma) in stats["cdf_gaps"].items())
+    holds["KS height marginal p-value"] = pv_h > KS_SIGNIFICANCE
+    holds["KS angle marginal p-value"] = pv_a > KS_SIGNIFICANCE
+    holds["negative control: shared-norm pair detected"] = abs(stats["control_correlation"]) > CONTROL_CORR_FLOOR
+    failed = [name for name, ok in holds.items() if not ok]
+    return CheckOutcome(f"independence structure ({shape[0]},{shape[1]})", not failed, True,
+                        f"failed: {failed}" if failed else f"{len(holds)} checks hold")
 
 
 def check_outage_slopes(fits: dict[str, SlopeFit]) -> CheckOutcome:
@@ -421,10 +447,24 @@ def check_dmt(dmt: dict[float, SlopeFit], maxmin_slope: float) -> CheckOutcome:
                         f"d(0) = {d0:.2f}, d(1) = {d1:.2f}, maxmin slope = {maxmin_slope:.2f}")
 
 
-def check_lemmas(reports: dict) -> CheckOutcome:
-    """Criterion 10: every harness passes at the tolerance of :func:`lemma_harness`."""
-    ok = all(r.passed for r in reports.values())
-    detail = "; ".join(f"{lemma}: {'/'.join(f'{f.slope:.3f}' for f in r.fits)}" for lemma, r in reports.items())
+def _lemma_holds(lemma: str, slopes: list[float]) -> bool:
+    """One harness's fitted exponents against the targets its
+    ``LEMMA_CASES`` parameters give, within ``LEMMA_TOLERANCES[lemma]``."""
+    params = dict(LEMMA_CASES)[lemma]
+    tol = LEMMA_TOLERANCES[lemma]
+    if lemma == "III":  # the sum's exponent is sum(n_k)
+        return abs(slopes[0] - sum(params)) <= tol
+    agree = abs(slopes[0] - slopes[1]) <= tol
+    if lemma == "IV":  # sum and max share exponent sum(n_k) / 2
+        return agree and all(abs(s - 0.5 * sum(params)) <= tol for s in slopes)
+    # V: products with [0, 1] factors cannot outpace the bare Gamma(n_a) variable
+    return agree and max(slopes) <= params[0] + tol
+
+
+def check_lemmas(fits: dict[str, tuple[SlopeFit, ...]]) -> CheckOutcome:
+    """Criterion 10: the fits of every harness in ``fits`` hold (see :func:`_lemma_holds`)."""
+    ok = all(_lemma_holds(lemma, [f.slope for f in fs]) for lemma, fs in fits.items())
+    detail = "; ".join(f"{lemma}: {'/'.join(f'{f.slope:.3f}' for f in fs)}" for lemma, fs in fits.items())
     return CheckOutcome("exponential-equivalence harnesses", ok, True, detail)
 
 
@@ -469,12 +509,13 @@ def run_verification(scale: str = "quick", seed: int = 0, workers: int = 1) -> l
     row(check_analytic_selftest, analytic_selftest)
     for shape in MARGINAL_SHAPES:
         row(partial(check_marginals, shape), marginal_ks_pvalues, *shape, MARGINAL_SAMPLES, seed)
-    row(check_independence, independence_suite, 4, 3, p["independence_trials"], seed)
+    row(partial(check_independence, INDEPENDENCE_SHAPE), independence_suite, *INDEPENDENCE_SHAPE,
+        p["independence_trials"], seed)
     fits = row(check_outage_slopes, outage_slope_fits, p["outage_trials"], seed, workers)
     row(check_stage_oracle, qr_df_stage_oracle, STAGE_ORACLE_DRAWS, seed)
     row(check_ber_ordering, ber_ordering_test, p["ber_frames"], p["ber_snr_db"], seed, workers)
     row(lambda dmt: check_dmt(dmt, fits["maxmin"].slope), dmt_estimates, p["dmt_trials"], seed, workers)
-    row(check_lemmas, lemma_reports, p["lemma_trials"], seed)
+    row(check_lemmas, lemma_fits, p["lemma_trials"], seed)
     row(check_reproducibility, reproducibility_runs, seed)
     row(check_first_layer_probe, greedy_first_layer_distribution_probe, PROBE_SAMPLES, seed)
     return out

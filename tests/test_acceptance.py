@@ -67,9 +67,10 @@ def test_criterion_04_marginal_distributions():
 
 
 def test_criterion_05_independence_structure():
-    report, elapsed = timed(independence_suite, 4, 3, FULL["independence_trials"], SEED)
+    shape = verify.INDEPENDENCE_SHAPE
+    stats, elapsed = timed(independence_suite, *shape, FULL["independence_trials"], SEED)
     assert elapsed < 60.0
-    accept(5, "independence structure", verify.check_independence(report))
+    accept(5, "independence structure", verify.check_independence(shape, stats))
 
 
 def test_criterion_06_diversity_order_separation(outage_fits):
@@ -95,7 +96,7 @@ def test_criterion_09_dmt(outage_fits):
 
 def test_criterion_10_lemma_harnesses():
     accept(10, "exponential-equivalence harnesses",
-           verify.check_lemmas(verify.lemma_reports(FULL["lemma_trials"], SEED)))
+           verify.check_lemmas(verify.lemma_fits(FULL["lemma_trials"], SEED)))
 
 
 def test_criterion_11_reproducibility():

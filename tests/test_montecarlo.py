@@ -8,7 +8,7 @@ import pytest
 
 from qr_oracle import reference_columns, reference_scalar
 
-from antsel import montecarlo, selection
+from antsel import montecarlo, selection, verify
 from antsel.analytic import chi2n_cdf, pr_outage_quadrature
 from antsel.channel import complex_gaussian, gram_inverse_diag, projection_height_sq, stream_generator
 from antsel.montecarlo import (
@@ -571,18 +571,21 @@ class TestDmt:
 
 
 class TestLemmaHarness:
+    """Each harness at smoke scale, judged by the acceptance verdict."""
+
+    @staticmethod
+    def assert_holds(lemma, params, seed):
+        outcome = verify.check_lemmas({lemma: lemma_harness(lemma, params, 400_000, master_seed=seed)})
+        assert outcome.passed, outcome.detail
+
     def test_lemma_three(self):
-        report = lemma_harness("III", (1, 2), 400_000, master_seed=16, tolerance=0.3)
-        assert report.passed
-        assert report.expected_slope == 3
+        self.assert_holds("III", (1, 2), 16)
 
     def test_lemma_four(self):
-        report = lemma_harness("IV", (1, 1), 400_000, master_seed=17, tolerance=0.2)
-        assert report.passed
+        self.assert_holds("IV", (1, 1), 17)
 
     def test_lemma_five(self):
-        report = lemma_harness("V", (2, 1), 400_000, master_seed=18, tolerance=0.2)
-        assert report.passed
+        self.assert_holds("V", (2, 1), 18)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -590,17 +593,32 @@ class TestLemmaHarness:
         with pytest.raises(ValueError):
             lemma_harness("III", (0,), 100)
 
+    @pytest.mark.parametrize("lemma, params", [("IV", (1, 1)), ("V", (2, 1))])
+    def test_memory_does_not_grow_with_trials(self, lemma, params):
+        # each chunk of 10^6 draws is counted and dropped before the next
+        peaks = []
+        for trials in (10 ** 6, 4 * 10 ** 6):
+            tracemalloc.start()
+            try:
+                lemma_harness(lemma, params, trials, master_seed=21)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
 
 class TestIndependenceSuite:
+    """The suite at smoke scale, judged by the acceptance verdict."""
+
     def test_small_run_passes(self):
-        report = independence_suite(4, 3, 150_000, master_seed=19, corr_bound=0.015)
-        failed = [c.name for c in report.checks if not c.passed]
-        assert report.passed, failed
+        outcome = verify.check_independence((4, 3), independence_suite(4, 3, 150_000, master_seed=19))
+        assert outcome.passed, outcome.detail
+        assert outcome.detail == "22 checks hold"
 
     def test_negative_control_detected(self):
-        report = independence_suite(4, 3, 50_000, master_seed=20, corr_bound=0.03)
-        control = [c for c in report.checks if "negative control" in c.name]
-        assert control and control[0].passed
+        stats = independence_suite(4, 3, 50_000, master_seed=20)
+        assert verify.check_independence((4, 3), stats).passed
+        assert abs(stats["control_correlation"]) > verify.CONTROL_CORR_FLOOR
 
     def test_needs_three_antennas(self):
         with pytest.raises(ValueError):

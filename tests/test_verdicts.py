@@ -120,3 +120,102 @@ def test_expansion_anchor_literal(monkeypatch):
     # a computed coefficient that drifts from the literal anchor fails at ratio 1
     monkeypatch.setitem(verify.EXPANSION_ANCHORS, (3, 3), 1.03 / 120.0)
     assert not verify.check_expansion_anchor((3, 3), 1.0).passed
+
+
+def independence(**changes):
+    """Suite statistics that pass, with ``changes`` applied: ``corr``,
+    ``gap`` (in standard deviations), ``pvalues`` or ``control``."""
+    sigma = 1e-4
+    return {
+        "correlations": {"chain heights (0,1)x(1,2)": changes.get("corr", 0.0), "norm vs angle": 0.0},
+        "cdf_gaps": {"chain heights (0,1)x(1,2) product CDF at (0.5, 0.5)": (changes.get("gap", 0.0) * sigma, sigma)},
+        "ks_pvalues": changes.get("pvalues", (0.5, 0.5)),
+        "control_correlation": changes.get("control", 0.5),
+    }
+
+
+def test_independence_hand_built_passes():
+    outcome = verify.check_independence((4, 3), independence())
+    assert outcome.passed and outcome.detail == "6 checks hold"
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_independence_correlation_bound(sign):
+    bound = verify.INDEPENDENCE_CORR_BOUND
+    assert not verify.check_independence((4, 3), independence(corr=sign * bound * (1 + EPS))).passed
+    assert verify.check_independence((4, 3), independence(corr=sign * bound * (1 - EPS))).passed
+
+
+def test_independence_product_cdf_sigmas():
+    sigmas = verify.PRODUCT_CDF_SIGMAS
+    assert not verify.check_independence((4, 3), independence(gap=sigmas * (1 + EPS))).passed
+    assert verify.check_independence((4, 3), independence(gap=sigmas * (1 - EPS))).passed
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_independence_ks_significance(which):
+    pvalues = [0.5, 0.5]
+    pvalues[which] = verify.KS_SIGNIFICANCE
+    outcome = verify.check_independence((4, 3), independence(pvalues=tuple(pvalues)))
+    assert not outcome.passed and ("height" if which == 0 else "angle") in outcome.detail
+    pvalues[which] = verify.KS_SIGNIFICANCE + EPS
+    assert verify.check_independence((4, 3), independence(pvalues=tuple(pvalues))).passed
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_independence_control_floor(sign):
+    floor = verify.CONTROL_CORR_FLOOR
+    assert not verify.check_independence((4, 3), independence(control=sign * floor)).passed
+    assert verify.check_independence((4, 3), independence(control=sign * floor * (1 + EPS))).passed
+
+
+def lemmas(lemma, *slopes):
+    return verify.check_lemmas({lemma: tuple(fit(s) for s in slopes)})
+
+
+@pytest.mark.parametrize("step", [-1, 1])
+def test_lemma_three_on_target(step):
+    tol = verify.LEMMA_TOLERANCES["III"]
+    assert not lemmas("III", 3.0 + step * (tol + EPS)).passed
+    assert lemmas("III", 3.0 + step * (tol - EPS)).passed
+
+
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("step", [-1, 1])
+def test_lemma_four_on_target(which, step):
+    # the other fit sits half a tolerance off the target 1 on the same side,
+    # so the sum-vs-max gap stays inside the tolerance
+    tol = verify.LEMMA_TOLERANCES["IV"]
+    for offset, holds in ((tol + EPS, False), (tol - EPS, True)):
+        slopes = [1.0 + step * tol / 2] * 2
+        slopes[which] = 1.0 + step * offset
+        assert lemmas("IV", *slopes).passed is holds
+
+
+def test_lemma_four_gap():
+    # both fits within the tolerance of the target 1 but apart by more than it
+    tol = verify.LEMMA_TOLERANCES["IV"]
+    for half_gap, holds in ((tol / 2 + EPS, False), (tol / 2 - EPS, True)):
+        assert lemmas("IV", 1.0 - half_gap, 1.0 + half_gap).passed is holds
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_lemma_five_gap(which):
+    tol = verify.LEMMA_TOLERANCES["V"]
+    slopes = [1.0, 1.0]
+    slopes[which] = 1.0 + tol + EPS
+    assert not lemmas("V", *slopes).passed
+    slopes[which] = 1.0 + tol - EPS
+    assert lemmas("V", *slopes).passed
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_lemma_five_ceiling(which):
+    # n_a = 2: either fit may reach n_a + tol, but no higher; the other fit
+    # sits half a tolerance below, inside the gap
+    tol = verify.LEMMA_TOLERANCES["V"]
+    ceiling = 2 + tol
+    for slope, holds in ((ceiling + EPS, False), (ceiling - EPS, True)):
+        slopes = [ceiling - tol / 2] * 2
+        slopes[which] = slope
+        assert lemmas("V", *slopes).passed is holds
