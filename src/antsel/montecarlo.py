@@ -11,16 +11,25 @@ Chunk results merge by integer addition, so output is bit-identical for
 any worker count or schedule, and experiments that share a master seed
 see identical channel draws regardless of the rule under test.
 
-Each chunk selects with one call of the batched kernels of
-:mod:`antsel.selection`; this module keeps the chunk plan, the draws, the
-decode-order overrides, detection over the SNR grid and the counting.
+A chunk draws its Gaussians in the blocks its kernels reduce, each block
+just before it is read: outage channels in passes of ``_LATTICE_LANES``,
+BER noise in detection blocks.  One Philox stream drawn block after block
+gives the same normals, and leaves the generator in the same state, as
+one whole-chunk draw, so results do not depend on the block size and the
+memory of a chunk does not grow with its draws.  The rule "random" is the
+exception: its subset ranks follow the channels (outage) or the noise
+(BER) in the stream, so those draws stay whole.
+
+Selection runs the batched kernels of :mod:`antsel.selection`; this
+module keeps the chunk plan, the draws, the decode-order overrides,
+detection over the SNR grid and the counting.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -29,11 +38,22 @@ import numpy as np
 from . import receivers as rx
 from .analytic import chi2n_cdf, theta_cdf
 from .channel import complex_gaussian, stream_generator
-from .selection import RULES, _greedy_selection_block, _outage_scalars, _pair_table, _subsets, select_block
+from .selection import (
+    _LATTICE_LANES,
+    RULES,
+    _greedy_selection_block,
+    _outage_scalars,
+    _pair_table,
+    _subsets,
+    select_block,
+)
 
-#: Cap on the complex noise samples (n_r per symbol) one BER chunk draws.
+#: Cap on the complex noise samples (n_r per symbol) of one BER chunk.
 #: It sets the chunk size, which keys the chunk streams, so manifests
-#: record it as ``effective_chunk_size``.
+#: record it as ``effective_chunk_size``, and it keeps its value for that
+#: reason.  It does not bound the noise a chunk holds, which is drawn one
+#: detection block at a time, except under "random": its subset ranks
+#: follow the noise in the stream, so its noise is drawn whole.
 _BER_CHUNK_SAMPLE_CAP = 2_000_000
 #: Complex samples of one (frames, L, frame_symbols) array of a BER
 #: detection block, 1 MiB, so that the arrays of a block stay in a core's
@@ -182,9 +202,43 @@ def _chunk_plan(trial_count: int, chunk_size: int) -> list[tuple[int, int]]:
     return plan
 
 
+#: glibc's mallopt parameter numbers (malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Fix glibc's malloc thresholds at the values its own heuristic
+    reaches once a 32 MiB block has been freed: blocks up to 32 MiB come
+    from the heap, and up to 64 MiB of freed heap is kept.
+
+    Chunks allocate and free the same block-sized arrays again and again.
+    Under the starting thresholds glibc hands that memory back to the
+    system after each block, and every block faults its pages in again:
+    2x10^6 (3,3,2) maxmin trials through the CLI in a fresh process took
+    330k page faults and 1.8 s, against 7k and 1.2-1.3 s with these
+    thresholds (2 shared vCPUs, Linux, glibc).  Only memory already freed,
+    up to 64 MiB of it, stays mapped; the peak resident memory of every
+    benchmark workload stayed level or fell.  Without glibc this does
+    nothing.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def _run_chunks(job, plan, workers: int) -> list:
+    _keep_freed_heap()
     if workers <= 1:
         return [job(args) for args in plan]
+    # loaded here: the pool modules cost an import that one worker never uses
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(job, plan, chunksize=max(1, len(plan) // (4 * workers) or 1)))
 
@@ -194,12 +248,28 @@ def _run_chunks(job, plan, workers: int) -> list:
 # ---------------------------------------------------------------------------
 
 def _outage_chunk(args: tuple[ExperimentConfig, int, int]) -> np.ndarray:
+    """Hits of one chunk at each threshold of ``config.grid``.
+
+    Every rule but "random" draws its channels in blocks of
+    ``_LATTICE_LANES``, one pass of the selection kernels, and reduces
+    each block to its scalars before drawing the next, so only one block
+    and the chunk's scalars are held.  The scalar of a channel depends on
+    that channel alone, so the hits do not depend on the block size.
+    "random" draws the chunk's channels whole, because its subset ranks
+    come after all of them in the stream.
+    """
     config, chunk_index, count = args
+    shape, L = (config.n_r, config.n_t), config.L
     rng = stream_generator(config.master_seed, chunk_index)
-    H = complex_gaussian(rng, (count, config.n_r, config.n_t))
-    scalars = _outage_scalars(config.rule, H, config.L, rng)
-    grid = np.asarray(config.grid)
-    return np.searchsorted(np.sort(scalars), grid, side="right").astype(np.int64)
+    if config.rule == "random":
+        scalars = _outage_scalars("random", complex_gaussian(rng, (count,) + shape), L, rng)
+    else:
+        scalars = np.empty(count)
+        for lo in range(0, count, _LATTICE_LANES):
+            H = complex_gaussian(rng, (min(_LATTICE_LANES, count - lo),) + shape)
+            scalars[lo:lo + len(H)] = _outage_scalars(config.rule, H, L, rng)
+    scalars.sort()
+    return np.searchsorted(scalars, np.asarray(config.grid), side="right").astype(np.int64)
 
 
 def estimate_outage(config: ExperimentConfig, workers: int = 1) -> EmpiricalCurve:
@@ -304,26 +374,31 @@ def _draw_bits(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
 def _ber_chunk(args: tuple[ExperimentConfig, int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Bit errors and bits counted at each SNR point over one chunk.
 
-    The chunk draws whole, in the documented order (channels, bits, noise,
-    then the rule's randomness), and selects and orders its columns in one
-    call each; :func:`_draw_bits` gives the bits of ``rng.integers(0, 2)``.  The column gather, detection and counting then run on
-    blocks of max(1, ``_BER_BLOCK_SAMPLES`` // (L T)) frames, whose
-    (B, L, T) arrays stay in cache; each of these steps is per frame, so
-    the counts are the same for any block size.
+    The chunk draws in the documented order: channels and bits whole
+    (:func:`_draw_bits` gives the bits of ``rng.integers(0, 2)``), then
+    the noise, then the rule's randomness.  It selects and orders its
+    columns in one call each, then gathers columns, detects and counts
+    in blocks of max(1, ``_BER_BLOCK_SAMPLES`` // (L T)) frames, whose
+    (B, L, T) arrays stay in cache.  Each block draws its own slice of
+    the noise just before detecting it, which continues the stream as a
+    whole-chunk draw would; "random" draws the noise whole, because its
+    subset ranks follow the noise in the stream.  Every step is per
+    frame, so the counts are the same for any block size.
     """
     config, chunk_index, frames = args
     n_r, n_t, L, T = config.n_r, config.n_t, config.L, config.frame_symbols
     rng = stream_generator(config.master_seed, chunk_index)
     H = complex_gaussian(rng, (frames, n_r, n_t))
     bits = _draw_bits(rng, (frames, L, T))
-    noise = complex_gaussian(rng, (frames, n_r, T))
+    noise = complex_gaussian(rng, (frames, n_r, T)) if config.rule == "random" else None
     cols = _apply_ordering(config, H, select_block(config.rule, H, L, rng))
     errors = np.zeros(len(config.grid), dtype=np.int64)
     block = max(1, _BER_BLOCK_SAMPLES // (L * T))
     for start in range(0, frames, block):
         part = slice(start, start + block)
         Heff = np.take_along_axis(H[part], cols[part, None, :], axis=2)
-        for p_i, est in enumerate(_detect_grid(config, Heff, bits[part], noise[part])):
+        part_noise = complex_gaussian(rng, (len(Heff), n_r, T)) if noise is None else noise[part]
+        for p_i, est in enumerate(_detect_grid(config, Heff, bits[part], part_noise)):
             errors[p_i] += rx.count_bit_errors(est, bits[part])
     return errors, np.full(len(config.grid), bits.size, dtype=np.int64)
 

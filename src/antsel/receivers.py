@@ -332,13 +332,15 @@ def vblast_order_block(H: np.ndarray) -> np.ndarray:
     matrix in ``H`` (B, n_r, L): each step takes, among the columns not
     yet decoded, the one with the smallest inverse-Gram diagonal entry
     (the largest post-nulling SNR), ties to the earliest.  Returns (B, L)
-    column positions, first decoded first."""
+    column positions, first decoded first.  The inverse of each step's
+    Gram matrix is the ZF stage matrix of :func:`stage_matrices`."""
     B, _, L = H.shape
     order = np.tile(np.arange(L), (B, 1))
     for step in range(L - 1):
         rest = order[:, step:]
         sub = np.take_along_axis(H, rest[:, None, :], axis=2)
-        inv_diag = np.linalg.inv(sub.conj().transpose(0, 2, 1) @ sub).diagonal(axis1=1, axis2=2).real
+        inv = stage_matrices(sub.conj().transpose(0, 2, 1) @ sub, "zf", 0.0)[0]
+        inv_diag = inv.diagonal(axis1=1, axis2=2).real
         best = inv_diag.argmin(axis=1)
         # move the pick to the front, keeping the others in their order
         pos = np.arange(L - step)

@@ -276,8 +276,8 @@ def qr_df_stage_oracle(draws: int, seed: int) -> tuple[float, bool]:
 
 def ber_ordering_test(frames: int, snr_db: float, seed: int, workers: int = 1) -> dict:
     """Common-seed BER of the greedy rule versus the first-layer rule under
-    decision feedback, 50 symbols per frame, with the one-sided
-    two-proportion z statistic."""
+    decision feedback, 50 symbols per frame, as
+    :func:`ber_ordering_measurement`."""
     results = {}
     for rule in ("qr-greedy", "first-fixed"):
         config = ExperimentConfig(n_t=3, n_r=3, L=2, rule=rule, trial_count=frames,
@@ -285,8 +285,15 @@ def ber_ordering_test(frames: int, snr_db: float, seed: int, workers: int = 1) -
                                   receiver="df-zf", frame_symbols=50)
         curve = estimate_ber(config, workers=workers)
         results[rule] = (curve.hits[0], curve.trials[0])
-    e1, n1 = results["qr-greedy"]
-    e2, n2 = results["first-fixed"]
+    return ber_ordering_measurement(snr_db, results["qr-greedy"], results["first-fixed"])
+
+
+def ber_ordering_measurement(snr_db: float, qr: tuple[int, int], ff: tuple[int, int]) -> dict:
+    """The measurement judged by :func:`check_ber_ordering`, from the
+    (bit errors, bits) of qr-greedy and of first-fixed at ``snr_db``:
+    both BERs and the one-sided two-proportion z statistic of first-fixed's
+    BER above qr-greedy's."""
+    (e1, n1), (e2, n2) = qr, ff
     pooled = (e1 + e2) / (n1 + n2)
     se = math.sqrt(max(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2), 1e-300))
     z = ((e2 / n2) - (e1 / n1)) / se

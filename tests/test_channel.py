@@ -64,6 +64,19 @@ class TestSampling:
         assert draw.flags.c_contiguous
         assert draw.tobytes() == reference.tobytes()
 
+    @pytest.mark.parametrize("block", [1, 7, 2048])
+    def test_block_draws_continue_the_whole_draw(self, block):
+        # the engines draw a chunk block after block; the values and the
+        # generator state after them match one whole-chunk draw
+        count, shape = 5_000, (3, 4)
+        whole_rng = stream_generator(45, 2)
+        whole = complex_gaussian(whole_rng, (count,) + shape)
+        rng = stream_generator(45, 2)
+        parts = [complex_gaussian(rng, (min(block, count - lo),) + shape) for lo in range(0, count, block)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        np.testing.assert_array_equal(rng.integers(0, 70, size=100), whole_rng.integers(0, 70, size=100))
+        assert rng.standard_normal(100).tobytes() == whole_rng.standard_normal(100).tobytes()
+
 
 class TestProjectionHeight:
     def test_orthogonal_columns(self):

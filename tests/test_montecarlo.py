@@ -1,6 +1,10 @@
 import dataclasses
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,6 +23,7 @@ from antsel.montecarlo import (
     _ber_chunk,
     _ber_chunk_size,
     _detect_grid,
+    _outage_chunk,
     estimate_ber,
     estimate_dmt,
     estimate_outage,
@@ -204,6 +209,56 @@ class TestOutageEngine:
             np.testing.assert_array_equal(split_chosen, chosen)
             np.testing.assert_array_equal(split_picked, picked)
 
+    @pytest.mark.parametrize("rule,L", [(rule, 2) for rule in selection.RULES]
+                             + [("maxmin", 3), ("qr-greedy", 3), ("random", 3)])
+    def test_chunk_draw_blocks_do_not_change_hits(self, monkeypatch, rule, L):
+        # the chunk draws and reduces one block of channels at a time; seven-
+        # channel blocks (100 is not a multiple of 7) and one block larger
+        # than the chunk give the same hits
+        config = ExperimentConfig(n_t=4, n_r=3, L=L, rule=rule, trial_count=100, master_seed=48,
+                                  grid=tuple(np.geomspace(0.3, 8.0, 30)))
+        hits = []
+        for block in (7, 105):
+            monkeypatch.setattr(montecarlo, "_LATTICE_LANES", block)
+            hits.append(_outage_chunk((config, 2, 100)).tolist())
+        assert sum(0 < h < 100 for h in hits[0]) >= 5
+        assert hits[0] == hits[1]
+
+    @pytest.mark.parametrize("rule", ["maxmin", "qr-greedy"])
+    def test_chunk_memory_does_not_grow_with_trials(self, rule):
+        # an (8,8,4) chunk holds one block of channels at a time and its
+        # scalars; a whole 8x10^4-trial draw alone is 82 MB
+        config = ExperimentConfig(n_t=8, n_r=8, L=4, rule=rule, trial_count=10, master_seed=49,
+                                  grid=(1.0, 2.0))
+        peaks = []
+        for trials in (2 * 10 ** 4, 8 * 10 ** 4):
+            tracemalloc.start()
+            try:
+                _outage_chunk((config, 0, trials))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+    def test_chunks_keep_their_freed_blocks_mapped(self):
+        # a fresh process, after one warm-up chunk: the arrays freed after each
+        # block stay in the heap, where glibc's starting thresholds gave them
+        # back and faulted in about 16k pages per (3,3,2) chunk again
+        src = os.path.dirname(os.path.dirname(os.path.abspath(montecarlo.__file__)))
+        code = (f"import resource, sys; sys.path.insert(0, {src!r})\n"
+                "from antsel.montecarlo import ExperimentConfig, estimate_outage\n"
+                "def run(trials):\n"
+                "    estimate_outage(ExperimentConfig(n_t=3, n_r=3, L=2, rule='maxmin', trial_count=trials,"
+                " master_seed=1, grid=(1.0,)))\n"
+                "run(100_000)\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "run(500_000)\n"
+                "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < 2000
+
     def test_pair_rules_are_ordered_draw_by_draw(self):
         # first-ordered >= first-fixed >= maxmin >= random on common draws, exactly
         H = complex_gaussian(stream_generator(42, 0), (20_000, 3, 3))
@@ -376,10 +431,11 @@ class TestBerEngine:
         assert _ber_chunk_size(config) * 3 * 1000 <= 2_000_000
 
     def test_ber_chunk_peak_memory(self):
-        # a one-point (3,3,2) df-zf chunk at the sample cap holds its noise
-        # whole but detects in cache-sized blocks of frames: about 1.35x the
-        # noise block's bytes; detecting the whole chunk at once on (B, L, T)
-        # blocks takes about 3x, or about 4x while the noise is held
+        # a one-point (3,3,2) df-zf chunk at the sample cap holds its
+        # channels and bits whole but draws its noise and detects in
+        # cache-sized blocks of frames: about 0.5x the bytes of the chunk's
+        # noise, or 1.35x when the noise is drawn whole (as under random);
+        # detecting the whole chunk at once on (B, L, T) blocks takes about 4x
         config = ExperimentConfig(n_t=3, n_r=3, L=2, rule="qr-greedy", trial_count=10 ** 6,
                                   master_seed=46, grid=(14.0,), receiver="df-zf", frame_symbols=50)
         frames = _ber_chunk_size(config)
