@@ -4,12 +4,14 @@ of the independence and exponential-equivalence harnesses.  Everything
 here returns plain values (curves, fits, correlations, p-values); the
 bounds those values are judged by live in :mod:`antsel.verify`.
 
-Trials are partitioned into fixed-size chunks; chunk i draws every random
-quantity from the Philox stream keyed by (master_seed, i), in a fixed
-order (channels, then frame bits, then noise, then any rule randomness).
-Chunk results merge by integer addition, so output is bit-identical for
-any worker count or schedule, and experiments that share a master seed
-see identical channel draws regardless of the rule under test.
+Outage, BER, the tail-exponent harness and the independence suite run on
+one chunk driver, :func:`_run_chunks`, and all four take ``workers``.
+Chunk i of a run draws every random quantity from the Philox stream keyed
+by (master_seed, i), in a fixed order (channels, then frame bits, then
+noise, then any rule randomness), and returns named counts and sums that
+the driver adds up in plan order.  So output is bit-identical for any
+worker count, and experiments that share a master seed see identical
+channel draws regardless of the rule under test.
 
 A chunk draws its Gaussians in the blocks its kernels reduce, each block
 just before it is read: outage channels in passes of ``_LATTICE_LANES``,
@@ -27,11 +29,12 @@ detection over the SNR grid and the counting.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -193,13 +196,7 @@ def fit_slope(curve: EmpiricalCurve, min_hits: int = 10, p_max: float = 0.2) -> 
 
 def _chunk_plan(trial_count: int, chunk_size: int) -> list[tuple[int, int]]:
     """Fixed (chunk_index, trials) decomposition, independent of workers."""
-    plan = []
-    full, rest = divmod(trial_count, chunk_size)
-    for i in range(full):
-        plan.append((i, chunk_size))
-    if rest:
-        plan.append((full, rest))
-    return plan
+    return [(i, min(chunk_size, trial_count - lo)) for i, lo in enumerate(range(0, trial_count, chunk_size))]
 
 
 #: glibc's mallopt parameter numbers (malloc.h).
@@ -232,23 +229,35 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
-def _run_chunks(job, plan, workers: int) -> list:
+def _run_chunks(job: Callable[[int, int], dict], plan: list[tuple[int, int]], workers: int) -> dict:
+    """Sum the dicts of named tallies that ``job(chunk_index, count)``
+    returns over the chunks of ``plan``, in plan order for any ``workers``;
+    a key that one chunk alone returns passes through unchanged.  With
+    ``workers`` > 1 the chunks run in a process pool, so ``job`` must pickle.
+    """
     _keep_freed_heap()
-    if workers <= 1:
-        return [job(args) for args in plan]
-    # loaded here: the pool modules cost an import that one worker never uses
-    from concurrent.futures import ProcessPoolExecutor
+    totals: dict = {}
+    with contextlib.ExitStack() as stack:
+        if workers <= 1:
+            parts = map(job, *zip(*plan))
+        else:
+            # loaded here: the pool modules cost an import that one worker never uses
+            from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, plan, chunksize=max(1, len(plan) // (4 * workers) or 1)))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            parts = pool.map(job, *zip(*plan), chunksize=max(1, len(plan) // (4 * workers)))
+        for part in parts:
+            for key, value in part.items():
+                totals[key] = totals[key] + value if key in totals else value
+    return totals
 
 
 # ---------------------------------------------------------------------------
 # outage experiments
 # ---------------------------------------------------------------------------
 
-def _outage_chunk(args: tuple[ExperimentConfig, int, int]) -> np.ndarray:
-    """Hits of one chunk at each threshold of ``config.grid``.
+def _outage_chunk(config: ExperimentConfig, chunk_index: int, count: int) -> dict[str, np.ndarray]:
+    """Tally "hits": the hits of one chunk at each threshold of ``config.grid``.
 
     Every rule but "random" draws its channels in blocks of
     ``_LATTICE_LANES``, one pass of the selection kernels, and reduces
@@ -258,18 +267,14 @@ def _outage_chunk(args: tuple[ExperimentConfig, int, int]) -> np.ndarray:
     "random" draws the chunk's channels whole, because its subset ranks
     come after all of them in the stream.
     """
-    config, chunk_index, count = args
-    shape, L = (config.n_r, config.n_t), config.L
+    shape, block = (config.n_r, config.n_t), count if config.rule == "random" else _LATTICE_LANES
     rng = stream_generator(config.master_seed, chunk_index)
-    if config.rule == "random":
-        scalars = _outage_scalars("random", complex_gaussian(rng, (count,) + shape), L, rng)
-    else:
-        scalars = np.empty(count)
-        for lo in range(0, count, _LATTICE_LANES):
-            H = complex_gaussian(rng, (min(_LATTICE_LANES, count - lo),) + shape)
-            scalars[lo:lo + len(H)] = _outage_scalars(config.rule, H, L, rng)
+    scalars = np.empty(count)
+    for lo in range(0, count, block):
+        H = complex_gaussian(rng, (min(block, count - lo),) + shape)
+        scalars[lo:lo + len(H)] = _outage_scalars(config.rule, H, config.L, rng)
     scalars.sort()
-    return np.searchsorted(scalars, np.asarray(config.grid), side="right").astype(np.int64)
+    return {"hits": np.searchsorted(scalars, np.asarray(config.grid), side="right").astype(np.int64)}
 
 
 def estimate_outage(config: ExperimentConfig, workers: int = 1) -> EmpiricalCurve:
@@ -278,12 +283,9 @@ def estimate_outage(config: ExperimentConfig, workers: int = 1) -> EmpiricalCurv
     One channel draw services every threshold, so the curve is monotone
     by construction and maximally correlated across grid points.
     """
-    plan = [(config, i, n) for i, n in _chunk_plan(config.trial_count, config.chunk_size)]
-    hits = np.zeros(len(config.grid), dtype=np.int64)
-    for part in _run_chunks(_outage_chunk, plan, workers):
-        hits += part
-    trials = (config.trial_count,) * len(config.grid)
-    return EmpiricalCurve(config.grid, tuple(int(h) for h in hits), trials)
+    plan = _chunk_plan(config.trial_count, config.chunk_size)
+    hits = _run_chunks(functools.partial(_outage_chunk, config), plan, workers)["hits"]
+    return EmpiricalCurve(config.grid, tuple(hits.tolist()), (config.trial_count,) * len(config.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +373,8 @@ def _draw_bits(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return bits
 
 
-def _ber_chunk(args: tuple[ExperimentConfig, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Bit errors and bits counted at each SNR point over one chunk.
+def _ber_chunk(config: ExperimentConfig, chunk_index: int, frames: int) -> dict[str, np.ndarray]:
+    """Tallies "errors" and "bits": the bit errors and bits of one chunk at each SNR point.
 
     The chunk draws in the documented order: channels and bits whole
     (:func:`_draw_bits` gives the bits of ``rng.integers(0, 2)``), then
@@ -385,7 +387,6 @@ def _ber_chunk(args: tuple[ExperimentConfig, int, int]) -> tuple[np.ndarray, np.
     subset ranks follow the noise in the stream.  Every step is per
     frame, so the counts are the same for any block size.
     """
-    config, chunk_index, frames = args
     n_r, n_t, L, T = config.n_r, config.n_t, config.L, config.frame_symbols
     rng = stream_generator(config.master_seed, chunk_index)
     H = complex_gaussian(rng, (frames, n_r, n_t))
@@ -400,7 +401,7 @@ def _ber_chunk(args: tuple[ExperimentConfig, int, int]) -> tuple[np.ndarray, np.
         part_noise = complex_gaussian(rng, (len(Heff), n_r, T)) if noise is None else noise[part]
         for p_i, est in enumerate(_detect_grid(config, Heff, bits[part], part_noise)):
             errors[p_i] += rx.count_bit_errors(est, bits[part])
-    return errors, np.full(len(config.grid), bits.size, dtype=np.int64)
+    return {"errors": errors, "bits": np.full(len(config.grid), bits.size, dtype=np.int64)}
 
 
 def estimate_ber(config: ExperimentConfig, workers: int = 1) -> EmpiricalCurve:
@@ -411,14 +412,9 @@ def estimate_ber(config: ExperimentConfig, workers: int = 1) -> EmpiricalCurve:
     are shared across all SNR points of a frame, so curves ride common
     random numbers.
     """
-    chunk = _ber_chunk_size(config)
-    plan = [(config, i, n) for i, n in _chunk_plan(config.trial_count, chunk)]
-    errors = np.zeros(len(config.grid), dtype=np.int64)
-    counted = np.zeros(len(config.grid), dtype=np.int64)
-    for part_err, part_bits in _run_chunks(_ber_chunk, plan, workers):
-        errors += part_err
-        counted += part_bits
-    return EmpiricalCurve(config.grid, tuple(int(e) for e in errors), tuple(int(b) for b in counted))
+    plan = _chunk_plan(config.trial_count, _ber_chunk_size(config))
+    totals = _run_chunks(functools.partial(_ber_chunk, config), plan, workers)
+    return EmpiricalCurve(config.grid, tuple(totals["errors"].tolist()), tuple(totals["bits"].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -435,68 +431,75 @@ def estimate_dmt(n_t: int, n_r: int, L: int, rule: str, r: float,
     that probability against log rho (so it estimates d(r) directly, with
     ``fit_range`` in linear rho).
     """
-    if not 0 <= r < L:
-        raise ValueError(f"multiplexing gain must satisfy 0 <= r < L, got {r}")
-    rho_db = np.asarray(sorted(float(v) for v in rho_grid_db))
-    if len(rho_db) != len(set(rho_db)):
-        raise ValueError("rho grid contains duplicate points")
-    rho = 10.0 ** (rho_db / 10.0)
-    thresholds = L * rho ** -(1.0 - r / L)  # decreasing in rho
-    order = np.argsort(thresholds)
-    config = ExperimentConfig(
-        n_t=n_t, n_r=n_r, L=L, rule=rule, trial_count=trials,
-        master_seed=master_seed, grid=tuple(thresholds[order]),
-    )
-    hits = np.empty(len(rho), dtype=np.int64)
-    hits[order] = estimate_outage(config, workers=workers).hits
-    fit = fit_slope(EmpiricalCurve(tuple(rho), tuple(hits.tolist()), (trials,) * len(rho)))
-    return replace(fit, slope=-fit.slope)
+    return estimate_dmt_gains(n_t, n_r, L, rule, {r: rho_grid_db}, trials, master_seed, workers)[r]
+
+
+def estimate_dmt_gains(n_t: int, n_r: int, L: int, rule: str, grids: Mapping[float, Sequence[float]],
+                       trials: int, master_seed: int = 0, workers: int = 1) -> dict[float, SlopeFit]:
+    """:func:`estimate_dmt` at every multiplexing gain r of ``grids``, which
+    maps r to its SNR grid in dB.
+
+    One outage run counts the union of all the gains' thresholds, so each
+    gain gets the hits a run of its own on ``master_seed`` would count.
+    """
+    thresholds = {}
+    for r, rho_grid_db in grids.items():
+        if not 0 <= r < L:
+            raise ValueError(f"multiplexing gain must satisfy 0 <= r < L, got {r}")
+        rho_db = np.asarray(sorted(float(v) for v in rho_grid_db))
+        if len(rho_db) != len(set(rho_db)):
+            raise ValueError("rho grid contains duplicate points")
+        rho = 10.0 ** (rho_db / 10.0)
+        thresholds[r] = rho, L * rho ** -(1.0 - r / L)  # decreasing in rho
+    union = np.unique(np.concatenate([x for _, x in thresholds.values()]))
+    config = ExperimentConfig(n_t=n_t, n_r=n_r, L=L, rule=rule, trial_count=trials,
+                              master_seed=master_seed, grid=tuple(union))
+    hits = np.asarray(estimate_outage(config, workers=workers).hits)
+    fits = {}
+    for r, (rho, x) in thresholds.items():
+        curve = EmpiricalCurve(tuple(rho), tuple(hits[np.searchsorted(union, x)].tolist()), (trials,) * len(rho))
+        fit = fit_slope(curve)
+        fits[r] = replace(fit, slope=-fit.slope)
+    return fits
 
 
 # ---------------------------------------------------------------------------
 # exponential-equivalence harnesses
 # ---------------------------------------------------------------------------
 
-def _lemma_case(lemma: str, exps: list[float]):
-    """Threshold grid and chunk sampler of one harness.  The sampler maps
-    (rng, n) to the value arrays whose small-x tails are fitted, one per
-    curve."""
+#: Threshold grid of each harness's fitted small-x tails.
+_LEMMA_GRIDS = {
+    "III": np.geomspace(5e-3, 0.8, 28),
+    "IV": np.geomspace(1e-4, 0.3, 28),
+    "V": np.geomspace(1e-4, 0.5, 28),
+}
+
+
+def _lemma_chunk(lemma: str, exps: tuple[float, ...], master_seed: int, chunk_index: int,
+                 count: int) -> dict[str, np.ndarray]:
+    """Hits of one chunk of one harness at each threshold of its grid, as
+    the tally "hits" with one row per fitted curve."""
+    rng = stream_generator(master_seed, chunk_index)
     n = np.asarray(exps)
     if lemma == "III":
-        def sample(rng, count):
-            return ((rng.random((count, len(exps))) ** (1.0 / n)).sum(axis=1),)
-
-        return np.geomspace(5e-3, 0.8, 28), sample
-
-    if lemma == "IV":
+        values = ((rng.random((count, len(exps))) ** (1.0 / n)).sum(axis=1),)
+    elif lemma == "IV":
         psi = (math.pi / 2.0) / len(exps)  # keeps the sum inside the monotone range of sin^2
-
-        def sample(rng, count):
-            th = psi * rng.random((count, len(exps))) ** (1.0 / n)
-            return np.sin(th.sum(axis=1)) ** 2, np.sin(th.max(axis=1)) ** 2
-
-        return np.geomspace(1e-4, 0.3, 28), sample
-
-    if lemma == "V":
+        th = psi * rng.random((count, len(exps))) ** (1.0 / n)
+        values = np.sin(th.sum(axis=1)) ** 2, np.sin(th.max(axis=1)) ** 2
+    else:
         n_a, n_b = exps
-        if n_a != int(n_a):
-            raise ValueError("the Gamma shape n_a must be an integer")
-
-        def sample(rng, count):
-            a = rng.gamma(n_a, 1.0, size=count)
-            b1 = rng.random(count) ** (1.0 / n_b)
-            # second factor with the same exponent but a different shape:
-            # CDF 2 x^{n_b} - x^{2 n_b}
-            b2 = (1.0 - np.sqrt(1.0 - rng.random(count))) ** (1.0 / n_b)
-            return a * b1, a * b2
-
-        return np.geomspace(1e-4, 0.5, 28), sample
-
-    raise ValueError(f"unknown lemma {lemma!r}; expected III, IV or V")
+        a = rng.gamma(n_a, 1.0, size=count)
+        b1 = rng.random(count) ** (1.0 / n_b)
+        # second factor with the same exponent but a different shape:
+        # CDF 2 x^{n_b} - x^{2 n_b}
+        b2 = (1.0 - np.sqrt(1.0 - rng.random(count))) ** (1.0 / n_b)
+        values = a * b1, a * b2
+    return {"hits": np.stack([np.searchsorted(np.sort(v), _LEMMA_GRIDS[lemma], side="right") for v in values])}
 
 
 def lemma_harness(lemma: str, parameters: Sequence[float], trials: int,
-                  master_seed: int = 0) -> tuple[SlopeFit, ...]:
+                  master_seed: int = 0, workers: int = 1) -> tuple[SlopeFit, ...]:
     """Fitted small-x tail exponents of the synthetic variables of one
     exponential-equivalence statement.
 
@@ -509,18 +512,21 @@ def lemma_harness(lemma: str, parameters: Sequence[float], trials: int,
     differently-shaped [0, 1] factors share CDF exponent n_b; the fits of
     the two products, which agree and stay at or below n_a.
 
-    Each chunk is drawn, counted into the curves and dropped, so memory
-    does not grow with ``trials``.
+    Each chunk of 10^6 draws is counted into the curves and dropped, so
+    memory does not grow with ``trials``.
     """
     lemma = str(lemma).upper()
-    exps = [float(n) for n in parameters]
+    exps = tuple(float(n) for n in parameters)
     if not exps or any(n <= 0 for n in exps):
         raise ValueError(f"exponents must be positive, got {parameters}")
-    grid, sample = _lemma_case(lemma, exps)
-    hits = sum(np.stack([np.searchsorted(np.sort(v), grid, side="right")
-                         for v in sample(stream_generator(master_seed, i), count)])
-               for i, count in _chunk_plan(trials, 1_000_000))
-    return tuple(fit_slope(EmpiricalCurve(tuple(grid), tuple(int(h) for h in row), (trials,) * len(grid)))
+    if lemma not in _LEMMA_GRIDS:
+        raise ValueError(f"unknown lemma {lemma!r}; expected III, IV or V")
+    if lemma == "V" and (len(exps) != 2 or exps[0] != int(exps[0])):
+        raise ValueError(f"lemma V takes (n_a, n_b) with an integer Gamma shape n_a, got {parameters}")
+    job = functools.partial(_lemma_chunk, lemma, exps, master_seed)
+    hits = _run_chunks(job, _chunk_plan(trials, 1_000_000), workers)["hits"]
+    grid = tuple(_LEMMA_GRIDS[lemma])
+    return tuple(fit_slope(EmpiricalCurve(grid, tuple(int(h) for h in row), (trials,) * len(grid)))
                  for row in hits)
 
 
@@ -528,27 +534,44 @@ def lemma_harness(lemma: str, parameters: Sequence[float], trials: int,
 # independence suite
 # ---------------------------------------------------------------------------
 
-def _corr(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.corrcoef(x, y)[0, 1])
+#: Trials per chunk of the independence suite, and the draws of chunk 0
+#: that its two KS tests read.
+_INDEPENDENCE_CHUNK, _KS_SAMPLES = 200_000, 100_000
+#: Thresholds of the product-CDF cells, for heights and angles alike.
+_CDF_PROBES = (0.5, 1.0)
 
 
-def _product_cdf_gaps(name: str, x: np.ndarray, y: np.ndarray,
-                      probes: Sequence[float]) -> dict[str, tuple[float, float]]:
-    """|F_xy - F_x F_y| at each pair of probes, with its asymptotic
-    standard deviation under independence."""
-    n = len(x)
-    out = {}
-    for a in probes:
-        for b in probes:
-            fx = float(np.mean(x <= a))
-            fy = float(np.mean(y <= b))
-            fxy = float(np.mean((x <= a) & (y <= b)))
-            sigma = math.sqrt(max(fx * (1 - fx) * fy * (1 - fy), 1e-300) / n)
-            out[f"{name} product CDF at ({a}, {b})"] = (abs(fxy - fx * fy), sigma)
+def _independence_chunk(n_t: int, n_r: int, master_seed: int, chunk_index: int, count: int) -> dict:
+    """Tallies of one chunk of the independence suite: per named pair, its
+    sums (x, y, x y, x^2, y^2) under ("corr", name) or its int64 counts of
+    x <= a, of y <= b and of both at each probe pair (a, b) under ("cdf",
+    name); chunk 0 adds its first ``_KS_SAMPLES`` heights and angles."""
+    rng = stream_generator(master_seed, chunk_index)
+    norms, fwd, _ = _pair_table(complex_gaussian(rng, (count, n_r, n_t)))
+    # row of the pair table holding the height of column i against column j > i
+    rank = {(int(i), int(j)): p for p, (i, j) in enumerate(_subsets(n_t, 2))}
+    depth = min(n_t - 1, 3)
+    chain = [fwd[rank[k, k + 1]] for k in range(depth)]
+    angles = [np.arcsin(np.sqrt(np.clip(fwd[rank[0, j + 1]] / norms[0], 0.0, 1.0))) for j in range(depth)]
+    pairs = list(itertools.combinations(range(depth), 2))
+    corr = {f"chain heights ({i},{i + 1})x({j},{j + 1})": (chain[i], chain[j]) for i, j in pairs}
+    corr.update({f"reference angles (0,{i + 1})x(0,{j + 1})": (angles[i], angles[j]) for i, j in pairs})
+    corr["norm vs angle"] = norms[0], angles[0]
+    corr["control"] = chain[0], fwd[rank[0, 2]]  # two heights sharing column 0's norm
+    cdf = {f"chain heights ({k},{k + 1})x({k + 1},{k + 2})": (chain[k], chain[k + 1]) for k in range(depth - 1)}
+    cdf["reference angles (0,1)x(0,2)"] = angles[0], angles[1]
+    out: dict = {("corr", name): np.array([x.sum(), y.sum(), (x * y).sum(), (x * x).sum(), (y * y).sum()])
+                 for name, (x, y) in corr.items()}
+    for name, (x, y) in cdf.items():
+        out["cdf", name] = np.array([[np.count_nonzero(x <= a), np.count_nonzero(y <= b),
+                                      np.count_nonzero((x <= a) & (y <= b))]
+                                     for a, b in itertools.product(_CDF_PROBES, _CDF_PROBES)], dtype=np.int64)
+    if chunk_index == 0:
+        out["ks", "height"], out["ks", "angle"] = chain[0][:_KS_SAMPLES].copy(), angles[0][:_KS_SAMPLES].copy()
     return out
 
 
-def independence_suite(n_t: int, n_r: int, trials: int, master_seed: int = 0) -> dict:
+def independence_suite(n_t: int, n_r: int, trials: int, master_seed: int = 0, workers: int = 1) -> dict:
     """Statistics of the pairwise-height independence structure.
 
     Returns a dict of plain values: ``correlations``, the named (signed)
@@ -557,60 +580,34 @@ def independence_suite(n_t: int, n_r: int, trials: int, master_seed: int = 0) ->
     first angle; ``cdf_gaps``, the named product-CDF gaps of chained
     heights and angles, each with its standard deviation under
     independence; ``ks_pvalues``, the KS p-values of the height and angle
-    marginals against their closed forms; and ``control_correlation``,
-    the correlation of a deliberately dependent pair (two heights sharing
-    column 0's norm).
+    marginals against their closed forms, on the first 10^5 draws; and
+    ``control_correlation``, the correlation of a deliberately dependent
+    pair (two heights sharing column 0's norm).  Chunks return sums and
+    counts, not draws, so memory does not grow with ``trials``.
     """
     if n_t < 3 or n_r < 2:
         raise ValueError(f"need n_t >= 3 and n_r >= 2, got ({n_t}, {n_r})")
     from scipy import stats
 
-    chunk_size, ks_samples = 200_000, 100_000
-    chain_len = min(n_t - 1, 3)
-    n_angles = min(n_t - 1, 3)
-    chain_parts: list[list[np.ndarray]] = [[] for _ in range(chain_len)]
-    angle_parts: list[list[np.ndarray]] = [[] for _ in range(n_angles)]
-    shared_parts: list[np.ndarray] = []
-    norm0_parts: list[np.ndarray] = []
-    # row of the pair table holding the height of column i against column j > i
-    rank = {(int(i), int(j)): p for p, (i, j) in enumerate(_subsets(n_t, 2))}
-
-    for i, count in _chunk_plan(trials, chunk_size):
-        rng = stream_generator(master_seed, i)
-        H = complex_gaussian(rng, (count, n_r, n_t))
-        norms, fwd, _ = _pair_table(H)
-        for k in range(chain_len):
-            chain_parts[k].append(fwd[rank[k, k + 1]])
-        for j in range(n_angles):
-            ratio = np.clip(fwd[rank[0, j + 1]] / norms[0], 0.0, 1.0)
-            angle_parts[j].append(np.arcsin(np.sqrt(ratio)))
-        shared_parts.append(fwd[rank[0, 2]])
-        norm0_parts.append(norms[0])
-
-    chain = [np.concatenate(p) for p in chain_parts]
-    angles = [np.concatenate(p) for p in angle_parts]
-    shared = np.concatenate(shared_parts)
-    norm0 = np.concatenate(norm0_parts)
-
-    correlations = {}
-    cdf_gaps = {}
-    probes = (0.5, 1.0)
-    for i, j in itertools.combinations(range(chain_len), 2):
-        correlations[f"chain heights ({i},{i + 1})x({j},{j + 1})"] = _corr(chain[i], chain[j])
-    cdf_gaps.update(_product_cdf_gaps("chain heights (0,1)x(1,2)", chain[0], chain[1], probes))
-    if chain_len >= 3:
-        cdf_gaps.update(_product_cdf_gaps("chain heights (1,2)x(2,3)", chain[1], chain[2], probes))
-    for i, j in itertools.combinations(range(n_angles), 2):
-        correlations[f"reference angles (0,{i + 1})x(0,{j + 1})"] = _corr(angles[i], angles[j])
-    cdf_gaps.update(_product_cdf_gaps("reference angles (0,1)x(0,2)", angles[0], angles[1], probes))
-    correlations["norm vs angle"] = _corr(norm0, angles[0])
-
-    ks_n = min(ks_samples, trials)
-    ks_height = stats.kstest(chain[0][:ks_n], lambda v: chi2n_cdf(v, n_r - 1))
-    ks_angle = stats.kstest(angles[0][:ks_n], lambda v: theta_cdf(v, n_r))
+    job = functools.partial(_independence_chunk, n_t, n_r, master_seed)
+    totals = _run_chunks(job, _chunk_plan(trials, _INDEPENDENCE_CHUNK), workers)
+    correlations, cdf_gaps = {}, {}
+    for (kind, name), tally in totals.items():
+        if kind == "corr":
+            s_x, s_y, s_xy, s_xx, s_yy = tally
+            correlations[name] = float((s_xy - s_x * s_y / trials)
+                                       / math.sqrt((s_xx - s_x * s_x / trials) * (s_yy - s_y * s_y / trials)))
+        elif kind == "cdf":
+            for (a, b), counts in zip(itertools.product(_CDF_PROBES, _CDF_PROBES), tally):
+                fx, fy, fxy = (int(c) / trials for c in counts)
+                sigma = math.sqrt(max(fx * (1 - fx) * fy * (1 - fy), 1e-300) / trials)
+                cdf_gaps[f"{name} product CDF at ({a}, {b})"] = (abs(fxy - fx * fy), sigma)
+    control = correlations.pop("control")
+    ks_height = stats.kstest(totals["ks", "height"], lambda v: chi2n_cdf(v, n_r - 1))
+    ks_angle = stats.kstest(totals["ks", "angle"], lambda v: theta_cdf(v, n_r))
     return {
         "correlations": correlations,
         "cdf_gaps": cdf_gaps,
         "ks_pvalues": (float(ks_height.pvalue), float(ks_angle.pvalue)),
-        "control_correlation": _corr(chain[0], shared),
+        "control_correlation": control,
     }

@@ -437,8 +437,11 @@ def _outage_scalars(rule: str, H: np.ndarray, L: int, rng: np.random.Generator |
         _, picked = _greedy_selection_block(H, L)
         return picked[:, L - 1]
     if rule == "random":
-        # evaluate only the drawn subset's columns: its best is its own
-        return _maxmin_block(np.take_along_axis(H, select_block("random", H, L, rng)[:, None, :], axis=2), L)[0]
+        # evaluate only the drawn subset's columns, gathered one pass at a
+        # time: the subset's best is its own
+        cols = select_block("random", H, L, rng)
+        passes = (slice(lo, lo + _LATTICE_LANES) for lo in range(0, len(H), _LATTICE_LANES))
+        return np.concatenate([_maxmin_block(np.take_along_axis(H[p], cols[p, None, :], axis=2), L)[0] for p in passes])
     raise ValueError(f"unknown selection rule {rule!r}; expected one of {RULES}")
 
 

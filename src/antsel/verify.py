@@ -34,7 +34,7 @@ from .montecarlo import (
     ExperimentConfig,
     SlopeFit,
     estimate_ber,
-    estimate_dmt,
+    estimate_dmt_gains,
     estimate_outage,
     fit_slope,
     independence_suite,
@@ -309,19 +309,18 @@ def dmt_estimates(trials: int, seed: int, workers: int = 1) -> dict[float, Slope
     """Empirical diversity at multiplexing gains 0 and 1 for (3, 3, 2).
 
     The SNR grids are chosen so the implied thresholds sweep the
-    informative decade of the outage curve at each gain.  At gain 0 they
-    span the outage grid, so the draws come from ``seed + 1``: an
-    independent sample of the curve :func:`outage_slope_fits` measures on
-    ``seed``.
+    informative decade of the outage curve at each gain; both gains are
+    counted in one outage run.  At gain 0 they span the outage grid, so
+    the draws come from ``seed + 1``: an independent sample of the curve
+    :func:`outage_slope_fits` measures on ``seed``.
     """
     grids = {0.0: np.linspace(6.0, 20.0, 15), 1.0: np.linspace(12.0, 40.0, 15)}
-    return {r: estimate_dmt(3, 3, 2, "maxmin", r, rho_db, trials, master_seed=seed + 1, workers=workers)
-            for r, rho_db in grids.items()}
+    return estimate_dmt_gains(3, 3, 2, "maxmin", grids, trials, master_seed=seed + 1, workers=workers)
 
 
-def lemma_fits(trials: int, seed: int) -> dict[str, tuple[SlopeFit, ...]]:
+def lemma_fits(trials: int, seed: int, workers: int = 1) -> dict[str, tuple[SlopeFit, ...]]:
     """The fits of the three exponential-equivalence harnesses of ``LEMMA_CASES``."""
-    return {lemma: lemma_harness(lemma, params, trials, master_seed=seed) for lemma, params in LEMMA_CASES}
+    return {lemma: lemma_harness(lemma, params, trials, seed, workers) for lemma, params in LEMMA_CASES}
 
 
 def reproducibility_runs(seed: int) -> tuple[tuple, tuple]:
@@ -517,12 +516,12 @@ def run_verification(scale: str = "quick", seed: int = 0, workers: int = 1) -> l
     for shape in MARGINAL_SHAPES:
         row(partial(check_marginals, shape), marginal_ks_pvalues, *shape, MARGINAL_SAMPLES, seed)
     row(partial(check_independence, INDEPENDENCE_SHAPE), independence_suite, *INDEPENDENCE_SHAPE,
-        p["independence_trials"], seed)
+        p["independence_trials"], seed, workers)
     fits = row(check_outage_slopes, outage_slope_fits, p["outage_trials"], seed, workers)
     row(check_stage_oracle, qr_df_stage_oracle, STAGE_ORACLE_DRAWS, seed)
     row(check_ber_ordering, ber_ordering_test, p["ber_frames"], p["ber_snr_db"], seed, workers)
     row(lambda dmt: check_dmt(dmt, fits["maxmin"].slope), dmt_estimates, p["dmt_trials"], seed, workers)
-    row(check_lemmas, lemma_fits, p["lemma_trials"], seed)
+    row(check_lemmas, lemma_fits, p["lemma_trials"], seed, workers)
     row(check_reproducibility, reproducibility_runs, seed)
     row(check_first_layer_probe, greedy_first_layer_distribution_probe, PROBE_SAMPLES, seed)
     return out

@@ -220,7 +220,7 @@ class TestOutageEngine:
         hits = []
         for block in (7, 105):
             monkeypatch.setattr(montecarlo, "_LATTICE_LANES", block)
-            hits.append(_outage_chunk((config, 2, 100)).tolist())
+            hits.append(_outage_chunk(config, 2, 100)["hits"].tolist())
         assert sum(0 < h < 100 for h in hits[0]) >= 5
         assert hits[0] == hits[1]
 
@@ -234,11 +234,25 @@ class TestOutageEngine:
         for trials in (2 * 10 ** 4, 8 * 10 ** 4):
             tracemalloc.start()
             try:
-                _outage_chunk((config, 0, trials))
+                _outage_chunk(config, 0, trials)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    def test_random_chunk_gathers_its_subsets_one_pass_at_a_time(self):
+        # random draws the chunk's channels whole, since its ranks follow
+        # them in the stream, but gathers the drawn columns pass by pass;
+        # a whole-chunk gather adds half the draw again (1.56x)
+        trials = 5 * 10 ** 4
+        config = ExperimentConfig(n_t=8, n_r=8, L=4, rule="random", trial_count=10, master_seed=49, grid=(1.0, 2.0))
+        tracemalloc.start()
+        try:
+            _outage_chunk(config, 0, trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * trials * 8 * 8 * 16, peak
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
     def test_chunks_keep_their_freed_blocks_mapped(self):
@@ -443,7 +457,7 @@ class TestBerEngine:
         noise_bytes = frames * config.n_r * config.frame_symbols * 16
         tracemalloc.start()
         try:
-            _ber_chunk((config, 0, frames))
+            _ber_chunk(config, 0, frames)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -463,8 +477,8 @@ class TestBerEngine:
             counts = []
             for block in (1, 7, frames + 5):
                 monkeypatch.setattr(montecarlo, "_BER_BLOCK_SAMPLES", block * L * T)
-                errors, bits = _ber_chunk((config, 0, frames))
-                counts.append((errors.tolist(), bits.tolist()))
+                tallies = _ber_chunk(config, 0, frames)
+                counts.append((tallies["errors"].tolist(), tallies["bits"].tolist()))
             assert counts[0][0][0] > 0
             assert counts[0] == counts[1] == counts[2], (receiver, feedback, ordering)
 
@@ -560,10 +574,10 @@ class TestBerEngine:
                 received = budget.stream_scale * (Heff @ symbols) + noise
                 detected = detect_block(Heff, received, budget, receiver, feedback, symbols)
                 expected.append(int(np.count_nonzero(qpsk_demodulate(detected) != bits)))
-            errors, counted = _ber_chunk((config, 0, frames))
+            tallies = _ber_chunk(config, 0, frames)
             assert expected[0] > 0
-            assert errors.tolist() == expected, (receiver, feedback, ordering)
-            assert counted.tolist() == [bits.size] * len(grid)
+            assert tallies["errors"].tolist() == expected, (receiver, feedback, ordering)
+            assert tallies["bits"].tolist() == [bits.size] * len(grid)
 
     @pytest.mark.parametrize("ordering", ["vblast", "qr-reverse"])
     def test_batched_orderings_match_projection_oracle(self, ordering):
@@ -626,6 +640,15 @@ class TestDmt:
         assert 0.5 <= fit.slope <= 1.5
 
 
+def test_dmt_gains_share_one_outage_run():
+    # one run over the union of both grids' thresholds fits each gain as
+    # a run of its own does
+    grids = {0.0: np.linspace(6, 20, 12), 1.0: np.linspace(12, 40, 12)}
+    fits = montecarlo.estimate_dmt_gains(3, 3, 2, "maxmin", grids, 100_000, master_seed=26)
+    assert fits == {r: estimate_dmt(3, 3, 2, "maxmin", r, rho_db, 100_000, master_seed=26)
+                    for r, rho_db in grids.items()}
+
+
 class TestLemmaHarness:
     """Each harness at smoke scale, judged by the acceptance verdict."""
 
@@ -662,6 +685,11 @@ class TestLemmaHarness:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0], peaks
 
+    def test_workers_do_not_change_fits(self):
+        # three chunks of 10^6 draws; the hits add up in plan order
+        fits = [lemma_harness("IV", (1, 1), 2_500_000, master_seed=22, workers=w) for w in (1, 2)]
+        assert fits[0] == fits[1]
+
 
 class TestIndependenceSuite:
     """The suite at smoke scale, judged by the acceptance verdict."""
@@ -679,6 +707,55 @@ class TestIndependenceSuite:
     def test_needs_three_antennas(self):
         with pytest.raises(ValueError):
             independence_suite(2, 3, 1000)
+
+    def test_workers_do_not_change_statistics(self):
+        # chunks of 200k and 50k trials
+        stats = [independence_suite(4, 3, 250_000, master_seed=23, workers=w) for w in (1, 2)]
+        assert stats[0] == stats[1]
+
+    def test_memory_does_not_grow_with_trials(self):
+        # chunks return counts and sums, and chunk 0 its KS draws
+        peaks = []
+        for trials in (250_000, 10 ** 6):
+            tracemalloc.start()
+            try:
+                independence_suite(4, 3, trials, master_seed=24)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    def test_statistics_match_whole_sample_routes(self):
+        # the chunks' sums against np.corrcoef, and their counts against
+        # means, on the concatenated draws of both chunks
+        n_t, n_r, seed, trials = 4, 3, 25, 250_000
+        norms, fwd = [], []
+        for i, count in ((0, 200_000), (1, 50_000)):
+            table = _pair_table(complex_gaussian(stream_generator(seed, i), (count, n_r, n_t)))
+            norms.append(table[0][0])
+            fwd.append(table[1])
+        norm0, fwd = np.concatenate(norms), np.concatenate(fwd, axis=1)
+        chain = fwd[[0, 3, 5]]  # pairs (0,1), (1,2), (2,3) in lexicographic rank
+        angles = np.arcsin(np.sqrt(np.clip(fwd[:3] / norm0, 0.0, 1.0)))  # column 0 against 1, 2, 3
+        pairs = {f"chain heights ({i},{i + 1})x({j},{j + 1})": (chain[i], chain[j])
+                 for i, j in itertools.combinations(range(3), 2)}
+        pairs.update({f"reference angles (0,{i + 1})x(0,{j + 1})": (angles[i], angles[j])
+                      for i, j in itertools.combinations(range(3), 2)})
+        pairs["norm vs angle"] = (norm0, angles[0])
+        stats = independence_suite(n_t, n_r, trials, master_seed=seed)
+        assert list(stats["correlations"]) == list(pairs)
+        for name, (x, y) in pairs.items():
+            assert abs(stats["correlations"][name] - np.corrcoef(x, y)[0, 1]) <= 1e-12, name
+        assert abs(stats["control_correlation"] - np.corrcoef(chain[0], fwd[1])[0, 1]) <= 1e-12
+        gaps = {}
+        for name, (x, y) in (("chain heights (0,1)x(1,2)", chain[:2]), ("chain heights (1,2)x(2,3)", chain[1:]),
+                             ("reference angles (0,1)x(0,2)", angles[:2])):
+            for a, b in itertools.product((0.5, 1.0), repeat=2):
+                fx, fy = float(np.mean(x <= a)), float(np.mean(y <= b))
+                fxy = float(np.mean((x <= a) & (y <= b)))
+                sigma = math.sqrt(max(fx * (1 - fx) * fy * (1 - fy), 1e-300) / trials)
+                gaps[f"{name} product CDF at ({a}, {b})"] = (abs(fxy - fx * fy), sigma)
+        assert stats["cdf_gaps"] == gaps
 
 
 class TestLatticeAccuracy:
