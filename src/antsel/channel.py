@@ -33,8 +33,12 @@ def stream_generator(seed: int, stream: int) -> np.random.Generator:
 
     Distinct (seed, stream) pairs select independent Philox streams, so
     work split across streams reproduces bit-for-bit regardless of
-    evaluation order or worker count.
+    evaluation order or worker count.  Each is one 64-bit word of the
+    key, so each must lie in [0, 2^64); ValueError otherwise.
     """
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not 0 <= value < 2 ** 64:
+            raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -304,7 +304,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if gating_ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a parse reads it
+    and leaves it unchanged, and building it costs more than a one-trial
+    run."""
     parser = argparse.ArgumentParser(
         prog="antsel",
         description="Monte Carlo and analytic verification of transmit antenna selection diversity.",

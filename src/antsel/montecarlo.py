@@ -11,7 +11,10 @@ by (master_seed, i), in a fixed order (channels, then frame bits, then
 noise, then any rule randomness), and returns named counts and sums that
 the driver adds up in plan order.  So output is bit-identical for any
 worker count, and experiments that share a master seed see identical
-channel draws regardless of the rule under test.
+channel draws regardless of the rule under test.  The multi-rule passes
+:func:`estimate_outage_rules` and :func:`estimate_ber_rules` draw each
+chunk once for all their rules in that order; :func:`estimate_outage`
+and :func:`estimate_ber` are their one-rule calls.
 
 A chunk draws its Gaussians in the blocks its kernels reduce, each block
 just before it is read: outage channels in passes of ``_LATTICE_LANES``,
@@ -45,7 +48,7 @@ from .selection import (
     _LATTICE_LANES,
     RULES,
     _greedy_selection_block,
-    _outage_scalars,
+    _outage_rule_scalars,
     _pair_table,
     _subsets,
     select_block,
@@ -104,6 +107,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown feedback mode {self.feedback!r}")
         if self.ordering is not None and self.ordering not in rx.ORDERING_MODES:
             raise ValueError(f"unknown ordering {self.ordering!r}; expected one of {rx.ORDERING_MODES}")
+        if not 0 <= self.master_seed < 2 ** 64:
+            raise ValueError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
         if self.trial_count < 1:
             raise ValueError(f"trial_count must be positive, got {self.trial_count}")
         if self.chunk_size < 1:
@@ -233,12 +238,14 @@ def _run_chunks(job: Callable[[int, int], dict], plan: list[tuple[int, int]], wo
     """Sum the dicts of named tallies that ``job(chunk_index, count)``
     returns over the chunks of ``plan``, in plan order for any ``workers``;
     a key that one chunk alone returns passes through unchanged.  With
-    ``workers`` > 1 the chunks run in a process pool, so ``job`` must pickle.
+    ``workers`` > 1 and more than one chunk the chunks run in a process
+    pool, so ``job`` must pickle; a plan of one chunk runs in process,
+    where a pool would only add its start-up.
     """
     _keep_freed_heap()
     totals: dict = {}
     with contextlib.ExitStack() as stack:
-        if workers <= 1:
+        if workers <= 1 or len(plan) <= 1:
             parts = map(job, *zip(*plan))
         else:
             # loaded here: the pool modules cost an import that one worker never uses
@@ -256,36 +263,70 @@ def _run_chunks(job: Callable[[int, int], dict], plan: list[tuple[int, int]], wo
 # outage experiments
 # ---------------------------------------------------------------------------
 
-def _outage_chunk(config: ExperimentConfig, chunk_index: int, count: int) -> dict[str, np.ndarray]:
-    """Tally "hits": the hits of one chunk at each threshold of ``config.grid``.
+def _outage_chunk(config: ExperimentConfig, chunk_index: int, count: int,
+                  rules: Sequence[str] | None = None) -> dict[str, np.ndarray]:
+    """Tally "hits": the hits of one chunk at each threshold of
+    ``config.grid``, one row per rule of ``rules``, or the hits of
+    ``config.rule`` alone when ``rules`` is None.
 
-    Every rule but "random" draws its channels in blocks of
-    ``_LATTICE_LANES``, one pass of the selection kernels, and reduces
-    each block to its scalars before drawing the next, so only one block
-    and the chunk's scalars are held.  The scalar of a channel depends on
-    that channel alone, so the hits do not depend on the block size.
-    "random" draws the chunk's channels whole, because its subset ranks
-    come after all of them in the stream.
+    The chunk draws its channels once for every rule.  Unless "random" is
+    among the rules, it draws them in blocks of ``_LATTICE_LANES``, one
+    pass of the selection kernels, and reduces each block to its scalars
+    before drawing the next, so only one block and the chunk's scalars
+    are held.  The scalar of a channel depends on that channel alone, so
+    the hits do not depend on the block size.  With "random" the chunk
+    draws its channels whole, because random's subset ranks come after
+    all of them in the stream.
     """
-    shape, block = (config.n_r, config.n_t), count if config.rule == "random" else _LATTICE_LANES
+    names = (config.rule,) if rules is None else tuple(rules)
+    shape = (config.n_r, config.n_t)
+    block = count if "random" in names else _LATTICE_LANES
     rng = stream_generator(config.master_seed, chunk_index)
-    scalars = np.empty(count)
+    scalars = np.empty((len(names), count))
     for lo in range(0, count, block):
         H = complex_gaussian(rng, (min(block, count - lo),) + shape)
-        scalars[lo:lo + len(H)] = _outage_scalars(config.rule, H, config.L, rng)
-    scalars.sort()
-    return {"hits": np.searchsorted(scalars, np.asarray(config.grid), side="right").astype(np.int64)}
+        scalars[:, lo:lo + len(H)] = _outage_rule_scalars(names, H, config.L, rng)
+    scalars.sort(axis=1)
+    grid = np.asarray(config.grid)
+    hits = np.stack([np.searchsorted(row, grid, side="right") for row in scalars]).astype(np.int64)
+    return {"hits": hits[0] if rules is None else hits}
+
+
+def _check_rules(config: ExperimentConfig, rules: Sequence[str]) -> tuple[str, ...]:
+    """``rules`` as a tuple, each valid for ``config`` as its own rule would be."""
+    rules = tuple(rules)
+    if not rules or len(set(rules)) != len(rules):
+        raise ValueError(f"need one or more distinct rules, got {rules}")
+    for rule in rules:
+        replace(config, rule=rule)
+    return rules
+
+
+def estimate_outage_rules(config: ExperimentConfig, rules: Sequence[str],
+                          workers: int = 1) -> dict[str, EmpiricalCurve]:
+    """Outage curve of every rule of ``rules`` on the draws of ``config``,
+    keyed by rule; ``config.rule`` is not read.
+
+    Each chunk draws its channels once, in the stream order of a
+    single-rule run (channels, then random's subset ranks), and every
+    rule reduces the same selection table to its scalar.  So each curve
+    is bit-identical to :func:`estimate_outage` of that rule alone.
+    """
+    rules = _check_rules(config, rules)
+    plan = _chunk_plan(config.trial_count, config.chunk_size)
+    hits = _run_chunks(functools.partial(_outage_chunk, config, rules=rules), plan, workers)["hits"]
+    trials = (config.trial_count,) * len(config.grid)
+    return {rule: EmpiricalCurve(config.grid, tuple(row.tolist()), trials) for rule, row in zip(rules, hits)}
 
 
 def estimate_outage(config: ExperimentConfig, workers: int = 1) -> EmpiricalCurve:
-    """Empirical outage curve of the rule's scalar over the threshold grid.
+    """Empirical outage curve of the rule's scalar over the threshold grid:
+    :func:`estimate_outage_rules` of ``config.rule`` alone.
 
     One channel draw services every threshold, so the curve is monotone
     by construction and maximally correlated across grid points.
     """
-    plan = _chunk_plan(config.trial_count, config.chunk_size)
-    hits = _run_chunks(functools.partial(_outage_chunk, config), plan, workers)["hits"]
-    return EmpiricalCurve(config.grid, tuple(hits.tolist()), (config.trial_count,) * len(config.grid))
+    return estimate_outage_rules(config, (config.rule,), workers)[config.rule]
 
 
 # ---------------------------------------------------------------------------
@@ -373,48 +414,73 @@ def _draw_bits(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return bits
 
 
-def _ber_chunk(config: ExperimentConfig, chunk_index: int, frames: int) -> dict[str, np.ndarray]:
-    """Tallies "errors" and "bits": the bit errors and bits of one chunk at each SNR point.
+def _ber_chunk(config: ExperimentConfig, chunk_index: int, frames: int,
+               rules: Sequence[str] | None = None) -> dict[str, np.ndarray]:
+    """Tallies "errors" and "bits": the bit errors of one chunk at each SNR
+    point, one row per rule of ``rules`` (or the errors of ``config.rule``
+    alone when ``rules`` is None), and its bits at each point.
 
     The chunk draws in the documented order: channels and bits whole
     (:func:`_draw_bits` gives the bits of ``rng.integers(0, 2)``), then
-    the noise, then the rule's randomness.  It selects and orders its
-    columns in one call each, then gathers columns, detects and counts
-    in blocks of max(1, ``_BER_BLOCK_SAMPLES`` // (L T)) frames, whose
-    (B, L, T) arrays stay in cache.  Each block draws its own slice of
-    the noise just before detecting it, which continues the stream as a
-    whole-chunk draw would; "random" draws the noise whole, because its
-    subset ranks follow the noise in the stream.  Every step is per
-    frame, so the counts are the same for any block size.
+    the noise, then random's subset ranks; every rule reads the same
+    draws.  Each rule selects and orders its columns in one call each,
+    then the chunk gathers columns, detects and counts in blocks of
+    max(1, ``_BER_BLOCK_SAMPLES`` // (L T)) frames, whose (B, L, T)
+    arrays stay in cache.  Each block draws its own slice of the noise
+    just before detecting it, which continues the stream as a whole-chunk
+    draw would, and every rule detects that slice; with "random" the
+    chunk draws the noise whole, because random's subset ranks follow the
+    noise in the stream.  Every step is per frame, so the counts are the
+    same for any block size.
     """
+    names = (config.rule,) if rules is None else tuple(rules)
     n_r, n_t, L, T = config.n_r, config.n_t, config.L, config.frame_symbols
     rng = stream_generator(config.master_seed, chunk_index)
     H = complex_gaussian(rng, (frames, n_r, n_t))
     bits = _draw_bits(rng, (frames, L, T))
-    noise = complex_gaussian(rng, (frames, n_r, T)) if config.rule == "random" else None
-    cols = _apply_ordering(config, H, select_block(config.rule, H, L, rng))
-    errors = np.zeros(len(config.grid), dtype=np.int64)
+    noise = complex_gaussian(rng, (frames, n_r, T)) if "random" in names else None
+    cols = [_apply_ordering(config, H, select_block(rule, H, L, rng)) for rule in names]
+    errors = np.zeros((len(names), len(config.grid)), dtype=np.int64)
     block = max(1, _BER_BLOCK_SAMPLES // (L * T))
     for start in range(0, frames, block):
         part = slice(start, start + block)
-        Heff = np.take_along_axis(H[part], cols[part, None, :], axis=2)
-        part_noise = complex_gaussian(rng, (len(Heff), n_r, T)) if noise is None else noise[part]
-        for p_i, est in enumerate(_detect_grid(config, Heff, bits[part], part_noise)):
-            errors[p_i] += rx.count_bit_errors(est, bits[part])
-    return {"errors": errors, "bits": np.full(len(config.grid), bits.size, dtype=np.int64)}
+        part_bits = bits[part]
+        part_noise = complex_gaussian(rng, (len(part_bits), n_r, T)) if noise is None else noise[part]
+        for row, rule_cols in zip(errors, cols):
+            Heff = np.take_along_axis(H[part], rule_cols[part, None, :], axis=2)
+            for p_i, est in enumerate(_detect_grid(config, Heff, part_bits, part_noise)):
+                row[p_i] += rx.count_bit_errors(est, part_bits)
+    return {"errors": errors[0] if rules is None else errors,
+            "bits": np.full(len(config.grid), bits.size, dtype=np.int64)}
+
+
+def estimate_ber_rules(config: ExperimentConfig, rules: Sequence[str],
+                       workers: int = 1) -> dict[str, EmpiricalCurve]:
+    """BER curve of every rule of ``rules`` on the frames of ``config``,
+    keyed by rule; ``config.rule`` is not read.
+
+    The rules share each chunk's channels, bits and noise, drawn once in
+    the stream order of a single-rule run; selection, ordering and
+    detection run per rule.  So each curve is bit-identical to
+    :func:`estimate_ber` of that rule alone.
+    """
+    rules = _check_rules(config, rules)
+    plan = _chunk_plan(config.trial_count, _ber_chunk_size(config))
+    totals = _run_chunks(functools.partial(_ber_chunk, config, rules=rules), plan, workers)
+    bits = tuple(totals["bits"].tolist())
+    return {rule: EmpiricalCurve(config.grid, tuple(row.tolist()), bits) for rule, row in zip(rules, totals["errors"])}
 
 
 def estimate_ber(config: ExperimentConfig, workers: int = 1) -> EmpiricalCurve:
-    """Bit error rate across the SNR grid (``config.grid`` is in dB).
+    """Bit error rate across the SNR grid (``config.grid`` is in dB):
+    :func:`estimate_ber_rules` of ``config.rule`` alone.
 
     Each trial is one block-fading frame: a fresh channel draw carrying
     ``frame_symbols`` QPSK symbols per stream.  Channel, bits and noise
     are shared across all SNR points of a frame, so curves ride common
     random numbers.
     """
-    plan = _chunk_plan(config.trial_count, _ber_chunk_size(config))
-    totals = _run_chunks(functools.partial(_ber_chunk, config), plan, workers)
-    return EmpiricalCurve(config.grid, tuple(totals["errors"].tolist()), tuple(totals["bits"].tolist()))
+    return estimate_ber_rules(config, (config.rule,), workers)[config.rule]
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 The batched kernels read Gram entries of a (B, n_r, n_t) block of
 channels: one pair table serves every rule at L = 2, a determinant
 lattice serves maxmin and random at other L, and a Cholesky greedy
-serves qr-greedy.  :func:`select_block` gives each channel's selected
-columns, first decoded first; :func:`_outage_scalars` the scalar the
-outage experiment thresholds.  The per-draw rules are batch-of-one calls
-of :func:`select_block` returning a :class:`SelectionOutcome`, whose
-heights come from the QR route of :func:`subset_metrics`.
+serves qr-greedy; at L != 2 the lattice and the greedy can share one
+Gram matmul.  :func:`select_block` gives each channel's selected
+columns, first decoded first; :func:`_outage_rule_scalars` the scalars
+the outage experiment thresholds, for several rules from one table per
+pass, and :func:`_outage_scalars` its one-rule row.  The per-draw rules
+are batch-of-one calls of :func:`select_block` returning a
+:class:`SelectionOutcome`, whose heights come from the QR route of
+:func:`subset_metrics`.
 
 Ties (probability zero under the continuous channel model) go to the
 lexicographically smallest subset or pair, and in qr-greedy to the
@@ -23,7 +26,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -190,17 +193,19 @@ class _LeafBlock:
     """The size-L subsets P + (t, j), t < j, below one prefix P of size L-2.
 
     ``lower_first`` ranks P + (start,) among the (L-1)-subsets; the ranks of
-    P + (t,) for t >= start follow it.  ``leaf_first`` ranks the block's
-    first leaf among the L-subsets.  ``minors[i, p]`` ranks leaf p with its
-    i-th column dropped among the (L-1)-subsets.
+    P + (t,) for t >= start follow it.  ``fans`` holds one entry per t,
+    from n_t - 2 down to ``start``, for the leaves P + (t, j), j > t:
+    ``(t, leaf_first, minor_firsts)``, where ``leaf_first`` ranks
+    P + (t, t + 1) among the L-subsets and ``minor_firsts`` ranks among
+    the (L-1)-subsets the minors of P + (t, t + 1) that drop t or a column
+    of P.  Each leaf and each of these minors of P + (t, j) follows its
+    j = t + 1 rank at j - t - 1; the remaining minor, which drops j, is
+    P + (t,) for every j.
     """
 
     start: int
     lower_first: int
-    leaf_first: int
-    first: np.ndarray
-    second: np.ndarray
-    minors: np.ndarray
+    fans: tuple[tuple[int, int, tuple[int, ...]], ...]
 
 
 @functools.lru_cache(maxsize=None)
@@ -222,13 +227,12 @@ def _lattice_plan(n_t: int, L: int) -> tuple:
         start = prefix[-1] + 1 if prefix else 0
         m = len(prefix)
         if m == L - 2:
-            pairs = list(itertools.combinations(range(start, n_t), 2))
-            leaves = [prefix + p for p in pairs]
-            minors = np.array([[lower[s[:i] + s[i + 1:]] for s in leaves] for i in range(L)],
-                              dtype=np.int64).reshape(L, len(pairs))
-            first, second = (np.array(c, dtype=np.int64) for c in zip(*pairs)) if pairs else (None, None)
-            plan.append(_LeafBlock(start, lower[prefix + (start,)], upper[leaves[0]] if leaves else -1,
-                                   first, second, minors))
+            fans = []
+            for t in range(n_t - 2, start - 1, -1):
+                leaf = prefix + (t, t + 1)
+                drops = [leaf[:i] + leaf[i + 1:] for i in range(L - 1)]  # every column but j
+                fans.append((t, upper[leaf], tuple(lower[d] for d in drops)))
+            plan.append(_LeafBlock(start, lower[prefix + (start,)], tuple(fans)))
             return
         # the final prefix needs one column after it: t <= n_t - L + m + 1
         for t in range(n_t - L + m + 1, start - 1, -1):
@@ -239,9 +243,15 @@ def _lattice_plan(n_t: int, L: int) -> tuple:
     return tuple(plan)
 
 
-def _lattice_heights(H: np.ndarray, L: int) -> Iterator[tuple[int, np.ndarray]]:
+def _gram(H: np.ndarray) -> np.ndarray:
+    """(B, n_t, n_t) Gram matrices G = H^H H of a block, by one batched matmul."""
+    return np.matmul(H.conj().transpose(0, 2, 1), H)
+
+
+def _lattice_heights(H: np.ndarray, L: int, gram: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
     """Worst-stream heights of every size-L column subset from one
-    determinant lattice of the Gram matrix G = H^H H.
+    determinant lattice of the Gram matrix G = H^H H (``gram``, as
+    :func:`_gram` gives it, when the caller has formed it).
 
     Yields ``(first_rank, heights)`` blocks: ``heights[p]`` (shape (B,)) is
     the worst-stream height of the subset of lexicographic rank
@@ -257,7 +267,10 @@ def _lattice_heights(H: np.ndarray, L: int) -> Iterator[tuple[int, np.ndarray]]:
     rows of the prefix and the residual diagonal d_j = h(j | prefix): a
     child costs one row update and det G_{T+j} = det G_T * d_j.  Only the
     (L-1)-minors are stored, in one (C(n_t, L-1), B) table; the size-L
-    determinants are reduced block by block as they are yielded.  A
+    determinants are reduced fan by fan as they are yielded.  A fan is the
+    leaves P + (t, j), j > t, of one prefix P and column t: they take one
+    Schur complement row of P at t, and each of their minors is one slice
+    of the table, or one row of it, so no leaf gathers.  A
     column in the span of the prefix (pivot <= 0) gets a zero Cholesky
     row, and the largest minor is clamped away from 0, so a subset holding
     an all-zero column gets height 0.
@@ -272,7 +285,7 @@ def _lattice_heights(H: np.ndarray, L: int) -> Iterator[tuple[int, np.ndarray]]:
     of ``channel.projection_height_sq``.
     """
     B, _, n_t = H.shape
-    gram = np.ascontiguousarray(np.matmul(H.conj().transpose(0, 2, 1), H).transpose(1, 2, 0))
+    gram = np.ascontiguousarray((_gram(H) if gram is None else gram).transpose(1, 2, 0))
     cols = np.arange(n_t)
     if L == 1:
         yield 0, gram[cols, cols].real
@@ -287,25 +300,43 @@ def _lattice_heights(H: np.ndarray, L: int) -> Iterator[tuple[int, np.ndarray]]:
     for step in _lattice_plan(n_t, L):
         if isinstance(step, tuple):
             m, t = step
-            u = gram[t, t + 1:].copy()
-            for i in range(m):
-                u -= rows[i, t].conj() * rows[i, t + 1:]
-            pivot = diag[m, t]
             row = rows[m, t + 1:]
+            u = _schur_row(gram, rows, m, t)
+            pivot = diag[m, t]
             np.multiply(u, np.where(pivot > 0, 1.0 / np.sqrt(np.maximum(pivot, 1e-300)), 0.0), out=row)
             diag[m + 1, t + 1:] = diag[m, t + 1:] - (row.real ** 2 + row.imag ** 2)
             np.multiply(det[m], pivot, out=det[m + 1])
             continue
         d = diag[depth, step.start:]
         np.multiply(det[depth], d, out=lower[step.lower_first: step.lower_first + len(d)])
-        if step.first is None:
-            continue
-        t, j = step.first, step.second
-        schur = gram[t, j]  # entries (t, j) of the prefix's Schur complement
-        for i in range(depth):
-            schur -= rows[i, t].conj() * rows[i, j]
-        det_s = (d[t - step.start] * d[j - step.start] - (schur.real ** 2 + schur.imag ** 2)) * det[depth]
-        yield step.leaf_first, det_s / np.maximum(lower[step.minors].max(axis=0), 1e-300)
+        for t, leaf_first, minor_firsts in step.fans:
+            k = n_t - 1 - t
+            schur = _schur_row(gram, rows, depth, t)  # entries (t, j > t) of the prefix's Schur complement
+            det_s = (d[t - step.start] * d[t - step.start + 1:] - (schur.real ** 2 + schur.imag ** 2)) * det[depth]
+            largest = np.maximum(lower[minor_firsts[0]: minor_firsts[0] + k], lower[step.lower_first + t - step.start])
+            for first in minor_firsts[1:]:
+                np.maximum(largest, lower[first: first + k], out=largest)
+            yield leaf_first, det_s / np.maximum(largest, 1e-300, out=largest)
+
+
+def _schur_row(gram: np.ndarray, rows: np.ndarray, m: int, t: int) -> np.ndarray:
+    """Entries (t, j), j > t, of the Schur complement of the first m
+    Cholesky rows in the (n_t, n_t, B) Gram ``gram``: G[t, j] - sum_i
+    conj(r_i[t]) r_i[j], subtracted in order of i.  Read only; with
+    m = 0 it is a view of ``gram``."""
+    u = gram[t, t + 1:]
+    for i in range(m):
+        term = rows[i, t].conj() * rows[i, t + 1:]
+        if i:
+            u -= term
+        else:
+            u = u - term
+    return u
+
+
+def _passes(B: int) -> Iterator[slice]:
+    """The lanes of each pass of ``_LATTICE_LANES`` channels over a block of B."""
+    return (slice(lo, min(lo + _LATTICE_LANES, B)) for lo in range(0, B, _LATTICE_LANES))
 
 
 def _maxmin_block(H: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -323,8 +354,7 @@ def _maxmin_block(H: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
     B = H.shape[0]
     best = np.full(B, -np.inf)
     arg = np.zeros(B, dtype=np.int64)
-    for lo in range(0, B, _LATTICE_LANES):
-        lanes = slice(lo, lo + _LATTICE_LANES)
+    for lanes in _passes(B):
         for first, heights in _lattice_heights(H[lanes], L):
             top = heights.max(axis=0)
             # blocks arrive in decreasing rank: >= keeps the smallest rank on ties
@@ -332,6 +362,68 @@ def _maxmin_block(H: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
             best[lanes] = np.where(take, top, best[lanes])
             arg[lanes] = np.where(take, first + heights.argmax(axis=0), arg[lanes])
     return best, arg
+
+
+def _lattice_max(H: np.ndarray, L: int, gram: np.ndarray | None = None) -> np.ndarray:
+    """The height of :func:`_maxmin_block` alone, for one pass of channels
+    (``gram`` as in :func:`_lattice_heights`), with no argmax."""
+    best = np.full(H.shape[0], -np.inf)
+    for _, heights in _lattice_heights(H, L, gram):
+        np.maximum(heights.max(axis=0), best, out=best)
+    return best
+
+
+def _against_first(norms: np.ndarray, fwd: np.ndarray, bwd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The greedy's first pick at L = 2 from a pair table: its norm, the
+    column (the largest norm, ties to the smallest column) and, per pair,
+    the height of the other column against it, -inf on pairs without it.
+    Within the pairs that hold the pick, the pair rank rises with the
+    other column."""
+    first_norm, first = _max_argmax(norms)
+    against = np.empty_like(fwd)
+    for p, (i, j) in enumerate(_subsets(len(norms), 2)):
+        against[p] = np.where(first == i, bwd[p], np.where(first == j, fwd[p], -np.inf))
+    return first_norm, first, against
+
+
+def _greedy_residual(gram: np.ndarray, steps: int, chosen: np.ndarray | None = None,
+                     picked: np.ndarray | None = None) -> np.ndarray:
+    """The first ``steps`` picks of the Cholesky greedy on one pass of
+    (B, n_t, n_t) Gram matrices, recorded in the (B, L) arrays ``chosen``
+    and ``picked`` when given.  Returns the residual heights after them,
+    d_j = h(j | picks), with the picked columns at -inf, so the next pick
+    is its argmax and that pick's height its max.  Entries are read by
+    flat index (lane * n_t + pick), which costs a third of a (lane, pick)
+    fancy index."""
+    B, n_t = gram.shape[:2]
+    base = np.arange(B) * n_t
+    resid = gram.diagonal(axis1=1, axis2=2).real.copy()
+    gram_rows = gram.reshape(B * n_t, n_t)
+    rows = np.empty((steps, B, n_t), dtype=np.complex128)
+    for step in range(steps):
+        pick = resid.argmax(axis=1)
+        at = base + pick
+        pivot = resid.take(at)
+        if chosen is not None:
+            chosen[:, step] = pick
+            picked[:, step] = pivot
+        resid.put(at, -np.inf)
+        row = gram_rows.take(at, axis=0)
+        for i in range(step):
+            row -= rows[i].take(at)[:, None].conj() * rows[i]
+        np.multiply(row, (1.0 / np.sqrt(np.maximum(pivot, 1e-300)))[:, None], out=rows[step])
+        resid -= rows[step].real ** 2 + rows[step].imag ** 2
+    return resid
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Maximum over the short axis 1 of a (B, n) array, one column at a
+    time: ``max(axis=1)`` reduces each short row on its own and costs
+    about six times as much at n = 8."""
+    top = a[:, 0].copy()
+    for c in range(1, a.shape[1]):
+        np.maximum(top, a[:, c], out=top)
+    return top
 
 
 def _greedy_selection_block(H: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -346,48 +438,27 @@ def _greedy_selection_block(H: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarr
     the largest norm and the second maximizes n_j - |g_pj|^2 / n_p; at
     n_t = 3 this is faster than the Cholesky path below.  Other
     L run Cholesky row updates on G = H^H H, formed by one batched matmul
-    per pass of ``_LATTICE_LANES`` channels.  The residual d_j = h(j | picks)
-    starts at diag(G); each step takes p = argmax d over the columns not yet
-    picked, forms the Cholesky row r = (G[p, :] - sum_i conj(r_i[p]) r_i)
-    / sqrt(d_p) and lowers d by |r|^2.  The accuracy is that of the
-    lattice (see :func:`_lattice_heights`).
+    per pass of ``_LATTICE_LANES`` channels (:func:`_greedy_residual`).
+    The residual d_j = h(j | picks) starts at diag(G); each step takes
+    p = argmax d over the columns not yet picked, forms the Cholesky row
+    r = (G[p, :] - sum_i conj(r_i[p]) r_i) / sqrt(d_p) and lowers d by
+    |r|^2.  The accuracy is that of the lattice (see
+    :func:`_lattice_heights`).
     """
     B, _, n_t = H.shape
     if L == 2:
-        norms, fwd, bwd = _pair_table(H)
         iu, ju = _subsets(n_t, 2).T
-        first_norm, first = _max_argmax(norms)
-        # heights against the first pick, on the pairs that hold it; within
-        # those, the pair rank rises with the other column, so ties go to
-        # the smallest index
-        against = np.empty_like(fwd)
-        for p, (i, j) in enumerate(zip(iu, ju)):
-            against[p] = np.where(first == i, bwd[p], np.where(first == j, fwd[p], -np.inf))
+        first_norm, first, against = _against_first(*_pair_table(H))
         second_height, best = _max_argmax(against)
         chosen = np.stack([first, iu[best] + ju[best] - first], axis=1)
         return chosen, np.stack([first_norm, second_height], axis=1)
     chosen = np.empty((B, L), dtype=np.int64)
     picked = np.empty((B, L))
-    for lo in range(0, B, _LATTICE_LANES):
-        h = H[lo:lo + _LATTICE_LANES]
-        span = slice(lo, lo + len(h))
-        lanes = np.arange(len(h))
-        gram = h.conj().transpose(0, 2, 1) @ h
-        resid = gram.diagonal(axis1=1, axis2=2).real.copy()
-        rows = np.empty((L - 1, len(h), n_t), dtype=np.complex128)
-        for step in range(L):
-            pick = resid.argmax(axis=1)
-            pivot = resid[lanes, pick]
-            chosen[span, step] = pick
-            picked[span, step] = pivot
-            if step == L - 1:
-                break
-            resid[lanes, pick] = -np.inf
-            row = gram[lanes, pick]
-            for i in range(step):
-                row -= rows[i, lanes, pick, None].conj() * rows[i]
-            np.multiply(row, (1.0 / np.sqrt(np.maximum(pivot, 1e-300)))[:, None], out=rows[step])
-            resid -= rows[step].real ** 2 + rows[step].imag ** 2
+    for lanes in _passes(B):
+        resid = _greedy_residual(_gram(H[lanes]), L - 1, chosen[lanes], picked[lanes])
+        pick = resid.argmax(axis=1)
+        chosen[lanes, L - 1] = pick
+        picked[lanes, L - 1] = np.take_along_axis(resid, pick[:, None], axis=1)[:, 0]
     return chosen, picked
 
 
@@ -424,25 +495,58 @@ def _outage_scalars(rule: str, H: np.ndarray, L: int, rng: np.random.Generator |
     first-ordered: the maximized first-layer height.  qr-greedy: the
     first decoded layer's height (last greedy increment).  random: the
     worst-stream height of the uniformly chosen subset that
-    :func:`select_block` draws.
+    :func:`select_block` draws.  One row of :func:`_outage_rule_scalars`.
     """
-    if rule == "maxmin":
-        return _maxmin_block(H, L)[0]
-    if rule == "first-fixed":
-        return _pair_table(H)[1].max(axis=0)
-    if rule == "first-ordered":
-        _, fwd, bwd = _pair_table(H)
-        return np.maximum(fwd, bwd).max(axis=0)
-    if rule == "qr-greedy":
-        _, picked = _greedy_selection_block(H, L)
-        return picked[:, L - 1]
-    if rule == "random":
-        # evaluate only the drawn subset's columns, gathered one pass at a
-        # time: the subset's best is its own
-        cols = select_block("random", H, L, rng)
-        passes = (slice(lo, lo + _LATTICE_LANES) for lo in range(0, len(H), _LATTICE_LANES))
-        return np.concatenate([_maxmin_block(np.take_along_axis(H[p], cols[p, None, :], axis=2), L)[0] for p in passes])
-    raise ValueError(f"unknown selection rule {rule!r}; expected one of {RULES}")
+    return _outage_rule_scalars((rule,), H, L, rng)[0]
+
+
+def _outage_rule_scalars(rules: Sequence[str], H: np.ndarray, L: int,
+                         rng: np.random.Generator | None) -> np.ndarray:
+    """(len(rules), B) outage scalars of the block H: row k is
+    :func:`_outage_scalars` of ``rules[k]``.
+
+    random first draws its B subset ranks from ``rng`` in one call, as
+    :func:`select_block` does.  Then each pass of ``_LATTICE_LANES``
+    channels builds one table that every rule reduces to its scalar alone,
+    with no argmax, rank or chosen columns kept: at L = 2 the pair table,
+    which random reads at its ranks; at other L one Gram matrix per
+    channel, shared by the lattice of maxmin and the Cholesky greedy of
+    qr-greedy, while random runs the lattice on its subset's columns,
+    gathered for the pass.  Each row is bit-identical to the rule's
+    kernel run alone: ``_maxmin_block(H, L)[0]``,
+    ``_greedy_selection_block(H, L)[1][:, L - 1]``, and so on.
+    """
+    for rule in rules:
+        if rule not in RULES:
+            raise ValueError(f"unknown selection rule {rule!r}; expected one of {RULES}")
+        if rule in ("first-fixed", "first-ordered") and L != 2:
+            raise ValueError(f"{rule} selection is defined for L = 2 only")
+    B, _, n_t = H.shape
+    subsets = _subsets(n_t, L)
+    ranks = rng.integers(0, len(subsets), size=B) if "random" in rules else None
+    out = np.empty((len(rules), B))
+    for lanes in _passes(B):
+        h = H[lanes]
+        if L == 2:
+            norms, fwd, bwd = _pair_table(h)
+        elif "maxmin" in rules or "qr-greedy" in rules:
+            gram = _gram(h)
+        for row, rule in zip(out, rules):
+            if rule == "random" and L == 2:
+                r = ranks[lanes][None]
+                row[lanes] = np.minimum(np.take_along_axis(fwd, r, 0), np.take_along_axis(bwd, r, 0))[0]
+            elif rule == "random":
+                row[lanes] = _lattice_max(np.take_along_axis(h, subsets[ranks[lanes], None, :], axis=2), L)
+            elif rule == "maxmin":
+                row[lanes] = np.minimum(fwd, bwd).max(axis=0) if L == 2 else _lattice_max(h, L, gram)
+            elif rule == "qr-greedy":
+                row[lanes] = (_against_first(norms, fwd, bwd)[2].max(axis=0) if L == 2
+                              else _row_max(_greedy_residual(gram, L - 1)))
+            elif rule == "first-fixed":
+                row[lanes] = fwd.max(axis=0)
+            else:
+                row[lanes] = np.maximum(fwd, bwd).max(axis=0)
+    return out
 
 
 # ---------------------------------------------------------------------------

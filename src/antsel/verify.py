@@ -34,8 +34,10 @@ from .montecarlo import (
     ExperimentConfig,
     SlopeFit,
     estimate_ber,
+    estimate_ber_rules,
     estimate_dmt_gains,
     estimate_outage,
+    estimate_outage_rules,
     fit_slope,
     independence_suite,
     lemma_harness,
@@ -238,13 +240,11 @@ def marginal_ks_pvalues(n_t: int, n_r: int, samples: int, seed: int) -> tuple[fl
 
 
 def outage_slope_fits(trials: int, seed: int, workers: int = 1) -> dict[str, SlopeFit]:
-    """Fitted outage slopes for (3, 3, 2) under each rule, common seed."""
-    fits = {}
-    for rule in RULES:
-        config = ExperimentConfig(n_t=3, n_r=3, L=2, rule=rule, trial_count=trials,
-                                  master_seed=seed, grid=OUTAGE_GRID)
-        fits[rule] = fit_slope(estimate_outage(config, workers=workers))
-    return fits
+    """Fitted outage slopes for (3, 3, 2) under each rule, from one
+    multi-rule pass over common draws."""
+    config = ExperimentConfig(n_t=3, n_r=3, L=2, rule=RULES[0], trial_count=trials,
+                              master_seed=seed, grid=OUTAGE_GRID)
+    return {rule: fit_slope(curve) for rule, curve in estimate_outage_rules(config, RULES, workers).items()}
 
 
 def qr_df_stage_oracle(draws: int, seed: int) -> tuple[float, bool]:
@@ -276,16 +276,14 @@ def qr_df_stage_oracle(draws: int, seed: int) -> tuple[float, bool]:
 
 def ber_ordering_test(frames: int, snr_db: float, seed: int, workers: int = 1) -> dict:
     """Common-seed BER of the greedy rule versus the first-layer rule under
-    decision feedback, 50 symbols per frame, as
+    decision feedback, 50 symbols per frame, from one BER pass in which
+    both rules detect the same channels, bits and noise, as
     :func:`ber_ordering_measurement`."""
-    results = {}
-    for rule in ("qr-greedy", "first-fixed"):
-        config = ExperimentConfig(n_t=3, n_r=3, L=2, rule=rule, trial_count=frames,
-                                  master_seed=seed, grid=(float(snr_db),),
-                                  receiver="df-zf", frame_symbols=50)
-        curve = estimate_ber(config, workers=workers)
-        results[rule] = (curve.hits[0], curve.trials[0])
-    return ber_ordering_measurement(snr_db, results["qr-greedy"], results["first-fixed"])
+    rules = ("qr-greedy", "first-fixed")
+    config = ExperimentConfig(n_t=3, n_r=3, L=2, rule=rules[0], trial_count=frames,
+                              master_seed=seed, grid=(float(snr_db),), receiver="df-zf", frame_symbols=50)
+    curves = estimate_ber_rules(config, rules, workers)
+    return ber_ordering_measurement(snr_db, *((curves[r].hits[0], curves[r].trials[0]) for r in rules))
 
 
 def ber_ordering_measurement(snr_db: float, qr: tuple[int, int], ff: tuple[int, int]) -> dict:
@@ -496,6 +494,8 @@ def check_first_layer_probe(pvalue: float) -> CheckOutcome:
 def run_verification(scale: str = "quick", seed: int = 0, workers: int = 1) -> list[CheckOutcome]:
     if scale not in _SCALES:
         raise ValueError(f"unknown scale {scale!r}; expected one of {sorted(_SCALES)}")
+    if not 0 <= seed < 2 ** 64 - 1:  # the DMT row draws from seed + 1
+        raise ValueError(f"seed must lie in [0, 2^64 - 1), got {seed}")
     p = _SCALES[scale]
     out: list[CheckOutcome] = []
     # the rows load scipy lazily; loading it here keeps the import out of

@@ -31,6 +31,16 @@ class TestSampling:
         b = sample_channel(2, 2, 7, 1).matrix
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed,stream", [(-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64)],
+                             ids=["negative-seed", "seed-two-to-the-64", "negative-stream", "stream-two-to-the-64"])
+    def test_key_words_out_of_range_rejected(self, seed, stream):
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            stream_generator(seed, stream)
+
+    def test_key_word_range_ends(self):
+        top = 2 ** 64 - 1
+        assert stream_generator(top, top).random() != stream_generator(0, 0).random()
+
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
             sample_channel(0, 2, 1, 0)

@@ -241,6 +241,74 @@ class TestVerifyPlumbing:
         assert pv_h > 0.01  # the height law is untouched
 
 
+def outage_argv(out, *extra):
+    return ["outage", "--nt", "3", "--nr", "3", "--L", "2", "--rule", "maxmin", "--trials", "2000",
+            "--x-grid", "logspace:0.05,0.5,6", "--out", str(out), *extra]
+
+
+class TestSeedRange:
+    """Seeds key a 64-bit Philox word: out of range is a usage error."""
+
+    @pytest.mark.parametrize("flag,env", [("--seed=-1", None), ("--seed=18446744073709551616", None), (None, "-3")],
+                             ids=["negative-flag", "two-to-the-64-flag", "negative-env"])
+    def test_out_of_range_seed_exits_two(self, tmp_path, monkeypatch, capsys, flag, env):
+        if env is not None:
+            monkeypatch.setenv("ANTSEL_SEED", env)
+        out = tmp_path / "x.csv"
+        assert main(outage_argv(out, *([flag] if flag else []))) == 2
+        assert "must lie in [0, 2^64)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_rejects_a_seed_before_running_any_row(self, monkeypatch, capsys):
+        from antsel import verify
+
+        monkeypatch.setattr(verify, "quadrature_anchor_ratio", lambda *args: pytest.fail("a row ran"))
+        assert main(["verify", "--seed=-1"]) == 2
+        assert "must lie in" in capsys.readouterr().err
+
+
+def test_consecutive_calls_match_separate_processes(tmp_path, monkeypatch):
+    # the parser is built once per process; a rejected argv in between
+    # leaves nothing behind for the next call
+    import antsel
+    from antsel.cli import build_parser
+
+    calls = [
+        outage_argv("{dir}/a.csv", "--seed", "4"),
+        ["ber", "--nt", "3", "--nr", "3", "--L", "2", "--rule", "qr-greedy", "--snr-db", "6,12", "--frames", "300",
+         "--frame-symbols", "10", "--seed", "4", "--out", "{dir}/b.csv"],
+        ["outage", "--nt", "3", "--rule", "maxmin", "--out", "{dir}/c.csv"],
+        outage_argv("{dir}/d.csv", "--seed=-1"),
+        outage_argv("{dir}/e.csv", "--seed", "5", "--min-hits", "3"),
+        ["ber", "--nt", "3", "--nr", "3", "--L", "2", "--rule", "first-fixed", "--receiver", "df-mmse",
+         "--snr-db", "8", "--frames", "200", "--frame-symbols", "10", "--out", "{dir}/f.csv"],
+    ]
+
+    def run_all(run, folder):
+        folder.mkdir()
+        codes = [run([a.format(dir=folder) for a in argv]) for argv in calls]
+        return codes, {p.name: p.read_bytes() for p in sorted(folder.glob("*.csv"))}
+
+    def in_process(argv):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    monkeypatch.delenv("ANTSEL_SEED", raising=False)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(antsel.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def separate(argv):
+        return subprocess.run([sys.executable, "-m", "antsel", *argv], env=env, capture_output=True,
+                              timeout=120).returncode
+
+    together = run_all(in_process, tmp_path / "together")
+    assert together == run_all(separate, tmp_path / "apart")
+    assert together[0] == [0, 0, 2, 2, 0, 0]
+    assert build_parser() is build_parser()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -141,6 +141,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             outage_config("maxmin", grid=(0.5, 0.1))
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64], ids=["negative", "two-to-the-64"])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(ValueError, match="master_seed"):
+            outage_config("maxmin", seed=seed)
+
+    def test_largest_seed(self):
+        assert estimate_outage(outage_config("maxmin", trials=10, seed=2 ** 64 - 1)).trials[0] == 10
+
     def test_curve_invariants(self):
         with pytest.raises(ValueError):
             EmpiricalCurve((0.1,), (5,), (3,))
@@ -638,6 +646,102 @@ class TestDmt:
     def test_diversity_collapses_near_full_rate(self):
         fit = estimate_dmt(3, 3, 2, "maxmin", 1.5, np.linspace(20, 50, 12), 300_000, master_seed=15)
         assert 0.5 <= fit.slope <= 1.5
+
+
+#: (n_t, n_r, L) of the multi-rule bit-identity tests
+MULTI_RULE_DIMS = [(3, 3, 2), (5, 4, 2), (4, 4, 3), (4, 6, 3)]
+
+
+class TestMultiRulePasses:
+    """One draw per chunk serves every rule, and each curve is the
+    single-rule run's, bit for bit."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("with_random", [False, True], ids=["no-random", "with-random"])
+    @pytest.mark.parametrize("dims", MULTI_RULE_DIMS, ids=lambda d: "x".join(map(str, d)))
+    def test_outage_rules_match_single_rule_runs(self, dims, with_random, workers):
+        n_t, n_r, L = dims
+        rules = tuple(r for r in RULES if (L == 2 or not r.startswith("first")) and (with_random or r != "random"))
+        # three chunks of which the last is short
+        config = ExperimentConfig(n_t=n_t, n_r=n_r, L=L, rule=rules[0], trial_count=5_000, master_seed=61,
+                                  grid=tuple(np.geomspace(0.01, 20.0, 30)), chunk_size=2_100)
+        curves = montecarlo.estimate_outage_rules(config, rules, workers=workers)
+        assert tuple(curves) == rules
+        for rule in rules:
+            single = estimate_outage(dataclasses.replace(config, rule=rule))
+            assert sum(0 < h < 5_000 for h in single.hits) >= 5
+            assert curves[rule] == single, rule
+
+    @pytest.mark.parametrize("receiver", ["df-zf", "df-mmse"])
+    @pytest.mark.parametrize("rules", [("qr-greedy", "first-fixed"), ("first-ordered", "random", "maxmin")],
+                             ids=["ordering-pair", "with-random"])
+    def test_ber_rules_match_single_rule_runs(self, monkeypatch, receiver, rules):
+        # 23-frame detection blocks, so the rules share several noise
+        # slices per chunk
+        monkeypatch.setattr(montecarlo, "_BER_BLOCK_SAMPLES", 23 * 2 * 10)
+        config = ExperimentConfig(n_t=3, n_r=3, L=2, rule=rules[0], trial_count=700, master_seed=62,
+                                  grid=(4.0, 10.0), chunk_size=300, receiver=receiver, frame_symbols=10)
+        curves = montecarlo.estimate_ber_rules(config, rules)
+        assert tuple(curves) == rules
+        for rule in rules:
+            single = estimate_ber(dataclasses.replace(config, rule=rule))
+            assert all(h > 0 for h in single.hits)
+            assert curves[rule] == single, rule
+
+    def test_ber_rules_match_across_workers(self):
+        config = ExperimentConfig(n_t=3, n_r=3, L=2, rule="qr-greedy", trial_count=1_500, master_seed=63,
+                                  grid=(10.0,), chunk_size=600, receiver="df-zf", frame_symbols=10)
+        rules = ("qr-greedy", "first-fixed")
+        assert montecarlo.estimate_ber_rules(config, rules) == montecarlo.estimate_ber_rules(config, rules, workers=2)
+
+    @pytest.mark.parametrize("rules,L", [((), 2), (("maxmin", "maxmin"), 2), (("maxmin", "first-fixed"), 3),
+                                         (("maxmin", "best-effort"), 2)],
+                             ids=["empty", "duplicate", "first-layer-at-L3", "unknown"])
+    def test_rejects_invalid_rule_lists(self, rules, L):
+        config = ExperimentConfig(n_t=4, n_r=4, L=L, rule="maxmin", trial_count=100, master_seed=0, grid=(1.0,))
+        with pytest.raises(ValueError):
+            montecarlo.estimate_outage_rules(config, rules)
+        with pytest.raises(ValueError):
+            montecarlo.estimate_ber_rules(config, rules)
+
+    def test_verify_measurements_match_single_rule_runs(self):
+        seed, trials = 64, 300_000
+        fits = verify.outage_slope_fits(trials, seed)
+        for rule in RULES:
+            config = ExperimentConfig(n_t=3, n_r=3, L=2, rule=rule, trial_count=trials, master_seed=seed,
+                                      grid=verify.OUTAGE_GRID)
+            assert fits[rule] == fit_slope(estimate_outage(config)), rule
+        frames, snr_db = 3_000, 12.0
+        counts = []
+        for rule in ("qr-greedy", "first-fixed"):
+            curve = estimate_ber(ExperimentConfig(n_t=3, n_r=3, L=2, rule=rule, trial_count=frames, master_seed=seed,
+                                                  grid=(snr_db,), receiver="df-zf", frame_symbols=50))
+            counts.append((curve.hits[0], curve.trials[0]))
+        assert verify.ber_ordering_test(frames, snr_db, seed) == verify.ber_ordering_measurement(snr_db, *counts)
+
+
+class TestRunChunks:
+    @staticmethod
+    def forbid_pools(monkeypatch):
+        import concurrent.futures
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+
+    def test_one_chunk_plan_runs_in_process(self, monkeypatch):
+        config = outage_config("maxmin", trials=3_000, seed=65, chunk_size=3_000)
+        ber_config = ExperimentConfig(n_t=3, n_r=3, L=2, rule="qr-greedy", trial_count=400, master_seed=65,
+                                      grid=(10.0,), receiver="df-zf", frame_symbols=10)
+        expected = (estimate_outage(config), estimate_ber(ber_config), lemma_harness("IV", (1, 1), 200_000, 65))
+        self.forbid_pools(monkeypatch)
+        assert (estimate_outage(config, workers=2), estimate_ber(ber_config, workers=2),
+                lemma_harness("IV", (1, 1), 200_000, 65, workers=2)) == expected
+        # a plan of two chunks still goes through the pool
+        with pytest.raises(AssertionError, match="pool"):
+            estimate_outage(dataclasses.replace(config, chunk_size=2_000), workers=2)
 
 
 def test_dmt_gains_share_one_outage_run():

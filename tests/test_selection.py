@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from qr_oracle import reference_columns, reference_scalar
 
+from antsel import selection
 from antsel.channel import complex_gaussian, stream_generator
 from antsel.selection import (
     RULES,
     AntennaSubset,
+    _greedy_selection_block,
     _lattice_heights,
     _max_argmax,
+    _maxmin_block,
+    _outage_rule_scalars,
     _outage_scalars,
     _pair_table,
     _subsets,
@@ -337,6 +341,47 @@ class TestDeadAntenna:
                     np.testing.assert_array_equal(row, 0.0)
                 else:
                     assert np.all(row > 0)
+
+
+class TestScalarReductions:
+    """Each rule's outage scalar, reduced alone from the shared table of a
+    multi-rule pass, equals the value its selection kernel reports."""
+
+    @staticmethod
+    def block():
+        # random draws, a dead column, a duplicated column (maxmin ties)
+        # and orthogonal columns with equal norms (cross-pair ties)
+        H = complex_gaussian(stream_generator(26, 0), (60, 5, 5))
+        H[10:20, :, 2] = 0
+        H[20:30, :, 4] = H[20:30, :, 0]
+        H[30:40] = diag_columns([1.0, 4.0, 4.0, 1.0, 4.0])
+        H[40:50] = diag_columns([1.0, 1.0, 1.0, 1.0, 1.0])
+        return H
+
+    @staticmethod
+    def kernel_scalar(rule, H, L):
+        if rule == "maxmin":
+            return _maxmin_block(H, L)[0]
+        if rule == "qr-greedy":
+            return _greedy_selection_block(H, L)[1][:, L - 1]
+        if rule == "random":
+            cols = select_block("random", H, L, stream_generator(27, 0))
+            return _maxmin_block(np.take_along_axis(H, cols[:, None, :], axis=2), L)[0]
+        _, fwd, bwd = _pair_table(H)
+        return _max_argmax(fwd if rule == "first-fixed" else np.concatenate([fwd, bwd]))[0]
+
+    @pytest.mark.parametrize("lanes", [2048, 7])
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_every_rule_equals_its_kernel(self, monkeypatch, L, lanes):
+        monkeypatch.setattr(selection, "_LATTICE_LANES", lanes)
+        H = self.block()
+        rules = [rule for rule in RULES if L == 2 or not rule.startswith("first")]
+        together = _outage_rule_scalars(rules, H, L, stream_generator(27, 0))
+        for rule, row in zip(rules, together):
+            expected = self.kernel_scalar(rule, H, L)
+            np.testing.assert_array_equal(row, expected, err_msg=rule)
+            np.testing.assert_array_equal(_outage_scalars(rule, H, L, stream_generator(27, 0)), expected, err_msg=rule)
+        assert np.all(together[rules.index("maxmin"), 10:20] > 0)
 
 
 class TestCollinearColumns:
