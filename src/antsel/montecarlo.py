@@ -25,9 +25,10 @@ memory of a chunk does not grow with its draws.  The rule "random" is the
 exception: its subset ranks follow the channels (outage) or the noise
 (BER) in the stream, so those draws stay whole.
 
-Selection runs the batched kernels of :mod:`antsel.selection`; this
-module keeps the chunk plan, the draws, the decode-order overrides,
-detection over the SNR grid and the counting.
+Selection runs in the multi-rule pass of :mod:`antsel.selection`, once
+per block for all the rules of a chunk: outage chunks take its scalars,
+BER chunks its columns.  This module keeps the chunk plan, the draws,
+the decode-order overrides, detection over the SNR grid and the counting.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ from .channel import complex_gaussian, stream_generator
 from .selection import (
     _LATTICE_LANES,
     RULES,
-    _greedy_selection_block,
-    _outage_rule_scalars,
     _pair_table,
+    _row_max,
+    _rule_pass,
     _subsets,
     select_block,
 )
@@ -264,10 +265,9 @@ def _run_chunks(job: Callable[[int, int], dict], plan: list[tuple[int, int]], wo
 # ---------------------------------------------------------------------------
 
 def _outage_chunk(config: ExperimentConfig, chunk_index: int, count: int,
-                  rules: Sequence[str] | None = None) -> dict[str, np.ndarray]:
+                  rules: Sequence[str]) -> dict[str, np.ndarray]:
     """Tally "hits": the hits of one chunk at each threshold of
-    ``config.grid``, one row per rule of ``rules``, or the hits of
-    ``config.rule`` alone when ``rules`` is None.
+    ``config.grid``, one row per rule of ``rules``.
 
     The chunk draws its channels once for every rule.  Unless "random" is
     among the rules, it draws them in blocks of ``_LATTICE_LANES``, one
@@ -278,18 +278,16 @@ def _outage_chunk(config: ExperimentConfig, chunk_index: int, count: int,
     draws its channels whole, because random's subset ranks come after
     all of them in the stream.
     """
-    names = (config.rule,) if rules is None else tuple(rules)
     shape = (config.n_r, config.n_t)
-    block = count if "random" in names else _LATTICE_LANES
+    block = count if "random" in rules else _LATTICE_LANES
     rng = stream_generator(config.master_seed, chunk_index)
-    scalars = np.empty((len(names), count))
+    scalars = np.empty((len(rules), count))
     for lo in range(0, count, block):
         H = complex_gaussian(rng, (min(block, count - lo),) + shape)
-        scalars[:, lo:lo + len(H)] = _outage_rule_scalars(names, H, config.L, rng)
+        scalars[:, lo:lo + len(H)] = _rule_pass(rules, H, config.L, rng)
     scalars.sort(axis=1)
     grid = np.asarray(config.grid)
-    hits = np.stack([np.searchsorted(row, grid, side="right") for row in scalars]).astype(np.int64)
-    return {"hits": hits[0] if rules is None else hits}
+    return {"hits": np.stack([np.searchsorted(row, grid, side="right") for row in scalars]).astype(np.int64)}
 
 
 def _check_rules(config: ExperimentConfig, rules: Sequence[str]) -> tuple[str, ...]:
@@ -344,8 +342,7 @@ def _apply_ordering(config: ExperimentConfig, H: np.ndarray, cols: np.ndarray) -
     if ordering == "vblast":
         perm = rx.vblast_order_block(sub)
     else:
-        # greedy within the subset; decoding reverses the selection order
-        perm = _greedy_selection_block(sub, config.L)[0][:, ::-1]
+        perm = select_block("qr-greedy", sub, config.L)  # the greedy within the subset
     return np.take_along_axis(cols, perm, axis=1)
 
 
@@ -415,15 +412,15 @@ def _draw_bits(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _ber_chunk(config: ExperimentConfig, chunk_index: int, frames: int,
-               rules: Sequence[str] | None = None) -> dict[str, np.ndarray]:
+               rules: Sequence[str]) -> dict[str, np.ndarray]:
     """Tallies "errors" and "bits": the bit errors of one chunk at each SNR
-    point, one row per rule of ``rules`` (or the errors of ``config.rule``
-    alone when ``rules`` is None), and its bits at each point.
+    point, one row per rule of ``rules``, and its bits at each point.
 
     The chunk draws in the documented order: channels and bits whole
     (:func:`_draw_bits` gives the bits of ``rng.integers(0, 2)``), then
     the noise, then random's subset ranks; every rule reads the same
-    draws.  Each rule selects and orders its columns in one call each,
+    draws.  Every rule selects its columns in one selection pass, which
+    builds one table for all of them, and orders them in one call each;
     then the chunk gathers columns, detects and counts in blocks of
     max(1, ``_BER_BLOCK_SAMPLES`` // (L T)) frames, whose (B, L, T)
     arrays stay in cache.  Each block draws its own slice of the noise
@@ -433,14 +430,15 @@ def _ber_chunk(config: ExperimentConfig, chunk_index: int, frames: int,
     noise in the stream.  Every step is per frame, so the counts are the
     same for any block size.
     """
-    names = (config.rule,) if rules is None else tuple(rules)
     n_r, n_t, L, T = config.n_r, config.n_t, config.L, config.frame_symbols
     rng = stream_generator(config.master_seed, chunk_index)
     H = complex_gaussian(rng, (frames, n_r, n_t))
     bits = _draw_bits(rng, (frames, L, T))
-    noise = complex_gaussian(rng, (frames, n_r, T)) if "random" in names else None
-    cols = [_apply_ordering(config, H, select_block(rule, H, L, rng)) for rule in names]
-    errors = np.zeros((len(names), len(config.grid)), dtype=np.int64)
+    noise = complex_gaussian(rng, (frames, n_r, T)) if "random" in rules else None
+    cols = np.empty((len(rules), frames, L), dtype=np.int64)
+    _rule_pass(rules, H, L, rng, cols)
+    cols = [_apply_ordering(config, H, rule_cols) for rule_cols in cols]
+    errors = np.zeros((len(rules), len(config.grid)), dtype=np.int64)
     block = max(1, _BER_BLOCK_SAMPLES // (L * T))
     for start in range(0, frames, block):
         part = slice(start, start + block)
@@ -450,8 +448,7 @@ def _ber_chunk(config: ExperimentConfig, chunk_index: int, frames: int,
             Heff = np.take_along_axis(H[part], rule_cols[part, None, :], axis=2)
             for p_i, est in enumerate(_detect_grid(config, Heff, part_bits, part_noise)):
                 row[p_i] += rx.count_bit_errors(est, part_bits)
-    return {"errors": errors[0] if rules is None else errors,
-            "bits": np.full(len(config.grid), bits.size, dtype=np.int64)}
+    return {"errors": errors, "bits": np.full(len(config.grid), bits.size, dtype=np.int64)}
 
 
 def estimate_ber_rules(config: ExperimentConfig, rules: Sequence[str],
@@ -544,15 +541,17 @@ _LEMMA_GRIDS = {
 def _lemma_chunk(lemma: str, exps: tuple[float, ...], master_seed: int, chunk_index: int,
                  count: int) -> dict[str, np.ndarray]:
     """Hits of one chunk of one harness at each threshold of its grid, as
-    the tally "hits" with one row per fitted curve."""
+    the tally "hits" with one row per fitted curve.  The (count, K) draws
+    are summed and maximized column by column: numpy reduces a short
+    axis 1 row by row, which took 56 ms for the maximum of 10^6 x 2."""
     rng = stream_generator(master_seed, chunk_index)
     n = np.asarray(exps)
     if lemma == "III":
-        values = ((rng.random((count, len(exps))) ** (1.0 / n)).sum(axis=1),)
+        values = (functools.reduce(np.add, (rng.random((count, len(exps))) ** (1.0 / n)).T),)
     elif lemma == "IV":
         psi = (math.pi / 2.0) / len(exps)  # keeps the sum inside the monotone range of sin^2
         th = psi * rng.random((count, len(exps))) ** (1.0 / n)
-        values = np.sin(th.sum(axis=1)) ** 2, np.sin(th.max(axis=1)) ** 2
+        values = np.sin(functools.reduce(np.add, th.T)) ** 2, np.sin(_row_max(th)) ** 2
     else:
         n_a, n_b = exps
         a = rng.gamma(n_a, 1.0, size=count)

@@ -1,14 +1,15 @@
 """Antenna-subset enumeration and the transmit-selection rules.
 
-The batched kernels read Gram entries of a (B, n_r, n_t) block of
-channels: one pair table serves every rule at L = 2, a determinant
-lattice serves maxmin and random at other L, and a Cholesky greedy
-serves qr-greedy; at L != 2 the lattice and the greedy can share one
-Gram matmul.  :func:`select_block` gives each channel's selected
-columns, first decoded first; :func:`_outage_rule_scalars` the scalars
-the outage experiment thresholds, for several rules from one table per
-pass, and :func:`_outage_scalars` its one-rule row.  The per-draw rules
-are batch-of-one calls of :func:`select_block` returning a
+One multi-rule pass, :func:`_rule_pass`, serves every rule.  It reads
+Gram entries of a (B, n_r, n_t) block of channels and builds one table
+per pass of ``_LATTICE_LANES`` channels: at L = 2 the pair table, which
+every rule reads; at other L one Gram matmul, shared by the determinant
+lattice of maxmin and the Cholesky greedy of qr-greedy, while random runs
+the lattice on the columns it draws.  Each rule has one branch, which
+reduces the table to the scalar the outage experiment thresholds and,
+when the caller asks, to the rule's columns, first decoded first.
+:func:`select_block` is its one-rule column call.  The per-draw rules are
+batch-of-one calls of :func:`select_block` returning a
 :class:`SelectionOutcome`, whose heights come from the QR route of
 :func:`subset_metrics`.
 
@@ -248,10 +249,10 @@ def _gram(H: np.ndarray) -> np.ndarray:
     return np.matmul(H.conj().transpose(0, 2, 1), H)
 
 
-def _lattice_heights(H: np.ndarray, L: int, gram: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+def _lattice_heights(gram: np.ndarray, L: int) -> Iterator[tuple[int, np.ndarray]]:
     """Worst-stream heights of every size-L column subset from one
-    determinant lattice of the Gram matrix G = H^H H (``gram``, as
-    :func:`_gram` gives it, when the caller has formed it).
+    determinant lattice of the (B, n_t, n_t) Gram matrices ``gram``, as
+    :func:`_gram` gives them.
 
     Yields ``(first_rank, heights)`` blocks: ``heights[p]`` (shape (B,)) is
     the worst-stream height of the subset of lexicographic rank
@@ -261,19 +262,18 @@ def _lattice_heights(H: np.ndarray, L: int, gram: np.ndarray | None = None) -> I
 
     Each height is a ratio of principal Gram minors,
     h(k | S minus k) = det G_S / det G_{S minus k}, so the worst stream of S
-    is det G_S / max_k det G_{S minus k}.  G is formed once by one batched
-    matmul and laid out as (n_t, n_t, B).  The prefix tree of the
-    lexicographic subsets is walked depth first, carrying the Cholesky
-    rows of the prefix and the residual diagonal d_j = h(j | prefix): a
-    child costs one row update and det G_{T+j} = det G_T * d_j.  Only the
-    (L-1)-minors are stored, in one (C(n_t, L-1), B) table; the size-L
-    determinants are reduced fan by fan as they are yielded.  A fan is the
-    leaves P + (t, j), j > t, of one prefix P and column t: they take one
-    Schur complement row of P at t, and each of their minors is one slice
-    of the table, or one row of it, so no leaf gathers.  A
-    column in the span of the prefix (pivot <= 0) gets a zero Cholesky
-    row, and the largest minor is clamped away from 0, so a subset holding
-    an all-zero column gets height 0.
+    is det G_S / max_k det G_{S minus k}.  G is laid out as (n_t, n_t, B).
+    The prefix tree of the lexicographic subsets is walked depth first,
+    carrying the Cholesky rows of the prefix and the residual diagonal
+    d_j = h(j | prefix): a child costs one row update and
+    det G_{T+j} = det G_T * d_j.  Only the (L-1)-minors are stored, in one
+    (C(n_t, L-1), B) table; the size-L determinants are reduced fan by fan
+    as they are yielded.  A fan is the leaves P + (t, j), j > t, of one
+    prefix P and column t: they take one Schur complement row of P at t,
+    and each of their minors is one slice of the table, or one row of it,
+    so no leaf gathers.  A column in the span of the prefix (pivot <= 0)
+    gets a zero Cholesky row, and the largest minor is clamped away from
+    0, so a subset holding an all-zero column gets height 0.
 
     Accuracy: as on any Gram route, a worst-stream height h of a subset
     whose largest squared column norm is n has a relative error of order
@@ -284,8 +284,8 @@ def _lattice_heights(H: np.ndarray, L: int, gram: np.ndarray | None = None) -> I
     ``channel.gram_inverse_diag``.  Thresholds that deep need the QR route
     of ``channel.projection_height_sq``.
     """
-    B, _, n_t = H.shape
-    gram = np.ascontiguousarray((_gram(H) if gram is None else gram).transpose(1, 2, 0))
+    B, n_t = gram.shape[:2]
+    gram = np.ascontiguousarray(gram.transpose(1, 2, 0))
     cols = np.arange(n_t)
     if L == 1:
         yield 0, gram[cols, cols].real
@@ -339,81 +339,79 @@ def _passes(B: int) -> Iterator[slice]:
     return (slice(lo, min(lo + _LATTICE_LANES, B)) for lo in range(0, B, _LATTICE_LANES))
 
 
-def _maxmin_block(H: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Best worst-stream height over every size-L subset of H's columns,
-    and the lexicographic rank of the subset achieving it (ties to the
-    smallest rank).
-
-    L = 2 reads the pair table of :func:`_pair_table`; every other L runs
-    the determinant lattice of :func:`_lattice_heights` on
-    ``_LATTICE_LANES`` channels at a time.
-    """
-    if L == 2:
-        _, fwd, bwd = _pair_table(H)
-        return _max_argmax(np.minimum(fwd, bwd))
-    B = H.shape[0]
-    best = np.full(B, -np.inf)
-    arg = np.zeros(B, dtype=np.int64)
-    for lanes in _passes(B):
-        for first, heights in _lattice_heights(H[lanes], L):
-            top = heights.max(axis=0)
+def _lattice_max(gram: np.ndarray, L: int, rank: np.ndarray | None = None) -> np.ndarray:
+    """Best worst-stream height over every size-L subset, from the lattice
+    of :func:`_lattice_heights` on one pass of Gram matrices.  When given,
+    the (B,) array ``rank`` receives the lexicographic rank of the subset
+    achieving it (ties to the smallest rank); without it no argmax is
+    formed."""
+    best = np.full(len(gram), -np.inf)
+    for first, heights in _lattice_heights(gram, L):
+        top = heights.max(axis=0)
+        if rank is not None:
             # blocks arrive in decreasing rank: >= keeps the smallest rank on ties
-            take = top >= best[lanes]
-            best[lanes] = np.where(take, top, best[lanes])
-            arg[lanes] = np.where(take, first + heights.argmax(axis=0), arg[lanes])
-    return best, arg
-
-
-def _lattice_max(H: np.ndarray, L: int, gram: np.ndarray | None = None) -> np.ndarray:
-    """The height of :func:`_maxmin_block` alone, for one pass of channels
-    (``gram`` as in :func:`_lattice_heights`), with no argmax."""
-    best = np.full(H.shape[0], -np.inf)
-    for _, heights in _lattice_heights(H, L, gram):
-        np.maximum(heights.max(axis=0), best, out=best)
+            np.copyto(rank, first + heights.argmax(axis=0), where=top >= best)
+        np.maximum(top, best, out=best)
     return best
 
 
-def _against_first(norms: np.ndarray, fwd: np.ndarray, bwd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The greedy's first pick at L = 2 from a pair table: its norm, the
-    column (the largest norm, ties to the smallest column) and, per pair,
-    the height of the other column against it, -inf on pairs without it.
-    Within the pairs that hold the pick, the pair rank rises with the
-    other column."""
-    first_norm, first = _max_argmax(norms)
+def _best_row(a: np.ndarray, table: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
+    """Maximum over the rows of the (K, B) array ``a``; when ``cols`` is
+    given it receives the row of ``table`` at the smallest row index
+    holding it."""
+    if cols is None:
+        return a.max(axis=0)
+    top, arg = _max_argmax(a)
+    cols[:] = table[arg]
+    return top
+
+
+def _against_first(norms: np.ndarray, fwd: np.ndarray, bwd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The greedy's first pick at L = 2 from a pair table: the column (the
+    largest norm, ties to the smallest column) and, per pair, the height
+    of the other column against it, -inf on pairs without it.  Within the
+    pairs that hold the pick, the pair rank rises with the other column."""
+    first = _max_argmax(norms)[1]
     against = np.empty_like(fwd)
     for p, (i, j) in enumerate(_subsets(len(norms), 2)):
         against[p] = np.where(first == i, bwd[p], np.where(first == j, fwd[p], -np.inf))
-    return first_norm, first, against
+    return first, against
 
 
-def _greedy_residual(gram: np.ndarray, steps: int, chosen: np.ndarray | None = None,
-                     picked: np.ndarray | None = None) -> np.ndarray:
-    """The first ``steps`` picks of the Cholesky greedy on one pass of
-    (B, n_t, n_t) Gram matrices, recorded in the (B, L) arrays ``chosen``
-    and ``picked`` when given.  Returns the residual heights after them,
-    d_j = h(j | picks), with the picked columns at -inf, so the next pick
-    is its argmax and that pick's height its max.  Entries are read by
-    flat index (lane * n_t + pick), which costs a third of a (lane, pick)
-    fancy index."""
+def _greedy_residual(gram: np.ndarray, L: int, chosen: np.ndarray | None = None) -> np.ndarray:
+    """The Cholesky greedy on one pass of (B, n_t, n_t) Gram matrices: the
+    height of its L-th pick, and its picks in the order taken, recorded
+    in the (B, L) array ``chosen`` when given.
+
+    The residual d_j = h(j | picks) starts at diag(G); each step takes
+    p = argmax d over the columns not yet picked (ties to the smallest
+    column), sets d_p to -inf, forms the Cholesky row
+    r = (G[p, :] - sum_i conj(r_i[p]) r_i) / sqrt(d_p) and lowers d by
+    |r|^2.  After L - 1 steps the last pick is the argmax of d and its
+    height the max.  Entries are read by flat index (lane * n_t + pick),
+    which costs a third of a (lane, pick) fancy index.  The accuracy is
+    that of the lattice (see :func:`_lattice_heights`).
+    """
     B, n_t = gram.shape[:2]
     base = np.arange(B) * n_t
     resid = gram.diagonal(axis1=1, axis2=2).real.copy()
     gram_rows = gram.reshape(B * n_t, n_t)
-    rows = np.empty((steps, B, n_t), dtype=np.complex128)
-    for step in range(steps):
+    rows = np.empty((L - 1, B, n_t), dtype=np.complex128)
+    for step in range(L - 1):
         pick = resid.argmax(axis=1)
         at = base + pick
         pivot = resid.take(at)
         if chosen is not None:
             chosen[:, step] = pick
-            picked[:, step] = pivot
         resid.put(at, -np.inf)
         row = gram_rows.take(at, axis=0)
         for i in range(step):
             row -= rows[i].take(at)[:, None].conj() * rows[i]
         np.multiply(row, (1.0 / np.sqrt(np.maximum(pivot, 1e-300)))[:, None], out=rows[step])
         resid -= rows[step].real ** 2 + rows[step].imag ** 2
-    return resid
+    if chosen is not None:
+        chosen[:, L - 1] = resid.argmax(axis=1)
+    return _row_max(resid)
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -426,95 +424,31 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return top
 
 
-def _greedy_selection_block(H: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Batched greedy column selection.
+def _rule_pass(rules: Sequence[str], H: np.ndarray, L: int, rng: np.random.Generator | None = None,
+               cols: np.ndarray | None = None) -> np.ndarray:
+    """(len(rules), B) outage scalars of the (B, n_r, n_t) block ``H``, row
+    k for ``rules[k]``; when given, the (len(rules), B, L) array ``cols``
+    receives each rule's selected columns, first decoded first.
 
-    Returns (chosen, picked_heights): ``chosen[b, s]`` is the column taken
-    at step s and ``picked_heights[b, s]`` its projection height onto the
-    complement of the span selected so far.  Ties resolve to the smallest
-    column index.
-
-    L = 2 reads the pair table of :func:`_pair_table`: the first pick p has
-    the largest norm and the second maximizes n_j - |g_pj|^2 / n_p; at
-    n_t = 3 this is faster than the Cholesky path below.  Other
-    L run Cholesky row updates on G = H^H H, formed by one batched matmul
-    per pass of ``_LATTICE_LANES`` channels (:func:`_greedy_residual`).
-    The residual d_j = h(j | picks) starts at diag(G); each step takes
-    p = argmax d over the columns not yet picked, forms the Cholesky row
-    r = (G[p, :] - sum_i conj(r_i[p]) r_i) / sqrt(d_p) and lowers d by
-    |r|^2.  The accuracy is that of the lattice (see
-    :func:`_lattice_heights`).
-    """
-    B, _, n_t = H.shape
-    if L == 2:
-        iu, ju = _subsets(n_t, 2).T
-        first_norm, first, against = _against_first(*_pair_table(H))
-        second_height, best = _max_argmax(against)
-        chosen = np.stack([first, iu[best] + ju[best] - first], axis=1)
-        return chosen, np.stack([first_norm, second_height], axis=1)
-    chosen = np.empty((B, L), dtype=np.int64)
-    picked = np.empty((B, L))
-    for lanes in _passes(B):
-        resid = _greedy_residual(_gram(H[lanes]), L - 1, chosen[lanes], picked[lanes])
-        pick = resid.argmax(axis=1)
-        chosen[lanes, L - 1] = pick
-        picked[lanes, L - 1] = np.take_along_axis(resid, pick[:, None], axis=1)[:, 0]
-    return chosen, picked
-
-
-def select_block(rule: str, H: np.ndarray, L: int, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Selected columns of every channel of the (B, n_r, n_t) block ``H``,
-    as a (B, L) array ordered first-decoded first.
-
+    The scalars: maxmin's best worst-stream height over all subsets;
+    first-fixed's and first-ordered's maximized first-layer height;
+    qr-greedy's first decoded layer (its last pick's height); random's
+    worst-stream height of its uniformly drawn subset.  The columns:
     maxmin and random give their subset ascending; first-fixed its pair
     ascending; first-ordered its pair with the larger height first;
-    qr-greedy the reverse of its picks.  random draws B subset ranks from
-    ``rng`` at once and reads no channel entry.
-    """
-    n_t = H.shape[2]
-    if rule == "maxmin":
-        return _subsets(n_t, L)[_maxmin_block(H, L)[1]]
-    if rule == "random":
-        subsets = _subsets(n_t, L)
-        return subsets[rng.integers(0, len(subsets), size=H.shape[0])]
-    if rule == "first-fixed":
-        return _subsets(n_t, 2)[_max_argmax(_pair_table(H)[1])[1]]
-    if rule == "first-ordered":
-        _, fwd, bwd = _pair_table(H)
-        pairs = _subsets(n_t, 2)
-        return np.concatenate([pairs, pairs[:, ::-1]])[_max_argmax(np.concatenate([fwd, bwd]))[1]]
-    if rule == "qr-greedy":
-        return _greedy_selection_block(H, L)[0][:, ::-1]  # detection reverses the selection order
-    raise ValueError(f"unknown selection rule {rule!r}; expected one of {RULES}")
+    qr-greedy the reverse of its picks (detection reverses the selection
+    order).
 
-
-def _outage_scalars(rule: str, H: np.ndarray, L: int, rng: np.random.Generator | None) -> np.ndarray:
-    """Per-channel scalar thresholded by the outage experiment.
-
-    maxmin: best worst-stream height over all subsets.  first-fixed /
-    first-ordered: the maximized first-layer height.  qr-greedy: the
-    first decoded layer's height (last greedy increment).  random: the
-    worst-stream height of the uniformly chosen subset that
-    :func:`select_block` draws.  One row of :func:`_outage_rule_scalars`.
-    """
-    return _outage_rule_scalars((rule,), H, L, rng)[0]
-
-
-def _outage_rule_scalars(rules: Sequence[str], H: np.ndarray, L: int,
-                         rng: np.random.Generator | None) -> np.ndarray:
-    """(len(rules), B) outage scalars of the block H: row k is
-    :func:`_outage_scalars` of ``rules[k]``.
-
-    random first draws its B subset ranks from ``rng`` in one call, as
-    :func:`select_block` does.  Then each pass of ``_LATTICE_LANES``
-    channels builds one table that every rule reduces to its scalar alone,
-    with no argmax, rank or chosen columns kept: at L = 2 the pair table,
-    which random reads at its ranks; at other L one Gram matrix per
-    channel, shared by the lattice of maxmin and the Cholesky greedy of
+    random first draws its B subset ranks from ``rng`` in one call.  Then
+    each pass of ``_LATTICE_LANES`` channels builds one table: at L = 2
+    the pair table, which random reads at its ranks; at other L one Gram
+    matrix per channel, shared by the lattice of maxmin and the greedy of
     qr-greedy, while random runs the lattice on its subset's columns,
-    gathered for the pass.  Each row is bit-identical to the rule's
-    kernel run alone: ``_maxmin_block(H, L)[0]``,
-    ``_greedy_selection_block(H, L)[1][:, L - 1]``, and so on.
+    gathered for the pass.  qr-greedy at L = 2 reads the pair table too:
+    its first pick has the largest norm and its second the largest
+    height against the first, which at n_t = 3 is faster than the
+    Cholesky greedy.  A rule forms an argmax only when ``cols`` is given,
+    and its scalar does not depend on ``cols``.
     """
     for rule in rules:
         if rule not in RULES:
@@ -531,22 +465,45 @@ def _outage_rule_scalars(rules: Sequence[str], H: np.ndarray, L: int,
             norms, fwd, bwd = _pair_table(h)
         elif "maxmin" in rules or "qr-greedy" in rules:
             gram = _gram(h)
-        for row, rule in zip(out, rules):
-            if rule == "random" and L == 2:
-                r = ranks[lanes][None]
-                row[lanes] = np.minimum(np.take_along_axis(fwd, r, 0), np.take_along_axis(bwd, r, 0))[0]
-            elif rule == "random":
-                row[lanes] = _lattice_max(np.take_along_axis(h, subsets[ranks[lanes], None, :], axis=2), L)
+        for row, rule, c in zip(out, rules, itertools.repeat(None) if cols is None else cols[:, lanes]):
+            if rule == "random":
+                r = ranks[lanes]
+                if c is not None:
+                    c[:] = subsets[r]
+                row[lanes] = (np.minimum(np.take_along_axis(fwd, r[None], 0), np.take_along_axis(bwd, r[None], 0))[0]
+                              if L == 2 else _lattice_max(_gram(np.take_along_axis(h, subsets[r, None, :], axis=2)), L))
+            elif rule == "maxmin" and L == 2:
+                row[lanes] = _best_row(np.minimum(fwd, bwd), subsets, c)
             elif rule == "maxmin":
-                row[lanes] = np.minimum(fwd, bwd).max(axis=0) if L == 2 else _lattice_max(h, L, gram)
+                rank = None if c is None else np.empty(len(h), dtype=np.int64)
+                row[lanes] = _lattice_max(gram, L, rank)
+                if c is not None:
+                    c[:] = subsets[rank]
+            elif rule == "qr-greedy" and L == 2:
+                first, against = _against_first(norms, fwd, bwd)
+                if c is None:
+                    row[lanes] = against.max(axis=0)
+                else:
+                    row[lanes], best = _max_argmax(against)
+                    c[:, 0] = subsets[best, 0] + subsets[best, 1] - first  # the second pick, decoded first
+                    c[:, 1] = first
             elif rule == "qr-greedy":
-                row[lanes] = (_against_first(norms, fwd, bwd)[2].max(axis=0) if L == 2
-                              else _row_max(_greedy_residual(gram, L - 1)))
+                row[lanes] = _greedy_residual(gram, L, None if c is None else c[:, ::-1])
             elif rule == "first-fixed":
-                row[lanes] = fwd.max(axis=0)
+                row[lanes] = _best_row(fwd, subsets, c)
             else:
-                row[lanes] = np.maximum(fwd, bwd).max(axis=0)
+                row[lanes] = _best_row(np.concatenate([fwd, bwd]), np.concatenate([subsets, subsets[:, ::-1]]), c)
     return out
+
+
+def select_block(rule: str, H: np.ndarray, L: int, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Selected columns of every channel of the (B, n_r, n_t) block ``H``,
+    as a (B, L) array ordered first-decoded first: the columns of
+    :func:`_rule_pass` for ``rule`` alone.  random draws B subset ranks
+    from ``rng`` at once."""
+    cols = np.empty((1, H.shape[0], L), dtype=np.int64)
+    _rule_pass((rule,), H, L, rng, cols)
+    return cols[0]
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +517,6 @@ def select(rule: str, H, L: int, rng: np.random.Generator | None = None) -> Sele
     "random", which draws one subset rank from it.  first-fixed and
     first-ordered are defined for L = 2 only.
     """
-    if rule in ("first-fixed", "first-ordered") and L != 2:
-        raise ValueError(f"{rule} selection is defined for L = 2 only")
     if rule == "random" and rng is None:
         raise ValueError("random selection needs an explicit rng")
     H = as_channel_matrix(H)

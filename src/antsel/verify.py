@@ -42,7 +42,7 @@ from .montecarlo import (
     independence_suite,
     lemma_harness,
 )
-from .selection import RULES, _greedy_selection_block, _pair_table, select_qr_greedy
+from .selection import RULES, _pair_table, _rule_pass, select_qr_greedy
 
 #: Threshold grid spanning the informative sub-saturation decade for
 #: (3, 3, 2)-sized problems; the slope fit clips it further by hit counts.
@@ -342,8 +342,7 @@ def greedy_first_layer_distribution_probe(samples: int, seed: int) -> float:
     n_t, n_r = 3, 3
     rng = stream_generator(seed, 0)
     H = complex_gaussian(rng, (samples, n_r, n_t))
-    _, picked = _greedy_selection_block(H, 2)
-    scalars = picked[:, 1]
+    scalars = _rule_pass(("qr-greedy",), H, 2)[0]
     ks = stats.kstest(scalars, lambda v: analytic.chi2n_cdf(v, n_r - 1) ** (n_t - 1))
     return float(ks.pvalue)
 

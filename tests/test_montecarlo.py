@@ -45,11 +45,12 @@ from antsel.receivers import (
 )
 from antsel.selection import (
     RULES,
-    _greedy_selection_block,
+    _gram,
     _lattice_heights,
-    _maxmin_block,
-    _outage_scalars,
+    _lattice_max,
     _pair_table,
+    _rule_pass,
+    _subsets,
     enumerate_subsets,
     select_block,
     subset_metrics,
@@ -115,7 +116,7 @@ def nulling_oracle(H, y, rho0, receiver, feedback, transmitted):
 def lattice_table(H, L):
     """(C(n_t, L), B) worst-stream heights gathered from the lattice's blocks."""
     table = np.full((math.comb(H.shape[2], L), H.shape[0]), np.nan)
-    for first, heights in _lattice_heights(H, L):
+    for first, heights in _lattice_heights(_gram(H), L):
         assert np.isnan(table[first:first + len(heights)]).all()
         table[first:first + len(heights)] = heights
     assert not np.isnan(table).any()
@@ -169,7 +170,7 @@ class TestOutageEngine:
         n_t, n_r, L = dims
         rng = stream_generator(33, 0)
         H = complex_gaussian(rng, (300, n_r, n_t))
-        scalars = _outage_scalars(rule, H.copy(), L, rng)
+        scalars = _rule_pass((rule,), H.copy(), L, rng)[0]
         rng_replay = stream_generator(33, 0)
         H_replay = complex_gaussian(rng_replay, (300, n_r, n_t))
         subsets = enumerate_subsets(n_t, L)
@@ -187,35 +188,39 @@ class TestOutageEngine:
         n_t, n_r, L = dims
         rng = stream_generator(34, 0)
         H = complex_gaussian(rng, (200, n_r, n_t))
-        scalars = _outage_scalars("random", H, L, rng)
+        scalars = _rule_pass(("random",), H, L, rng)[0]
         rng_replay = stream_generator(34, 0)
         complex_gaussian(rng_replay, (200, n_r, n_t))
         idx = rng_replay.integers(0, math.comb(n_t, L), size=200)
         table = lattice_table(H, L)
         np.testing.assert_allclose(scalars, table[idx, np.arange(200)], rtol=1e-9)
-        best, arg = _maxmin_block(H, L)
-        np.testing.assert_array_equal(best, table.max(axis=0))
-        np.testing.assert_array_equal(arg, table.argmax(axis=0))
+        rank = np.empty(200, dtype=np.int64)
+        np.testing.assert_array_equal(_lattice_max(_gram(H), L, rank), table.max(axis=0))
+        np.testing.assert_array_equal(rank, table.argmax(axis=0))
 
     def test_lattice_passes_split_lanes_without_changing_results(self, monkeypatch):
         H = complex_gaussian(stream_generator(39, 0), (50, 5, 5))
         table = lattice_table(H, 3)
         monkeypatch.setattr(selection, "_LATTICE_LANES", 7)
-        best, arg = _maxmin_block(H, 3)
-        np.testing.assert_array_equal(best, table.max(axis=0))
-        np.testing.assert_array_equal(arg, table.argmax(axis=0))
+        cols = np.empty((1, 50, 3), dtype=np.int64)
+        np.testing.assert_array_equal(_rule_pass(("maxmin",), H, 3, None, cols)[0], table.max(axis=0))
+        np.testing.assert_array_equal(cols[0], _subsets(5, 3)[table.argmax(axis=0)])
 
     def test_pair_table_and_greedy_split_lanes_without_changing_results(self, monkeypatch):
         H = complex_gaussian(stream_generator(41, 0), (50, 4, 5))
+        def greedy(L):
+            cols = np.empty((1, 50, L), dtype=np.int64)
+            return _rule_pass(("qr-greedy",), H, L, None, cols)[0], cols[0]
+
         table = _pair_table(H)
-        greedy = {L: _greedy_selection_block(H, L) for L in (2, 4)}
+        whole = {L: greedy(L) for L in (2, 4)}
         monkeypatch.setattr(selection, "_LATTICE_LANES", 7)
-        for whole, split in zip(table, _pair_table(H)):
-            np.testing.assert_array_equal(split, whole)
-        for L, (chosen, picked) in greedy.items():
-            split_chosen, split_picked = _greedy_selection_block(H, L)
-            np.testing.assert_array_equal(split_chosen, chosen)
-            np.testing.assert_array_equal(split_picked, picked)
+        for whole_part, split in zip(table, _pair_table(H)):
+            np.testing.assert_array_equal(split, whole_part)
+        for L, (scalars, cols) in whole.items():
+            split_scalars, split_cols = greedy(L)
+            np.testing.assert_array_equal(split_cols, cols)
+            np.testing.assert_array_equal(split_scalars, scalars)
 
     @pytest.mark.parametrize("rule,L", [(rule, 2) for rule in selection.RULES]
                              + [("maxmin", 3), ("qr-greedy", 3), ("random", 3)])
@@ -228,7 +233,7 @@ class TestOutageEngine:
         hits = []
         for block in (7, 105):
             monkeypatch.setattr(montecarlo, "_LATTICE_LANES", block)
-            hits.append(_outage_chunk(config, 2, 100)["hits"].tolist())
+            hits.append(_outage_chunk(config, 2, 100, rules=(rule,))["hits"][0].tolist())
         assert sum(0 < h < 100 for h in hits[0]) >= 5
         assert hits[0] == hits[1]
 
@@ -242,7 +247,7 @@ class TestOutageEngine:
         for trials in (2 * 10 ** 4, 8 * 10 ** 4):
             tracemalloc.start()
             try:
-                _outage_chunk(config, 0, trials)
+                _outage_chunk(config, 0, trials, rules=(rule,))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -256,7 +261,7 @@ class TestOutageEngine:
         config = ExperimentConfig(n_t=8, n_r=8, L=4, rule="random", trial_count=10, master_seed=49, grid=(1.0, 2.0))
         tracemalloc.start()
         try:
-            _outage_chunk(config, 0, trials)
+            _outage_chunk(config, 0, trials, rules=("random",))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -284,8 +289,7 @@ class TestOutageEngine:
     def test_pair_rules_are_ordered_draw_by_draw(self):
         # first-ordered >= first-fixed >= maxmin >= random on common draws, exactly
         H = complex_gaussian(stream_generator(42, 0), (20_000, 3, 3))
-        scalars = [_outage_scalars(rule, H, 2, stream_generator(42, 1))
-                   for rule in ("first-ordered", "first-fixed", "maxmin", "random")]
+        scalars = _rule_pass(("first-ordered", "first-fixed", "maxmin", "random"), H, 2, stream_generator(42, 1))
         for upper, lower in zip(scalars, scalars[1:]):
             assert np.all(upper >= lower)
         assert np.any(scalars[0] > scalars[1]) and np.any(scalars[2] > scalars[3])
@@ -294,7 +298,7 @@ class TestOutageEngine:
         H = complex_gaussian(stream_generator(43, 0), (30_000, 8, 8))
         tracemalloc.start()
         try:
-            _greedy_selection_block(H, 4)
+            select_block("qr-greedy", H, 4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -306,7 +310,7 @@ class TestOutageEngine:
     def test_single_stream_heights_are_column_norms(self, rule):
         rng = stream_generator(35, 0)
         H = complex_gaussian(rng, (100, 3, 4))
-        scalars = _outage_scalars(rule, H, 1, rng)
+        scalars = _rule_pass((rule,), H, 1, rng)[0]
         norms = np.sum(np.abs(H) ** 2, axis=1)
         if rule == "random":
             rng_replay = stream_generator(35, 0)
@@ -315,7 +319,7 @@ class TestOutageEngine:
         else:
             expected = norms.max(axis=1)
         np.testing.assert_allclose(scalars, expected, rtol=1e-12)
-        np.testing.assert_array_equal(_maxmin_block(H, 1)[1], norms.argmax(axis=1))
+        np.testing.assert_array_equal(select_block("maxmin", H, 1)[:, 0], norms.argmax(axis=1))
 
     @pytest.mark.parametrize("dims", [(3, 5, 3), (4, 4, 4)], ids=["3x5x3", "4x4x4"])
     def test_all_columns_form_the_one_subset(self, dims):
@@ -325,8 +329,8 @@ class TestOutageEngine:
         subset = enumerate_subsets(n_t, L)[0]
         expected = [subset_metrics(H[b], subset).min_height for b in range(50)]
         for rule in ("maxmin", "random"):
-            np.testing.assert_allclose(_outage_scalars(rule, H, L, stream_generator(36, 1)), expected, rtol=1e-9)
-        np.testing.assert_array_equal(_maxmin_block(H, L)[1], 0)
+            np.testing.assert_allclose(_rule_pass((rule,), H, L, stream_generator(36, 1))[0], expected, rtol=1e-9)
+        np.testing.assert_array_equal(select_block("maxmin", H, L), np.tile(np.arange(n_t), (50, 1)))
 
     @pytest.mark.parametrize("rule", ["maxmin", "random"])
     def test_decode_columns_general_l(self, rule):
@@ -465,7 +469,7 @@ class TestBerEngine:
         noise_bytes = frames * config.n_r * config.frame_symbols * 16
         tracemalloc.start()
         try:
-            _ber_chunk(config, 0, frames)
+            _ber_chunk(config, 0, frames, rules=(config.rule,))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -485,8 +489,8 @@ class TestBerEngine:
             counts = []
             for block in (1, 7, frames + 5):
                 monkeypatch.setattr(montecarlo, "_BER_BLOCK_SAMPLES", block * L * T)
-                tallies = _ber_chunk(config, 0, frames)
-                counts.append((tallies["errors"].tolist(), tallies["bits"].tolist()))
+                tallies = _ber_chunk(config, 0, frames, rules=(rule,))
+                counts.append((tallies["errors"][0].tolist(), tallies["bits"].tolist()))
             assert counts[0][0][0] > 0
             assert counts[0] == counts[1] == counts[2], (receiver, feedback, ordering)
 
@@ -582,9 +586,9 @@ class TestBerEngine:
                 received = budget.stream_scale * (Heff @ symbols) + noise
                 detected = detect_block(Heff, received, budget, receiver, feedback, symbols)
                 expected.append(int(np.count_nonzero(qpsk_demodulate(detected) != bits)))
-            tallies = _ber_chunk(config, 0, frames)
+            tallies = _ber_chunk(config, 0, frames, rules=(rule,))
             assert expected[0] > 0
-            assert tallies["errors"].tolist() == expected, (receiver, feedback, ordering)
+            assert tallies["errors"][0].tolist() == expected, (receiver, feedback, ordering)
             assert tallies["bits"].tolist() == [bits.size] * len(grid)
 
     @pytest.mark.parametrize("ordering", ["vblast", "qr-reverse"])
@@ -870,7 +874,7 @@ class TestLatticeAccuracy:
     ``ratio`` times the combination's.  The subset (0..L-2, last) then has
     a worst-stream height of order ``ratio`` times its largest squared
     norm, the deep-threshold regime of the high-SNR curves.  Each Gram
-    route (the lattice, the L = 2 pair table, the greedy's picked heights)
+    route (the lattice, the L = 2 pair table, the greedy's last pick)
     must meet the same bounds.
     """
 
@@ -906,13 +910,13 @@ class TestLatticeAccuracy:
                 _, fwd, bwd = _pair_table(H)
                 values = np.minimum(fwd, bwd)[rank]
             else:
-                chosen, picked = _greedy_selection_block(H[:, :, sub], L)
-                values = picked[:, -1]
+                cols = np.empty((1, self.DRAWS, L), dtype=np.int64)
+                values = _rule_pass(("qr-greedy",), H[:, :, sub], L, None, cols)[0]
             depth, err_route, err_inverse = [], [], []
             for b in range(self.DRAWS):
                 H_s = H[b][:, sub]
                 if route == "greedy":
-                    last, earlier = chosen[b, -1], chosen[b, :-1]
+                    last, earlier = cols[0, b, 0], cols[0, b, 1:]  # the last pick is decoded first
                     oracle = projection_height_sq(H_s, last, earlier).height_sq
                     inverse = float(1.0 / gram_inverse_diag(H_s)[last])
                 else:
