@@ -23,24 +23,30 @@ import numpy as np
 # probability-zero event; raising beats returning garbage.
 RANK_RATIO_TOL = 1e-12
 
+#: Version of the draw layout, recorded in every run manifest: which
+#: generator a (seed, stream) pair keys and what each chunk draws from it.
+#: Layout 2 keys SFC64 on a SeedSequence (``stream_generator``).  A new
+#: layout changes every output on a given seed, so it bumps this number.
+RNG_LAYOUT = 2
+
 
 class SingularMatrixError(ValueError):
     """A matrix required to have full column rank does not."""
 
 
 def stream_generator(seed: int, stream: int) -> np.random.Generator:
-    """Counter-based generator for sub-stream ``stream`` of ``seed``.
+    """Generator for sub-stream ``stream`` of ``seed``.
 
-    Distinct (seed, stream) pairs select independent Philox streams, so
-    work split across streams reproduces bit-for-bit regardless of
-    evaluation order or worker count.  Each is one 64-bit word of the
-    key, so each must lie in [0, 2^64); ValueError otherwise.
+    An SFC64 generator seeded by ``SeedSequence(seed, spawn_key=(stream,))``:
+    distinct (seed, stream) pairs hash to independent states, so work
+    split across streams reproduces bit-for-bit regardless of evaluation
+    order or worker count.  Each is read as one 64-bit word, so each must
+    lie in [0, 2^64); ValueError otherwise.
     """
     for name, value in (("seed", seed), ("stream", stream)):
         if not 0 <= value < 2 ** 64:
             raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 
 def complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, analytic
+from .channel import RNG_LAYOUT
 from .montecarlo import (
     ExperimentConfig,
     FitError,
@@ -48,7 +49,8 @@ class RunManifest:
     ``effective_chunk_size`` is the chunk the run was split into, which
     keys the random streams: ``config.chunk_size`` for outage runs, and
     for BER runs that size capped by the received-sample budget.
-    ``library_versions`` names the python, numpy and scipy releases.
+    ``library_versions`` names the python, numpy and scipy releases, and
+    ``rng_layout`` the package's draw layout (``channel.RNG_LAYOUT``).
     """
 
     tool: str
@@ -62,6 +64,7 @@ class RunManifest:
     outputs: tuple[str, ...]
     effective_chunk_size: int
     library_versions: dict
+    rng_layout: int = RNG_LAYOUT
     slope_fit: dict | None = None
 
 

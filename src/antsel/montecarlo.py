@@ -6,8 +6,9 @@ bounds those values are judged by live in :mod:`antsel.verify`.
 
 Outage, BER, the tail-exponent harness and the independence suite run on
 one chunk driver, :func:`_run_chunks`, and all four take ``workers``.
-Chunk i of a run draws every random quantity from the Philox stream keyed
-by (master_seed, i), in a fixed order (channels, then frame bits, then
+Chunk i of a run draws every random quantity from the stream
+``channel.stream_generator(master_seed, i)`` (an SFC64 generator keyed by a
+SeedSequence, RNG layout 2), in a fixed order (channels, then frame bits, then
 noise, then any rule randomness), and returns named counts and sums that
 the driver adds up in plan order.  So output is bit-identical for any
 worker count, and experiments that share a master seed see identical
@@ -18,7 +19,7 @@ and :func:`estimate_ber` are their one-rule calls.
 
 A chunk draws its Gaussians in the blocks its kernels reduce, each block
 just before it is read: outage channels in passes of ``_LATTICE_LANES``,
-BER noise in detection blocks.  One Philox stream drawn block after block
+BER noise in detection blocks.  One stream drawn block after block
 gives the same normals, and leaves the generator in the same state, as
 one whole-chunk draw, so results do not depend on the block size and the
 memory of a chunk does not grow with its draws.  The rule "random" is the
@@ -400,9 +401,10 @@ def _ber_chunk_size(config: ExperimentConfig) -> int:
 
 def _draw_bits(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """The (*shape, 2) bool bits of ``rng.integers(0, 2, (*shape, 2))``,
-    drawn as one raw 64-bit word per pair.  That call keeps bit 31 of each
-    32-bit half-word, low half first, and an even count of bits empties
-    its half-word buffer, so the generator is left in the same state."""
+    drawn as one raw 64-bit word per pair of the chunk's SFC64 generator.
+    That call keeps bit 31 of each 32-bit half-word, which SFC64 hands
+    out low half first, and an even count of bits empties its half-word
+    buffer, so the generator is left in the same state."""
     words = rng.bit_generator.random_raw(math.prod(shape)).reshape(shape)
     bits = np.empty(shape + (2,), dtype=bool)
     np.right_shift(words, 63, out=bits[..., 1], casting="unsafe")

@@ -13,6 +13,7 @@ from antsel.channel import (
     stream_generator,
 )
 from antsel.analytic import chi2n_cdf, theta_cdf
+from antsel.selection import RULES, _rule_pass
 
 
 def rand_matrix(n_r, n_t, seed=0, stream=0):
@@ -173,6 +174,22 @@ class TestDistributions:
         assert stats.kstest(angles, lambda t: theta_cdf(t, n_r)).pvalue > 0.01
         # norm and direction are independent pieces of a Gaussian vector
         assert abs(np.corrcoef(n0, angles)[0, 1]) < 0.02
+
+
+class TestLayoutEquivalence:
+    """RNG layout 2 (``stream_generator``) against the Philox-keyed streams
+    of layout 1: each rule's outage scalar must follow the same law."""
+
+    @pytest.mark.parametrize("dims,rule", [pytest.param((3, 3, 2), rule, id=f"{rule}-3x3x2") for rule in RULES] + [
+        pytest.param((4, 6, 3), rule, id=f"{rule}-4x6x3") for rule in ("maxmin", "qr-greedy")])
+    def test_rule_scalars_match_philox_draws(self, dims, rule):
+        n_t, n_r, L = dims
+        philox = np.random.Generator(np.random.Philox(key=np.array([46, 0], dtype=np.uint64)))
+        samples = []
+        for rng in (philox, stream_generator(46, 0)):
+            H = complex_gaussian(rng, (20_000, n_r, n_t))
+            samples.append(_rule_pass((rule,), H, L, rng)[0])
+        assert stats.ks_2samp(*samples).pvalue > 1e-3
 
 
 class TestGramInverseDiag:

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from antsel.channel import RNG_LAYOUT
 from antsel.cli import _library_versions, main, parse_grid, UsageError
 from antsel.montecarlo import EmpiricalCurve, fit_slope
 from antsel.verify import ber_ordering_measurement, check_ber_ordering
@@ -246,8 +247,19 @@ def outage_argv(out, *extra):
             "--x-grid", "logspace:0.05,0.5,6", "--out", str(out), *extra]
 
 
+@pytest.mark.parametrize("command", ["outage", "ber"])
+def test_manifest_records_the_rng_layout(tmp_path, command):
+    out = tmp_path / "run.csv"
+    argv = outage_argv(out) if command == "outage" else [
+        "ber", "--nt", "3", "--nr", "3", "--L", "2", "--rule", "maxmin", "--snr-db", "10",
+        "--frames", "50", "--frame-symbols", "10", "--out", str(out)]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+    assert manifest["rng_layout"] == RNG_LAYOUT == 2
+
+
 class TestSeedRange:
-    """Seeds key a 64-bit Philox word: out of range is a usage error."""
+    """Seeds are read as one 64-bit word: out of range is a usage error."""
 
     @pytest.mark.parametrize("flag,env", [("--seed=-1", None), ("--seed=18446744073709551616", None), (None, "-3")],
                              ids=["negative-flag", "two-to-the-64-flag", "negative-env"])

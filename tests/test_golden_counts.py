@@ -2,9 +2,9 @@
 
 Kernel rewrites must leave every count on a fixed seed unchanged, so a
 rewrite that moves one fails here and its before and after values go in
-CHANGES.md.  The counts were taken from the code before the selection
-rules were folded into one pass (each rule then had its own column
-kernel and its own scalar reduction).  The six tests take well under a
+CHANGES.md.  The counts are those of RNG layout 2 (every chunk stream an
+SFC64 generator keyed by a SeedSequence); a change of layout re-pins them
+with the same seeds, trials and grids.  The six tests take well under a
 second on one core.
 """
 
@@ -19,34 +19,34 @@ GENERAL_L_RULES = ("maxmin", "random", "qr-greedy")
 
 OUTAGE_CASES = [
     pytest.param((3, 3, 2), RULES, 200_000, tuple(np.geomspace(0.02, 2.0, 12)), {
-        "maxmin": (0, 0, 2, 5, 7, 43, 218, 1043, 4381, 16274, 49084, 109895),
-        "first-fixed": (0, 0, 0, 1, 2, 11, 59, 310, 1356, 5851, 20439, 57215),
-        "first-ordered": (0, 0, 0, 0, 0, 1, 5, 34, 190, 1007, 5558, 25560),
-        "qr-greedy": (0, 0, 2, 5, 15, 61, 306, 1348, 5431, 18803, 53023, 113158),
-        "random": (63, 154, 359, 817, 1795, 3962, 8703, 18408, 36462, 67629, 111274, 157893),
+        "maxmin": (0, 1, 1, 2, 7, 41, 202, 975, 4308, 16193, 49121, 109644),
+        "first-fixed": (0, 1, 1, 2, 3, 20, 66, 291, 1417, 5847, 20539, 57226),
+        "first-ordered": (0, 0, 0, 0, 0, 2, 6, 31, 166, 985, 5546, 25241),
+        "qr-greedy": (0, 1, 1, 4, 13, 58, 282, 1331, 5388, 18735, 53135, 112985),
+        "random": (83, 181, 414, 838, 1810, 4031, 8765, 18209, 36479, 67369, 111575, 157893),
     }, id="3x3x2"),
     pytest.param((8, 8, 4), GENERAL_L_RULES, 10_000, tuple(np.geomspace(0.5, 8.0, 10)), {
-        "maxmin": (0, 0, 0, 0, 0, 0, 23, 819, 5948, 9754),
-        "random": (6, 27, 93, 320, 1005, 2602, 5476, 8422, 9795, 9997),
-        "qr-greedy": (0, 0, 0, 0, 0, 1, 95, 1449, 6658, 9792),
+        "maxmin": (0, 0, 0, 0, 0, 0, 23, 757, 5923, 9774),
+        "random": (8, 25, 91, 328, 1009, 2675, 5462, 8387, 9819, 9997),
+        "qr-greedy": (0, 0, 0, 0, 0, 2, 79, 1398, 6697, 9813),
     }, id="8x8x4"),
 ]
 
 #: (dims, rules, receiver, ordering, bit errors at 8, 14 and 20 dB) of 1000 frames
 BER_CASES = [
     pytest.param((3, 3, 2), RULES, "df-zf", None, {
-        "maxmin": (1798, 34, 0), "first-fixed": (2213, 80, 1), "first-ordered": (2054, 67, 1),
-        "qr-greedy": (2194, 48, 0), "random": (6019, 623, 22),
+        "maxmin": (1713, 28, 1), "first-fixed": (2326, 61, 1), "first-ordered": (2109, 64, 1),
+        "qr-greedy": (2091, 54, 1), "random": (5062, 474, 39),
     }, id="3x3x2-df-zf"),
     pytest.param((3, 3, 2), RULES, "df-mmse", None, {
-        "maxmin": (1651, 34, 0), "first-fixed": (2086, 82, 1), "first-ordered": (2010, 67, 1),
-        "qr-greedy": (2009, 47, 0), "random": (5166, 517, 18),
+        "maxmin": (1671, 26, 1), "first-fixed": (2236, 60, 1), "first-ordered": (2030, 64, 1),
+        "qr-greedy": (1989, 42, 1), "random": (4587, 399, 21),
     }, id="3x3x2-df-mmse"),
     pytest.param((4, 4, 3), GENERAL_L_RULES, "df-zf", "vblast", {
-        "maxmin": (4463, 49, 0), "qr-greedy": (4151, 39, 0), "random": (9852, 548, 13),
+        "maxmin": (4143, 40, 0), "qr-greedy": (3990, 31, 0), "random": (9573, 442, 26),
     }, id="4x4x3-df-zf-vblast"),
     pytest.param((4, 4, 3), GENERAL_L_RULES, "df-mmse", "qr-reverse", {
-        "maxmin": (5946, 201, 2), "qr-greedy": (6021, 294, 4), "random": (12272, 1963, 209),
+        "maxmin": (5735, 156, 1), "qr-greedy": (5818, 226, 1), "random": (12309, 1652, 125),
     }, id="4x4x3-df-mmse-qr-reverse"),
 ]
 

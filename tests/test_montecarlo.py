@@ -430,9 +430,9 @@ class TestBerEngine:
         assert curve.trials[0] == 100 * 2 * 25 * 2
 
     def test_awgn_oracle_single_antenna(self):
-        rho_db = 6.0
-        config = ExperimentConfig(n_t=1, n_r=1, L=1, rule="maxmin", trial_count=2_000,
-                                  master_seed=10, grid=(rho_db,), receiver="zf", frame_symbols=50)
+        rho_db, frames, T = 6.0, 30_000, 50
+        config = ExperimentConfig(n_t=1, n_r=1, L=1, rule="maxmin", trial_count=frames,
+                                  master_seed=10, grid=(rho_db,), receiver="zf", frame_symbols=T)
         curve = estimate_ber(config)
         # fading single antenna: average the AWGN law over the channel gain
         from scipy import integrate
@@ -440,10 +440,14 @@ class TestBerEngine:
         from antsel.receivers import qpsk_bit_error_rate
 
         rho = 10 ** (rho_db / 10)
-        p, _ = integrate.quad(lambda g: qpsk_bit_error_rate(rho * g) * math.exp(-g), 0, np.inf)
+        p1, _ = integrate.quad(lambda g: qpsk_bit_error_rate(rho * g) * math.exp(-g), 0, np.inf)
+        p2, _ = integrate.quad(lambda g: qpsk_bit_error_rate(rho * g) ** 2 * math.exp(-g), 0, np.inf)
         n = curve.trials[0]
-        sigma = math.sqrt(p * (1 - p) * n)
-        assert abs(curve.hits[0] - p * n) < 4 * sigma
+        assert n == frames * 2 * T
+        # a frame's 2T bits share one gain g, so its errors are Binomial(2T,
+        # p(g)) given g: the variance per frame adds the spread of 2T p(g)
+        sigma = math.sqrt(frames * (2 * T * (p1 - p2) + (2 * T) ** 2 * (p2 - p1 ** 2)))
+        assert abs(curve.hits[0] - p1 * n) < 4 * sigma
 
     def test_worker_invariance(self):
         config = ExperimentConfig(n_t=3, n_r=3, L=2, rule="first-fixed", trial_count=2_000,

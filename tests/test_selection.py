@@ -5,7 +5,7 @@ import pytest
 from qr_oracle import reference_columns, reference_scalar
 
 from antsel import selection
-from antsel.channel import complex_gaussian, stream_generator
+from antsel.channel import complex_gaussian, projection_height_sq, stream_generator
 from antsel.selection import (
     RULES,
     AntennaSubset,
@@ -219,8 +219,6 @@ class TestQrGreedy:
             assert norms[first_selected] == norms.max()
 
     def test_stepwise_optimality(self):
-        from antsel.channel import projection_height_sq
-
         H = rand_matrix(4, 5, seed=10)
         out = select_qr_greedy(H, 3)
         selection = [out.subset.indices[p] for p in reversed(out.decode_order)]
@@ -263,10 +261,19 @@ class TestCrossRuleProperties:
     def test_column_permutation_equivariance(self, rule):
         H = rand_matrix(3, 4, seed=15)
         perm = (2, 0, 3, 1)
-        out = select(rule, H, 2)
         out_p = select(rule, H[:, perm], 2)
-        mapped = tuple(sorted(perm.index(i) for i in out.subset.indices))
-        assert out_p.subset.indices == mapped
+        if rule == "first-fixed":
+            # first-fixed decodes the smaller index first, so relabelling the
+            # columns changes which height each pair is judged by: on H[:, perm]
+            # it picks the pair {perm[k], perm[j]}, k < j, with the largest
+            # height of perm[k] against perm[j]
+            k, j = max(itertools.combinations(range(4), 2),
+                       key=lambda kj: projection_height_sq(H, perm[kj[0]], (perm[kj[1]],)).height_sq)
+            assert {perm[i] for i in out_p.subset.indices} == {perm[k], perm[j]}
+        else:
+            out = select(rule, H, 2)
+            mapped = tuple(sorted(perm.index(i) for i in out.subset.indices))
+            assert out_p.subset.indices == mapped
 
     def test_maxmin_dominates_every_rule_per_draw(self):
         for stream in range(50):
@@ -381,10 +388,15 @@ class TestCollinearColumns:
     def test_maxmin_avoids_a_dependent_pair(self):
         # column 3 is a multiple of column 1, so every subset holding both has
         # height 0; a lattice prefix holding both gets a pivot near zero, of
-        # either sign after rounding
+        # either sign after rounding.  A subset holding 1 and the same subset
+        # holding 3 tie exactly when their worst stream is another column, and
+        # the lattice and the QR oracle break such ties by rounding, so the
+        # pick is judged by its worst-stream height
         H = complex_gaussian(stream_generator(25, 0), (100, 5, 6))
         H[:, :, 3] = (0.3 + 0.2j) * H[:, :, 1]
         cols = select_block("maxmin", H, 4)
         for b in range(100):
             assert not {1, 3} <= set(cols[b])
-            assert tuple(cols[b]) == reference_columns("maxmin", H[b], 4)
+            expected = reference_columns("maxmin", H[b], 4)
+            assert reference_scalar("maxmin", H[b], cols[b]) == pytest.approx(
+                reference_scalar("maxmin", H[b], expected), rel=1e-12)
