@@ -28,8 +28,11 @@ exception: its subset ranks follow the channels (outage) or the noise
 
 Selection runs in the multi-rule pass of :mod:`antsel.selection`, once
 per block for all the rules of a chunk: outage chunks take its scalars,
-BER chunks its columns.  This module keeps the chunk plan, the draws,
-the decode-order overrides, detection over the SNR grid and the counting.
+BER chunks its columns.  Detection over the SNR grid is the one kernel
+of :mod:`antsel.receivers`, :func:`antsel.receivers.detect_grid`, run in
+the error domain on each block's symbols and noise.  This module keeps
+the chunk plan, the draws, the decode-order overrides, the column gathers
+and the counting.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -347,53 +350,6 @@ def _apply_ordering(config: ExperimentConfig, H: np.ndarray, cols: np.ndarray) -
     return np.take_along_axis(cols, perm, axis=1)
 
 
-def _detect_grid(config: ExperimentConfig, Heff: np.ndarray, bits: np.ndarray,
-                 noise: np.ndarray) -> Iterator[np.ndarray]:
-    """Stream estimates at each SNR point of ``config.grid``, in order, for
-    a block of frames whose columns are already in decode order (stream i
-    of the symbols of ``bits`` rides column i of ``Heff``).  Their rail
-    signs are the decisions (``receivers.qpsk_slice`` gives the symbols);
-    the next point overwrites them.
-
-    Detection runs in the error domain.  At stream scale s the
-    matched-filter output over s is y = G x + z / s, with the Gram
-    matrices G, the symbols x and the noise projection z = Heff^H noise.
-    Every receiver's stage matrix V has V G = I - lam V on the columns it
-    nulls and the decision-feedback leak below them, so the estimate
-    before cancellation is x + V (z / s - lam x) and no G x is formed.
-    For ZF (lam = 0) W = V z is formed once per call, as (V Heff^H) noise,
-    and a point costs est = x + W / s; the MMSE front ends build their
-    stage matrices and one matmul per point.  Actual feedback then takes
-    the leak times (sliced - x) off the later stages; genie feedback
-    cancels nothing.  Every step works frame by frame, so the estimates
-    of a frame do not depend on the other frames of the call.
-    """
-    x = rx.qpsk_modulate(bits)
-    G = rx.matched_filter(Heff, Heff)
-    if regularized := config.receiver in ("mmse", "df-mmse"):
-        z = rx.matched_filter(Heff, noise)
-        u = np.empty_like(z)
-    else:
-        V, leak = rx.stage_matrices(G, config.receiver, 0.0)
-        W = (V @ Heff.conj().transpose(0, 2, 1)) @ noise
-    est = np.empty_like(x)
-    for snr_db in config.grid:
-        budget = rx.LinkBudget(rho0=10.0 ** (snr_db / 10.0), L=config.L)
-        if regularized:
-            lam = rx.nulling_lam(config.receiver, budget)
-            V, leak = rx.stage_matrices(G, config.receiver, lam)
-            np.multiply(x, lam, out=est)
-            np.multiply(z, 1.0 / budget.stream_scale, out=u)
-            u -= est
-            np.matmul(V, u, out=est)
-        else:
-            np.multiply(W, 1.0 / budget.stream_scale, out=est)
-        est += x
-        if config.feedback == "actual":
-            rx.detect_matched(leak, est, cancelled=x)
-        yield est
-
-
 def _ber_chunk_size(config: ExperimentConfig) -> int:
     cap = max(1, _BER_CHUNK_SAMPLE_CAP // (config.n_r * config.frame_symbols))
     return min(config.chunk_size, cap)
@@ -423,7 +379,8 @@ def _ber_chunk(config: ExperimentConfig, chunk_index: int, frames: int,
     the noise, then random's subset ranks; every rule reads the same
     draws.  Every rule selects its columns in one selection pass, which
     builds one table for all of them, and orders them in one call each;
-    then the chunk gathers columns, detects and counts in blocks of
+    then the chunk gathers columns, detects (``receivers.detect_grid`` on
+    the symbols and the noise) and counts in blocks of
     max(1, ``_BER_BLOCK_SAMPLES`` // (L T)) frames, whose (B, L, T)
     arrays stay in cache.  Each block draws its own slice of the noise
     just before detecting it, which continues the stream as a whole-chunk
@@ -440,15 +397,17 @@ def _ber_chunk(config: ExperimentConfig, chunk_index: int, frames: int,
     cols = np.empty((len(rules), frames, L), dtype=np.int64)
     _rule_pass(rules, H, L, rng, cols)
     cols = [_apply_ordering(config, H, rule_cols) for rule_cols in cols]
+    budgets = [rx.LinkBudget(rho0=10.0 ** (snr_db / 10.0), L=L) for snr_db in config.grid]
     errors = np.zeros((len(rules), len(config.grid)), dtype=np.int64)
     block = max(1, _BER_BLOCK_SAMPLES // (L * T))
     for start in range(0, frames, block):
         part = slice(start, start + block)
         part_bits = bits[part]
         part_noise = complex_gaussian(rng, (len(part_bits), n_r, T)) if noise is None else noise[part]
+        x = rx.qpsk_modulate(part_bits)
         for row, rule_cols in zip(errors, cols):
             Heff = np.take_along_axis(H[part], rule_cols[part, None, :], axis=2)
-            for p_i, est in enumerate(_detect_grid(config, Heff, part_bits, part_noise)):
+            for p_i, est in enumerate(rx.detect_grid(Heff, x, part_noise, config.receiver, config.feedback, budgets)):
                 row[p_i] += rx.count_bit_errors(est, part_bits)
     return {"errors": errors, "bits": np.full(len(config.grid), bits.size, dtype=np.int64)}
 

@@ -9,29 +9,21 @@ Receiver identifiers: "zf", "mmse", "df-zf", "df-mmse".  Feedback modes:
 cancelled).  Ordering modes for decision feedback: "fixed", "vblast",
 "qr-reverse".
 
-Detection runs in one batched kernel, :func:`detect_block`, for every
-receiver, stream count and feedback mode.  It works on the L-entry
-matched-filter output Heff^H y of each symbol, a sufficient statistic for
-the linear and the nulling-and-cancelling receivers, so its steps split
-into work that needs only the channel (:func:`stage_matrices`) and work
-per received block.  :func:`detect_linear`, :func:`detect_df` and
-:func:`vblast_order` validate one frame and call the batched kernels on a
-batch of one.
-
-With G = Heff^H Heff and lam = L / rho0 for the MMSE front ends (0 for
-ZF), every receiver's stage matrix V has V G = I - lam V on the columns
-it nulls, with the strictly lower decision-feedback leak below them.  At
-stream scale s the estimate of the symbols x is therefore
-x + V (Heff^H noise / s - lam x) + sum over earlier stages of
-leak * (x - fed back): a caller that holds x and the noise, as the BER
-engine does, can detect in this error domain without forming G x.
-:func:`detect_matched` is the one cancellation routine of both routes.
+Detection runs in one batched kernel, :func:`detect_grid`, for every
+receiver, stream count, feedback mode and SNR point.  It takes a block
+without the signal term of the symbols x: the BER engine and
+:func:`simulate_frame` pass the noise and the transmitted symbols (the
+error domain, where no G x is formed), while :func:`detect_linear` and
+:func:`detect_df`, which hold only a received block, pass it with x = 0.
+The per-frame functions validate one frame and call the batched kernels
+on a batch of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -180,27 +172,6 @@ def transmit(H_s, budget: LinkBudget, symbols: np.ndarray, noise: np.ndarray) ->
     return budget.stream_scale * (H_s @ symbols) + noise
 
 
-def simulate_frame(H_s, budget: LinkBudget, bits: np.ndarray, noise: np.ndarray,
-                   receiver: str = "zf", decode_order: tuple[int, ...] | None = None,
-                   feedback: str = "actual") -> SymbolFrame:
-    """Carry one frame of QPSK bits over a channel realization and detect it."""
-    if receiver not in RECEIVERS:
-        raise ValueError(f"unknown receiver {receiver!r}; expected one of {RECEIVERS}")
-    symbols = qpsk_modulate(bits)
-    received = transmit(H_s, budget, symbols, noise)
-    if receiver in ("zf", "mmse"):
-        detected = detect_linear(H_s, received, budget, equalizer=receiver)
-    else:
-        order = decode_order if decode_order is not None else tuple(range(budget.L))
-        detected = detect_df(
-            H_s, received, budget, order,
-            feedback=feedback,
-            transmitted=symbols if feedback == "genie" else None,
-            front_end="mmse" if receiver == "df-mmse" else "zf",
-        )
-    return SymbolFrame(transmitted=symbols, received=received, detected=detected)
-
-
 #: Share of its diagonal entry below which a stage's Schur complement
 #: counts as zero.  Exactly dependent columns leave a share within about
 #: 10 eps of zero, of either sign; for Gaussian columns a share this small
@@ -208,21 +179,8 @@ def simulate_frame(H_s, budget: LinkBudget, bits: np.ndarray, noise: np.ndarray,
 _DEPENDENT_SHARE = 256 * np.finfo(float).eps
 
 
-def matched_filter(Heff: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Heff^H @ block for a batch: the (B, L, T) matched-filter output of
-    a (B, n_r, T) block, or the (B, L, L) Gram matrices when ``block`` is
-    ``Heff``."""
-    return Heff.conj().transpose(0, 2, 1) @ block
-
-
-def nulling_lam(receiver: str, budget: LinkBudget) -> float:
-    """Regularization lam of a receiver's nulling rows: L / rho0 for the
-    MMSE front ends ("mmse", "df-mmse"), 0 for ZF."""
-    return budget.L / budget.rho0 if receiver in ("mmse", "df-mmse") else 0.0
-
-
 def stage_matrices(G: np.ndarray, receiver: str, lam: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """The stage step of :func:`detect_block`, which depends on the Gram
+    """The stage step of :func:`detect_grid`, which depends on the Gram
     matrices ``G`` (B, L, L) and on lam but not on the received data.
 
     Returns ``(V, leak)``.  For the linear receivers V = (G + lam I)^-1 and
@@ -276,55 +234,80 @@ def stage_matrices(G: np.ndarray, receiver: str, lam: float) -> tuple[np.ndarray
     return V, leak
 
 
-def detect_matched(leak: np.ndarray | None, est: np.ndarray, feedback: str = "actual",
-                   transmitted: np.ndarray | None = None, cancelled: np.ndarray | None = None) -> np.ndarray:
-    """The cancelling step of :func:`detect_block`: decision feedback on
+def detect_matched(leak: np.ndarray | None, est: np.ndarray, x: np.ndarray, feedback: str = "actual",
+                   transmitted: np.ndarray | None = None) -> np.ndarray:
+    """The cancelling step of :func:`detect_grid`: decision feedback on
     ``est`` (B, L, T), the stream estimates before cancellation, in place,
     stage by stage, with the ``leak`` of :func:`stage_matrices` (None for
-    the linear receivers, which cancel nothing).  Stage s feeds back its
-    sliced estimate (feedback="actual") or the true symbols of
-    ``transmitted`` (B, L, T) (feedback="genie") and takes ``leak[:, t, s]``
-    times (fed back - ``cancelled``) off every later stage t.
-    ``cancelled`` (B, L, T) holds the symbols whose leak ``est`` no longer
-    carries: the true symbols when ``est`` was formed in the error domain,
-    None when it is V times the matched-filter output.  Returns ``est``;
-    its rail signs are the decisions, and :func:`qpsk_slice` of it gives
-    the detected symbols."""
-    if leak is None:
+    the linear receivers, which cancel nothing).  ``est`` carries the leak
+    of every symbol except those of ``x`` (B, L, T).  Stage s feeds back
+    its sliced estimate (feedback="actual") or the true symbols of
+    ``transmitted`` (B, L, T) (feedback="genie") and takes
+    ``leak[:, t, s]`` times (fed back - ``x``) off every later stage t.
+    ``transmitted`` defaults to ``x``, whose genie feedback cancels
+    nothing.  Returns ``est``; its rail signs are the decisions, and
+    :func:`qpsk_slice` of it gives the detected symbols."""
+    if leak is None or (feedback == "genie" and transmitted is None):
         return est
     for stage in range(est.shape[1] - 1):
         fed_back = transmitted[:, stage] if feedback == "genie" else qpsk_slice(est[:, stage])
-        if cancelled is not None:
-            fed_back = fed_back - cancelled[:, stage]
+        fed_back = fed_back - x[:, stage]
         est[:, stage + 1:] -= leak[:, stage + 1:, stage, None] * fed_back[:, None, :]
     return est
 
 
-def detect_block(Heff: np.ndarray, received: np.ndarray, budget: LinkBudget, receiver: str,
-                 feedback: str = "actual", transmitted: np.ndarray | None = None) -> np.ndarray:
-    """Detect a batch of frames with any receiver; the batched kernel
-    behind :func:`detect_linear` and :func:`detect_df`.
+def detect_grid(Heff: np.ndarray, x: np.ndarray, block: np.ndarray, receiver: str, feedback: str,
+                budgets: Iterable[LinkBudget], transmitted: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """Stream estimates of a batch of frames at each link budget of
+    ``budgets``, in order: the one detection kernel of every receiver,
+    stream count and feedback mode.  Their rail signs are the decisions
+    (:func:`qpsk_slice` gives the symbols); the next budget overwrites
+    them.
 
-    ``Heff`` (B, n_r, L) holds each frame's columns in decode order and
-    ``received`` (B, n_r, T) its received block; returns the (B, L, T)
-    detected QPSK symbols, stream i riding column i.  Detection works on
-    the matched-filter output Heff^H received, a sufficient statistic for
-    every receiver here.  Stage s applies the first row of
-    (G_s + lam I)^-1 to the entries s..L-1 of that output, where G_s is
-    the Gram matrix of columns s..L-1 and lam = L / rho0 for the MMSE
-    front ends ("mmse", "df-mmse") and 0 for ZF, and slices; this equals
-    nulling the received block with the first row of
-    (G_s + lam I)^-1 H_s^H.  Decision feedback then cancels
-    the sliced (feedback="actual") or true (feedback="genie", from
-    ``transmitted`` (B, L, T)) symbol before the next stage.  The linear
-    receivers are the one-stage case: every row of (G + lam I)^-1 is
-    applied at once.  Inputs are not validated; ZF assumes full column
-    rank.  The steps are :func:`matched_filter`, :func:`stage_matrices`
-    and :func:`detect_matched`.
+    ``Heff`` (B, n_r, L) holds each frame's columns in decode order,
+    stream i riding column i.  ``block`` (B, n_r, T) is a received block
+    without the signal term of the symbols ``x`` (B, L, T): the noise,
+    with x the transmitted symbols (the error domain of the BER engine
+    and :func:`simulate_frame`), or a whole received block, with x = 0
+    (:func:`detect_linear`, :func:`detect_df`).  Genie feedback feeds
+    back ``transmitted`` (B, L, T), by default ``x``; see
+    :func:`detect_matched`.  Inputs are not validated; ZF assumes full
+    column rank.
+
+    At stream scale s the matched-filter output over s is
+    G x + Heff^H block / s, with the Gram matrices G.  Every receiver's
+    stage matrix V (:func:`stage_matrices`, lam = L / rho0 for "mmse" and
+    "df-mmse", 0 for ZF) has V G = I - lam V on the columns it nulls and
+    the decision-feedback leak below them, so the estimate before
+    cancellation is x + V (Heff^H block / s - lam x) and no G x is
+    formed.  For ZF W = (V Heff^H) block is formed once per call and a
+    budget costs x + W / s; the MMSE front ends build their stage
+    matrices and one matmul per budget.  Decision feedback then cancels
+    stage by stage (:func:`detect_matched`).  Every step works frame by
+    frame, so the estimates of a frame do not depend on the other frames
+    of the call.
     """
-    V, leak = stage_matrices(matched_filter(Heff, Heff), receiver, nulling_lam(receiver, budget))
-    y = matched_filter(Heff, received) * (1.0 / budget.stream_scale)
-    return qpsk_slice(detect_matched(leak, V @ y, feedback, transmitted))
+    Heff_h = Heff.conj().transpose(0, 2, 1)
+    G = Heff_h @ Heff
+    if regularized := receiver in ("mmse", "df-mmse"):
+        z = Heff_h @ block
+        u = np.empty_like(z)
+    else:
+        V, leak = stage_matrices(G, receiver, 0.0)
+        W = (V @ Heff_h) @ block
+    est = np.empty_like(x)
+    for budget in budgets:
+        if regularized:
+            lam = budget.L / budget.rho0
+            V, leak = stage_matrices(G, receiver, lam)
+            np.multiply(x, lam, out=est)
+            np.multiply(z, 1.0 / budget.stream_scale, out=u)
+            u -= est
+            np.matmul(V, u, out=est)
+        else:
+            np.multiply(W, 1.0 / budget.stream_scale, out=est)
+        est += x
+        yield detect_matched(leak, est, x, feedback, transmitted)
 
 
 def vblast_order_block(H: np.ndarray) -> np.ndarray:
@@ -356,6 +339,25 @@ def _check_received(H_s: np.ndarray, received) -> np.ndarray:
     return received
 
 
+def _check_order(budget: LinkBudget, decode_order) -> list[int]:
+    order = [int(i) for i in decode_order]
+    if sorted(order) != list(range(budget.L)):
+        raise ValueError(f"decode_order {decode_order} is not a permutation of 0..{budget.L - 1}")
+    return order
+
+
+def _detect_frame(H_s: np.ndarray, order: list[int], x: np.ndarray, block: np.ndarray, budget: LinkBudget,
+                  receiver: str, feedback: str = "actual", transmitted: np.ndarray | None = None) -> np.ndarray:
+    """:func:`detect_grid` on one frame at one budget, decoding the columns
+    of ``H_s`` in ``order``; ``x`` and ``transmitted`` are in stream
+    order.  Returns the L x T detected symbols in stream order."""
+    order_t = None if transmitted is None else transmitted[order][None]
+    est = next(detect_grid(H_s[:, order][None], x[order][None], block[None], receiver, feedback, (budget,), order_t))
+    detected = np.empty_like(x)
+    detected[order] = qpsk_slice(est[0])
+    return detected
+
+
 def detect_linear(H_s, received: np.ndarray, budget: LinkBudget, equalizer: str = "zf") -> np.ndarray:
     """Equalize and slice each stream independently.
 
@@ -368,7 +370,8 @@ def detect_linear(H_s, received: np.ndarray, budget: LinkBudget, equalizer: str 
         raise ValueError(f"unknown equalizer {equalizer!r}")
     if equalizer == "zf":
         require_full_column_rank(H_s)
-    return detect_block(H_s[None], received[None], budget, equalizer)[0]
+    x = np.zeros((budget.L, received.shape[1]), dtype=np.complex128)
+    return _detect_frame(H_s, list(range(budget.L)), x, received, budget, equalizer)
 
 
 def detect_df(
@@ -390,23 +393,45 @@ def detect_df(
     H_s = as_channel_matrix(H_s)
     _check_streams(H_s, budget)
     received = _check_received(H_s, received)
-    order = [int(i) for i in decode_order]
-    if sorted(order) != list(range(budget.L)):
-        raise ValueError(f"decode_order {decode_order} is not a permutation of 0..{budget.L - 1}")
+    order = _check_order(budget, decode_order)
     if feedback not in FEEDBACK_MODES:
         raise ValueError(f"unknown feedback mode {feedback!r}")
-    if feedback == "genie":
-        if transmitted is None:
-            raise ValueError("genie feedback requires the transmitted block")
-        transmitted = np.asarray(transmitted, dtype=np.complex128)[order][None]
+    if feedback == "genie" and transmitted is None:
+        raise ValueError("genie feedback requires the transmitted block")
     if front_end not in ("zf", "mmse"):
         raise ValueError(f"unknown front end {front_end!r}")
     if front_end == "zf":
         require_full_column_rank(H_s)
-    detected = np.empty((budget.L, received.shape[1]), dtype=np.complex128)
-    detected[order] = detect_block(H_s[:, order][None], received[None], budget, "df-" + front_end,
-                                   feedback, transmitted)[0]
-    return detected
+    x = np.zeros((budget.L, received.shape[1]), dtype=np.complex128)
+    genie = np.asarray(transmitted, dtype=np.complex128) if feedback == "genie" else None
+    return _detect_frame(H_s, order, x, received, budget, "df-" + front_end, feedback, genie)
+
+
+def simulate_frame(H_s, budget: LinkBudget, bits: np.ndarray, noise: np.ndarray,
+                   receiver: str = "zf", decode_order: tuple[int, ...] | None = None,
+                   feedback: str = "actual") -> SymbolFrame:
+    """Carry one frame of QPSK bits over a channel realization and detect it.
+
+    Detection runs in the error domain, on the symbols and the noise, as
+    the frame's row of a BER engine block does: given the columns in
+    decode order, the bits and the noise of a frame, the decisions are the
+    engine's bit for bit.  The linear receivers ignore ``decode_order``.
+    """
+    if receiver not in RECEIVERS:
+        raise ValueError(f"unknown receiver {receiver!r}; expected one of {RECEIVERS}")
+    H_s = as_channel_matrix(H_s)
+    _check_streams(H_s, budget)
+    noise = _check_received(H_s, noise)
+    symbols = qpsk_modulate(bits)
+    received = transmit(H_s, budget, symbols, noise)
+    df = receiver in ("df-zf", "df-mmse")
+    order = _check_order(budget, decode_order if df and decode_order is not None else range(budget.L))
+    if feedback not in FEEDBACK_MODES:
+        raise ValueError(f"unknown feedback mode {feedback!r}")
+    if receiver in ("zf", "df-zf"):
+        require_full_column_rank(H_s)
+    detected = _detect_frame(H_s, order, symbols, noise, budget, receiver, feedback)
+    return SymbolFrame(transmitted=symbols, received=received, detected=detected)
 
 
 def df_stage_snrs(H_s, budget: LinkBudget, decode_order: tuple[int, ...]) -> tuple[float, ...]:
@@ -418,9 +443,7 @@ def df_stage_snrs(H_s, budget: LinkBudget, decode_order: tuple[int, ...]) -> tup
     """
     H_s = as_channel_matrix(H_s)
     _check_streams(H_s, budget)
-    order = tuple(int(i) for i in decode_order)
-    if sorted(order) != list(range(budget.L)):
-        raise ValueError(f"decode_order {decode_order} is not a permutation of 0..{budget.L - 1}")
+    order = _check_order(budget, decode_order)
     scale = budget.rho0 / budget.L
     return tuple(
         scale * projection_height_sq(H_s, k, order[stage + 1:]).height_sq

@@ -6,8 +6,10 @@ per pass of ``_LATTICE_LANES`` channels: at L = 2 the pair table, which
 every rule reads; at other L one Gram matmul, shared by the determinant
 lattice of maxmin and the Cholesky greedy of qr-greedy, while random runs
 the lattice on the columns it draws.  Each rule has one branch, which
-reduces the table to the scalar the outage experiment thresholds and,
-when the caller asks, to the rule's columns, first decoded first.
+reduces the table either to the scalar the outage experiment thresholds
+or, when the caller asks for columns, to the rule's columns, first
+decoded first; random's columns are the subsets it draws and read no
+table.
 :func:`select_block` is its one-rule column call.  The per-draw rules are
 batch-of-one calls of :func:`select_block` returning a
 :class:`SelectionOutcome`, whose heights come from the QR route of
@@ -425,10 +427,12 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 
 
 def _rule_pass(rules: Sequence[str], H: np.ndarray, L: int, rng: np.random.Generator | None = None,
-               cols: np.ndarray | None = None) -> np.ndarray:
-    """(len(rules), B) outage scalars of the (B, n_r, n_t) block ``H``, row
-    k for ``rules[k]``; when given, the (len(rules), B, L) array ``cols``
-    receives each rule's selected columns, first decoded first.
+               cols: np.ndarray | None = None) -> np.ndarray | None:
+    """One selection pass of every rule of ``rules`` over the
+    (B, n_r, n_t) block ``H``.  Without ``cols`` it returns the
+    (len(rules), B) outage scalars, row k for ``rules[k]``; with it, the
+    (len(rules), B, L) array ``cols`` receives each rule's selected
+    columns, first decoded first, and no scalars are returned.
 
     The scalars: maxmin's best worst-stream height over all subsets;
     first-fixed's and first-ordered's maximized first-layer height;
@@ -439,16 +443,17 @@ def _rule_pass(rules: Sequence[str], H: np.ndarray, L: int, rng: np.random.Gener
     qr-greedy the reverse of its picks (detection reverses the selection
     order).
 
-    random first draws its B subset ranks from ``rng`` in one call.  Then
-    each pass of ``_LATTICE_LANES`` channels builds one table: at L = 2
-    the pair table, which random reads at its ranks; at other L one Gram
+    random first draws its B subset ranks from ``rng`` in one call; its
+    columns are the subsets at those ranks.  Then each pass of
+    ``_LATTICE_LANES`` channels builds one table: at L = 2 the pair
+    table, which random's scalar reads at its ranks; at other L one Gram
     matrix per channel, shared by the lattice of maxmin and the greedy of
-    qr-greedy, while random runs the lattice on its subset's columns,
-    gathered for the pass.  qr-greedy at L = 2 reads the pair table too:
-    its first pick has the largest norm and its second the largest
-    height against the first, which at n_t = 3 is faster than the
-    Cholesky greedy.  A rule forms an argmax only when ``cols`` is given,
-    and its scalar does not depend on ``cols``.
+    qr-greedy, while random's scalar runs the lattice on its subset's
+    columns, gathered for the pass.  qr-greedy at L = 2 reads the pair
+    table too: its first pick has the largest norm and its second the
+    largest height against the first, which at n_t = 3 is faster than the
+    Cholesky greedy.  A rule forms an argmax only for its columns, and a
+    pass builds no table that none of its rules reads.
     """
     for rule in rules:
         if rule not in RULES:
@@ -458,41 +463,46 @@ def _rule_pass(rules: Sequence[str], H: np.ndarray, L: int, rng: np.random.Gener
     B, _, n_t = H.shape
     subsets = _subsets(n_t, L)
     ranks = rng.integers(0, len(subsets), size=B) if "random" in rules else None
-    out = np.empty((len(rules), B))
-    for lanes in _passes(B):
+    out = np.empty((len(rules), B)) if cols is None else None
+    # random's columns are the subsets at its ranks; only its scalar reads a table
+    tabled = [k for k, rule in enumerate(rules) if rule != "random" or out is not None]
+    if cols is not None and ranks is not None:
+        cols[rules.index("random")] = subsets[ranks]
+    for lanes in _passes(B) if tabled else ():
         h = H[lanes]
         if L == 2:
             norms, fwd, bwd = _pair_table(h)
         elif "maxmin" in rules or "qr-greedy" in rules:
             gram = _gram(h)
-        for row, rule, c in zip(out, rules, itertools.repeat(None) if cols is None else cols[:, lanes]):
+        for k in tabled:
+            rule, c = rules[k], None if cols is None else cols[k, lanes]
             if rule == "random":
                 r = ranks[lanes]
-                if c is not None:
-                    c[:] = subsets[r]
-                row[lanes] = (np.minimum(np.take_along_axis(fwd, r[None], 0), np.take_along_axis(bwd, r[None], 0))[0]
-                              if L == 2 else _lattice_max(_gram(np.take_along_axis(h, subsets[r, None, :], axis=2)), L))
+                top = (np.minimum(np.take_along_axis(fwd, r[None], 0), np.take_along_axis(bwd, r[None], 0))[0]
+                       if L == 2 else _lattice_max(_gram(np.take_along_axis(h, subsets[r, None, :], axis=2)), L))
             elif rule == "maxmin" and L == 2:
-                row[lanes] = _best_row(np.minimum(fwd, bwd), subsets, c)
+                top = _best_row(np.minimum(fwd, bwd), subsets, c)
             elif rule == "maxmin":
                 rank = None if c is None else np.empty(len(h), dtype=np.int64)
-                row[lanes] = _lattice_max(gram, L, rank)
+                top = _lattice_max(gram, L, rank)
                 if c is not None:
                     c[:] = subsets[rank]
             elif rule == "qr-greedy" and L == 2:
                 first, against = _against_first(norms, fwd, bwd)
                 if c is None:
-                    row[lanes] = against.max(axis=0)
+                    top = against.max(axis=0)
                 else:
-                    row[lanes], best = _max_argmax(against)
+                    best = _max_argmax(against)[1]
                     c[:, 0] = subsets[best, 0] + subsets[best, 1] - first  # the second pick, decoded first
                     c[:, 1] = first
             elif rule == "qr-greedy":
-                row[lanes] = _greedy_residual(gram, L, None if c is None else c[:, ::-1])
+                top = _greedy_residual(gram, L, None if c is None else c[:, ::-1])
             elif rule == "first-fixed":
-                row[lanes] = _best_row(fwd, subsets, c)
+                top = _best_row(fwd, subsets, c)
             else:
-                row[lanes] = _best_row(np.concatenate([fwd, bwd]), np.concatenate([subsets, subsets[:, ::-1]]), c)
+                top = _best_row(np.concatenate([fwd, bwd]), np.concatenate([subsets, subsets[:, ::-1]]), c)
+            if out is not None:
+                out[k, lanes] = top
     return out
 
 

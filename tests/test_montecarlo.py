@@ -22,7 +22,6 @@ from antsel.montecarlo import (
     _apply_ordering,
     _ber_chunk,
     _ber_chunk_size,
-    _detect_grid,
     _outage_chunk,
     estimate_ber,
     estimate_dmt,
@@ -36,12 +35,14 @@ from antsel.receivers import (
     ORDERING_MODES,
     RECEIVERS,
     LinkBudget,
-    detect_block,
     detect_df,
+    detect_grid,
     detect_linear,
     qpsk_demodulate,
     qpsk_modulate,
     qpsk_slice,
+    simulate_frame,
+    stage_matrices,
 )
 from antsel.selection import (
     RULES,
@@ -111,6 +112,22 @@ def nulling_oracle(H, y, rho0, receiver, feedback, transmitted):
         fed_back = transmitted[stage] if feedback == "genie" else detected[stage]
         y = y - scale * np.outer(H[:, stage], fed_back)
     return detected
+
+
+def received_block_detector(Heff, y, budget, receiver, feedback, transmitted):
+    """Batched reference detector in the received-block domain: the
+    stage matrices V of ``stage_matrices`` applied to the matched-filter
+    output Heff^H y / s, then decision feedback that takes the leak times
+    the sliced (or, under genie feedback, the true) symbol of each stage
+    off the later stages.  Returns the (B, L, T) detected symbols."""
+    Heff_h = Heff.conj().transpose(0, 2, 1)
+    lam = budget.L / budget.rho0 if receiver in ("mmse", "df-mmse") else 0.0
+    V, leak = stage_matrices(Heff_h @ Heff, receiver, lam)
+    est = V @ ((Heff_h @ y) * (1.0 / budget.stream_scale))
+    for stage in range(0 if leak is None else budget.L - 1):
+        fed_back = transmitted[:, stage] if feedback == "genie" else qpsk_slice(est[:, stage])
+        est[:, stage + 1:] -= leak[:, stage + 1:, stage, None] * fed_back[:, None, :]
+    return qpsk_slice(est)
 
 
 def lattice_table(H, L):
@@ -202,15 +219,13 @@ class TestOutageEngine:
         H = complex_gaussian(stream_generator(39, 0), (50, 5, 5))
         table = lattice_table(H, 3)
         monkeypatch.setattr(selection, "_LATTICE_LANES", 7)
-        cols = np.empty((1, 50, 3), dtype=np.int64)
-        np.testing.assert_array_equal(_rule_pass(("maxmin",), H, 3, None, cols)[0], table.max(axis=0))
-        np.testing.assert_array_equal(cols[0], _subsets(5, 3)[table.argmax(axis=0)])
+        np.testing.assert_array_equal(_rule_pass(("maxmin",), H, 3)[0], table.max(axis=0))
+        np.testing.assert_array_equal(select_block("maxmin", H, 3), _subsets(5, 3)[table.argmax(axis=0)])
 
     def test_pair_table_and_greedy_split_lanes_without_changing_results(self, monkeypatch):
         H = complex_gaussian(stream_generator(41, 0), (50, 4, 5))
         def greedy(L):
-            cols = np.empty((1, 50, L), dtype=np.int64)
-            return _rule_pass(("qr-greedy",), H, L, None, cols)[0], cols[0]
+            return _rule_pass(("qr-greedy",), H, L)[0], select_block("qr-greedy", H, L)
 
         table = _pair_table(H)
         whole = {L: greedy(L) for L in (2, 4)}
@@ -506,11 +521,8 @@ class TestBerEngine:
         bits = rng.integers(0, 2, size=(frames, L, T, 2))
         symbols = qpsk_modulate(bits)
         noise = complex_gaussian(rng, (frames, 3, T))
-        config = ExperimentConfig(n_t=3, n_r=3, L=L, rule="maxmin", trial_count=frames,
-                                  master_seed=0, grid=(10.0,), receiver=receiver, feedback=feedback)
-        # the config's one SNR point, 10 dB, is rho0
-        (fast,) = [qpsk_slice(est) for est in _detect_grid(config, Heff, bits, noise)]
         budget = LinkBudget(rho0, L)
+        (fast,) = [qpsk_slice(est) for est in detect_grid(Heff, symbols, noise, receiver, feedback, (budget,))]
         scale = budget.stream_scale
         for b in range(frames):
             y = scale * (Heff[b] @ symbols[b]) + noise[b]
@@ -526,9 +538,9 @@ class TestBerEngine:
 
     @pytest.mark.parametrize("receiver,feedback,L", GRID_CASES)
     def test_snr_grid_reuses_only_snr_free_work(self, receiver, feedback, L):
-        # every point of a multi-point grid equals a fresh detect_block call
-        # and the per-frame oracle; the estimates are sliced as they come,
-        # since the next point overwrites them
+        # every point of a multi-point grid equals the received-block
+        # reference and the per-frame oracle; the estimates are sliced as
+        # they come, since the next point overwrites them
         rng = stream_generator(45, L - 2)
         frames, T = 30, 6
         Heff = complex_gaussian(rng, (frames, 3, L))
@@ -536,18 +548,15 @@ class TestBerEngine:
         noise = complex_gaussian(rng, (frames, 3, T))
         symbols = qpsk_modulate(bits)
         grid = (4.0, 10.0, 16.0)
-        config = ExperimentConfig(n_t=3, n_r=3, L=L, rule="maxmin", trial_count=frames,
-                                  master_seed=0, grid=grid, receiver=receiver, feedback=feedback)
-        points = [qpsk_slice(est) for est in _detect_grid(config, Heff, bits, noise)]
+        budgets = [LinkBudget(10.0 ** (snr_db / 10.0), L) for snr_db in grid]
+        points = [qpsk_slice(est) for est in detect_grid(Heff, symbols, noise, receiver, feedback, budgets)]
         assert len(points) == len(grid)
-        genie = symbols if feedback == "genie" else None
-        for snr_db, fast in zip(grid, points):
-            rho0 = 10.0 ** (snr_db / 10.0)
-            budget = LinkBudget(rho0, L)
+        for budget, fast in zip(budgets, points):
             y = budget.stream_scale * np.einsum("brl,blt->brt", Heff, symbols) + noise
-            np.testing.assert_array_equal(fast, detect_block(Heff, y, budget, receiver, feedback, genie))
+            np.testing.assert_array_equal(fast, received_block_detector(Heff, y, budget, receiver, feedback,
+                                                                        symbols))
             for b in range(frames):
-                np.testing.assert_array_equal(fast[b], nulling_oracle(Heff[b], y[b], rho0, receiver, feedback,
+                np.testing.assert_array_equal(fast[b], nulling_oracle(Heff[b], y[b], budget.rho0, receiver, feedback,
                                                                       symbols[b]))
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (7, 2, 5), (30, 3, 4)])
@@ -570,8 +579,9 @@ class TestBerEngine:
     @pytest.mark.parametrize("rule", ["qr-greedy", "maxmin", "random"])
     def test_chunk_counts_match_received_block_route(self, rule, L):
         # an independent route: draw as documented (bits through
-        # rng.integers), form y = s Heff x + n and detect it with
-        # detect_block, which works on the matched-filter output of y
+        # rng.integers), form y = s Heff x + n and detect it with the
+        # received-block reference, which works on the matched-filter
+        # output of y
         frames, T, grid = 25, 6, (0.0, 6.0, 12.0, 18.0)
         for receiver, feedback, ordering in itertools.product(RECEIVERS, FEEDBACK_MODES, (None,) + ORDERING_MODES):
             config = ExperimentConfig(n_t=4, n_r=3, L=L, rule=rule, trial_count=frames, master_seed=49,
@@ -588,12 +598,36 @@ class TestBerEngine:
             for snr_db in grid:
                 budget = LinkBudget(10.0 ** (snr_db / 10.0), L)
                 received = budget.stream_scale * (Heff @ symbols) + noise
-                detected = detect_block(Heff, received, budget, receiver, feedback, symbols)
+                detected = received_block_detector(Heff, received, budget, receiver, feedback, symbols)
                 expected.append(int(np.count_nonzero(qpsk_demodulate(detected) != bits)))
             tallies = _ber_chunk(config, 0, frames, rules=(rule,))
             assert expected[0] > 0
             assert tallies["errors"][0].tolist() == expected, (receiver, feedback, ordering)
             assert tallies["bits"].tolist() == [bits.size] * len(grid)
+
+    @pytest.mark.parametrize("rule", ["qr-greedy", "random"])
+    def test_simulate_frame_replays_chunk_counts(self, rule):
+        # the first 100 frames of chunk 0, redrawn as documented and put
+        # through simulate_frame one frame and one SNR point at a time,
+        # give the chunk's bit errors exactly: both run detect_grid on the
+        # symbols and the noise
+        frames, T, grid = 100, 50, (8.0, 14.0, 20.0)
+        for receiver in RECEIVERS:
+            config = ExperimentConfig(n_t=3, n_r=3, L=2, rule=rule, trial_count=frames, master_seed=50,
+                                      grid=grid, receiver=receiver, frame_symbols=T)
+            rng = stream_generator(50, 0)
+            H = complex_gaussian(rng, (frames, 3, 3))
+            bits = rng.integers(0, 2, size=(frames, 2, T, 2))
+            noise = complex_gaussian(rng, (frames, 3, T))
+            cols = select_block(rule, H, 2, rng)
+            replayed = [0] * len(grid)
+            for b in range(frames):
+                for i, snr_db in enumerate(grid):
+                    frame = simulate_frame(H[b][:, cols[b]], LinkBudget(10.0 ** (snr_db / 10.0), 2), bits[b],
+                                           noise[b], receiver=receiver, decode_order=(0, 1))
+                    replayed[i] += int(np.count_nonzero(qpsk_demodulate(frame.detected) != bits[b]))
+            assert replayed[0] > 0
+            assert _ber_chunk(config, 0, frames, rules=(rule,))["errors"][0].tolist() == replayed, receiver
 
     @pytest.mark.parametrize("ordering", ["vblast", "qr-reverse"])
     def test_batched_orderings_match_projection_oracle(self, ordering):
@@ -914,8 +948,8 @@ class TestLatticeAccuracy:
                 _, fwd, bwd = _pair_table(H)
                 values = np.minimum(fwd, bwd)[rank]
             else:
-                cols = np.empty((1, self.DRAWS, L), dtype=np.int64)
-                values = _rule_pass(("qr-greedy",), H[:, :, sub], L, None, cols)[0]
+                values = _rule_pass(("qr-greedy",), H[:, :, sub], L)[0]
+                cols = select_block("qr-greedy", H[:, :, sub], L)[None]
             depth, err_route, err_inverse = [], [], []
             for b in range(self.DRAWS):
                 H_s = H[b][:, sub]

@@ -5,10 +5,12 @@ import pytest
 
 from antsel.channel import complex_gaussian, projection_height_sq, qr_factorize, stream_generator
 from antsel.receivers import (
+    FEEDBACK_MODES,
     RECEIVERS,
     LinkBudget,
     count_bit_errors,
     detect_df,
+    detect_grid,
     detect_linear,
     df_stage_snrs,
     mmse_post_snr,
@@ -269,6 +271,62 @@ class TestSimulateFrame:
         with pytest.raises(ValueError):
             simulate_frame(H, LinkBudget(1.0, 2), np.zeros((2, 4, 2), dtype=int),
                            np.zeros((3, 4), dtype=complex), receiver="sphere")
+
+
+class TestBatchRows:
+    """The per-frame functions return the rows of one :func:`detect_grid`
+    call on the same inputs, bit for bit."""
+
+    ORDER = [2, 0, 1]
+
+    @staticmethod
+    def batch():
+        rng = stream_generator(28, 0)
+        H = complex_gaussian(rng, (40, 4, 3))
+        bits = rng.integers(0, 2, size=(40, 3, 6, 2))
+        noise = complex_gaussian(rng, (40, 4, 6))
+        budget = LinkBudget(8.0, 3)
+        s = qpsk_modulate(bits)
+        return H, bits, s, noise, budget, budget.stream_scale * (H @ s) + noise
+
+    @pytest.mark.parametrize("equalizer", ["zf", "mmse"])
+    def test_detect_linear(self, equalizer):
+        H, bits, s, _, budget, y = self.batch()
+        (est,) = detect_grid(H, np.zeros_like(s), y, equalizer, "actual", (budget,))
+        rows = qpsk_slice(est)
+        assert (qpsk_demodulate(rows) != bits).any()
+        for b in range(len(H)):
+            np.testing.assert_array_equal(detect_linear(H[b], y[b], budget, equalizer=equalizer), rows[b])
+
+    @pytest.mark.parametrize("feedback", FEEDBACK_MODES)
+    @pytest.mark.parametrize("front_end", ["zf", "mmse"])
+    def test_detect_df_with_a_permuted_order(self, front_end, feedback):
+        H, bits, s, _, budget, y = self.batch()
+        (est,) = detect_grid(H[:, :, self.ORDER], np.zeros_like(s), y, "df-" + front_end, feedback, (budget,),
+                             s[:, self.ORDER])
+        rows = np.empty_like(s)
+        rows[:, self.ORDER] = qpsk_slice(est)
+        assert (qpsk_demodulate(rows) != bits).any()
+        for b in range(len(H)):
+            out = detect_df(H[b], y[b], budget, tuple(self.ORDER), feedback=feedback, transmitted=s[b],
+                            front_end=front_end)
+            np.testing.assert_array_equal(out, rows[b])
+
+    @pytest.mark.parametrize("receiver,feedback", [(r, f) for r in RECEIVERS for f in FEEDBACK_MODES
+                                                   if r.startswith("df") or f == "actual"])
+    def test_simulate_frame(self, receiver, feedback):
+        # in the error domain: the symbols and the noise, not the received block
+        H, bits, s, noise, budget, y = self.batch()
+        order = self.ORDER if receiver.startswith("df") else [0, 1, 2]
+        (est,) = detect_grid(H[:, :, order], s[:, order], noise, receiver, feedback, (budget,))
+        rows = np.empty_like(s)
+        rows[:, order] = qpsk_slice(est)
+        assert (qpsk_demodulate(rows) != bits).any()
+        for b in range(len(H)):
+            frame = simulate_frame(H[b], budget, bits[b], noise[b], receiver=receiver, decode_order=tuple(order),
+                                   feedback=feedback)
+            np.testing.assert_array_equal(frame.detected, rows[b])
+            np.testing.assert_array_equal(frame.received, y[b])
 
 
 class TestStageMatrices:
