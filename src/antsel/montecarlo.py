@@ -359,14 +359,12 @@ def _draw_bits(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """The (*shape, 2) bool bits of ``rng.integers(0, 2, (*shape, 2))``,
     drawn as one raw 64-bit word per pair of the chunk's SFC64 generator.
     That call keeps bit 31 of each 32-bit half-word, which SFC64 hands
-    out low half first, and an even count of bits empties its half-word
-    buffer, so the generator is left in the same state."""
-    words = rng.bit_generator.random_raw(math.prod(shape)).reshape(shape)
-    bits = np.empty(shape + (2,), dtype=bool)
-    np.right_shift(words, 63, out=bits[..., 1], casting="unsafe")
-    words <<= 32
-    np.right_shift(words, 63, out=bits[..., 0], casting="unsafe")
-    return bits
+    out low half first, so the bits are the signs of each word's two
+    little-endian int32 halves, low half first.  An even count of bits
+    empties the half-word buffer, so the generator is left in the same
+    state."""
+    words = rng.bit_generator.random_raw(math.prod(shape))
+    return (words.astype("<u8", copy=False).view("<i4") < 0).reshape(shape + (2,))
 
 
 def _ber_chunk(config: ExperimentConfig, chunk_index: int, frames: int,

@@ -172,6 +172,30 @@ def transmit(H_s, budget: LinkBudget, symbols: np.ndarray, noise: np.ndarray) ->
     return budget.stream_scale * (H_s @ symbols) + noise
 
 
+def _term_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The batched product a @ b of ``a`` (B, m, k) and ``b`` (B, k, n)
+    for a short contraction axis: the k broadcast outer products, summed
+    in order.  Batched matmul makes one small call per batch entry; this
+    makes 2k - 1 calls on the whole batch."""
+    out = a[:, :, 0, None] * b[:, None, 0, :]
+    for j in range(1, a.shape[2]):
+        out += a[:, :, j, None] * b[:, None, j, :]
+    return out
+
+
+def _gram(H: np.ndarray) -> np.ndarray:
+    """Gram matrices H^H H of ``H`` (B, n_r, L) by :func:`_term_sum`,
+    exactly Hermitian: the strictly upper triangle is the conjugate of the
+    lower one and the diagonal is real.  (numpy's complex multiply may
+    fuse a product with its sum, so the term sums alone round the two
+    triangles differently.)"""
+    G = _term_sum(H.conj().transpose(0, 2, 1), H)
+    for i in range(G.shape[1]):
+        G.imag[:, i, i] = 0.0
+        np.conjugate(G[:, i + 1:, i], out=G[:, i, i + 1:])
+    return G
+
+
 #: Share of its diagonal entry below which a stage's Schur complement
 #: counts as zero.  Exactly dependent columns leave a share within about
 #: 10 eps of zero, of either sign; for Gaussian columns a share this small
@@ -246,13 +270,28 @@ def detect_matched(leak: np.ndarray | None, est: np.ndarray, x: np.ndarray, feed
     ``leak[:, t, s]`` times (fed back - ``x``) off every later stage t.
     ``transmitted`` defaults to ``x``, whose genie feedback cancels
     nothing.  Returns ``est``; its rail signs are the decisions, and
-    :func:`qpsk_slice` of it gives the detected symbols."""
+    :func:`qpsk_slice` of it gives the detected symbols.
+
+    Actual feedback cancels only the symbols whose decision differs from
+    ``x``: a correct decision feeds back exactly zero, so skipping it
+    changes no estimate beyond the sign of a zero.  A rail decides
+    positive when its estimate is >= 0, and a rail of ``x`` at zero (the
+    received-block route, x = 0) differs from every decision.  Genie
+    feedback cancels every symbol."""
     if leak is None or (feedback == "genie" and transmitted is None):
         return est
     for stage in range(est.shape[1] - 1):
-        fed_back = transmitted[:, stage] if feedback == "genie" else qpsk_slice(est[:, stage])
-        fed_back = fed_back - x[:, stage]
-        est[:, stage + 1:] -= leak[:, stage + 1:, stage, None] * fed_back[:, None, :]
+        later = slice(stage + 1, None)
+        if feedback == "genie":
+            fed_back = transmitted[:, stage] - x[:, stage]
+            est[:, later] -= leak[:, later, stage, None] * fed_back[:, None, :]
+        else:
+            rails, x_rails = _rails(est[:, stage]), _rails(x[:, stage])
+            wrong = ((rails >= 0) != (x_rails > 0)) | (x_rails == 0)
+            # a symbol's two rail flags read as one 16-bit word, nonzero when either is set
+            frames, symbols = np.divmod(np.flatnonzero(wrong.reshape(-1, 2).view(np.uint16)), est.shape[2])
+            fed_back = qpsk_slice(est[frames, stage, symbols]) - x[frames, stage, symbols]
+            est[frames, later, symbols] -= leak[frames, later, stage] * fed_back[:, None]
     return est
 
 
@@ -283,18 +322,23 @@ def detect_grid(Heff: np.ndarray, x: np.ndarray, block: np.ndarray, receiver: st
     formed.  For ZF W = (V Heff^H) block is formed once per call and a
     budget costs x + W / s; the MMSE front ends build their stage
     matrices and one matmul per budget.  Decision feedback then cancels
-    stage by stage (:func:`detect_matched`).  Every step works frame by
-    frame, so the estimates of a frame do not depend on the other frames
-    of the call.
+    stage by stage (:func:`detect_matched`), only where actual feedback
+    decided wrong.  Every step works frame by frame, so the estimates of
+    a frame do not depend on the other frames of the call.
+
+    The products over a short axis, G (n_r terms, :func:`_gram`) and the
+    ZF nulling product V Heff^H (L terms), are term sums
+    (:func:`_term_sum`); the products with a T-long output, (V Heff^H)
+    block, Heff^H block and V u, are batched matmuls.
     """
     Heff_h = Heff.conj().transpose(0, 2, 1)
-    G = Heff_h @ Heff
+    G = _gram(Heff)
     if regularized := receiver in ("mmse", "df-mmse"):
         z = Heff_h @ block
         u = np.empty_like(z)
     else:
         V, leak = stage_matrices(G, receiver, 0.0)
-        W = (V @ Heff_h) @ block
+        W = _term_sum(V, Heff_h) @ block
     est = np.empty_like(x)
     for budget in budgets:
         if regularized:
@@ -316,13 +360,14 @@ def vblast_order_block(H: np.ndarray) -> np.ndarray:
     yet decoded, the one with the smallest inverse-Gram diagonal entry
     (the largest post-nulling SNR), ties to the earliest.  Returns (B, L)
     column positions, first decoded first.  The inverse of each step's
-    Gram matrix is the ZF stage matrix of :func:`stage_matrices`."""
+    Gram matrix (a term sum, :func:`_gram`) is the ZF stage matrix of
+    :func:`stage_matrices`."""
     B, _, L = H.shape
     order = np.tile(np.arange(L), (B, 1))
     for step in range(L - 1):
         rest = order[:, step:]
         sub = np.take_along_axis(H, rest[:, None, :], axis=2)
-        inv = stage_matrices(sub.conj().transpose(0, 2, 1) @ sub, "zf", 0.0)[0]
+        inv = stage_matrices(_gram(sub), "zf", 0.0)[0]
         inv_diag = inv.diagonal(axis1=1, axis2=2).real
         best = inv_diag.argmin(axis=1)
         # move the pick to the front, keeping the others in their order

@@ -4,8 +4,8 @@ Kernel rewrites must leave every count on a fixed seed unchanged, so a
 rewrite that moves one fails here and its before and after values go in
 CHANGES.md.  The counts are those of RNG layout 2 (every chunk stream an
 SFC64 generator keyed by a SeedSequence); a change of layout re-pins them
-with the same seeds, trials and grids.  The nine tests take about a
-second on one core.
+with the same seeds, trials and grids.  The thirteen tests take about
+a second on one core.
 """
 
 import numpy as np
@@ -53,6 +53,25 @@ BER_CASES = [
     pytest.param((3, 3, 2), ("qr-greedy",), "df-zf", "genie", None, {"qr-greedy": (1868, 50, 1)}, id="3x3x2-df-zf-genie"),
 ]
 
+#: (dims, rules, receiver, ordering, bit errors at 0 dB) of 1000 frames under actual feedback, where
+#: many first-stage decisions are wrong and the cancellation does the most work
+BER_ZERO_DB_CASES = [
+    pytest.param((3, 3, 2), RULES, "df-zf", None, {
+        "maxmin": (27463,), "first-fixed": (29071,), "first-ordered": (28298,), "qr-greedy": (27206,),
+        "random": (35048,),
+    }, id="3x3x2-df-zf"),
+    pytest.param((3, 3, 2), RULES, "df-mmse", None, {
+        "maxmin": (26130,), "first-fixed": (27737,), "first-ordered": (27008,), "qr-greedy": (26003,),
+        "random": (32467,),
+    }, id="3x3x2-df-mmse"),
+    pytest.param((4, 4, 3), GENERAL_L_RULES, "df-zf", "vblast", {
+        "maxmin": (52567,), "random": (63149,), "qr-greedy": (52237,),
+    }, id="4x4x3-df-zf-vblast"),
+    pytest.param((4, 4, 3), GENERAL_L_RULES, "df-mmse", "qr-reverse", {
+        "maxmin": (48482,), "random": (55072,), "qr-greedy": (47460,),
+    }, id="4x4x3-df-mmse-qr-reverse"),
+]
+
 
 @pytest.mark.parametrize("dims,rules,trials,grid,expected", OUTAGE_CASES)
 def test_outage_hits(dims, rules, trials, grid, expected):
@@ -71,3 +90,14 @@ def test_ber_errors(dims, rules, receiver, feedback, ordering, expected):
     curves = estimate_ber_rules(config, rules)
     assert {rule: curve.hits for rule, curve in curves.items()} == expected
     assert all(curve.trials == (1000 * L * 50 * 2,) * 3 for curve in curves.values())
+
+
+@pytest.mark.parametrize("dims,rules,receiver,ordering,expected", BER_ZERO_DB_CASES)
+def test_ber_errors_at_0_db(dims, rules, receiver, ordering, expected):
+    n_t, n_r, L = dims
+    config = ExperimentConfig(n_t=n_t, n_r=n_r, L=L, rule=rules[0], trial_count=1000, master_seed=SEED,
+                              grid=(0.0,), receiver=receiver, feedback="actual", ordering=ordering,
+                              frame_symbols=50)
+    curves = estimate_ber_rules(config, rules)
+    assert {rule: curve.hits for rule, curve in curves.items()} == expected
+    assert all(curve.trials == (1000 * L * 50 * 2,) for curve in curves.values())

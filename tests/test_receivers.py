@@ -8,6 +8,8 @@ from antsel.receivers import (
     FEEDBACK_MODES,
     RECEIVERS,
     LinkBudget,
+    _gram,
+    _term_sum,
     count_bit_errors,
     detect_df,
     detect_grid,
@@ -32,6 +34,12 @@ from antsel.receivers import (
 #: block, so each lies within a few eps * cond * ||inverse|| of the exact one
 #: (the two met within 1.2 eps units over 3000 draws per shape, L = 2..4).
 INVERSE_TOLERANCE = 8 * np.finfo(np.float64).eps
+
+#: Distance allowed between the short-axis term sums and np.matmul, per
+#: entry, in units of eps * sum_j |a_ij| |b_jk|: both round each of the k
+#: products and partial sums once (the two met within 2.6 such units over
+#: 10^5 draws per shape, k = 2..6).
+PRODUCT_ULPS = 4
 
 
 def rand_matrix(n_r, n_t, seed=0, stream=0):
@@ -368,6 +376,70 @@ class TestStageMatrices:
             with pytest.raises(np.linalg.LinAlgError):
                 stage_matrices(G, receiver, 0.0)
         stage_matrices(H.conj().transpose(0, 2, 1) @ H, receiver, 0.0)
+
+
+class TestShortAxisProducts:
+    @pytest.mark.parametrize("m,k,n", [(2, 3, 2), (3, 4, 3), (4, 6, 4), (2, 2, 3), (3, 3, 4), (1, 5, 1)])
+    def test_term_sum_matches_matmul(self, m, k, n):
+        rng = stream_generator(30, k)
+        a = complex_gaussian(rng, (2000, m, k))
+        b = complex_gaussian(rng, (2000, k, n))
+        ulp = np.finfo(np.float64).eps * (np.abs(a) @ np.abs(b))
+        assert (np.abs(_term_sum(a, b) - a @ b) <= PRODUCT_ULPS * ulp).all()
+
+    @pytest.mark.parametrize("n_r,L", [(3, 2), (4, 3), (4, 4), (8, 4)])
+    def test_gram_is_exactly_hermitian(self, n_r, L):
+        H = complex_gaussian(stream_generator(31, L), (2000, n_r, L))
+        H_h = H.conj().transpose(0, 2, 1)
+        G = _gram(H)
+        np.testing.assert_array_equal(G, G.conj().transpose(0, 2, 1))
+        # the lower triangle and the real diagonal are the term sums themselves
+        terms = _term_sum(H_h, H)
+        np.testing.assert_array_equal(np.tril(G, -1), np.tril(terms, -1))
+        np.testing.assert_array_equal(G.real.diagonal(axis1=1, axis2=2), terms.real.diagonal(axis1=1, axis2=2))
+        ulp = np.finfo(np.float64).eps * (np.abs(H_h) @ np.abs(H))
+        assert (np.abs(G - H_h @ H) <= PRODUCT_ULPS * ulp).all()
+
+
+def dense_cancellation(leak, est, x):
+    """Decision feedback that cancels every symbol, in place: a correct
+    decision takes leak times an exact zero off the later stages."""
+    for stage in range(est.shape[1] - 1):
+        fed_back = qpsk_slice(est[:, stage]) - x[:, stage]
+        est[:, stage + 1:] -= leak[:, stage + 1:, stage, None] * fed_back[:, None, :]
+    return est
+
+
+class TestSparseCancellation:
+    """Actual feedback cancels only the wrong decisions, and decides and
+    estimates as cancelling every symbol does, at 0 dB, where many
+    first-stage decisions are wrong."""
+
+    @pytest.mark.parametrize("domain", ["error", "received"])
+    @pytest.mark.parametrize("receiver", ["df-zf", "df-mmse"])
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_matches_dense_cancellation(self, L, receiver, domain):
+        rng = stream_generator(32, L)
+        H = complex_gaussian(rng, (300, L + 1, L))
+        s = qpsk_modulate(rng.integers(0, 2, size=(300, L, 20, 2)))
+        noise = complex_gaussian(rng, (300, L + 1, 20))
+        budget = LinkBudget(1.0, L)
+        if domain == "error":
+            x, block = s, noise
+        else:  # the received-block route: x = 0, so every decision differs from x
+            x, block = np.zeros_like(s), budget.stream_scale * (H @ s) + noise
+        # genie feedback without transmitted symbols cancels nothing
+        (before,) = detect_grid(H, x, block, receiver, "genie", (budget,))
+        wrong = qpsk_slice(before[:, 0]) != s[:, 0]
+        assert 0.05 < wrong.mean() < 0.5
+        lam = L / budget.rho0 if receiver == "df-mmse" else 0.0
+        _, leak = stage_matrices(_gram(H), receiver, lam)
+        dense = dense_cancellation(leak, before.copy(), x)
+        (est,) = detect_grid(H, x, block, receiver, "actual", (budget,))
+        np.testing.assert_array_equal(qpsk_slice(est), qpsk_slice(dense))
+        # equal as numbers: +0 and -0 compare equal
+        np.testing.assert_array_equal(est, dense)
+        np.testing.assert_array_equal(est[:, 0], before[:, 0])
 
 
 class TestVblastOrder:
