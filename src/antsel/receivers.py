@@ -10,13 +10,13 @@ cancelled).  Ordering modes for decision feedback: "fixed", "vblast",
 "qr-reverse".
 
 Detection runs in one batched kernel, :func:`detect_grid`, for every
-receiver, stream count, feedback mode and SNR point.  It takes a block
-without the signal term of the symbols x: the BER engine and
-:func:`simulate_frame` pass the noise and the transmitted symbols (the
-error domain, where no G x is formed), while :func:`detect_linear` and
-:func:`detect_df`, which hold only a received block, pass it with x = 0.
-The per-frame functions validate one frame and call the batched kernels
-on a batch of one.
+receiver, stream count, feedback mode and SNR point, on a block without
+the signal term of the symbols x: the noise with x the transmitted symbols
+(the error domain of the BER engine, :func:`simulate_frame` and genie
+:func:`detect_df`), or a received block with x = 0.  The post-processing
+SNRs are read off the same stage matrices (:func:`_stage_snrs`).  The
+per-frame functions share one validation path (:func:`_detect_frame`) and
+call the batched kernels on a batch of one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .channel import as_channel_matrix, projection_height_sq, require_full_column_rank
+from .channel import as_channel_matrix, require_full_column_rank
 
 RECEIVERS = ("zf", "mmse", "df-zf", "df-mmse")
 FEEDBACK_MODES = ("actual", "genie")
@@ -66,7 +66,6 @@ class StreamSnrReport:
 
     snrs: tuple[float, ...]
     receiver: str
-    decode_order: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -136,34 +135,23 @@ def _check_streams(H_s: np.ndarray, budget: LinkBudget) -> None:
 
 
 def zf_post_snr(H_s, budget: LinkBudget) -> StreamSnrReport:
-    """Post-processing SNR of each stream under the decorrelating equalizer.
-
-    Computed through the projection-height route; equals
-    (rho0 / L) / diag((H_s^H H_s)^-1) entrywise.
-    """
+    """Post-processing SNR of each stream under the decorrelating equalizer,
+    (rho0 / L) / diag((H_s^H H_s)^-1), from :func:`_stage_snrs`.  Raises
+    ``SingularMatrixError`` on a rank-deficient ``H_s`` and
+    ``np.linalg.LinAlgError`` where :func:`detect_grid` does."""
     H_s = as_channel_matrix(H_s)
     _check_streams(H_s, budget)
     require_full_column_rank(H_s)
-    scale = budget.rho0 / budget.L
-    cols = tuple(range(H_s.shape[1]))
-    snrs = tuple(
-        scale * projection_height_sq(H_s, k, cols[:k] + cols[k + 1:]).height_sq for k in cols
-    )
-    return StreamSnrReport(snrs=snrs, receiver="zf")
+    return StreamSnrReport(snrs=tuple(_stage_snrs(H_s[None], "zf", budget)[0].tolist()), receiver="zf")
 
 
 def mmse_post_snr(H_s, budget: LinkBudget) -> StreamSnrReport:
-    """Post-processing SNR of each stream under the linear MMSE equalizer.
-
-    Never singular thanks to the regularized inverse; dominates the
-    decorrelator per stream and coincides with it at high SNR.
-    """
+    """Post-processing SNR of each stream under the linear MMSE equalizer,
+    from :func:`_stage_snrs`.  Never singular thanks to the regularization;
+    dominates the decorrelator per stream and meets it at high SNR."""
     H_s = as_channel_matrix(H_s)
     _check_streams(H_s, budget)
-    gram = H_s.conj().T @ H_s
-    a = np.linalg.inv(np.eye(budget.L) + (budget.rho0 / budget.L) * gram)
-    snrs = tuple(max(0.0, float(1.0 / np.real(a[k, k]) - 1.0)) for k in range(budget.L))
-    return StreamSnrReport(snrs=snrs, receiver="mmse")
+    return StreamSnrReport(snrs=tuple(_stage_snrs(H_s[None], "mmse", budget)[0].tolist()), receiver="mmse")
 
 
 def transmit(H_s, budget: LinkBudget, symbols: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -258,17 +246,44 @@ def stage_matrices(G: np.ndarray, receiver: str, lam: float) -> tuple[np.ndarray
     return V, leak
 
 
-def detect_matched(leak: np.ndarray | None, est: np.ndarray, x: np.ndarray, feedback: str = "actual",
-                   transmitted: np.ndarray | None = None) -> np.ndarray:
+def _stage_snrs(Heff: np.ndarray, receiver: str, budget: LinkBudget) -> np.ndarray:
+    """(B, L) post-processing SNR of each stream of ``Heff`` (B, n_r, L),
+    from the diagonal of the stage matrices V that detection applies
+    (:func:`stage_matrices`): (rho0 / L) / V_kk for "zf" and "df-zf"
+    (lam = 0), where 1 / V_kk is the squared projection height of column k
+    against all other columns (zf) or the later ones (df-zf, perfect
+    feedback); max(1 / (lam V_kk) - 1, 0) for "mmse" and "df-mmse"
+    (lam = L / rho0).
+
+    Accuracy: the ZF SNRs of a frame have relative errors of order
+    eps * n / h, with h its worst-stream squared height and n its largest
+    squared column norm; on near-collinear columns every stream stays
+    within 1e-6 of the QR route of :mod:`antsel.channel` down to
+    h / n = 1e-9 (TestStageSnrAccuracy), as ``selection._lattice_heights``.
+    Raises ``np.linalg.LinAlgError`` where :func:`detect_grid` does, when a
+    stage's Schur complement is within ``_DEPENDENT_SHARE`` (256 eps) of
+    its diagonal (h / n below about 6e-14), where the QR route still
+    returns a value.
+    """
+    regularized = receiver in ("mmse", "df-mmse")
+    lam = budget.L / budget.rho0 if regularized else 0.0
+    V = stage_matrices(_gram(Heff), receiver, lam)[0]
+    diag = V.diagonal(axis1=1, axis2=2).real
+    if regularized:
+        return np.maximum(1.0 / (lam * diag) - 1.0, 0.0)
+    return (budget.rho0 / budget.L) / diag
+
+
+def detect_matched(leak: np.ndarray | None, est: np.ndarray, x: np.ndarray,
+                   feedback: str = "actual") -> np.ndarray:
     """The cancelling step of :func:`detect_grid`: decision feedback on
     ``est`` (B, L, T), the stream estimates before cancellation, in place,
     stage by stage, with the ``leak`` of :func:`stage_matrices` (None for
     the linear receivers, which cancel nothing).  ``est`` carries the leak
     of every symbol except those of ``x`` (B, L, T).  Stage s feeds back
-    its sliced estimate (feedback="actual") or the true symbols of
-    ``transmitted`` (B, L, T) (feedback="genie") and takes
-    ``leak[:, t, s]`` times (fed back - ``x``) off every later stage t.
-    ``transmitted`` defaults to ``x``, whose genie feedback cancels
+    its sliced estimate (feedback="actual") or the true symbols, which are
+    ``x`` (feedback="genie"), and takes ``leak[:, t, s]`` times
+    (fed back - ``x``) off every later stage t, so genie feedback cancels
     nothing.  Returns ``est``; its rail signs are the decisions, and
     :func:`qpsk_slice` of it gives the detected symbols.
 
@@ -276,27 +291,22 @@ def detect_matched(leak: np.ndarray | None, est: np.ndarray, x: np.ndarray, feed
     ``x``: a correct decision feeds back exactly zero, so skipping it
     changes no estimate beyond the sign of a zero.  A rail decides
     positive when its estimate is >= 0, and a rail of ``x`` at zero (the
-    received-block route, x = 0) differs from every decision.  Genie
-    feedback cancels every symbol."""
-    if leak is None or (feedback == "genie" and transmitted is None):
+    received-block route, x = 0) differs from every decision."""
+    if leak is None or feedback == "genie":
         return est
     for stage in range(est.shape[1] - 1):
         later = slice(stage + 1, None)
-        if feedback == "genie":
-            fed_back = transmitted[:, stage] - x[:, stage]
-            est[:, later] -= leak[:, later, stage, None] * fed_back[:, None, :]
-        else:
-            rails, x_rails = _rails(est[:, stage]), _rails(x[:, stage])
-            wrong = ((rails >= 0) != (x_rails > 0)) | (x_rails == 0)
-            # a symbol's two rail flags read as one 16-bit word, nonzero when either is set
-            frames, symbols = np.divmod(np.flatnonzero(wrong.reshape(-1, 2).view(np.uint16)), est.shape[2])
-            fed_back = qpsk_slice(est[frames, stage, symbols]) - x[frames, stage, symbols]
-            est[frames, later, symbols] -= leak[frames, later, stage] * fed_back[:, None]
+        rails, x_rails = _rails(est[:, stage]), _rails(x[:, stage])
+        wrong = ((rails >= 0) != (x_rails > 0)) | (x_rails == 0)
+        # a symbol's two rail flags read as one 16-bit word, nonzero when either is set
+        frames, symbols = np.divmod(np.flatnonzero(wrong.reshape(-1, 2).view(np.uint16)), est.shape[2])
+        fed_back = qpsk_slice(est[frames, stage, symbols]) - x[frames, stage, symbols]
+        est[frames, later, symbols] -= leak[frames, later, stage] * fed_back[:, None]
     return est
 
 
 def detect_grid(Heff: np.ndarray, x: np.ndarray, block: np.ndarray, receiver: str, feedback: str,
-                budgets: Iterable[LinkBudget], transmitted: np.ndarray | None = None) -> Iterator[np.ndarray]:
+                budgets: Iterable[LinkBudget]) -> Iterator[np.ndarray]:
     """Stream estimates of a batch of frames at each link budget of
     ``budgets``, in order: the one detection kernel of every receiver,
     stream count and feedback mode.  Their rail signs are the decisions
@@ -306,12 +316,10 @@ def detect_grid(Heff: np.ndarray, x: np.ndarray, block: np.ndarray, receiver: st
     ``Heff`` (B, n_r, L) holds each frame's columns in decode order,
     stream i riding column i.  ``block`` (B, n_r, T) is a received block
     without the signal term of the symbols ``x`` (B, L, T): the noise,
-    with x the transmitted symbols (the error domain of the BER engine
-    and :func:`simulate_frame`), or a whole received block, with x = 0
-    (:func:`detect_linear`, :func:`detect_df`).  Genie feedback feeds
-    back ``transmitted`` (B, L, T), by default ``x``; see
-    :func:`detect_matched`.  Inputs are not validated; ZF assumes full
-    column rank.
+    with x the transmitted symbols (the error domain), or a whole received
+    block, with x = 0.  Genie feedback feeds back ``x``, so it cancels
+    nothing and needs the error domain; see :func:`detect_matched`.
+    Inputs are not validated; ZF assumes full column rank.
 
     At stream scale s the matched-filter output over s is
     G x + Heff^H block / s, with the Gram matrices G.  Every receiver's
@@ -351,7 +359,7 @@ def detect_grid(Heff: np.ndarray, x: np.ndarray, block: np.ndarray, receiver: st
         else:
             np.multiply(W, 1.0 / budget.stream_scale, out=est)
         est += x
-        yield detect_matched(leak, est, x, feedback, transmitted)
+        yield detect_matched(leak, est, x, feedback)
 
 
 def vblast_order_block(H: np.ndarray) -> np.ndarray:
@@ -377,13 +385,6 @@ def vblast_order_block(H: np.ndarray) -> np.ndarray:
     return order
 
 
-def _check_received(H_s: np.ndarray, received) -> np.ndarray:
-    received = np.asarray(received, dtype=np.complex128)
-    if received.ndim != 2 or received.shape[0] != H_s.shape[0]:
-        raise ValueError(f"received block shape {received.shape} does not match {H_s.shape[0]} receive rows")
-    return received
-
-
 def _check_order(budget: LinkBudget, decode_order) -> list[int]:
     order = [int(i) for i in decode_order]
     if sorted(order) != list(range(budget.L)):
@@ -391,13 +392,32 @@ def _check_order(budget: LinkBudget, decode_order) -> list[int]:
     return order
 
 
-def _detect_frame(H_s: np.ndarray, order: list[int], x: np.ndarray, block: np.ndarray, budget: LinkBudget,
-                  receiver: str, feedback: str = "actual", transmitted: np.ndarray | None = None) -> np.ndarray:
+def _detect_frame(H_s, block, budget: LinkBudget, receiver: str, decode_order=None, feedback: str = "actual",
+                  x=None, error_domain: bool = False) -> np.ndarray:
     """:func:`detect_grid` on one frame at one budget, decoding the columns
-    of ``H_s`` in ``order``; ``x`` and ``transmitted`` are in stream
-    order.  Returns the L x T detected symbols in stream order."""
-    order_t = None if transmitted is None else transmitted[order][None]
-    est = next(detect_grid(H_s[:, order][None], x[order][None], block[None], receiver, feedback, (budget,), order_t))
+    of ``H_s`` in ``decode_order`` (default: as they stand), after every
+    check the per-frame detectors share.  ``x`` (L, T), in stream order,
+    defaults to zeros; ``block`` is the noise if ``error_domain``, else a
+    received block, less the signal term of ``x`` before detection.
+    Returns the L x T detected symbols in stream order."""
+    H_s = as_channel_matrix(H_s)
+    _check_streams(H_s, budget)
+    block = np.asarray(block, dtype=np.complex128)
+    if block.ndim != 2 or block.shape[0] != H_s.shape[0]:
+        raise ValueError(f"received block shape {block.shape} does not match {H_s.shape[0]} receive rows")
+    order = _check_order(budget, range(budget.L) if decode_order is None else decode_order)
+    if feedback not in FEEDBACK_MODES:
+        raise ValueError(f"unknown feedback mode {feedback!r}")
+    shape = (budget.L, block.shape[1])
+    if x is None:
+        x = np.zeros(shape, dtype=np.complex128)
+    elif x.shape != shape:
+        raise ValueError(f"symbol block shape {x.shape} does not match {shape} (streams, symbols)")
+    elif not error_domain:
+        block = block - budget.stream_scale * (H_s @ x)
+    if receiver in ("zf", "df-zf"):
+        require_full_column_rank(H_s)
+    est = next(detect_grid(H_s[:, order][None], x[order][None], block[None], receiver, feedback, (budget,)))
     detected = np.empty_like(x)
     detected[order] = qpsk_slice(est[0])
     return detected
@@ -408,15 +428,9 @@ def detect_linear(H_s, received: np.ndarray, budget: LinkBudget, equalizer: str 
 
     Returns the L x T block of detected QPSK symbols.
     """
-    H_s = as_channel_matrix(H_s)
-    _check_streams(H_s, budget)
-    received = _check_received(H_s, received)
     if equalizer not in ("zf", "mmse"):
         raise ValueError(f"unknown equalizer {equalizer!r}")
-    if equalizer == "zf":
-        require_full_column_rank(H_s)
-    x = np.zeros((budget.L, received.shape[1]), dtype=np.complex128)
-    return _detect_frame(H_s, list(range(budget.L)), x, received, budget, equalizer)
+    return _detect_frame(H_s, received, budget, equalizer)
 
 
 def detect_df(
@@ -433,23 +447,15 @@ def detect_df(
     Each stage nulls the not-yet-decoded streams with the chosen front
     end, slices, and subtracts the sliced (feedback="actual") or true
     (feedback="genie") symbol contribution.  Genie mode needs the true
-    ``transmitted`` block.
+    ``transmitted`` block (L, T) and detects on the received block less
+    its signal term (the error domain).
     """
-    H_s = as_channel_matrix(H_s)
-    _check_streams(H_s, budget)
-    received = _check_received(H_s, received)
-    order = _check_order(budget, decode_order)
-    if feedback not in FEEDBACK_MODES:
-        raise ValueError(f"unknown feedback mode {feedback!r}")
-    if feedback == "genie" and transmitted is None:
-        raise ValueError("genie feedback requires the transmitted block")
     if front_end not in ("zf", "mmse"):
         raise ValueError(f"unknown front end {front_end!r}")
-    if front_end == "zf":
-        require_full_column_rank(H_s)
-    x = np.zeros((budget.L, received.shape[1]), dtype=np.complex128)
-    genie = np.asarray(transmitted, dtype=np.complex128) if feedback == "genie" else None
-    return _detect_frame(H_s, order, x, received, budget, "df-" + front_end, feedback, genie)
+    if feedback == "genie" and transmitted is None:
+        raise ValueError("genie feedback requires the transmitted block")
+    x = np.asarray(transmitted, dtype=np.complex128) if feedback == "genie" else None
+    return _detect_frame(H_s, received, budget, "df-" + front_end, decode_order, feedback, x)
 
 
 def simulate_frame(H_s, budget: LinkBudget, bits: np.ndarray, noise: np.ndarray,
@@ -464,18 +470,10 @@ def simulate_frame(H_s, budget: LinkBudget, bits: np.ndarray, noise: np.ndarray,
     """
     if receiver not in RECEIVERS:
         raise ValueError(f"unknown receiver {receiver!r}; expected one of {RECEIVERS}")
-    H_s = as_channel_matrix(H_s)
-    _check_streams(H_s, budget)
-    noise = _check_received(H_s, noise)
     symbols = qpsk_modulate(bits)
-    received = transmit(H_s, budget, symbols, noise)
-    df = receiver in ("df-zf", "df-mmse")
-    order = _check_order(budget, decode_order if df and decode_order is not None else range(budget.L))
-    if feedback not in FEEDBACK_MODES:
-        raise ValueError(f"unknown feedback mode {feedback!r}")
-    if receiver in ("zf", "df-zf"):
-        require_full_column_rank(H_s)
-    detected = _detect_frame(H_s, order, symbols, noise, budget, receiver, feedback)
+    order = decode_order if receiver in ("df-zf", "df-mmse") else None
+    detected = _detect_frame(H_s, noise, budget, receiver, order, feedback, symbols, error_domain=True)
+    received = transmit(H_s, budget, symbols, np.asarray(noise, dtype=np.complex128))
     return SymbolFrame(transmitted=symbols, received=received, detected=detected)
 
 
@@ -484,16 +482,16 @@ def df_stage_snrs(H_s, budget: LinkBudget, decode_order: tuple[int, ...]) -> tup
 
     Stage i sees (rho0 / L) times the squared projection height of its
     stream against the span of the streams decoded after it; reported in
-    decode order.
+    decode order.  Read off the "df-zf" stage matrices of the columns in
+    decode order (:func:`_stage_snrs`).  Raises ``SingularMatrixError`` on
+    a rank-deficient ``H_s`` and ``np.linalg.LinAlgError`` where
+    :func:`detect_grid` does.
     """
     H_s = as_channel_matrix(H_s)
     _check_streams(H_s, budget)
     order = _check_order(budget, decode_order)
-    scale = budget.rho0 / budget.L
-    return tuple(
-        scale * projection_height_sq(H_s, k, order[stage + 1:]).height_sq
-        for stage, k in enumerate(order)
-    )
+    require_full_column_rank(H_s)
+    return tuple(_stage_snrs(H_s[:, order][None], "df-zf", budget)[0].tolist())
 
 
 def vblast_order(H_s, budget: LinkBudget) -> tuple[int, ...]:

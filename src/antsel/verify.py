@@ -248,9 +248,9 @@ def outage_slope_fits(trials: int, seed: int, workers: int = 1) -> dict[str, Slo
 
 
 def qr_df_stage_oracle(draws: int, seed: int) -> tuple[float, bool]:
-    """Genie decision-feedback stage SNRs of (3, 3, 2) at rho0 = 10 against
-    the squared triangular diagonal of the selected columns, plus the
-    max-norm first-pick check.
+    """Genie decision-feedback stage SNRs of (3, 3, 2) at rho0 = 10, from the
+    detectors' stage matrices, against the squared QR triangular diagonal
+    of the selected columns, plus the max-norm first-pick check.
 
     Returns (worst relative error, first pick always max-norm).
     """
@@ -425,7 +425,7 @@ def check_outage_slopes(fits: dict[str, SlopeFit]) -> CheckOutcome:
 
 
 def check_stage_oracle(oracle: tuple[float, bool]) -> CheckOutcome:
-    """Criterion 7: greedy DF stage SNRs on the triangular diagonal, first pick max-norm."""
+    """Criterion 7: the detectors' greedy DF stage SNRs on the QR triangular diagonal, first pick max-norm."""
     worst, first_ok = oracle
     return CheckOutcome("greedy DF stage SNRs match triangular diagonal",
                         worst < STAGE_ORACLE_BOUND and first_ok, True,

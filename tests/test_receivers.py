@@ -3,12 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from antsel.channel import complex_gaussian, projection_height_sq, qr_factorize, stream_generator
+from antsel.channel import (
+    SingularMatrixError,
+    complex_gaussian,
+    projection_height_sq,
+    qr_factorize,
+    stream_generator,
+)
 from antsel.receivers import (
     FEEDBACK_MODES,
     RECEIVERS,
     LinkBudget,
     _gram,
+    _stage_snrs,
     _term_sum,
     count_bit_errors,
     detect_df,
@@ -241,6 +248,19 @@ class TestDecisionFeedback:
         with pytest.raises(ValueError):
             detect_df(H, np.zeros((3, 4), dtype=complex), LinkBudget(1.0, 2), (0, 1), feedback="genie")
 
+    @pytest.mark.parametrize("shape", [(2, 1), (4,), (3, 4), (2, 5)])
+    def test_genie_rejects_a_misshaped_transmitted_block(self, shape):
+        # L = 2 streams of 4 symbols: only (2, 4) is a transmitted block
+        H = rand_matrix(3, 2, seed=17)
+        with pytest.raises(ValueError, match="shape"):
+            detect_df(H, np.zeros((3, 4), dtype=complex), LinkBudget(1.0, 2), (0, 1), feedback="genie",
+                      transmitted=np.ones(shape, dtype=complex))
+
+    def test_stage_snrs_reject_dependent_columns(self):
+        column = rand_matrix(3, 1, seed=17)
+        with pytest.raises(SingularMatrixError):
+            df_stage_snrs(np.hstack([column, column]), LinkBudget(10.0, 2), (0, 1))
+
     def test_invalid_permutation(self):
         H = rand_matrix(3, 2, seed=18)
         with pytest.raises(ValueError):
@@ -309,9 +329,10 @@ class TestBatchRows:
     @pytest.mark.parametrize("feedback", FEEDBACK_MODES)
     @pytest.mark.parametrize("front_end", ["zf", "mmse"])
     def test_detect_df_with_a_permuted_order(self, front_end, feedback):
+        # genie feedback detects in the error domain: the received block less the symbols' signal term
         H, bits, s, _, budget, y = self.batch()
-        (est,) = detect_grid(H[:, :, self.ORDER], np.zeros_like(s), y, "df-" + front_end, feedback, (budget,),
-                             s[:, self.ORDER])
+        x, block = (s, y - budget.stream_scale * (H @ s)) if feedback == "genie" else (np.zeros_like(s), y)
+        (est,) = detect_grid(H[:, :, self.ORDER], x[:, self.ORDER], block, "df-" + front_end, feedback, (budget,))
         rows = np.empty_like(s)
         rows[:, self.ORDER] = qpsk_slice(est)
         assert (qpsk_demodulate(rows) != bits).any()
@@ -335,6 +356,85 @@ class TestBatchRows:
                                    feedback=feedback)
             np.testing.assert_array_equal(frame.detected, rows[b])
             np.testing.assert_array_equal(frame.received, y[b])
+
+
+class TestStageSnrRows:
+    """The SNR functions return the rows of one :func:`_stage_snrs` call
+    on the same channels, bit for bit."""
+
+    ORDER = [2, 0, 1]
+
+    def test_snr_functions_are_batch_rows(self):
+        H = complex_gaussian(stream_generator(29, 0), (40, 4, 3))
+        budget = LinkBudget(8.0, 3)
+        zf, mmse = _stage_snrs(H, "zf", budget), _stage_snrs(H, "mmse", budget)
+        df = _stage_snrs(H[:, :, self.ORDER], "df-zf", budget)
+        for b in range(len(H)):
+            np.testing.assert_array_equal(zf_post_snr(H[b], budget).snrs, zf[b])
+            np.testing.assert_array_equal(mmse_post_snr(H[b], budget).snrs, mmse[b])
+            np.testing.assert_array_equal(df_stage_snrs(H[b], budget, tuple(self.ORDER)), df[b])
+
+
+class TestStageSnrAccuracy:
+    """ZF and genie DF stage SNRs on near-collinear columns against the QR
+    route of ``projection_height_sq``.
+
+    The last of L columns is a random combination of the others plus a
+    part orthogonal to them, whose squared size is ``ratio`` times the
+    combination's, so a draw's depth, its worst-stream squared height h
+    over its largest squared column norm n, falls to about ``ratio``.  A
+    draw's errors follow its depth, not each stream's own height: every
+    ZF stream of a draw errs alike.  DF decodes the last column first.
+    """
+
+    RATIOS = np.geomspace(1e-2, 1e-9, 8)
+    DRAWS = 200
+    #: the documented accuracy of ``_stage_snrs``: relative error below
+    #: 1e-6 for every stream of a draw with h / n >= 1e-9
+    BOUND, DEPTH = 1e-6, 1e-9
+
+    @staticmethod
+    def channels(L, ratio, draws):
+        rng = stream_generator(39, L)
+        base = complex_gaussian(rng, (draws, L + 1, L))
+        coef = complex_gaussian(rng, (draws, L - 1))
+        spare = complex_gaussian(rng, (draws, L + 1))
+        comb = np.einsum("brk,bk->br", base[:, :, :L - 1], coef)
+        q, _ = np.linalg.qr(base[:, :, :L - 1])
+        orth = spare - np.einsum("brk,bk->br", q, np.einsum("brk,br->bk", q.conj(), spare))
+        orth *= (np.linalg.norm(comb, axis=1) / np.linalg.norm(orth, axis=1))[:, None]
+        base[:, :, L - 1] = comb + math.sqrt(ratio) * orth
+        return base
+
+    @pytest.mark.parametrize("L", [2, 3, 4])
+    def test_within_bound_down_to_the_documented_depth(self, L):
+        budget = LinkBudget(10.0, L)
+        order = (L - 1,) + tuple(range(L - 1))
+        depths, errors = [], []
+        for ratio in self.RATIOS:
+            for H in self.channels(L, ratio, self.DRAWS):
+                zf = np.asarray(zf_post_snr(H, budget).snrs) * L / budget.rho0
+                df = np.asarray(df_stage_snrs(H, budget, order)) * L / budget.rho0
+                zf_oracle = np.array([projection_height_sq(H, k, [c for c in range(L) if c != k]).height_sq
+                                      for k in range(L)])
+                df_oracle = np.array([projection_height_sq(H, k, order[i + 1:]).height_sq
+                                      for i, k in enumerate(order)])
+                depths.append(zf_oracle.min() / np.sum(np.abs(H) ** 2, axis=0).max())
+                errors.append(max((np.abs(zf - zf_oracle) / zf_oracle).max(),
+                                  (np.abs(df - df_oracle) / df_oracle).max()))
+        depths, errors = np.array(depths), np.array(errors)
+        assert ((depths >= self.DEPTH) & (depths < 10 * self.DEPTH)).any()
+        assert errors[depths >= self.DEPTH].max() < self.BOUND
+
+    def test_raises_where_detection_does(self):
+        # h / n = 1e-15 keeps full column rank but lies within 256 eps of
+        # zero, where the stage recursion raises and the QR route does not
+        H = self.channels(2, 1e-15, 1)[0]
+        assert projection_height_sq(H, 1, [0]).height_sq > 0
+        for snrs in (lambda: zf_post_snr(H, LinkBudget(10.0, 2)),
+                     lambda: df_stage_snrs(H, LinkBudget(10.0, 2), (1, 0))):
+            with pytest.raises(np.linalg.LinAlgError):
+                snrs()
 
 
 class TestStageMatrices:
