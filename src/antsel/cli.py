@@ -27,7 +27,6 @@ from .channel import RNG_LAYOUT
 from .montecarlo import (
     ExperimentConfig,
     FitError,
-    SlopeFit,
     _ber_chunk_size,
     estimate_ber,
     estimate_outage,
@@ -70,7 +69,7 @@ class RunManifest:
 
 def parse_grid(spec: str, require_positive: bool = False) -> tuple[float, ...]:
     """Parse a grid given as "logspace:lo,hi,n", "linspace:lo,hi,n" or a
-    comma list; the result must be strictly increasing."""
+    comma list; the result must be finite and strictly increasing."""
     s = spec.strip()
     try:
         if s.startswith(("logspace:", "linspace:")):
@@ -79,6 +78,8 @@ def parse_grid(spec: str, require_positive: bool = False) -> tuple[float, ...]:
             if len(parts) != 3:
                 raise UsageError(f"{kind} grid needs lo,hi,count: got {spec!r}")
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+            if not np.all(np.isfinite((lo, hi))):  # numpy warns when it spaces non-finite ends
+                raise UsageError(f"grid values must be finite, got {spec!r}")
             if count < 2:
                 raise UsageError(f"grid needs at least 2 points, got {count}")
             if kind == "logspace":
@@ -95,6 +96,8 @@ def parse_grid(spec: str, require_positive: bool = False) -> tuple[float, ...]:
         raise UsageError(f"cannot parse grid {spec!r}: {exc}") from None
     if values.size == 0:
         raise UsageError(f"grid {spec!r} is empty")
+    if not np.all(np.isfinite(values)):
+        raise UsageError(f"grid values must be finite, got {spec!r}")
     if np.any(np.diff(values) <= 0):
         raise UsageError(f"grid must be strictly increasing, got {spec!r}")
     if require_positive and values[0] <= 0:
@@ -149,16 +152,6 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _slope_fit_dict(fit: SlopeFit) -> dict:
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "stderr": fit.stderr,
-        "fit_range": list(fit.fit_range),
-        "points_used": fit.points_used,
-    }
-
-
 def _write_manifest(out_path: str, manifest: RunManifest) -> str:
     path = out_path + ".manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
@@ -185,6 +178,11 @@ def _cmd_outage(args: argparse.Namespace) -> int:
         trial_count=args.trials, master_seed=seed, grid=grid, chunk_size=args.chunk_size,
     )
     curve = estimate_outage(config, workers=args.workers)
+    # fitted before any output is written: a rejected --min-hits leaves none
+    try:
+        fit = asdict(fit_slope(curve, min_hits=args.min_hits))
+    except FitError as exc:
+        fit = {"error": str(exc)}
     p_hat = curve.p_hat()
     stderr = curve.stderr()
     rows = [
@@ -192,10 +190,6 @@ def _cmd_outage(args: argparse.Namespace) -> int:
         for x, h, n, p, s in zip(curve.abscissa, curve.hits, curve.trials, p_hat, stderr)
     ]
     _write_csv(args.out, ["x", "hits", "trials", "p_hat", "stderr"], rows)
-    try:
-        fit = _slope_fit_dict(fit_slope(curve, min_hits=args.min_hits))
-    except FitError as exc:
-        fit = {"error": str(exc)}
     manifest = RunManifest(
         tool="antsel", version=__version__, command="outage",
         created_utc=started, finished_utc=_utc_now(), master_seed=seed,

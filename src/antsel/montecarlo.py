@@ -123,6 +123,8 @@ class ExperimentConfig:
         grid = tuple(float(x) for x in self.grid)
         if not grid:
             raise ValueError("abscissa grid is empty")
+        if not all(math.isfinite(x) for x in grid):
+            raise ValueError(f"abscissa grid points must be finite, got {grid}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("abscissa grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
@@ -170,11 +172,13 @@ def fit_slope(curve: EmpiricalCurve, min_hits: int = 10, p_max: float = 0.2) -> 
     """Weighted least-squares log-log slope of an empirical curve over its
     usable range.
 
-    Only points with at least ``min_hits`` events and probability at most
+    Only points with at least ``min_hits`` (>= 1) events and probability at most
     ``p_max`` enter the fit: small enough to probe the asymptote, large
     enough for meaningful counts.  Weights are the inverse delta-method
     variances of log p_hat, hits / (1 - p_hat).
     """
+    if min_hits < 1:  # a zero-hit point has no logarithm
+        raise ValueError(f"min_hits must be at least 1, got {min_hits}")
     x = np.asarray(curve.abscissa, dtype=float)
     hits = np.asarray(curve.hits, dtype=float)
     p = hits / np.asarray(curve.trials, dtype=float)
@@ -245,8 +249,11 @@ def _run_chunks(job: Callable[[int, int], dict], plan: list[tuple[int, int]], wo
     a key that one chunk alone returns passes through unchanged.  With
     ``workers`` > 1 and more than one chunk the chunks run in a process
     pool, so ``job`` must pickle; a plan of one chunk runs in process,
-    where a pool would only add its start-up.
+    where a pool would only add its start-up.  ``workers`` < 1 raises
+    ``ValueError``.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     _keep_freed_heap()
     totals: dict = {}
     with contextlib.ExitStack() as stack:

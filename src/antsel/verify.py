@@ -12,9 +12,10 @@ does.
 :func:`run_verification` measures each row at one of two scales, times it
 and calls its verdict.  "full" runs the statistical checks at their
 contractual trial counts; "quick" is a smoke-scale pass with the same
-verdicts (slope windows are wide enough to hold at both scales).  The
-acceptance tests measure at ``_SCALES["full"]`` and assert the same
-verdicts, so the two cannot drift apart.
+verdicts (slope windows are wide enough to hold at both scales).  Each
+row names the acceptance criteria it is evidence for; the acceptance
+tests run this table at the full scale and assert the rows of each
+criterion, so the table is the one wiring of the contract.
 """
 
 from __future__ import annotations
@@ -117,11 +118,22 @@ _SCALES = {
 
 @dataclass(frozen=True)
 class CheckOutcome:
+    """One row of the verification table.
+
+    ``passed`` is the verdict; a failed row fails the table only when it
+    is ``gating``.  ``detail`` holds the measured values the verdict read.
+    :func:`run_verification` sets ``seconds``, the wall time of the row's
+    measurement and verdict, and ``criteria``, the numbers of the
+    acceptance criteria the row is evidence for (none for an
+    informational row).
+    """
+
     name: str
     passed: bool
     gating: bool
     detail: str
     seconds: float = 0.0
+    criteria: tuple[int, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -491,36 +503,49 @@ def check_first_layer_probe(pvalue: float) -> CheckOutcome:
 # ---------------------------------------------------------------------------
 
 def run_verification(scale: str = "quick", seed: int = 0, workers: int = 1) -> list[CheckOutcome]:
+    """Measure, time and judge every row of the verification table.
+
+    ``scale`` picks the trial counts of ``_SCALES`` ("quick" or "full"),
+    ``seed`` keys every random row, and ``workers`` is the process count
+    of the chunked measurements, which leaves every result unchanged
+    (criterion 11).  A bad argument raises ``ValueError`` before any row
+    runs.  Rows come back in a fixed order, each with its ``seconds`` and
+    the acceptance ``criteria`` it is evidence for.
+    """
     if scale not in _SCALES:
         raise ValueError(f"unknown scale {scale!r}; expected one of {sorted(_SCALES)}")
     if not 0 <= seed < 2 ** 64 - 1:  # the DMT row draws from seed + 1
         raise ValueError(f"seed must lie in [0, 2^64 - 1), got {seed}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     p = _SCALES[scale]
     out: list[CheckOutcome] = []
     # the rows load scipy lazily; loading it here keeps the import out of
     # the first row's seconds
     from scipy import integrate, special, stats  # noqa: F401
 
-    def row(verdict, measure, *args):
+    def row(criteria, verdict, measure, *args):
         t0 = time.perf_counter()
         value = measure(*args)
-        out.append(replace(verdict(value), seconds=time.perf_counter() - t0))
+        out.append(replace(verdict(value), seconds=time.perf_counter() - t0, criteria=criteria))
         return value
 
     for shape in EXPANSION_ANCHORS:
-        row(partial(check_expansion_anchor, shape), quadrature_anchor_ratio, *shape)
-    unrestricted = row(check_quadrature_slope, quadrature_slope, 3, 3)
-    row(partial(check_slope_gap, unrestricted), quadrature_slope, 3, 3, True)
-    row(check_analytic_selftest, analytic_selftest)
+        row((1,), partial(check_expansion_anchor, shape), quadrature_anchor_ratio, *shape)
+    unrestricted = row((2,), check_quadrature_slope, quadrature_slope, 3, 3)
+    row((2,), partial(check_slope_gap, unrestricted), quadrature_slope, 3, 3, True)
+    row((3,), check_analytic_selftest, analytic_selftest)
     for shape in MARGINAL_SHAPES:
-        row(partial(check_marginals, shape), marginal_ks_pvalues, *shape, MARGINAL_SAMPLES, seed)
-    row(partial(check_independence, INDEPENDENCE_SHAPE), independence_suite, *INDEPENDENCE_SHAPE,
+        row((4,), partial(check_marginals, shape), marginal_ks_pvalues, *shape, MARGINAL_SAMPLES, seed)
+    row((5,), partial(check_independence, INDEPENDENCE_SHAPE), independence_suite, *INDEPENDENCE_SHAPE,
         p["independence_trials"], seed, workers)
-    fits = row(check_outage_slopes, outage_slope_fits, p["outage_trials"], seed, workers)
-    row(check_stage_oracle, qr_df_stage_oracle, STAGE_ORACLE_DRAWS, seed)
-    row(check_ber_ordering, ber_ordering_test, p["ber_frames"], p["ber_snr_db"], seed, workers)
-    row(lambda dmt: check_dmt(dmt, fits["maxmin"].slope), dmt_estimates, p["dmt_trials"], seed, workers)
-    row(check_lemmas, lemma_fits, p["lemma_trials"], seed, workers)
-    row(check_reproducibility, reproducibility_runs, seed)
-    row(check_first_layer_probe, greedy_first_layer_distribution_probe, PROBE_SAMPLES, seed)
+    # the slope windows hold qr-greedy's first-layer exponent, so this row
+    # is evidence for criterion 7 as well
+    fits = row((6, 7), check_outage_slopes, outage_slope_fits, p["outage_trials"], seed, workers)
+    row((7,), check_stage_oracle, qr_df_stage_oracle, STAGE_ORACLE_DRAWS, seed)
+    row((8,), check_ber_ordering, ber_ordering_test, p["ber_frames"], p["ber_snr_db"], seed, workers)
+    row((9,), lambda dmt: check_dmt(dmt, fits["maxmin"].slope), dmt_estimates, p["dmt_trials"], seed, workers)
+    row((10,), check_lemmas, lemma_fits, p["lemma_trials"], seed, workers)
+    row((11,), check_reproducibility, reproducibility_runs, seed)
+    row((), check_first_layer_probe, greedy_first_layer_distribution_probe, PROBE_SAMPLES, seed)
     return out

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.metadata
 import json
 import os
@@ -50,6 +51,9 @@ class TestGridParsing:
             parse_grid("logspace:1e-3,1")
         with pytest.raises(UsageError):
             parse_grid("one,two")
+        for spec in ("0.1,nan", "nan", "0.1,inf", "-inf,0.1", "logspace:1e-3,inf,5", "linspace:0,nan,3"):
+            with pytest.raises(UsageError, match="finite"):
+                parse_grid(spec)
 
 
 class TestOutageCommand:
@@ -79,9 +83,8 @@ class TestOutageCommand:
             tuple(int(r["hits"]) for r in rows),
             tuple(int(r["trials"]) for r in rows),
         )
-        refit = fit_slope(curve)
-        assert refit.slope == manifest["slope_fit"]["slope"]
-        assert refit.stderr == manifest["slope_fit"]["stderr"]
+        # the manifest holds every field of the refit, through JSON
+        assert manifest["slope_fit"] == json.loads(json.dumps(dataclasses.asdict(fit_slope(curve, min_hits=10))))
         assert manifest["config"]["master_seed"] == 9
         assert manifest["config"]["grid"] == [float(r["x"]) for r in rows]
         assert manifest["effective_chunk_size"] == manifest["config"]["chunk_size"] == 100_000
@@ -113,6 +116,27 @@ class TestOutageCommand:
             "--trials", "100", "--x-grid", "0.5,0.1", "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 2
+        # non-finite points are usage errors for every grid flag, and write nothing
+        for argv in (
+            ["outage", "--nt", "3", "--nr", "3", "--L", "2", "--rule", "maxmin",
+             "--trials", "1000", "--x-grid", "0.1,nan", "--out", str(tmp_path / "n.csv")],
+            ["ber", "--nt", "3", "--nr", "3", "--L", "2", "--rule", "maxmin", "--snr-db", "nan",
+             "--frames", "10", "--out", str(tmp_path / "n.csv")],
+            ["analytic", "quadrature", "--nt", "3", "--nr", "3", "--x-grid", "0.1,nan",
+             "--out", str(tmp_path / "n.json")],
+        ):
+            assert main(argv) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_min_hits_exits_two(self, tmp_path, capsys):
+        assert main(outage_argv(tmp_path / "x.csv", "--min-hits", "0")) == 2
+        assert "min_hits" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_workers_exit_two(self, tmp_path, capsys):
+        assert main(outage_argv(tmp_path / "x.csv", "--workers", "-3")) == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ANTSEL_SEED", "777")
@@ -277,6 +301,14 @@ class TestSeedRange:
         monkeypatch.setattr(verify, "quadrature_anchor_ratio", lambda *args: pytest.fail("a row ran"))
         assert main(["verify", "--seed=-1"]) == 2
         assert "must lie in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_verify_rejects_workers_before_running_any_row(self, monkeypatch, capsys, workers):
+        from antsel import verify
+
+        monkeypatch.setattr(verify, "quadrature_anchor_ratio", lambda *args: pytest.fail("a row ran"))
+        assert main(["verify", f"--workers={workers}"]) == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
 
 
 def test_consecutive_calls_match_separate_processes(tmp_path, monkeypatch):

@@ -159,6 +159,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             outage_config("maxmin", grid=(0.5, 0.1))
 
+    @pytest.mark.parametrize("point", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_point(self, point):
+        with pytest.raises(ValueError, match="finite"):
+            outage_config("maxmin", grid=(0.1, point))
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            estimate_outage(outage_config("maxmin", trials=10), workers=workers)
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 64], ids=["negative", "two-to-the-64"])
     def test_seed_out_of_range(self, seed):
         with pytest.raises(ValueError, match="master_seed"):
@@ -427,6 +437,11 @@ class TestSlopeFit:
         curve = EmpiricalCurve((0.1, 0.2), (100, 200), (1000, 1000))
         with pytest.raises(FitError, match="usable points"):
             fit_slope(curve)
+
+    def test_min_hits_below_one(self):
+        curve = EmpiricalCurve((0.1, 0.2, 0.3, 0.4), (0, 0, 5, 9), (1000,) * 4)
+        with pytest.raises(ValueError, match="min_hits"):
+            fit_slope(curve, min_hits=0)
 
     def test_saturated_points_excluded(self):
         xs = (0.1, 0.2, 0.3, 0.4, 10.0)
