@@ -248,8 +248,13 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
             {"x": x, "probability": analytic.pr_outage_quadrature(x, args.nt, args.nr, restricted=args.restricted)}
             for x in grid
         ]
+        for p in points:
+            # a subnormal or zero probability has no accurate logarithm to fit
+            if not p["probability"] >= sys.float_info.min:
+                raise UsageError(f"quadrature probability at x = {p['x']!r} is {p['probability']!r}, "
+                                 "below the smallest normal float; raise the grid")
         lx = np.log([p["x"] for p in points])
-        lp = np.log([max(p["probability"], 1e-300) for p in points])
+        lp = np.log([p["probability"] for p in points])
         payload = {
             "kind": "outage-quadrature",
             "n_t": args.nt,

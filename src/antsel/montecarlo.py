@@ -374,6 +374,22 @@ def _draw_bits(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return (words.astype("<u8", copy=False).view("<i4") < 0).reshape(shape + (2,))
 
 
+def _snr_budgets(config: ExperimentConfig) -> list[rx.LinkBudget]:
+    """The link budget of each SNR point of ``config.grid`` (in dB).
+    Raises ``ValueError`` naming the first point whose linear SNR
+    10^(dB/10) is not a finite positive float."""
+    budgets = []
+    for snr_db in config.grid:
+        try:
+            rho0 = 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            rho0 = math.inf
+        if not 0.0 < rho0 < math.inf:
+            raise ValueError(f"SNR point {snr_db!r} dB has no finite positive linear value (10^(dB/10) = {rho0!r})")
+        budgets.append(rx.LinkBudget(rho0=rho0, L=config.L))
+    return budgets
+
+
 def _ber_chunk(config: ExperimentConfig, chunk_index: int, frames: int,
                rules: Sequence[str]) -> dict[str, np.ndarray]:
     """Tallies "errors" and "bits": the bit errors of one chunk at each SNR
@@ -402,7 +418,7 @@ def _ber_chunk(config: ExperimentConfig, chunk_index: int, frames: int,
     cols = np.empty((len(rules), frames, L), dtype=np.int64)
     _rule_pass(rules, H, L, rng, cols)
     cols = [_apply_ordering(config, H, rule_cols) for rule_cols in cols]
-    budgets = [rx.LinkBudget(rho0=10.0 ** (snr_db / 10.0), L=L) for snr_db in config.grid]
+    budgets = _snr_budgets(config)
     errors = np.zeros((len(rules), len(config.grid)), dtype=np.int64)
     block = max(1, _BER_BLOCK_SAMPLES // (L * T))
     for start in range(0, frames, block):
@@ -425,9 +441,11 @@ def estimate_ber_rules(config: ExperimentConfig, rules: Sequence[str],
     The rules share each chunk's channels, bits and noise, drawn once in
     the stream order of a single-rule run; selection, ordering and
     detection run per rule.  So each curve is bit-identical to
-    :func:`estimate_ber` of that rule alone.
+    :func:`estimate_ber` of that rule alone.  Every SNR point is checked
+    before any chunk runs (:func:`_snr_budgets`).
     """
     rules = _check_rules(config, rules)
+    _snr_budgets(config)
     plan = _chunk_plan(config.trial_count, _ber_chunk_size(config))
     totals = _run_chunks(functools.partial(_ber_chunk, config, rules=rules), plan, workers)
     bits = tuple(totals["bits"].tolist())

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import analytic
 from . import receivers as rx
-from .channel import complex_gaussian, qr_factorize, sample_channel, stream_generator
+from .channel import complex_gaussian, sample_channel, stream_generator
 from .montecarlo import (
     ExperimentConfig,
     SlopeFit,
@@ -43,7 +43,7 @@ from .montecarlo import (
     independence_suite,
     lemma_harness,
 )
-from .selection import RULES, _pair_table, _rule_pass, select_qr_greedy
+from .selection import RULES, _pair_table, _rule_pass, select_block
 
 #: Threshold grid spanning the informative sub-saturation decade for
 #: (3, 3, 2)-sized problems; the slope fit clips it further by hit counts.
@@ -264,25 +264,24 @@ def qr_df_stage_oracle(draws: int, seed: int) -> tuple[float, bool]:
     detectors' stage matrices, against the squared QR triangular diagonal
     of the selected columns, plus the max-norm first-pick check.
 
+    One pass over all draws: the channels of ``sample_channel(3, 3, seed, d)``
+    for d < ``draws``, stacked, select their columns in one qr-greedy
+    ``select_block`` call and read their stage SNRs in one ``_stage_snrs``
+    call.  The reference is one stacked LAPACK QR of the selected columns
+    in selection order, which shares no arithmetic with the stage matrices.
+
     Returns (worst relative error, first pick always max-norm).
     """
     n_t, n_r, L, rho0 = 3, 3, 2, 10.0
-    budget = rx.LinkBudget(rho0=rho0, L=L)
-    worst = 0.0
-    first_pick_ok = True
-    for d in range(draws):
-        H = sample_channel(n_r, n_t, seed, d).matrix
-        outcome = select_qr_greedy(H, L)
-        # selection order: reverse of the decode order over the sorted subset
-        selection_cols = [outcome.subset.indices[p] for p in reversed(outcome.decode_order)]
-        norms = np.real(np.einsum("rt,rt->t", H.conj(), H))
-        first_pick_ok &= norms[selection_cols[0]] == norms.max()
-        H_sel = H[:, selection_cols]
-        _, r = qr_factorize(H_sel)
-        diag_snrs = (rho0 / L) * np.abs(np.diagonal(r)) ** 2
-        stage = rx.df_stage_snrs(H_sel, budget, tuple(range(L - 1, -1, -1)))
-        rel = np.abs(np.asarray(stage) - diag_snrs[::-1]) / diag_snrs[::-1]
-        worst = max(worst, float(rel.max()))
+    H = np.stack([sample_channel(n_r, n_t, seed, d).matrix for d in range(draws)])
+    cols = select_block("qr-greedy", H, L)  # first decoded first: the picks reversed
+    H_dec = np.take_along_axis(H, cols[:, None, :], axis=2)
+    stage = rx._stage_snrs(H_dec, "df-zf", rx.LinkBudget(rho0=rho0, L=L))
+    r = np.linalg.qr(H_dec[:, :, ::-1], mode="r")
+    diag_snrs = (rho0 / L) * np.abs(np.diagonal(r, axis1=1, axis2=2)[:, ::-1]) ** 2
+    worst = float((np.abs(stage - diag_snrs) / diag_snrs).max())
+    norms = np.real(np.einsum("brt,brt->bt", H.conj(), H))
+    first_pick_ok = bool((np.take_along_axis(norms, cols[:, -1:], axis=1)[:, 0] == norms.max(axis=1)).all())
     return worst, first_pick_ok
 
 

@@ -1,5 +1,6 @@
 """Per-draw selection rules on the QR route: the reference the batched
-kernels of ``antsel.selection`` are tested against.
+kernels of ``antsel.selection`` are tested against, and the per-draw
+loop of verify's DF stage oracle.
 
 Every height comes from ``channel.projection_height_sq`` (Householder QR
 of the span columns), so these loops share no arithmetic with the
@@ -10,8 +11,11 @@ the smaller column first, and across pairs the earlier pair.
 
 import itertools
 
-from antsel.channel import as_channel_matrix, projection_height_sq
-from antsel.selection import AntennaSubset, subset_metrics
+import numpy as np
+
+from antsel import receivers as rx
+from antsel.channel import as_channel_matrix, projection_height_sq, qr_factorize, sample_channel
+from antsel.selection import AntennaSubset, select_qr_greedy, subset_metrics
 
 
 def height(H, k, span):
@@ -68,3 +72,27 @@ def reference_scalar(rule, H, cols):
     if rule in ("maxmin", "random"):
         return subset_metrics(H, AntennaSubset(tuple(sorted(cols)))).min_height
     return height(H, cols[0], cols[1:])
+
+
+def reference_stage_oracle(draws, seed):
+    """``verify.qr_df_stage_oracle`` one draw at a time through the per-draw
+    API: ``sample_channel``, ``select_qr_greedy``, ``qr_factorize`` and
+    ``df_stage_snrs``."""
+    n_t, n_r, L, rho0 = 3, 3, 2, 10.0
+    budget = rx.LinkBudget(rho0=rho0, L=L)
+    worst = 0.0
+    first_pick_ok = True
+    for d in range(draws):
+        H = sample_channel(n_r, n_t, seed, d).matrix
+        outcome = select_qr_greedy(H, L)
+        # selection order: reverse of the decode order over the sorted subset
+        selection_cols = [outcome.subset.indices[p] for p in reversed(outcome.decode_order)]
+        norms = np.real(np.einsum("rt,rt->t", H.conj(), H))
+        first_pick_ok &= bool(norms[selection_cols[0]] == norms.max())
+        H_sel = H[:, selection_cols]
+        _, r = qr_factorize(H_sel)
+        diag_snrs = (rho0 / L) * np.abs(np.diagonal(r)) ** 2
+        stage = rx.df_stage_snrs(H_sel, budget, tuple(range(L - 1, -1, -1)))
+        rel = np.abs(np.asarray(stage) - diag_snrs[::-1]) / diag_snrs[::-1]
+        worst = max(worst, float(rel.max()))
+    return worst, first_pick_ok

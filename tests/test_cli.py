@@ -55,6 +55,21 @@ class TestGridParsing:
             with pytest.raises(UsageError, match="finite"):
                 parse_grid(spec)
 
+    @pytest.mark.parametrize("spec,positive,message", [
+        ("logspace:1e-3,1,1", False, "at least 2 points"),
+        ("linspace:0,1,0", False, "at least 2 points"),
+        ("logspace:0,1,5", False, "positive start"),
+        ("logspace:-1,1,5", False, "positive start"),
+        (",", False, "is empty"),
+        (" , ,", False, "is empty"),
+        ("0,0.1", True, "must be positive"),
+        ("-0.5,0.1", True, "must be positive"),
+    ], ids=["count-one", "count-zero", "zero-log-start", "negative-log-start", "empty-list", "blank-list",
+            "zero-outage-point", "negative-outage-point"])
+    def test_rejections_name_their_reason(self, spec, positive, message):
+        with pytest.raises(UsageError, match=message):
+            parse_grid(spec, require_positive=positive)
+
 
 class TestOutageCommand:
     def run_outage(self, tmp_path, name="curve.csv", extra=(), seed="9"):
@@ -182,6 +197,14 @@ class TestBerCommand:
         assert second == LIBRARY_VERSIONS
         assert second is not _library_versions()
 
+    @pytest.mark.parametrize("grid,point", [("10,4000", "4000.0"), ("-4000,10", "-4000.0")], ids=["4000", "-4000"])
+    def test_snr_without_a_linear_value_exits_two(self, tmp_path, capsys, grid, point):
+        out = tmp_path / "ber.csv"
+        assert main(["ber", "--nt", "3", "--nr", "3", "--L", "2", "--rule", "qr-greedy",
+                     f"--snr-db={grid}", "--frames", "10", "--out", str(out)]) == 2
+        assert f"SNR point {point} dB" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_receiver_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main([
@@ -226,6 +249,20 @@ class TestAnalyticCommand:
                      "--x-grid", "logspace:1e-4,1e-2,9", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["loglog_slope"] == pytest.approx(4.0, abs=0.05)
+
+    def test_quadrature_slope_of_a_shallow_grid(self, capsys):
+        assert main(["analytic", "quadrature", "--nt", "3", "--nr", "3", "--x-grid", "1e-5,1e-4,1e-3"]) == 0
+        assert json.loads(capsys.readouterr().out)["loglog_slope"] == pytest.approx(4.0, abs=1e-3)
+
+    def test_quadrature_underflow_exits_two(self, tmp_path, capsys):
+        # the quadrature reads 0.0 at 1e-90 and a subnormal at 1e-80: no slope to fit
+        out = tmp_path / "quad.json"
+        assert main(["analytic", "quadrature", "--nt", "3", "--nr", "3", "--x-grid", "1e-90,1e-80,1e-70",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "probability at x = 1e-90" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_selftest_passes(self, capsys):
         assert main(["analytic", "selftest"]) == 0
@@ -282,17 +319,37 @@ def test_manifest_records_the_rng_layout(tmp_path, command):
     assert manifest["rng_layout"] == RNG_LAYOUT == 2
 
 
-class TestSeedRange:
-    """Seeds are read as one 64-bit word: out of range is a usage error."""
+@pytest.mark.parametrize("engine", ["estimate_outage", "estimate_ber"])
+def test_runtime_failure_exits_one(tmp_path, monkeypatch, capsys, engine):
+    def broken(*args, **kwargs):
+        raise RuntimeError("engine broke")
 
-    @pytest.mark.parametrize("flag,env", [("--seed=-1", None), ("--seed=18446744073709551616", None), (None, "-3")],
-                             ids=["negative-flag", "two-to-the-64-flag", "negative-env"])
-    def test_out_of_range_seed_exits_two(self, tmp_path, monkeypatch, capsys, flag, env):
+    monkeypatch.setattr(f"antsel.cli.{engine}", broken)
+    out = tmp_path / "run.csv"
+    argv = outage_argv(out) if engine == "estimate_outage" else [
+        "ber", "--nt", "3", "--nr", "3", "--L", "2", "--rule", "maxmin", "--snr-db", "10",
+        "--frames", "50", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "failure: engine broke\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+class TestSeedRange:
+    """Seeds are read as one 64-bit word: out of range, or an environment
+    seed that is not an integer, is a usage error."""
+
+    @pytest.mark.parametrize("flag,env,message", [
+        ("--seed=-1", None, "must lie in [0, 2^64)"),
+        ("--seed=18446744073709551616", None, "must lie in [0, 2^64)"),
+        (None, "-3", "must lie in [0, 2^64)"),
+        (None, "seven", "ANTSEL_SEED must be an integer, got 'seven'"),
+    ], ids=["negative-flag", "two-to-the-64-flag", "negative-env", "non-integer-env"])
+    def test_out_of_range_seed_exits_two(self, tmp_path, monkeypatch, capsys, flag, env, message):
         if env is not None:
             monkeypatch.setenv("ANTSEL_SEED", env)
         out = tmp_path / "x.csv"
         assert main(outage_argv(out, *([flag] if flag else []))) == 2
-        assert "must lie in [0, 2^64)" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_verify_rejects_a_seed_before_running_any_row(self, monkeypatch, capsys):

@@ -485,6 +485,18 @@ class TestBerEngine:
                                   chunk_size=700, frame_symbols=10)
         assert estimate_ber(config, workers=1) == estimate_ber(config, workers=2)
 
+    @pytest.mark.parametrize("grid,point", [((10.0, 4000.0), "4000.0"), ((-4000.0, 10.0), "-4000.0")],
+                             ids=["4000", "-4000"])
+    def test_snr_without_a_finite_positive_linear_value(self, monkeypatch, grid, point):
+        # the point is rejected before any chunk draws its channels
+        monkeypatch.setattr(montecarlo, "_ber_chunk", lambda *args, **kwargs: pytest.fail("a chunk ran"))
+        config = ExperimentConfig(n_t=3, n_r=3, L=2, rule="qr-greedy", trial_count=100,
+                                  master_seed=0, grid=grid, receiver="df-zf")
+        with pytest.raises(ValueError, match=f"SNR point {point} dB"):
+            estimate_ber(config)
+        with pytest.raises(ValueError, match=f"SNR point {point} dB"):
+            montecarlo.estimate_ber_rules(config, ("qr-greedy", "first-fixed"))
+
     def test_chunk_cap_respects_memory_budget(self):
         config = ExperimentConfig(n_t=3, n_r=3, L=2, rule="maxmin", trial_count=10 ** 6,
                                   master_seed=0, grid=(10.0,), frame_symbols=1000)
