@@ -2,10 +2,11 @@
 
 One multi-rule pass, :func:`_rule_pass`, serves every rule.  It reads
 Gram entries of a (B, n_r, n_t) block of channels and builds one table
-per pass of ``_LATTICE_LANES`` channels: at L = 2 the pair table, which
-every rule reads; at other L one Gram matmul, shared by the determinant
-lattice of maxmin and the Cholesky greedy of qr-greedy, while random runs
-the lattice on the columns it draws.  Each rule has one branch, which
+per pass of ``_pass_lanes(L)`` channels: at L = 2 the pair table, which
+every rule reads, over passes of ``_PAIR_LANES``; at other L one Gram
+matmul per pass of ``_LATTICE_LANES``, shared by the determinant lattice
+of maxmin and the Cholesky greedy of qr-greedy, while random runs the
+lattice on the columns it draws.  Each rule has one branch, which
 reduces the table either to the scalar the outage experiment thresholds
 or, when the caller asks for columns, to the rule's columns, first
 decoded first; random's columns are the subsets it draws and read no
@@ -38,11 +39,18 @@ from .channel import as_channel_matrix, projection_height_sq
 #: Stable rule identifiers used by the CLI and in output files.
 RULES = ("maxmin", "first-fixed", "first-ordered", "qr-greedy", "random")
 
-#: Channels per pass of the Gram-entry kernels (the determinant lattice,
-#: the pair table and the Cholesky greedy).  Keeps their working set
-#: cache-sized and their memory small next to the chunk's draw; 2048 was
-#: the fastest of 1024-49152 for the (8, 8, 4) lattice.
+#: Channels per pass of the Gram-entry kernels at L != 2 (the determinant
+#: lattice and the Cholesky greedy).  Keeps their working set cache-sized
+#: and their memory small next to the chunk's draw; 2048 was the fastest
+#: of 1024-49152 for the (8, 8, 4) lattice, where 4096 ran no faster and
+#: held 9 MB more.
 _LATTICE_LANES = 2048
+#: Channels per pass at L = 2, where one pass builds only the pair table.
+#: Its arrays are a few rows of lanes each, so a wider pass spends less on
+#: per-call overhead: of 2048, 4096, 8192 and 16384 lanes, 8192 ran the
+#: (3, 3, 2) outage rounds of the tier1-fixtures benchmark fastest
+#: (the sweep is in BENCH_21.json).
+_PAIR_LANES = 8192
 
 
 @dataclass(frozen=True)
@@ -157,38 +165,62 @@ def _pair_table(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the height is the other column's norm.
 
     The Gram entries are sums over the receive rows of products of the
-    real and imaginary planes of each pass of ``_LATTICE_LANES`` channels,
+    real and imaginary planes of each pass of ``_pass_lanes(2)`` channels,
     laid out as (n_r, n_t, lanes); at small n_t this beats a complex
-    matmul.  The rows are summed in order, elementwise, so a channel's
-    entries do not depend on the pass it falls in.  Every L = 2 rule reads
-    these arrays, so on common draws first-ordered >= first-fixed >=
-    maxmin >= random holds exactly, draw by draw.
+    matmul.  The pairs (i, j > i) of one first column i hold consecutive
+    ranks, so each i writes the broadcast products of its column with the
+    columns after it into one slice of the pass's (n_r, C(n_t, 2), lanes)
+    buffers, and no column is gathered.  The rows are summed in order,
+    elementwise, so a channel's entries do not depend on the pass it falls
+    in.  Every L = 2 rule reads these arrays, so on common draws
+    first-ordered >= first-fixed >= maxmin >= random holds exactly, draw
+    by draw.
     """
     B, n_r, n_t = H.shape
-    iu, ju = _subsets(n_t, 2).T
+    pairs = math.comb(n_t, 2)
     norms = np.empty((n_t, B))
-    fwd = np.empty((len(iu), B))
-    bwd = np.empty((len(iu), B))
-    for lo in range(0, B, _LATTICE_LANES):
-        hi = min(lo + _LATTICE_LANES, B)
-        floats = np.ascontiguousarray(H[lo:hi], dtype=np.complex128).view(np.float64)
-        re, im = np.ascontiguousarray(floats.reshape(hi - lo, n_r, n_t, 2).transpose(3, 1, 2, 0))
-        re_i, re_j, im_i, im_j = re[:, iu], re[:, ju], im[:, iu], im[:, ju]
+    fwd = np.empty((pairs, B))
+    bwd = np.empty((pairs, B))
+    width = min(_pass_lanes(2), B)
+    g_re, g_im = np.empty((2, n_r, pairs, width))
+    term = np.empty((n_r, n_t - 1, width))
+    for lanes in _passes(B, 2):
+        m = lanes.stop - lanes.start
+        floats = np.ascontiguousarray(H[lanes], dtype=np.complex128).view(np.float64)
+        re, im = np.ascontiguousarray(floats.reshape(m, n_r, n_t, 2).transpose(3, 1, 2, 0))
         # per receive row: |h_rk|^2 and the real and imaginary parts of conj(h_ri) h_rj
         sq = re * re + im * im
-        g_re = re_i * re_j + im_i * im_j
-        g_im = re_i * im_j - im_i * re_j
+        pass_re, pass_im = g_re[..., :m], g_im[..., :m]
+        for i, ranks in _first_column_ranks(n_t):
+            re_i, im_i, re_j, im_j = re[:, i:i + 1], im[:, i:i + 1], re[:, i + 1:], im[:, i + 1:]
+            gr, gi, t = pass_re[:, ranks], pass_im[:, ranks], term[:, :n_t - 1 - i, :m]
+            np.multiply(re_i, re_j, out=gr)
+            gr += np.multiply(im_i, im_j, out=t)
+            np.multiply(re_i, im_j, out=gi)
+            gi -= np.multiply(im_i, re_j, out=t)
         for r in range(1, n_r):
             sq[0] += sq[r]
-            g_re[0] += g_re[r]
-            g_im[0] += g_im[r]
+            pass_re[0] += pass_re[r]
+            pass_im[0] += pass_im[r]
         n = sq[0]
-        mag2 = g_re[0] * g_re[0] + g_im[0] * g_im[0]
-        norms[:, lo:hi] = n
+        mag2 = pass_re[0] * pass_re[0] + pass_im[0] * pass_im[0]
+        norms[:, lanes] = n
         divisor = np.maximum(n, 1e-300)
-        fwd[:, lo:hi] = n[iu] - mag2 / divisor[ju]
-        bwd[:, lo:hi] = n[ju] - mag2 / divisor[iu]
+        for i, ranks in _first_column_ranks(n_t):
+            np.subtract(n[i], mag2[ranks] / divisor[i + 1:], out=fwd[ranks, lanes])
+            np.subtract(n[i + 1:], mag2[ranks] / divisor[i], out=bwd[ranks, lanes])
     return norms, fwd, bwd
+
+
+def _first_column_ranks(n_t: int) -> list[tuple[int, slice]]:
+    """Each first column i < n_t - 1 with the slice of the lexicographic
+    ranks of its pairs (i, j), j > i."""
+    return [(i, slice(_pair_rank(n_t, i, i + 1), _pair_rank(n_t, i, n_t - 1) + 1)) for i in range(n_t - 1)]
+
+
+def _pair_rank(n_t: int, i: int, j: int) -> int:
+    """Lexicographic rank of the column pair (i, j), i < j, of n_t columns."""
+    return i * (2 * n_t - i - 1) // 2 + j - i - 1
 
 
 @dataclass(frozen=True)
@@ -336,9 +368,16 @@ def _schur_row(gram: np.ndarray, rows: np.ndarray, m: int, t: int) -> np.ndarray
     return u
 
 
-def _passes(B: int) -> Iterator[slice]:
-    """The lanes of each pass of ``_LATTICE_LANES`` channels over a block of B."""
-    return (slice(lo, min(lo + _LATTICE_LANES, B)) for lo in range(0, B, _LATTICE_LANES))
+def _pass_lanes(L: int) -> int:
+    """Channels per pass of the selection kernels for subsets of size L:
+    ``_PAIR_LANES`` at L = 2, ``_LATTICE_LANES`` otherwise."""
+    return _PAIR_LANES if L == 2 else _LATTICE_LANES
+
+
+def _passes(B: int, L: int) -> Iterator[slice]:
+    """The lanes of each pass of ``_pass_lanes(L)`` channels over a block of B."""
+    lanes = _pass_lanes(L)
+    return (slice(lo, min(lo + lanes, B)) for lo in range(0, B, lanes))
 
 
 def _lattice_max(gram: np.ndarray, L: int, rank: np.ndarray | None = None) -> np.ndarray:
@@ -368,16 +407,34 @@ def _best_row(a: np.ndarray, table: np.ndarray, cols: np.ndarray | None) -> np.n
     return top
 
 
-def _against_first(norms: np.ndarray, fwd: np.ndarray, bwd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The greedy's first pick at L = 2 from a pair table: the column (the
-    largest norm, ties to the smallest column) and, per pair, the height
-    of the other column against it, -inf on pairs without it.  Within the
-    pairs that hold the pick, the pair rank rises with the other column."""
+def _greedy_pair(norms: np.ndarray, fwd: np.ndarray, bwd: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
+    """qr-greedy at L = 2 from a pair table: the height of its second pick
+    against its first.  The first pick has the largest norm (ties to the
+    smallest column), the second the largest height against it (ties to
+    the smallest column).  For each column c the heights of the other
+    columns against c are reduced row by row, and each lane keeps the
+    reduction of its first pick: 250 against 450 us per 8192 (3, 3)
+    channels for a pass that masked every pair without the pick to -inf
+    and reduced all pairs.  When given, the (B, 2) array ``cols``
+    receives the second pick and then the first (detection reverses the
+    selection order)."""
+    n_t = len(norms)
     first = _max_argmax(norms)[1]
-    against = np.empty_like(fwd)
-    for p, (i, j) in enumerate(_subsets(len(norms), 2)):
-        against[p] = np.where(first == i, bwd[p], np.where(first == j, fwd[p], -np.inf))
-    return first, against
+    top = second = None
+    for c in range(n_t):
+        others = [o for o in range(n_t) if o != c]
+        against = [fwd[_pair_rank(n_t, o, c)] if o < c else bwd[_pair_rank(n_t, c, o)] for o in others]
+        if cols is None:
+            top_c = functools.reduce(np.maximum, against)
+        else:
+            top_c, arg = _max_argmax(np.stack(against))
+            second_c = np.take(others, arg)
+            second = second_c if second is None else np.where(first == c, second_c, second)
+        top = top_c if top is None else np.where(first == c, top_c, top)
+    if cols is not None:
+        cols[:, 0] = second
+        cols[:, 1] = first
+    return top
 
 
 def _greedy_residual(gram: np.ndarray, L: int, chosen: np.ndarray | None = None) -> np.ndarray:
@@ -445,7 +502,7 @@ def _rule_pass(rules: Sequence[str], H: np.ndarray, L: int, rng: np.random.Gener
 
     random first draws its B subset ranks from ``rng`` in one call; its
     columns are the subsets at those ranks.  Then each pass of
-    ``_LATTICE_LANES`` channels builds one table: at L = 2 the pair
+    ``_pass_lanes(L)`` channels builds one table: at L = 2 the pair
     table, which random's scalar reads at its ranks; at other L one Gram
     matrix per channel, shared by the lattice of maxmin and the greedy of
     qr-greedy, while random's scalar runs the lattice on its subset's
@@ -468,7 +525,7 @@ def _rule_pass(rules: Sequence[str], H: np.ndarray, L: int, rng: np.random.Gener
     tabled = [k for k, rule in enumerate(rules) if rule != "random" or out is not None]
     if cols is not None and ranks is not None:
         cols[rules.index("random")] = subsets[ranks]
-    for lanes in _passes(B) if tabled else ():
+    for lanes in _passes(B, L) if tabled else ():
         h = H[lanes]
         if L == 2:
             norms, fwd, bwd = _pair_table(h)
@@ -488,13 +545,7 @@ def _rule_pass(rules: Sequence[str], H: np.ndarray, L: int, rng: np.random.Gener
                 if c is not None:
                     c[:] = subsets[rank]
             elif rule == "qr-greedy" and L == 2:
-                first, against = _against_first(norms, fwd, bwd)
-                if c is None:
-                    top = against.max(axis=0)
-                else:
-                    best = _max_argmax(against)[1]
-                    c[:, 0] = subsets[best, 0] + subsets[best, 1] - first  # the second pick, decoded first
-                    c[:, 1] = first
+                top = _greedy_pair(norms, fwd, bwd, c)
             elif rule == "qr-greedy":
                 top = _greedy_residual(gram, L, None if c is None else c[:, ::-1])
             elif rule == "first-fixed":

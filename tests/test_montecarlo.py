@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -225,42 +226,60 @@ class TestOutageEngine:
         np.testing.assert_array_equal(_lattice_max(_gram(H), L, rank), table.max(axis=0))
         np.testing.assert_array_equal(rank, table.argmax(axis=0))
 
-    def test_lattice_passes_split_lanes_without_changing_results(self, monkeypatch):
+    def test_lattice_passes_split_lanes_without_changing_results(self, pass_lanes):
         H = complex_gaussian(stream_generator(39, 0), (50, 5, 5))
         table = lattice_table(H, 3)
-        monkeypatch.setattr(selection, "_LATTICE_LANES", 7)
+        widths = pass_lanes(7)
         np.testing.assert_array_equal(_rule_pass(("maxmin",), H, 3)[0], table.max(axis=0))
         np.testing.assert_array_equal(select_block("maxmin", H, 3), _subsets(5, 3)[table.argmax(axis=0)])
+        assert max(widths) == 7
 
-    def test_pair_table_and_greedy_split_lanes_without_changing_results(self, monkeypatch):
+    def test_pair_table_and_greedy_split_lanes_without_changing_results(self, pass_lanes):
         H = complex_gaussian(stream_generator(41, 0), (50, 4, 5))
         def greedy(L):
             return _rule_pass(("qr-greedy",), H, L)[0], select_block("qr-greedy", H, L)
 
         table = _pair_table(H)
         whole = {L: greedy(L) for L in (2, 4)}
-        monkeypatch.setattr(selection, "_LATTICE_LANES", 7)
+        widths = pass_lanes(7)
         for whole_part, split in zip(table, _pair_table(H)):
             np.testing.assert_array_equal(split, whole_part)
         for L, (scalars, cols) in whole.items():
             split_scalars, split_cols = greedy(L)
             np.testing.assert_array_equal(split_cols, cols)
             np.testing.assert_array_equal(split_scalars, scalars)
+        assert max(widths) == 7
 
     @pytest.mark.parametrize("rule,L", [(rule, 2) for rule in selection.RULES]
                              + [("maxmin", 3), ("qr-greedy", 3), ("random", 3)])
-    def test_chunk_draw_blocks_do_not_change_hits(self, monkeypatch, rule, L):
+    def test_chunk_draw_blocks_do_not_change_hits(self, pass_lanes, rule, L):
         # the chunk draws and reduces one block of channels at a time; seven-
         # channel blocks (100 is not a multiple of 7) and one block larger
-        # than the chunk give the same hits
+        # than the chunk give the same hits.  random draws the chunk whole
+        # and splits it into the same passes
         config = ExperimentConfig(n_t=4, n_r=3, L=L, rule=rule, trial_count=100, master_seed=48,
                                   grid=tuple(np.geomspace(0.3, 8.0, 30)))
         hits = []
         for block in (7, 105):
-            monkeypatch.setattr(montecarlo, "_LATTICE_LANES", block)
+            widths = pass_lanes(block)
             hits.append(_outage_chunk(config, 2, 100, rules=(rule,))["hits"][0].tolist())
+            assert max(widths) == min(block, 100)
         assert sum(0 < h < 100 for h in hits[0]) >= 5
         assert hits[0] == hits[1]
+
+    def test_hits_count_the_values_at_or_below_each_point(self):
+        # values on grid points count there; repeats count each time; -inf
+        # counts everywhere, NaN nowhere, and a value above the grid nowhere
+        grid = np.array([0.1, 0.5, 1.0, 2.0])
+        rng = np.random.default_rng(5)
+        values = np.concatenate([grid, grid[[1, 1, 3]], [-np.inf, -np.inf, np.nan, np.nan, 0.0, 7.0, np.inf],
+                                 rng.uniform(-1.0, 3.0, 200)])
+        rng.shuffle(values)
+        hits = montecarlo._hits(grid, values)
+        assert hits.dtype == np.int64
+        np.testing.assert_array_equal(hits, [np.count_nonzero(values <= x) for x in grid])
+        np.testing.assert_array_equal(hits, np.cumsum(np.bincount(np.searchsorted(grid, values), minlength=5))[:-1])
+        np.testing.assert_array_equal(montecarlo._hits(grid, np.array([])), [0, 0, 0, 0])
 
     @pytest.mark.parametrize("rule", ["maxmin", "qr-greedy"])
     def test_chunk_memory_does_not_grow_with_trials(self, rule):
@@ -703,6 +722,19 @@ class TestDmt:
     def test_gain_out_of_range(self):
         with pytest.raises(ValueError):
             estimate_dmt(3, 3, 2, "maxmin", 2.0, [10, 20, 30], 1000)
+
+    @pytest.mark.parametrize("grid,point", [((10.0, 4000.0), "4000.0"), ((-4000.0, 10.0), "-4000.0")],
+                             ids=["4000", "-4000"])
+    def test_snr_without_a_finite_positive_linear_value(self, monkeypatch, grid, point):
+        # the point is named before any chunk runs and before 10^(dB/10)
+        # overflows or underflows in an array
+        monkeypatch.setattr(montecarlo, "_outage_chunk", lambda *args, **kwargs: pytest.fail("a chunk ran"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"SNR point {point} dB"):
+                estimate_dmt(3, 3, 2, "maxmin", 1.0, list(grid), trials=100)
+            with pytest.raises(ValueError, match=f"SNR point {point} dB"):
+                montecarlo.estimate_dmt_gains(3, 3, 2, "maxmin", {0.5: [10.0, 20.0], 1.0: list(grid)}, 100)
 
     def test_zero_gain_reduces_to_outage_slope(self):
         fit = estimate_dmt(3, 3, 2, "maxmin", 0.0, np.linspace(6, 20, 12), 300_000, master_seed=15)

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from pair_oracle import reference_pair_table
 from qr_oracle import reference_columns, reference_scalar
 
 from antsel import selection
@@ -348,6 +349,22 @@ class TestDeadAntenna:
                     assert np.all(row > 0)
 
 
+class TestPairTable:
+    @pytest.mark.parametrize("lanes", [selection._PAIR_LANES, 7])
+    @pytest.mark.parametrize("n_t,n_r", [(3, 3), (4, 5), (5, 4), (2, 6)])
+    def test_equals_the_gather_reference(self, pass_lanes, n_t, n_r, lanes):
+        # random draws, a dead column and a duplicated column, over two or
+        # more passes of the width under test
+        H = complex_gaussian(stream_generator(28, n_t), (lanes + 37, n_r, n_t))
+        H[:10, :, n_t - 1] = 0
+        H[10:20, :, 0] = H[10:20, :, 1]
+        widths = pass_lanes(lanes)
+        table = _pair_table(H)
+        assert max(widths) == lanes and len(widths) >= 2
+        for name, got, expected in zip(("norms", "fwd", "bwd"), table, reference_pair_table(H)):
+            assert np.array_equal(got, expected), name
+
+
 class TestScalarReductions:
     """Each rule's outage scalar from a multi-rule scalar pass is the
     QR-route scalar of the columns a multi-rule column pass selects, which
@@ -367,12 +384,13 @@ class TestScalarReductions:
 
     @pytest.mark.parametrize("lanes", [2048, 7])
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
-    def test_every_rule_equals_its_kernel(self, monkeypatch, L, lanes):
-        monkeypatch.setattr(selection, "_LATTICE_LANES", lanes)
+    def test_every_rule_equals_its_kernel(self, pass_lanes, L, lanes):
+        widths = pass_lanes(lanes)
         H = self.block()
         rules = [rule for rule in RULES if L == 2 or not rule.startswith("first")]
         cols = np.empty((len(rules), len(H), L), dtype=np.int64)
         assert _rule_pass(rules, H, L, stream_generator(27, 0), cols) is None
+        assert max(widths) == min(lanes, len(H))
         together = _rule_pass(rules, H, L, stream_generator(27, 0))
         for rule, row, rule_cols in zip(rules, together, cols):
             np.testing.assert_array_equal(rule_cols, select_block(rule, H, L, stream_generator(27, 0)), err_msg=rule)
