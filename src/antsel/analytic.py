@@ -23,7 +23,9 @@ point for large m.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -215,12 +217,12 @@ def outage_coefficient(n_t: int, n_r: int) -> ExpansionCoefficients:
     )
 
 
-def _tail_integral(y: float, m: int, n: int) -> float:
-    """integral_y^inf F_z(w) w^{-(m+1)} dw with F_z the Gamma(n, 1) CDF."""
-    from scipy import integrate, special
+def _tail_integral(y: float, m: int, law) -> float:
+    """integral_y^inf law(w) w^{-(m+1)} dw."""
+    from scipy import integrate
 
     def integrand(w):
-        return special.gammainc(n, w) * w ** (-(m + 1))
+        return law(w) * w ** (-(m + 1))
 
     result = integrate.quad(integrand, y, np.inf, epsabs=0.0, epsrel=1e-13, limit=400, full_output=True)
     if len(result) > 3:
@@ -242,10 +244,14 @@ def pr_outage_quadrature(x: float, n_t: int, n_r: int, restricted: bool = False)
 
     The integral over the angle variable is transformed to
     m * x^m * integral_x^inf F_z(w) w^{-(m+1)} dw, which keeps full
-    relative precision for arbitrarily small thresholds.
+    relative precision for arbitrarily small thresholds.  Once F_z is 1.0
+    in double precision at the lower limit, the integral is exactly
+    x^-m / m and the probability 1.0.
     """
     if x <= 0:
         raise ValueError(f"threshold must be positive, got {x}")
+    from scipy import special
+
     spec = AnalyticSpec(n_t, n_r, 2)
     m = spec.m
     n = (n_t - 1) * n_r
@@ -257,8 +263,57 @@ def pr_outage_quadrature(x: float, n_t: int, n_r: int, restricted: bool = False)
     else:
         prefactor = m
         y = x
-    value = prefactor * y ** m * _tail_integral(y, m, n)
+    if special.gammainc(n, y) == 1.0:
+        return 1.0
+    value = prefactor * y ** m * _tail_integral(y, m, functools.partial(special.gammainc, n))
     return min(1.0, value)
+
+
+def random_pair_outage(x: float, n_r: int) -> float:
+    """Exact outage probability P(s <= x) of random selection at L = 2.
+
+    The uniform pair's two columns are iid CN(0, I_{n_r}) for any n_t, so
+    its scalar, the smaller of its two heights, is min(a, b) u: a and b
+    are the squared column norms, iid Gamma(n_r, 1), and u = sin^2 of
+    their angle is Beta(n_r - 1, 1), independent of them.  Then
+    P(s <= x) = integral_0^1 (n_r - 1) u^(n_r - 2) [1 - (1 - F(x/u))^2] du
+    with F the Gamma(n_r, 1) CDF.  As in :func:`pr_outage_quadrature`,
+    the substitution w = x/u turns it into
+    m x^m integral_x^inf F(w) (2 - F(w)) w^{-(m+1)} dw with m = n_r - 1,
+    the small-x exponent, which keeps full relative precision at depth.
+    """
+    if x <= 0:
+        raise ValueError(f"threshold must be positive, got {x}")
+    if n_r < 2:
+        raise ValueError(f"a pair angle needs n_r >= 2, got {n_r}")
+    from scipy import special
+
+    if special.gammainc(n_r, x) == 1.0:
+        return 1.0
+    m = n_r - 1
+
+    def law(w):
+        f = special.gammainc(n_r, w)
+        return f * (2.0 - f)
+
+    return min(1.0, m * x ** m * _tail_integral(x, m, law))
+
+
+def quadrature_slope(xs, n_t: int, n_r: int, restricted: bool = False) -> tuple[list[float], float]:
+    """:func:`pr_outage_quadrature` at each threshold of ``xs``, and the
+    unweighted least-squares slope of log P against log x.
+
+    A probability below the smallest normal float has no accurate
+    logarithm to fit: the first such point raises ``ValueError`` naming
+    its threshold.
+    """
+    xs = [float(x) for x in xs]
+    probabilities = [pr_outage_quadrature(x, n_t, n_r, restricted=restricted) for x in xs]
+    for x, p in zip(xs, probabilities):
+        if not p >= sys.float_info.min:
+            raise ValueError(f"quadrature probability at x = {x!r} is {p!r}, below the smallest normal float; "
+                             "raise the grid")
+    return probabilities, float(np.polyfit(np.log(xs), np.log(probabilities), 1)[0])
 
 
 def exp_integral(k: int, x: float) -> float:

@@ -169,126 +169,111 @@ def _emit_json(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _cmd_outage(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
-    grid = parse_grid(args.x_grid, require_positive=True)
-    started = _utc_now()
-    config = ExperimentConfig(
-        n_t=args.nt, n_r=args.nr, L=args.L, rule=args.rule,
-        trial_count=args.trials, master_seed=seed, grid=grid, chunk_size=args.chunk_size,
-    )
+def _outage_run(args: argparse.Namespace, fields: dict) -> tuple:
+    """The outage curve and slope fit of ``args`` as (config, CSV header,
+    CSV rows, manifest fields); ``fields`` are the shared config fields."""
+    config = ExperimentConfig(trial_count=args.trials, grid=parse_grid(args.x_grid, require_positive=True), **fields)
     curve = estimate_outage(config, workers=args.workers)
     # fitted before any output is written: a rejected --min-hits leaves none
     try:
         fit = asdict(fit_slope(curve, min_hits=args.min_hits))
     except FitError as exc:
         fit = {"error": str(exc)}
-    p_hat = curve.p_hat()
-    stderr = curve.stderr()
     rows = [
         [_fmt(x), h, n, _fmt(p), _fmt(s)]
-        for x, h, n, p, s in zip(curve.abscissa, curve.hits, curve.trials, p_hat, stderr)
+        for x, h, n, p, s in zip(curve.abscissa, curve.hits, curve.trials, curve.p_hat(), curve.stderr())
     ]
-    _write_csv(args.out, ["x", "hits", "trials", "p_hat", "stderr"], rows)
-    manifest = RunManifest(
-        tool="antsel", version=__version__, command="outage",
-        created_utc=started, finished_utc=_utc_now(), master_seed=seed,
-        workers=args.workers, config=asdict(config), outputs=(args.out,),
-        effective_chunk_size=config.chunk_size, library_versions=_library_versions(), slope_fit=fit,
-    )
-    _write_manifest(args.out, manifest)
-    return 0
+    return config, ["x", "hits", "trials", "p_hat", "stderr"], rows, dict(
+        effective_chunk_size=config.chunk_size, slope_fit=fit)
 
 
-def _cmd_ber(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
-    grid = parse_grid(args.snr_db)
-    started = _utc_now()
+def _ber_run(args: argparse.Namespace, fields: dict) -> tuple:
+    """The BER curve of ``args``, returned as :func:`_outage_run` returns its curve."""
     config = ExperimentConfig(
-        n_t=args.nt, n_r=args.nr, L=args.L, rule=args.rule,
-        trial_count=args.frames, master_seed=seed, grid=grid, chunk_size=args.chunk_size,
-        receiver=args.receiver, feedback=args.feedback, ordering=args.ordering,
-        frame_symbols=args.frame_symbols,
+        trial_count=args.frames, grid=parse_grid(args.snr_db), receiver=args.receiver, feedback=args.feedback,
+        ordering=args.ordering, frame_symbols=args.frame_symbols, **fields,
     )
     curve = estimate_ber(config, workers=args.workers)
-    rows = [
-        [_fmt(x), e, b, _fmt(e / b)]
-        for x, e, b in zip(curve.abscissa, curve.hits, curve.trials)
-    ]
-    _write_csv(args.out, ["snr_db", "bit_errors", "bits", "ber"], rows)
+    rows = [[_fmt(x), e, b, _fmt(e / b)] for x, e, b in zip(curve.abscissa, curve.hits, curve.trials)]
+    return config, ["snr_db", "bit_errors", "bits", "ber"], rows, dict(effective_chunk_size=_ber_chunk_size(config))
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    """Run one experiment (``args.run``: :func:`_outage_run` or
+    :func:`_ber_run`) and record it: the CSV at ``args.out`` and its
+    manifest beside it, both written only once the run has succeeded."""
+    seed = _resolve_seed(args.seed)
+    started = _utc_now()
+    fields = dict(n_t=args.nt, n_r=args.nr, L=args.L, rule=args.rule, master_seed=seed, chunk_size=args.chunk_size)
+    config, header, rows, recorded = args.run(args, fields)
+    _write_csv(args.out, header, rows)
     manifest = RunManifest(
-        tool="antsel", version=__version__, command="ber",
+        tool="antsel", version=__version__, command=args.command,
         created_utc=started, finished_utc=_utc_now(), master_seed=seed,
         workers=args.workers, config=asdict(config), outputs=(args.out,),
-        effective_chunk_size=_ber_chunk_size(config), library_versions=_library_versions(),
+        library_versions=_library_versions(), **recorded,
     )
     _write_manifest(args.out, manifest)
     return 0
+
+
+def _coefficient_report(args: argparse.Namespace) -> dict:
+    coeff = analytic.outage_coefficient(args.nt, args.nr)
+    return {
+        "kind": "outage-expansion-coefficient",
+        "n_t": coeff.n_t,
+        "n_r": coeff.n_r,
+        "M": coeff.m,
+        "leading": coeff.leading,
+        "b_m": coeff.b_m,
+        "tail_sum": coeff.tail_sum,
+        "c": list(coeff.c),
+        "a": list(coeff.a),
+    }
+
+
+def _quadrature_report(args: argparse.Namespace) -> dict:
+    grid = parse_grid(args.x_grid, require_positive=True)
+    probabilities, slope = analytic.quadrature_slope(grid, args.nt, args.nr, restricted=args.restricted)
+    return {
+        "kind": "outage-quadrature",
+        "n_t": args.nt,
+        "n_r": args.nr,
+        "restricted": bool(args.restricted),
+        "points": [{"x": x, "probability": p} for x, p in zip(grid, probabilities)],
+        "loglog_slope": slope,
+    }
+
+
+def _dmt_report(args: argparse.Namespace) -> dict:
+    grid = parse_grid(args.r_grid)
+    return {
+        "kind": "diversity-multiplexing-curve",
+        "n_t": args.nt,
+        "n_r": args.nr,
+        "L": args.L,
+        "bound": args.bound,
+        "points": [{"r": r, "d": analytic.dmt_curve(args.nt, args.nr, args.L, r, bound=args.bound)} for r in grid],
+    }
+
+
+def _selftest_report(args: argparse.Namespace) -> dict:
+    from .verify import analytic_selftest
+
+    outcomes = analytic_selftest()
+    return {
+        "kind": "analytic-selftest",
+        "checks": [{"name": o.name, "passed": o.passed, "detail": o.detail} for o in outcomes],
+        "passed": all(o.passed for o in outcomes),
+    }
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
-    if args.analytic_cmd == "coefficient":
-        coeff = analytic.outage_coefficient(args.nt, args.nr)
-        payload = {
-            "kind": "outage-expansion-coefficient",
-            "n_t": coeff.n_t,
-            "n_r": coeff.n_r,
-            "M": coeff.m,
-            "leading": coeff.leading,
-            "b_m": coeff.b_m,
-            "tail_sum": coeff.tail_sum,
-            "c": list(coeff.c),
-            "a": list(coeff.a),
-        }
-        _emit_json(payload, args.out)
-        return 0
-    if args.analytic_cmd == "quadrature":
-        grid = parse_grid(args.x_grid, require_positive=True)
-        points = [
-            {"x": x, "probability": analytic.pr_outage_quadrature(x, args.nt, args.nr, restricted=args.restricted)}
-            for x in grid
-        ]
-        for p in points:
-            # a subnormal or zero probability has no accurate logarithm to fit
-            if not p["probability"] >= sys.float_info.min:
-                raise UsageError(f"quadrature probability at x = {p['x']!r} is {p['probability']!r}, "
-                                 "below the smallest normal float; raise the grid")
-        lx = np.log([p["x"] for p in points])
-        lp = np.log([p["probability"] for p in points])
-        payload = {
-            "kind": "outage-quadrature",
-            "n_t": args.nt,
-            "n_r": args.nr,
-            "restricted": bool(args.restricted),
-            "points": points,
-            "loglog_slope": float(np.polyfit(lx, lp, 1)[0]),
-        }
-        _emit_json(payload, args.out)
-        return 0
-    if args.analytic_cmd == "dmt":
-        grid = parse_grid(args.r_grid)
-        payload = {
-            "kind": "diversity-multiplexing-curve",
-            "n_t": args.nt,
-            "n_r": args.nr,
-            "L": args.L,
-            "bound": args.bound,
-            "points": [{"r": r, "d": analytic.dmt_curve(args.nt, args.nr, args.L, r, bound=args.bound)} for r in grid],
-        }
-        _emit_json(payload, args.out)
-        return 0
-    if args.analytic_cmd == "selftest":
-        from .verify import analytic_selftest
-
-        outcomes = analytic_selftest()
-        payload = {
-            "kind": "analytic-selftest",
-            "checks": [{"name": o.name, "passed": o.passed, "detail": o.detail} for o in outcomes],
-            "passed": all(o.passed for o in outcomes),
-        }
-        _emit_json(payload, args.out)
-        return 0 if payload["passed"] else 1
-    raise UsageError(f"unknown analytic subcommand {args.analytic_cmd!r}")
+    """Emit the JSON report of one ``analytic`` subcommand (``args.report``);
+    exit 1 when the report holds a failed check."""
+    payload = args.report(args)
+    _emit_json(payload, args.out)
+    return 0 if payload.get("passed", True) else 1
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -321,24 +306,22 @@ def build_parser() -> argparse.ArgumentParser:
     grid_help = 'comma list ("0.01,0.1,1") or "logspace:lo,hi,n" / "linspace:lo,hi,n"'
 
     p_out = sub.add_parser("outage", help="estimate an outage curve and fit its log-log slope")
-    p_out.add_argument("--nt", type=int, required=True, help="transmit antennas")
-    p_out.add_argument("--nr", type=int, required=True, help="receive antennas")
-    p_out.add_argument("--L", type=int, required=True, help="selected streams")
-    p_out.add_argument("--rule", choices=RULES, required=True)
-    p_out.add_argument("--trials", type=int, required=True)
-    p_out.add_argument("--seed", type=int, default=None, help="master seed (fallback: ANTSEL_SEED, then 0)")
-    p_out.add_argument("--x-grid", required=True, help=f"threshold grid: {grid_help}")
-    p_out.add_argument("--chunk-size", type=int, default=100_000)
-    p_out.add_argument("--workers", type=int, default=1)
-    p_out.add_argument("--min-hits", type=int, default=10, help="slope fit hit floor")
-    p_out.add_argument("--out", required=True, help="CSV output path (manifest lands beside it)")
-    p_out.set_defaults(func=_cmd_outage)
-
     p_ber = sub.add_parser("ber", help="estimate a bit-error-rate curve")
-    p_ber.add_argument("--nt", type=int, required=True)
-    p_ber.add_argument("--nr", type=int, required=True)
-    p_ber.add_argument("--L", type=int, required=True)
-    p_ber.add_argument("--rule", choices=RULES, required=True)
+    for p_run, run in ((p_out, _outage_run), (p_ber, _ber_run)):
+        p_run.add_argument("--nt", type=int, required=True, help="transmit antennas")
+        p_run.add_argument("--nr", type=int, required=True, help="receive antennas")
+        p_run.add_argument("--L", type=int, required=True, help="selected streams")
+        p_run.add_argument("--rule", choices=RULES, required=True)
+        p_run.add_argument("--seed", type=int, default=None, help="master seed (fallback: ANTSEL_SEED, then 0)")
+        p_run.add_argument("--chunk-size", type=int, default=100_000)
+        p_run.add_argument("--workers", type=int, default=1)
+        p_run.add_argument("--out", required=True, help="CSV output path (manifest lands beside it)")
+        p_run.set_defaults(func=_cmd_run, run=run)
+
+    p_out.add_argument("--trials", type=int, required=True)
+    p_out.add_argument("--x-grid", required=True, help=f"threshold grid: {grid_help}")
+    p_out.add_argument("--min-hits", type=int, default=10, help="slope fit hit floor")
+
     p_ber.add_argument("--receiver", choices=RECEIVERS, default="df-zf")
     p_ber.add_argument("--feedback", choices=FEEDBACK_MODES, default="actual")
     p_ber.add_argument("--ordering", choices=ORDERING_MODES, default=None,
@@ -346,11 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ber.add_argument("--snr-db", required=True, help=f"SNR grid in dB: {grid_help}")
     p_ber.add_argument("--frames", type=int, required=True, help="channel draws per SNR point")
     p_ber.add_argument("--frame-symbols", type=int, default=50, help="QPSK symbols per stream per frame")
-    p_ber.add_argument("--seed", type=int, default=None)
-    p_ber.add_argument("--chunk-size", type=int, default=100_000)
-    p_ber.add_argument("--workers", type=int, default=1)
-    p_ber.add_argument("--out", required=True)
-    p_ber.set_defaults(func=_cmd_ber)
 
     p_an = sub.add_parser("analytic", help="closed-form tables and the identity self-test")
     an_sub = p_an.add_subparsers(dest="analytic_cmd", required=True)
@@ -358,16 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeff = an_sub.add_parser("coefficient", help="small-threshold expansion coefficients")
     p_coeff.add_argument("--nt", type=int, required=True)
     p_coeff.add_argument("--nr", type=int, required=True)
-    p_coeff.add_argument("--out", default=None)
-    p_coeff.set_defaults(func=_cmd_analytic)
+    p_coeff.set_defaults(report=_coefficient_report)
 
     p_quad = an_sub.add_parser("quadrature", help="outage of the bounding variable by quadrature")
     p_quad.add_argument("--nt", type=int, required=True)
     p_quad.add_argument("--nr", type=int, required=True)
     p_quad.add_argument("--x-grid", required=True, help=f"threshold grid: {grid_help}")
     p_quad.add_argument("--restricted", action="store_true", help="condition the angles into (0, psi0)")
-    p_quad.add_argument("--out", default=None)
-    p_quad.set_defaults(func=_cmd_analytic)
+    p_quad.set_defaults(report=_quadrature_report)
 
     p_dmt = an_sub.add_parser("dmt", help="diversity-multiplexing tradeoff table")
     p_dmt.add_argument("--nt", type=int, required=True)
@@ -375,12 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_dmt.add_argument("--L", type=int, required=True)
     p_dmt.add_argument("--r-grid", required=True, help=f"multiplexing gains: {grid_help}")
     p_dmt.add_argument("--bound", choices=("lower", "upper", "exact-l2"), default="exact-l2")
-    p_dmt.add_argument("--out", default=None)
-    p_dmt.set_defaults(func=_cmd_analytic)
+    p_dmt.set_defaults(report=_dmt_report)
 
     p_self = an_sub.add_parser("selftest", help="check every closed-form identity; exit 1 on failure")
-    p_self.add_argument("--out", default=None)
-    p_self.set_defaults(func=_cmd_analytic)
+    p_self.set_defaults(report=_selftest_report)
+    for p_report in (p_coeff, p_quad, p_dmt, p_self):
+        p_report.add_argument("--out", default=None)
+        p_report.set_defaults(func=_cmd_analytic)
 
     p_ver = sub.add_parser("verify", help="run the statistical and analytic verification suite")
     p_ver.add_argument("--scale", choices=("quick", "full"), default="quick")
@@ -396,11 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # invalid parameter combinations surface as usage problems
+    except (UsageError, ValueError) as exc:  # invalid parameter combinations are usage problems too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

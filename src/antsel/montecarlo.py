@@ -47,16 +47,16 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import analytic
 from . import receivers as rx
-from .analytic import chi2n_cdf, theta_cdf
 from .channel import complex_gaussian, stream_generator
 from .selection import (
     RULES,
+    _pair_rank,
     _pair_table,
     _pass_lanes,
     _row_max,
     _rule_pass,
-    _subsets,
     select_block,
 )
 
@@ -175,8 +175,9 @@ def fit_slope(curve: EmpiricalCurve, min_hits: int = 10, p_max: float = 0.2) -> 
 
     Only points with at least ``min_hits`` (>= 1) events and probability at most
     ``p_max`` enter the fit: small enough to probe the asymptote, large
-    enough for meaningful counts.  Weights are the inverse delta-method
-    variances of log p_hat, hits / (1 - p_hat).
+    enough for meaningful counts; a usable point whose abscissa is not
+    finite and positive raises ``FitError``.  Weights are the inverse
+    delta-method variances of log p_hat, hits / (1 - p_hat).
     """
     if min_hits < 1:  # a zero-hit point has no logarithm
         raise ValueError(f"min_hits must be at least 1, got {min_hits}")
@@ -189,6 +190,9 @@ def fit_slope(curve: EmpiricalCurve, min_hits: int = 10, p_max: float = 0.2) -> 
         raise FitError(
             f"slope fit needs >= 3 usable points with hits >= {min_hits} and p_hat <= {p_max}; got {n_use}"
         )
+    for v in x[usable]:
+        if not 0 < v < math.inf:  # no finite logarithm
+            raise FitError(f"log-log slope fit needs finite positive abscissae; usable point x = {float(v)!r} is not")
     lx = np.log(x[usable])
     ly = np.log(p[usable])
     w = hits[usable] / (1.0 - p[usable])
@@ -210,7 +214,10 @@ def fit_slope(curve: EmpiricalCurve, min_hits: int = 10, p_max: float = 0.2) -> 
 # ---------------------------------------------------------------------------
 
 def _chunk_plan(trial_count: int, chunk_size: int) -> list[tuple[int, int]]:
-    """Fixed (chunk_index, trials) decomposition, independent of workers."""
+    """Fixed (chunk_index, trials) decomposition, independent of workers;
+    ``trial_count`` < 1 raises ``ValueError``."""
+    if trial_count < 1:
+        raise ValueError(f"trial count must be at least 1, got {trial_count}")
     return [(i, min(chunk_size, trial_count - lo)) for i, lo in enumerate(range(0, trial_count, chunk_size))]
 
 
@@ -506,10 +513,12 @@ def estimate_dmt_gains(n_t: int, n_r: int, L: int, rule: str, grids: Mapping[flo
 
     One outage run counts the union of all the gains' thresholds, so each
     gain gets the hits a run of its own on ``master_seed`` would count.
-    Every SNR point is checked before any chunk runs: one without a finite
-    positive linear value raises ``ValueError`` naming it
-    (:func:`_linear_snr`).
+    An empty ``grids`` raises ``ValueError``.  Every SNR point is checked
+    before any chunk runs: one without a finite positive linear value
+    raises ``ValueError`` naming it (:func:`_linear_snr`).
     """
+    if not grids:
+        raise ValueError("need at least one multiplexing gain")
     thresholds = {}
     for r, rho_grid_db in grids.items():
         if not 0 <= r < L:
@@ -613,6 +622,23 @@ _INDEPENDENCE_CHUNK, _KS_SAMPLES = 200_000, 100_000
 _CDF_PROBES = (0.5, 1.0)
 
 
+def pair_angle(height: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """The angle between a column and another's span, from the column's
+    height against the other (a pair-table row) and its squared norm:
+    sin^2 = height / norm."""
+    return np.arcsin(np.sqrt(np.clip(height / norm, 0.0, 1.0)))
+
+
+def marginal_law_pvalues(heights: np.ndarray, angles: np.ndarray, n_r: int) -> tuple[float, float]:
+    """KS p-values of pair heights against their Gamma(n_r - 1) law and
+    of pair angles (:func:`pair_angle`) against ``analytic.theta_cdf``."""
+    from scipy import stats
+
+    ks_height = stats.kstest(heights, lambda v: analytic.chi2n_cdf(v, n_r - 1))
+    ks_angle = stats.kstest(angles, lambda v: analytic.theta_cdf(v, n_r))
+    return float(ks_height.pvalue), float(ks_angle.pvalue)
+
+
 def _independence_chunk(n_t: int, n_r: int, master_seed: int, chunk_index: int, count: int) -> dict:
     """Tallies of one chunk of the independence suite: per named pair, its
     sums (x, y, x y, x^2, y^2) under ("corr", name) or its int64 counts of
@@ -620,16 +646,14 @@ def _independence_chunk(n_t: int, n_r: int, master_seed: int, chunk_index: int, 
     name); chunk 0 adds its first ``_KS_SAMPLES`` heights and angles."""
     rng = stream_generator(master_seed, chunk_index)
     norms, fwd, _ = _pair_table(complex_gaussian(rng, (count, n_r, n_t)))
-    # row of the pair table holding the height of column i against column j > i
-    rank = {(int(i), int(j)): p for p, (i, j) in enumerate(_subsets(n_t, 2))}
     depth = min(n_t - 1, 3)
-    chain = [fwd[rank[k, k + 1]] for k in range(depth)]
-    angles = [np.arcsin(np.sqrt(np.clip(fwd[rank[0, j + 1]] / norms[0], 0.0, 1.0))) for j in range(depth)]
+    chain = [fwd[_pair_rank(n_t, k, k + 1)] for k in range(depth)]
+    angles = [pair_angle(fwd[_pair_rank(n_t, 0, j + 1)], norms[0]) for j in range(depth)]
     pairs = list(itertools.combinations(range(depth), 2))
     corr = {f"chain heights ({i},{i + 1})x({j},{j + 1})": (chain[i], chain[j]) for i, j in pairs}
     corr.update({f"reference angles (0,{i + 1})x(0,{j + 1})": (angles[i], angles[j]) for i, j in pairs})
     corr["norm vs angle"] = norms[0], angles[0]
-    corr["control"] = chain[0], fwd[rank[0, 2]]  # two heights sharing column 0's norm
+    corr["control"] = chain[0], fwd[_pair_rank(n_t, 0, 2)]  # two heights sharing column 0's norm
     cdf = {f"chain heights ({k},{k + 1})x({k + 1},{k + 2})": (chain[k], chain[k + 1]) for k in range(depth - 1)}
     cdf["reference angles (0,1)x(0,2)"] = angles[0], angles[1]
     out: dict = {("corr", name): np.array([x.sum(), y.sum(), (x * y).sum(), (x * x).sum(), (y * y).sum()])
@@ -659,8 +683,6 @@ def independence_suite(n_t: int, n_r: int, trials: int, master_seed: int = 0, wo
     """
     if n_t < 3 or n_r < 2:
         raise ValueError(f"need n_t >= 3 and n_r >= 2, got ({n_t}, {n_r})")
-    from scipy import stats
-
     job = functools.partial(_independence_chunk, n_t, n_r, master_seed)
     totals = _run_chunks(job, _chunk_plan(trials, _INDEPENDENCE_CHUNK), workers)
     correlations, cdf_gaps = {}, {}
@@ -675,11 +697,9 @@ def independence_suite(n_t: int, n_r: int, trials: int, master_seed: int = 0, wo
                 sigma = math.sqrt(max(fx * (1 - fx) * fy * (1 - fy), 1e-300) / trials)
                 cdf_gaps[f"{name} product CDF at ({a}, {b})"] = (abs(fxy - fx * fy), sigma)
     control = correlations.pop("control")
-    ks_height = stats.kstest(totals["ks", "height"], lambda v: chi2n_cdf(v, n_r - 1))
-    ks_angle = stats.kstest(totals["ks", "angle"], lambda v: theta_cdf(v, n_r))
     return {
         "correlations": correlations,
         "cdf_gaps": cdf_gaps,
-        "ks_pvalues": (float(ks_height.pvalue), float(ks_angle.pvalue)),
+        "ks_pvalues": marginal_law_pvalues(totals["ks", "height"], totals["ks", "angle"], n_r),
         "control_correlation": control,
     }

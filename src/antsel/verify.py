@@ -1,7 +1,7 @@
 """Verification checks behind the `antsel verify` command.
 
 Every acceptance criterion splits into a measurement and a verdict.  A
-measurement (``quadrature_slope``, ``outage_slope_fits``,
+measurement (``analytic.quadrature_slope``, ``outage_slope_fits``,
 ``ber_ordering_test``, ``montecarlo.independence_suite``,
 ``montecarlo.lemma_harness``, ...) returns plain values: fits,
 correlations, p-values, counts.  A verdict (the ``check_*`` functions)
@@ -42,9 +42,13 @@ from .montecarlo import (
     fit_slope,
     independence_suite,
     lemma_harness,
+    marginal_law_pvalues,
+    pair_angle,
 )
 from .selection import RULES, _pair_table, _rule_pass, select_block
 
+#: Thresholds of the quadrature slope of criterion 2.
+QUADRATURE_SLOPE_GRID = tuple(np.geomspace(1e-4, 1e-2, 25))
 #: Threshold grid spanning the informative sub-saturation decade for
 #: (3, 3, 2)-sized problems; the slope fit clips it further by hit counts.
 OUTAGE_GRID = tuple(np.geomspace(0.02, 0.5, 32))
@@ -149,13 +153,6 @@ def quadrature_anchor_ratio(n_t: int, n_r: int) -> float:
     return value / (coeff.leading * x ** coeff.m)
 
 
-def quadrature_slope(n_t: int, n_r: int, restricted: bool = False) -> float:
-    """Unweighted log-log slope of the quadrature curve over [1e-4, 1e-2]."""
-    xs = np.geomspace(1e-4, 1e-2, 25)
-    ys = np.array([analytic.pr_outage_quadrature(x, n_t, n_r, restricted=restricted) for x in xs])
-    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
-
-
 def analytic_selftest() -> list[CheckOutcome]:
     """Exact and near-exact identity checks of the analytic module."""
     from scipy import integrate
@@ -240,15 +237,10 @@ def analytic_selftest() -> list[CheckOutcome]:
 def marginal_ks_pvalues(n_t: int, n_r: int, samples: int, seed: int) -> tuple[float, float]:
     """KS p-values of the simulated pair height and angle against their
     closed-form laws, from `samples` independent draws."""
-    from scipy import stats
-
     rng = stream_generator(seed, 0)
     norms, fwd, _ = _pair_table(complex_gaussian(rng, (samples, n_r, 2)))
     heights = fwd[0]  # column 0 against column 1
-    angles = np.arcsin(np.sqrt(np.clip(heights / norms[0], 0.0, 1.0)))
-    ks_height = stats.kstest(heights, lambda v: analytic.chi2n_cdf(v, n_r - 1))
-    ks_angle = stats.kstest(angles, lambda v: analytic.theta_cdf(v, n_r))
-    return float(ks_height.pvalue), float(ks_angle.pvalue)
+    return marginal_law_pvalues(heights, pair_angle(heights, norms[0]), n_r)
 
 
 def outage_slope_fits(trials: int, seed: int, workers: int = 1) -> dict[str, SlopeFit]:
@@ -270,8 +262,11 @@ def qr_df_stage_oracle(draws: int, seed: int) -> tuple[float, bool]:
     call.  The reference is one stacked LAPACK QR of the selected columns
     in selection order, which shares no arithmetic with the stage matrices.
 
-    Returns (worst relative error, first pick always max-norm).
+    Returns (worst relative error, first pick always max-norm); ``draws``
+    < 1 raises ``ValueError``.
     """
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     n_t, n_r, L, rho0 = 3, 3, 2, 10.0
     H = np.stack([sample_channel(n_r, n_t, seed, d).matrix for d in range(draws)])
     cols = select_block("qr-greedy", H, L)  # first decoded first: the picks reversed
@@ -531,8 +526,9 @@ def run_verification(scale: str = "quick", seed: int = 0, workers: int = 1) -> l
 
     for shape in EXPANSION_ANCHORS:
         row((1,), partial(check_expansion_anchor, shape), quadrature_anchor_ratio, *shape)
-    unrestricted = row((2,), check_quadrature_slope, quadrature_slope, 3, 3)
-    row((2,), partial(check_slope_gap, unrestricted), quadrature_slope, 3, 3, True)
+    quadrature = partial(analytic.quadrature_slope, QUADRATURE_SLOPE_GRID, 3, 3)  # (probabilities, slope)
+    _, unrestricted = row((2,), lambda q: check_quadrature_slope(q[1]), quadrature)
+    row((2,), lambda q: check_slope_gap(unrestricted, q[1]), quadrature, True)
     row((3,), check_analytic_selftest, analytic_selftest)
     for shape in MARGINAL_SHAPES:
         row((4,), partial(check_marginals, shape), marginal_ks_pvalues, *shape, MARGINAL_SAMPLES, seed)

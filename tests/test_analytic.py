@@ -15,6 +15,7 @@ from antsel.analytic import (
     leading_coefficient_exact,
     outage_coefficient,
     pr_outage_quadrature,
+    random_pair_outage,
     series_partial,
     theta0_cdf,
     theta0_pdf,
@@ -158,6 +159,40 @@ class TestOutageQuadrature:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             pr_outage_quadrature(0.0, 3, 3)
+
+    @pytest.mark.parametrize("restricted", [False, True], ids=["unrestricted", "restricted"])
+    def test_one_where_the_gamma_law_is_one(self, restricted):
+        # once F_z(x) is 1.0 in double precision the tail integral is x^-m / m exactly
+        for x in (1e6, 1e80):
+            assert pr_outage_quadrature(x, 3, 3, restricted=restricted) == 1.0
+
+
+class TestRandomPairOutage:
+    """Random selection's exact L = 2 curve: min(a, b) u with a, b iid
+    Gamma(n_r) and u ~ Beta(n_r - 1, 1)."""
+
+    @pytest.mark.parametrize("n_r", [2, 3, 4])
+    def test_matches_the_plain_integral(self, n_r):
+        def integrand(u, x):
+            return (n_r - 1) * u ** (n_r - 2) * (1.0 - (1.0 - chi2n_cdf(x / u, n_r)) ** 2)
+
+        for x in (0.02, 0.1, 0.5, 2.0):
+            plain, _ = integrate.quad(integrand, 0.0, 1.0, args=(x,), epsabs=0.0, epsrel=1e-10, limit=200)
+            assert random_pair_outage(x, n_r) == pytest.approx(plain, rel=1e-9)
+
+    @pytest.mark.parametrize("n_r", [2, 3, 4])
+    def test_small_threshold_exponent(self, n_r):
+        # the plain integrand is 0 by x = 1e-9; the transformed one keeps x^(n_r - 1)
+        deep, shallow = random_pair_outage(1e-12, n_r), random_pair_outage(1e-6, n_r)
+        assert deep > 0.0
+        assert math.log(shallow / deep) / math.log(1e6) == pytest.approx(n_r - 1, abs=1e-5)
+
+    def test_saturation_and_domain(self):
+        assert random_pair_outage(1e6, 3) == 1.0
+        with pytest.raises(ValueError, match="threshold"):
+            random_pair_outage(0.0, 3)
+        with pytest.raises(ValueError, match="n_r >= 2"):
+            random_pair_outage(0.1, 1)
 
 
 class TestExpIntegral:

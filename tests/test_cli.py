@@ -264,6 +264,14 @@ class TestAnalyticCommand:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_quadrature_past_saturation(self, capsys):
+        # the Gamma law is 1.0 in double precision at both points, so both
+        # probabilities are exactly 1
+        assert main(["analytic", "quadrature", "--nt", "3", "--nr", "3", "--x-grid", "1e6,1e7"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [p["probability"] for p in payload["points"]] == [1.0, 1.0]
+        assert payload["loglog_slope"] == pytest.approx(0.0, abs=1e-12)
+
     def test_selftest_passes(self, capsys):
         assert main(["analytic", "selftest"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -14,7 +14,7 @@ import pytest
 from qr_oracle import reference_columns, reference_scalar
 
 from antsel import montecarlo, selection, verify
-from antsel.analytic import chi2n_cdf, pr_outage_quadrature
+from antsel.analytic import chi2n_cdf, pr_outage_quadrature, random_pair_outage
 from antsel.channel import complex_gaussian, gram_inverse_diag, projection_height_sq, stream_generator
 from antsel.montecarlo import (
     EmpiricalCurve,
@@ -462,12 +462,38 @@ class TestSlopeFit:
         with pytest.raises(ValueError, match="min_hits"):
             fit_slope(curve, min_hits=0)
 
+    def test_non_positive_abscissa_is_named(self):
+        curve = EmpiricalCurve((0.0, 0.1, 0.2, 0.3), (10, 12, 14, 16), (1000,) * 4)
+        with pytest.raises(FitError, match="x = 0.0 is not"):
+            fit_slope(curve)
+
     def test_saturated_points_excluded(self):
         xs = (0.1, 0.2, 0.3, 0.4, 10.0)
         trials = 10 ** 6
         hits = tuple(round(min(x ** 3, 1.0) * trials) for x in xs)
         fit = fit_slope(EmpiricalCurve(xs, hits, (trials,) * 5))
         assert fit.fit_range[1] <= 0.5
+
+
+#: Thresholds of random's exact-curve test per (n_t, n_r, L): the first
+#: bin of (5, 4, 2) expects 37 of 10^6 draws.
+RANDOM_EXACT_GRIDS = {(3, 3, 2): np.geomspace(0.02, 0.5, 6), (5, 4, 2): np.geomspace(0.05, 1.0, 6)}
+
+
+@pytest.mark.parametrize("dims", list(RANDOM_EXACT_GRIDS), ids=lambda d: "x".join(map(str, d)))
+def test_random_outage_matches_its_exact_curve(dims):
+    # A chi-square over the disjoint bins between thresholds (cumulative
+    # hits correlate across thresholds), 6 degrees of freedom, at its upper
+    # 10^-3 point: 22.46.  Over seeds 0-40 at 10^6 trials the statistic read
+    # at most 17.2 for (3,3,2) and 18.1 for (5,4,2).
+    from scipy import stats
+
+    grid, trials = RANDOM_EXACT_GRIDS[dims], 10 ** 6
+    config = ExperimentConfig(*dims, rule="random", trial_count=trials, master_seed=7, grid=tuple(grid))
+    observed = np.diff([0, *estimate_outage(config).hits, trials])
+    expected = trials * np.diff([0.0, *(random_pair_outage(x, dims[1]) for x in grid), 1.0])
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    assert chi2 < stats.chi2.isf(1e-3, len(grid)), (chi2, observed, expected)
 
 
 class TestBerEngine:
@@ -736,6 +762,10 @@ class TestDmt:
             with pytest.raises(ValueError, match=f"SNR point {point} dB"):
                 montecarlo.estimate_dmt_gains(3, 3, 2, "maxmin", {0.5: [10.0, 20.0], 1.0: list(grid)}, 100)
 
+    def test_needs_a_gain(self):
+        with pytest.raises(ValueError, match="at least one multiplexing gain"):
+            montecarlo.estimate_dmt_gains(3, 3, 2, "maxmin", {}, 1000)
+
     def test_zero_gain_reduces_to_outage_slope(self):
         fit = estimate_dmt(3, 3, 2, "maxmin", 0.0, np.linspace(6, 20, 12), 300_000, master_seed=15)
         assert 3.0 <= fit.slope <= 4.8
@@ -877,6 +907,10 @@ class TestLemmaHarness:
         with pytest.raises(ValueError):
             lemma_harness("III", (0,), 100)
 
+    def test_no_trials(self):
+        with pytest.raises(ValueError, match="trial count must be at least 1, got 0"):
+            lemma_harness("III", (1, 2), 0)
+
     @pytest.mark.parametrize("lemma, params", [("IV", (1, 1)), ("V", (2, 1))])
     def test_memory_does_not_grow_with_trials(self, lemma, params):
         # each chunk of 10^6 draws is counted and dropped before the next
@@ -912,6 +946,10 @@ class TestIndependenceSuite:
     def test_needs_three_antennas(self):
         with pytest.raises(ValueError):
             independence_suite(2, 3, 1000)
+
+    def test_no_trials(self):
+        with pytest.raises(ValueError, match="trial count must be at least 1, got 0"):
+            independence_suite(4, 3, 0)
 
     def test_workers_do_not_change_statistics(self):
         # chunks of 200k and 50k trials
