@@ -74,6 +74,22 @@ class AnalyticSpec:
         return HALF_PI / (self.n_t - 1)
 
 
+def _like(x, out):
+    """``out`` as a float when ``x`` is a scalar, else as it stands."""
+    return float(out) if np.isscalar(x) else out
+
+
+def _quadrant(theta, open_ends: bool) -> np.ndarray:
+    """``theta`` as a float array, checked to lie in [0, pi/2], or strictly
+    inside (0, pi/2) with ``open_ends``."""
+    th = np.asarray(theta, dtype=float)
+    if open_ends and (np.any(th <= 0.0) or np.any(th >= HALF_PI)):
+        raise ValueError("theta must lie strictly inside (0, pi/2)")
+    if np.any(th < 0.0) or np.any(th > HALF_PI):
+        raise ValueError("theta must lie in [0, pi/2]")
+    return th
+
+
 def theta_pdf(theta, n_r: int):
     """Density of the angle between one column and another's span.
 
@@ -82,22 +98,15 @@ def theta_pdf(theta, n_r: int):
     """
     if n_r < 2:
         raise ValueError(f"angle density needs n_r >= 2, got {n_r}")
-    th = np.asarray(theta, dtype=float)
-    if np.any(th <= 0.0) or np.any(th >= HALF_PI):
-        raise ValueError("theta must lie strictly inside (0, pi/2)")
-    out = (n_r - 1) * np.sin(2 * th) * np.sin(th) ** (2 * n_r - 4)
-    return float(out) if np.isscalar(theta) else out
+    th = _quadrant(theta, open_ends=True)
+    return _like(theta, (n_r - 1) * np.sin(2 * th) * np.sin(th) ** (2 * n_r - 4))
 
 
 def theta_cdf(theta, n_r: int):
     """Distribution function matching :func:`theta_pdf`: sin(theta)^(2(n_r-1))."""
     if n_r < 2:
         raise ValueError(f"angle law needs n_r >= 2, got {n_r}")
-    th = np.asarray(theta, dtype=float)
-    if np.any(th < 0.0) or np.any(th > HALF_PI):
-        raise ValueError("theta must lie in [0, pi/2]")
-    out = np.sin(th) ** (2 * (n_r - 1))
-    return float(out) if np.isscalar(theta) else out
+    return _like(theta, np.sin(_quadrant(theta, open_ends=False)) ** (2 * (n_r - 1)))
 
 
 def chi2n_cdf(x, n: int):
@@ -110,31 +119,22 @@ def chi2n_cdf(x, n: int):
         raise ValueError(f"degrees parameter must be positive, got {n}")
     from scipy import special
 
-    xs = np.maximum(np.asarray(x, dtype=float), 0.0)
-    out = special.gammainc(n, xs)
-    return float(out) if np.isscalar(x) else out
+    return _like(x, special.gammainc(n, np.maximum(np.asarray(x, dtype=float), 0.0)))
 
 
 def theta0_pdf(theta, m: int):
     """Density of the largest of the reference angles: m sin^2(theta)^(m-1) sin(2 theta)."""
     if m < 1:
         raise ValueError(f"order parameter must be positive, got {m}")
-    th = np.asarray(theta, dtype=float)
-    if np.any(th <= 0.0) or np.any(th >= HALF_PI):
-        raise ValueError("theta must lie strictly inside (0, pi/2)")
-    out = m * np.sin(th) ** (2 * (m - 1)) * np.sin(2 * th)
-    return float(out) if np.isscalar(theta) else out
+    th = _quadrant(theta, open_ends=True)
+    return _like(theta, m * np.sin(th) ** (2 * (m - 1)) * np.sin(2 * th))
 
 
 def theta0_cdf(theta, m: int):
     """Distribution function of the largest reference angle: sin^2(theta)^m."""
     if m < 1:
         raise ValueError(f"order parameter must be positive, got {m}")
-    th = np.asarray(theta, dtype=float)
-    if np.any(th < 0.0) or np.any(th > HALF_PI):
-        raise ValueError("theta must lie in [0, pi/2]")
-    out = np.sin(th) ** (2 * m)
-    return float(out) if np.isscalar(theta) else out
+    return _like(theta, np.sin(_quadrant(theta, open_ends=False)) ** (2 * m))
 
 
 @dataclass(frozen=True)
@@ -181,37 +181,38 @@ def leading_coefficient_exact(n_t: int, n_r: int) -> Fraction:
 
 
 def outage_coefficient(n_t: int, n_r: int) -> ExpansionCoefficients:
-    """All expansion coefficients for the (n_t, n_r) two-stream geometry."""
-    if n_t < 2 or n_r < 2:
-        raise ValueError(f"need n_t >= 2 and n_r >= 2, got ({n_t}, {n_r})")
+    """All expansion coefficients for the (n_t, n_r) two-stream geometry.
+
+    c_k = (m-k-1)! s_k / m! with the alternating binomial sum
+    s_k = sum_{i<=k} (-1)^(k-i) C(m, i) = C(m, k) - s_{k-1}, and
+    a_n = m sum_{k<=min(n, m-1)} c_k (-1)^(n-k) / (n-k)!, summed over
+    integers as m sum_k (-1)^(n-k) (m-k-1)! s_k n!/(n-k)! / (m! n!).  Each
+    float is the correctly rounded quotient of the exact integers, so the
+    floats are those of the exact rationals; ``c`` costs O(m) integer
+    terms and ``a`` O(m^2).
+    """
+    leading = leading_coefficient_exact(n_t, n_r)
     m = (n_t - 1) * (n_r - 1)
     tail = _tail_sum_exact(n_t, m)
-    b_m = m * tail
-    leading = Fraction(1, math.factorial(m)) - b_m
-
-    c = []
-    for k in range(m):  # defined for k <= m - 1
-        ck = Fraction(0)
-        for i in range(k + 1):
-            ck += Fraction((-1) ** (k - i) * math.factorial(m - k - 1),
-                           math.factorial(m - i) * math.factorial(i))
-        c.append(ck)
+    m_fact = math.factorial(m)
+    numerators = []  # (m-k-1)! s_k, so c_k = numerators[k] / m!
+    s = 0
+    for k in range(m):
+        s = math.comb(m, k) - s
+        numerators.append(math.factorial(m - k - 1) * s)
     a = []
     for n in range(m + 1):
-        an = Fraction(0)
-        for k in range(min(n, m - 1) + 1):
-            an += c[k] * Fraction((-1) ** (n - k), math.factorial(n - k))
-        a.append(m * an)
-
+        total = sum((-1) ** (n - k) * numerators[k] * math.perm(n, k) for k in range(min(n, m - 1) + 1))
+        a.append(m * total / (m_fact * math.factorial(n)))
     return ExpansionCoefficients(
         n_t=n_t,
         n_r=n_r,
         m=m,
         leading=float(leading),
-        b_m=float(b_m),
+        b_m=float(m * tail),
         tail_sum=float(tail),
-        c=tuple(float(v) for v in c),
-        a=tuple(float(v) for v in a),
+        c=tuple(v / m_fact for v in numerators),
+        a=tuple(a),
         leading_exact=leading,
         tail_sum_exact=tail,
     )
@@ -248,8 +249,8 @@ def pr_outage_quadrature(x: float, n_t: int, n_r: int, restricted: bool = False)
     in double precision at the lower limit, the integral is exactly
     x^-m / m and the probability 1.0.
     """
-    if x <= 0:
-        raise ValueError(f"threshold must be positive, got {x}")
+    if not 0 < x < math.inf:
+        raise ValueError(f"threshold must be finite and positive, got {x}")
     from scipy import special
 
     spec = AnalyticSpec(n_t, n_r, 2)
@@ -282,8 +283,8 @@ def random_pair_outage(x: float, n_r: int) -> float:
     m x^m integral_x^inf F(w) (2 - F(w)) w^{-(m+1)} dw with m = n_r - 1,
     the small-x exponent, which keeps full relative precision at depth.
     """
-    if x <= 0:
-        raise ValueError(f"threshold must be positive, got {x}")
+    if not 0 < x < math.inf:
+        raise ValueError(f"threshold must be finite and positive, got {x}")
     if n_r < 2:
         raise ValueError(f"a pair angle needs n_r >= 2, got {n_r}")
     from scipy import special
@@ -323,8 +324,8 @@ def exp_integral(k: int, x: float) -> float:
     evaluated by their finite closed form; orders above one come from
     upward recursion k E_{k+1} = e^{-x} - x E_k starting at the library E_1.
     """
-    if x <= 0:
-        raise ValueError(f"argument must be positive, got {x}")
+    if not 0 < x < math.inf:
+        raise ValueError(f"argument must be finite and positive, got {x}")
     k = int(k)
     if k <= 0:
         j = -k
@@ -374,8 +375,8 @@ def dmt_curve(n_t: int, n_r: int, L: int, r: float, bound: str = "exact-l2") -> 
     ``bound`` selects m*: "lower" and "upper" use the general-L bounds;
     "exact-l2" uses (n_t-1)(n_r-1) and requires L = 2.
     """
-    if r < 0:
-        raise ValueError(f"multiplexing gain must be non-negative, got {r}")
+    if not 0 <= r < math.inf:
+        raise ValueError(f"multiplexing gain must be finite and non-negative, got {r}")
     spec = AnalyticSpec(n_t, n_r, L)
     kind = bound.lower()
     if kind == "exact-l2":

@@ -141,32 +141,8 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _fmt(value: float) -> str:
     return repr(float(value))
-
-
-def _write_manifest(out_path: str, manifest: RunManifest) -> str:
-    path = out_path + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
 
 
 def _outage_run(args: argparse.Namespace, fields: dict) -> tuple:
@@ -201,19 +177,25 @@ def _ber_run(args: argparse.Namespace, fields: dict) -> tuple:
 def _cmd_run(args: argparse.Namespace) -> int:
     """Run one experiment (``args.run``: :func:`_outage_run` or
     :func:`_ber_run`) and record it: the CSV at ``args.out`` and its
-    manifest beside it, both written only once the run has succeeded."""
+    manifest beside it, both written only once the run has succeeded.  A
+    missing output directory is a usage error, raised before the run."""
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        raise UsageError(f"output directory {out_dir!r} does not exist")
     seed = _resolve_seed(args.seed)
     started = _utc_now()
     fields = dict(n_t=args.nt, n_r=args.nr, L=args.L, rule=args.rule, master_seed=seed, chunk_size=args.chunk_size)
     config, header, rows, recorded = args.run(args, fields)
-    _write_csv(args.out, header, rows)
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
     manifest = RunManifest(
         tool="antsel", version=__version__, command=args.command,
         created_utc=started, finished_utc=_utc_now(), master_seed=seed,
         workers=args.workers, config=asdict(config), outputs=(args.out,),
         library_versions=_library_versions(), **recorded,
     )
-    _write_manifest(args.out, manifest)
+    with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -272,7 +254,12 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
     """Emit the JSON report of one ``analytic`` subcommand (``args.report``);
     exit 1 when the report holds a failed check."""
     payload = args.report(args)
-    _emit_json(payload, args.out)
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
     return 0 if payload.get("passed", True) else 1
 
 
@@ -334,30 +321,24 @@ def build_parser() -> argparse.ArgumentParser:
     an_sub = p_an.add_subparsers(dest="analytic_cmd", required=True)
 
     p_coeff = an_sub.add_parser("coefficient", help="small-threshold expansion coefficients")
-    p_coeff.add_argument("--nt", type=int, required=True)
-    p_coeff.add_argument("--nr", type=int, required=True)
-    p_coeff.set_defaults(report=_coefficient_report)
-
     p_quad = an_sub.add_parser("quadrature", help="outage of the bounding variable by quadrature")
-    p_quad.add_argument("--nt", type=int, required=True)
-    p_quad.add_argument("--nr", type=int, required=True)
+    p_dmt = an_sub.add_parser("dmt", help="diversity-multiplexing tradeoff table")
+    p_self = an_sub.add_parser("selftest", help="check every closed-form identity; exit 1 on failure")
+    for p_dims in (p_coeff, p_quad, p_dmt):
+        p_dims.add_argument("--nt", type=int, required=True)
+        p_dims.add_argument("--nr", type=int, required=True)
+
     p_quad.add_argument("--x-grid", required=True, help=f"threshold grid: {grid_help}")
     p_quad.add_argument("--restricted", action="store_true", help="condition the angles into (0, psi0)")
-    p_quad.set_defaults(report=_quadrature_report)
 
-    p_dmt = an_sub.add_parser("dmt", help="diversity-multiplexing tradeoff table")
-    p_dmt.add_argument("--nt", type=int, required=True)
-    p_dmt.add_argument("--nr", type=int, required=True)
     p_dmt.add_argument("--L", type=int, required=True)
     p_dmt.add_argument("--r-grid", required=True, help=f"multiplexing gains: {grid_help}")
     p_dmt.add_argument("--bound", choices=("lower", "upper", "exact-l2"), default="exact-l2")
-    p_dmt.set_defaults(report=_dmt_report)
 
-    p_self = an_sub.add_parser("selftest", help="check every closed-form identity; exit 1 on failure")
-    p_self.set_defaults(report=_selftest_report)
-    for p_report in (p_coeff, p_quad, p_dmt, p_self):
+    for p_report, report in ((p_coeff, _coefficient_report), (p_quad, _quadrature_report), (p_dmt, _dmt_report),
+                             (p_self, _selftest_report)):
         p_report.add_argument("--out", default=None)
-        p_report.set_defaults(func=_cmd_analytic)
+        p_report.set_defaults(func=_cmd_analytic, report=report)
 
     p_ver = sub.add_parser("verify", help="run the statistical and analytic verification suite")
     p_ver.add_argument("--scale", choices=("quick", "full"), default="quick")

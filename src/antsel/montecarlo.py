@@ -146,6 +146,8 @@ class EmpiricalCurve:
     def __post_init__(self):
         if not (len(self.abscissa) == len(self.hits) == len(self.trials)):
             raise ValueError("abscissa, hits and trials must have equal length")
+        if any(n < 1 for n in self.trials):
+            raise ValueError(f"trials must be at least 1 at every point, got {self.trials}")
         if any(h < 0 or h > n for h, n in zip(self.hits, self.trials)):
             raise ValueError("hits must lie in [0, trials]")
 

@@ -15,8 +15,8 @@ the signal term of the symbols x: the noise with x the transmitted symbols
 (the error domain of the BER engine, :func:`simulate_frame` and genie
 :func:`detect_df`), or a received block with x = 0.  The post-processing
 SNRs are read off the same stage matrices (:func:`_stage_snrs`).  The
-per-frame functions share one validation path (:func:`_detect_frame`) and
-call the batched kernels on a batch of one.
+per-frame functions share one frame check (:func:`_frame`) and call the
+batched kernels on a batch of one.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ class LinkBudget:
     L: int
 
     def __post_init__(self):
-        if self.rho0 <= 0:
-            raise ValueError(f"rho0 must be positive, got {self.rho0}")
+        if not 0 < self.rho0 < math.inf:
+            raise ValueError(f"rho0 must be finite and positive, got {self.rho0}")
         if self.L < 1:
             raise ValueError(f"stream count must be positive, got {self.L}")
 
@@ -129,9 +129,28 @@ def qpsk_bit_error_rate(snr) -> np.ndarray | float:
     return qfunc(np.sqrt(np.asarray(snr, dtype=float)))
 
 
-def _check_streams(H_s: np.ndarray, budget: LinkBudget) -> None:
+def _frame(H_s, budget: LinkBudget, decode_order=None, full_rank: bool = False) -> tuple[np.ndarray, list[int]]:
+    """The checks every per-frame function shares: ``H_s`` as a channel
+    matrix with ``budget.L`` columns, and ``decode_order`` (default: the
+    columns as they stand) as a permutation of them.  With ``full_rank``,
+    a rank-deficient ``H_s`` raises ``SingularMatrixError``.  Returns the
+    matrix and the order."""
+    H_s = as_channel_matrix(H_s)
     if H_s.shape[1] != budget.L:
         raise ValueError(f"budget declares {budget.L} streams but matrix has {H_s.shape[1]} columns")
+    order = [int(i) for i in (range(budget.L) if decode_order is None else decode_order)]
+    if sorted(order) != list(range(budget.L)):
+        raise ValueError(f"decode_order {decode_order} is not a permutation of 0..{budget.L - 1}")
+    if full_rank:
+        require_full_column_rank(H_s)
+    return H_s, order
+
+
+def _frame_snrs(H_s, budget: LinkBudget, receiver: str, decode_order=None) -> tuple[float, ...]:
+    """:func:`_stage_snrs` of one checked frame (:func:`_frame`, with the
+    rank check for the ZF receivers), its columns in ``decode_order``."""
+    H_s, order = _frame(H_s, budget, decode_order, full_rank=receiver != "mmse")
+    return tuple(_stage_snrs(H_s[:, order][None], receiver, budget)[0].tolist())
 
 
 def zf_post_snr(H_s, budget: LinkBudget) -> StreamSnrReport:
@@ -139,19 +158,14 @@ def zf_post_snr(H_s, budget: LinkBudget) -> StreamSnrReport:
     (rho0 / L) / diag((H_s^H H_s)^-1), from :func:`_stage_snrs`.  Raises
     ``SingularMatrixError`` on a rank-deficient ``H_s`` and
     ``np.linalg.LinAlgError`` where :func:`detect_grid` does."""
-    H_s = as_channel_matrix(H_s)
-    _check_streams(H_s, budget)
-    require_full_column_rank(H_s)
-    return StreamSnrReport(snrs=tuple(_stage_snrs(H_s[None], "zf", budget)[0].tolist()), receiver="zf")
+    return StreamSnrReport(snrs=_frame_snrs(H_s, budget, "zf"), receiver="zf")
 
 
 def mmse_post_snr(H_s, budget: LinkBudget) -> StreamSnrReport:
     """Post-processing SNR of each stream under the linear MMSE equalizer,
     from :func:`_stage_snrs`.  Never singular thanks to the regularization;
     dominates the decorrelator per stream and meets it at high SNR."""
-    H_s = as_channel_matrix(H_s)
-    _check_streams(H_s, budget)
-    return StreamSnrReport(snrs=tuple(_stage_snrs(H_s[None], "mmse", budget)[0].tolist()), receiver="mmse")
+    return StreamSnrReport(snrs=_frame_snrs(H_s, budget, "mmse"), receiver="mmse")
 
 
 def transmit(H_s, budget: LinkBudget, symbols: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -385,13 +399,6 @@ def vblast_order_block(H: np.ndarray) -> np.ndarray:
     return order
 
 
-def _check_order(budget: LinkBudget, decode_order) -> list[int]:
-    order = [int(i) for i in decode_order]
-    if sorted(order) != list(range(budget.L)):
-        raise ValueError(f"decode_order {decode_order} is not a permutation of 0..{budget.L - 1}")
-    return order
-
-
 def _detect_frame(H_s, block, budget: LinkBudget, receiver: str, decode_order=None, feedback: str = "actual",
                   x=None, error_domain: bool = False) -> np.ndarray:
     """:func:`detect_grid` on one frame at one budget, decoding the columns
@@ -400,12 +407,10 @@ def _detect_frame(H_s, block, budget: LinkBudget, receiver: str, decode_order=No
     defaults to zeros; ``block`` is the noise if ``error_domain``, else a
     received block, less the signal term of ``x`` before detection.
     Returns the L x T detected symbols in stream order."""
-    H_s = as_channel_matrix(H_s)
-    _check_streams(H_s, budget)
+    H_s, order = _frame(H_s, budget, decode_order, full_rank=receiver in ("zf", "df-zf"))
     block = np.asarray(block, dtype=np.complex128)
     if block.ndim != 2 or block.shape[0] != H_s.shape[0]:
         raise ValueError(f"received block shape {block.shape} does not match {H_s.shape[0]} receive rows")
-    order = _check_order(budget, range(budget.L) if decode_order is None else decode_order)
     if feedback not in FEEDBACK_MODES:
         raise ValueError(f"unknown feedback mode {feedback!r}")
     shape = (budget.L, block.shape[1])
@@ -415,8 +420,6 @@ def _detect_frame(H_s, block, budget: LinkBudget, receiver: str, decode_order=No
         raise ValueError(f"symbol block shape {x.shape} does not match {shape} (streams, symbols)")
     elif not error_domain:
         block = block - budget.stream_scale * (H_s @ x)
-    if receiver in ("zf", "df-zf"):
-        require_full_column_rank(H_s)
     est = next(detect_grid(H_s[:, order][None], x[order][None], block[None], receiver, feedback, (budget,)))
     detected = np.empty_like(x)
     detected[order] = qpsk_slice(est[0])
@@ -487,17 +490,11 @@ def df_stage_snrs(H_s, budget: LinkBudget, decode_order: tuple[int, ...]) -> tup
     a rank-deficient ``H_s`` and ``np.linalg.LinAlgError`` where
     :func:`detect_grid` does.
     """
-    H_s = as_channel_matrix(H_s)
-    _check_streams(H_s, budget)
-    order = _check_order(budget, decode_order)
-    require_full_column_rank(H_s)
-    return tuple(_stage_snrs(H_s[:, order][None], "df-zf", budget)[0].tolist())
+    return _frame_snrs(H_s, budget, "df-zf", decode_order)
 
 
 def vblast_order(H_s, budget: LinkBudget) -> tuple[int, ...]:
     """Greedy decode order: always pick the stream with the largest
     current post-nulling SNR among the not-yet-decoded ones."""
-    H_s = as_channel_matrix(H_s)
-    _check_streams(H_s, budget)
-    require_full_column_rank(H_s)
+    H_s, _ = _frame(H_s, budget, full_rank=True)
     return tuple(int(k) for k in vblast_order_block(H_s[None])[0])

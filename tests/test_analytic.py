@@ -22,6 +22,7 @@ from antsel.analytic import (
     theta_cdf,
     theta_pdf,
 )
+from coefficient_oracle import reference_coefficients
 
 
 class TestAngleDensity:
@@ -121,6 +122,13 @@ class TestExpansionCoefficients:
             for n_r in range(2, 13):
                 assert leading_coefficient_exact(n_t, n_r) > 0
 
+    def test_matches_the_double_sums(self):
+        # every float of c and a, against the defining sums term by term
+        for n_t in range(2, 7):
+            for n_r in range(2, 7):
+                coeff = outage_coefficient(n_t, n_r)
+                assert (coeff.c, coeff.a) == reference_coefficients(n_t, n_r), (n_t, n_r)
+
 
 class TestOutageQuadrature:
     def test_anchor_three_by_three(self):
@@ -160,6 +168,11 @@ class TestOutageQuadrature:
         with pytest.raises(ValueError):
             pr_outage_quadrature(0.0, 3, 3)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_threshold_is_named(self, x):
+        with pytest.raises(ValueError, match=f"threshold must be finite and positive, got {x}"):
+            pr_outage_quadrature(x, 3, 3)
+
     @pytest.mark.parametrize("restricted", [False, True], ids=["unrestricted", "restricted"])
     def test_one_where_the_gamma_law_is_one(self, restricted):
         # once F_z(x) is 1.0 in double precision the tail integral is x^-m / m exactly
@@ -194,6 +207,10 @@ class TestRandomPairOutage:
         with pytest.raises(ValueError, match="n_r >= 2"):
             random_pair_outage(0.1, 1)
 
+    def test_nan_threshold_is_named(self):
+        with pytest.raises(ValueError, match="threshold must be finite and positive, got nan"):
+            random_pair_outage(math.nan, 3)
+
 
 class TestExpIntegral:
     def test_small_argument_limit(self):
@@ -219,6 +236,10 @@ class TestExpIntegral:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             exp_integral(2, 0.0)
+
+    def test_nan_argument_is_named(self):
+        with pytest.raises(ValueError, match="argument must be finite and positive, got nan"):
+            exp_integral(2, math.nan)
 
 
 class TestSeriesPartial:
@@ -268,6 +289,10 @@ class TestDiversityBoundsAndDmt:
 
     def test_dmt_clamps_past_full_rate(self):
         assert dmt_curve(3, 3, 2, 5.0) == 0.0
+
+    def test_dmt_nan_gain_is_named(self):
+        with pytest.raises(ValueError, match="multiplexing gain must be finite and non-negative, got nan"):
+            dmt_curve(3, 3, 2, math.nan)
 
     def test_dmt_bounds_at_zero_gain(self):
         assert dmt_curve(4, 4, 3, 0.0, bound="lower") == pytest.approx(4.0)

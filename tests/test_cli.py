@@ -306,7 +306,7 @@ class TestVerifyPlumbing:
 
         true_cdf = analytic_mod.theta_cdf
         monkeypatch.setattr(analytic_mod, "theta_cdf", lambda t, n_r: true_cdf(t, n_r + 1))
-        pv_h, pv_a = verify.marginal_ks_pvalues(3, 3, 20_000, seed=0)
+        pv_h, pv_a = verify.marginal_ks_pvalues(3, 20_000, seed=0)
         assert pv_a < 0.01
         assert pv_h > 0.01  # the height law is untouched
 
@@ -339,6 +339,22 @@ def test_runtime_failure_exits_one(tmp_path, monkeypatch, capsys, engine):
         "--frames", "50", "--out", str(out)]
     assert main(argv) == 1
     assert capsys.readouterr().err == "failure: engine broke\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("engine", ["estimate_outage", "estimate_ber"])
+def test_missing_output_directory_exits_two_before_the_run(tmp_path, monkeypatch, capsys, engine):
+    def never(*args, **kwargs):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(f"antsel.cli.{engine}", never)
+    missing = tmp_path / "missing"
+    out = missing / "run.csv"
+    argv = outage_argv(out) if engine == "estimate_outage" else [
+        "ber", "--nt", "3", "--nr", "3", "--L", "2", "--rule", "maxmin", "--snr-db", "10",
+        "--frames", "50", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: output directory {str(missing)!r} does not exist\n"
     assert list(tmp_path.iterdir()) == []
 
 

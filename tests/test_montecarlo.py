@@ -182,6 +182,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             EmpiricalCurve((0.1,), (5,), (3,))
 
+    def test_curve_without_trials_is_named(self):
+        # p_hat would divide 0 by 0
+        with pytest.raises(ValueError, match=r"trials must be at least 1 at every point, got \(0, 0, 0\)"):
+            EmpiricalCurve((0.1, 0.2, 0.3), (0, 0, 0), (0, 0, 0))
+
 
 class TestOutageEngine:
     def test_curve_is_monotone(self):

@@ -66,6 +66,12 @@ class TestBudgetAndConstellation:
             LinkBudget(rho0=1.0, L=0)
         assert LinkBudget(rho0=10.0, L=2).stream_scale == pytest.approx(math.sqrt(5.0))
 
+    @pytest.mark.parametrize("rho0", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_rho0_is_named(self, rho0):
+        # such a budget gave zf_post_snr nan or inf SNRs
+        with pytest.raises(ValueError, match=f"rho0 must be finite and positive, got {rho0}"):
+            LinkBudget(rho0=rho0, L=2)
+
     def test_modulation_roundtrip(self):
         rng = stream_generator(0, 0)
         bits = rng.integers(0, 2, size=(2, 64, 2))
@@ -299,6 +305,44 @@ class TestSimulateFrame:
         with pytest.raises(ValueError):
             simulate_frame(H, LinkBudget(1.0, 2), np.zeros((2, 4, 2), dtype=int),
                            np.zeros((3, 4), dtype=complex), receiver="sphere")
+
+
+def _zeros_block(H):
+    return np.zeros((np.shape(H)[0], 4), dtype=complex)
+
+
+#: Every per-frame entry point as f(H_s, budget, decode_order), in its ZF
+#: variant where it has one; the order reaches only those that take one.
+FRAME_ENTRY_POINTS = {
+    "zf_post_snr": lambda H, budget, order: zf_post_snr(H, budget),
+    "mmse_post_snr": lambda H, budget, order: mmse_post_snr(H, budget),
+    "df_stage_snrs": lambda H, budget, order: df_stage_snrs(H, budget, order),
+    "vblast_order": lambda H, budget, order: vblast_order(H, budget),
+    "detect_linear": lambda H, budget, order: detect_linear(H, _zeros_block(H), budget, "zf"),
+    "detect_df": lambda H, budget, order: detect_df(H, _zeros_block(H), budget, order, front_end="zf"),
+    "simulate_frame": lambda H, budget, order: simulate_frame(
+        H, budget, np.zeros((budget.L, 4, 2), dtype=int), _zeros_block(H), receiver="df-zf", decode_order=order),
+}
+
+
+@pytest.mark.parametrize("entry", list(FRAME_ENTRY_POINTS))
+def test_frame_check(entry):
+    """The one frame check of the per-frame functions: the stream count,
+    the decode order and, for the ZF receivers, the column rank."""
+    call = FRAME_ENTRY_POINTS[entry]
+    budget = LinkBudget(10.0, 2)
+    with pytest.raises(ValueError, match="budget declares 2 streams but matrix has 3 columns"):
+        call(rand_matrix(3, 3, seed=28), budget, (0, 1))
+    if entry in ("df_stage_snrs", "detect_df", "simulate_frame"):
+        with pytest.raises(ValueError, match=r"decode_order \(0, 0\) is not a permutation of 0..1"):
+            call(rand_matrix(3, 2, seed=28), budget, (0, 0))
+    column = rand_matrix(3, 1, seed=29)
+    dependent = np.hstack([column, (0.5 - 2j) * column])
+    if entry == "mmse_post_snr":  # no ZF variant: the regularization keeps it defined
+        assert all(np.isfinite(call(dependent, budget, (0, 1)).snrs))
+    else:
+        with pytest.raises(SingularMatrixError):
+            call(dependent, budget, (0, 1))
 
 
 class TestBatchRows:
