@@ -31,6 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .selection import check_selection
+
 HALF_PI = math.pi / 2.0
 
 
@@ -40,17 +42,15 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class AnalyticSpec:
-    """Dimension parameters with the derived diversity constants."""
+    """Dimension parameters with the derived diversity constants; the shape
+    is checked as selection checks it (``selection.check_selection``)."""
 
     n_t: int
     n_r: int
     L: int = 2
 
     def __post_init__(self):
-        if self.L < 1:
-            raise ValueError(f"stream count must be positive, got {self.L}")
-        if self.n_t < self.L or self.n_r < self.L:
-            raise ValueError(f"need n_t >= L and n_r >= L, got ({self.n_t}, {self.n_r}, {self.L})")
+        check_selection(self.n_t, self.n_r, self.L)
 
     @property
     def m(self) -> int:
@@ -81,11 +81,11 @@ def _like(x, out):
 
 def _quadrant(theta, open_ends: bool) -> np.ndarray:
     """``theta`` as a float array, checked to lie in [0, pi/2], or strictly
-    inside (0, pi/2) with ``open_ends``."""
+    inside (0, pi/2) with ``open_ends``; nan lies in neither."""
     th = np.asarray(theta, dtype=float)
-    if open_ends and (np.any(th <= 0.0) or np.any(th >= HALF_PI)):
+    if open_ends and not np.all((th > 0.0) & (th < HALF_PI)):
         raise ValueError("theta must lie strictly inside (0, pi/2)")
-    if np.any(th < 0.0) or np.any(th > HALF_PI):
+    if not np.all((th >= 0.0) & (th <= HALF_PI)):
         raise ValueError("theta must lie in [0, pi/2]")
     return th
 
@@ -113,13 +113,17 @@ def chi2n_cdf(x, n: int):
     """CDF 1 - e^{-x} sum_{k<n} x^k / k! of the Gamma(n, 1) law.
 
     This is the package's "chi-square with 2n degrees of freedom"; see the
-    module docstring for the convention.
+    module docstring for the convention.  Negative x gives 0; nan raises
+    ``ValueError``.
     """
     if n < 1:
         raise ValueError(f"degrees parameter must be positive, got {n}")
+    x_arr = np.asarray(x, dtype=float)
+    if np.isnan(x_arr).any():
+        raise ValueError("chi2n_cdf argument must not be nan")
     from scipy import special
 
-    return _like(x, special.gammainc(n, np.maximum(np.asarray(x, dtype=float), 0.0)))
+    return _like(x, special.gammainc(n, np.maximum(x_arr, 0.0)))
 
 
 def theta0_pdf(theta, m: int):

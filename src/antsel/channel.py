@@ -30,8 +30,9 @@ RANK_RATIO_TOL = 1e-12
 RNG_LAYOUT = 2
 
 
-class SingularMatrixError(ValueError):
-    """A matrix required to have full column rank does not."""
+class SingularMatrixError(np.linalg.LinAlgError):
+    """A matrix required to have full column rank does not.  A
+    ``np.linalg.LinAlgError``, which is a ``ValueError``."""
 
 
 def stream_generator(seed: int, stream: int) -> np.random.Generator:

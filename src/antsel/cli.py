@@ -177,11 +177,7 @@ def _ber_run(args: argparse.Namespace, fields: dict) -> tuple:
 def _cmd_run(args: argparse.Namespace) -> int:
     """Run one experiment (``args.run``: :func:`_outage_run` or
     :func:`_ber_run`) and record it: the CSV at ``args.out`` and its
-    manifest beside it, both written only once the run has succeeded.  A
-    missing output directory is a usage error, raised before the run."""
-    out_dir = os.path.dirname(args.out) or "."
-    if not os.path.isdir(out_dir):
-        raise UsageError(f"output directory {out_dir!r} does not exist")
+    manifest beside it, both written only once the run has succeeded."""
     seed = _resolve_seed(args.seed)
     started = _utc_now()
     fields = dict(n_t=args.nt, n_r=args.nr, L=args.L, rule=args.rule, master_seed=seed, chunk_size=args.chunk_size)
@@ -350,9 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a missing directory of its ``--out`` path is a
+    usage error, raised before the command does any work."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        out_dir = os.path.dirname(getattr(args, "out", None) or "") or "."
+        if not os.path.isdir(out_dir):
+            raise UsageError(f"output directory {out_dir!r} does not exist")
         return args.func(args)
     except (UsageError, ValueError) as exc:  # invalid parameter combinations are usage problems too
         print(f"error: {exc}", file=sys.stderr)

@@ -51,12 +51,12 @@ from . import analytic
 from . import receivers as rx
 from .channel import complex_gaussian, stream_generator
 from .selection import (
-    RULES,
     _pair_rank,
     _pair_table,
     _pass_lanes,
     _row_max,
     _rule_pass,
+    check_selection,
     select_block,
 )
 
@@ -101,12 +101,7 @@ class ExperimentConfig:
     frame_symbols: int = 50
 
     def __post_init__(self):
-        if self.L < 1 or self.n_t < self.L or self.n_r < self.L:
-            raise ValueError(f"need n_t >= L >= 1 and n_r >= L, got ({self.n_t}, {self.n_r}, {self.L})")
-        if self.rule not in RULES:
-            raise ValueError(f"unknown rule {self.rule!r}; expected one of {RULES}")
-        if self.rule in ("first-fixed", "first-ordered") and self.L != 2:
-            raise ValueError(f"rule {self.rule!r} is defined for L = 2 only")
+        check_selection(self.n_t, self.n_r, self.L, (self.rule,))
         if self.receiver not in rx.RECEIVERS:
             raise ValueError(f"unknown receiver {self.receiver!r}; expected one of {rx.RECEIVERS}")
         if self.feedback not in rx.FEEDBACK_MODES:
@@ -325,12 +320,12 @@ def _hits(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _check_rules(config: ExperimentConfig, rules: Sequence[str]) -> tuple[str, ...]:
-    """``rules`` as a tuple, each valid for ``config`` as its own rule would be."""
+    """``rules`` as a tuple of distinct rules, each valid for the shape of
+    ``config`` (:func:`selection.check_selection`)."""
     rules = tuple(rules)
     if not rules or len(set(rules)) != len(rules):
         raise ValueError(f"need one or more distinct rules, got {rules}")
-    for rule in rules:
-        replace(config, rule=rule)
+    check_selection(config.n_t, config.n_r, config.L, rules)
     return rules
 
 

@@ -16,7 +16,9 @@ the signal term of the symbols x: the noise with x the transmitted symbols
 :func:`detect_df`), or a received block with x = 0.  The post-processing
 SNRs are read off the same stage matrices (:func:`_stage_snrs`).  The
 per-frame functions share one frame check (:func:`_frame`) and call the
-batched kernels on a batch of one.
+batched kernels on a batch of one.  A ZF block whose columns are
+dependent up to rounding is rejected once, by the stage recursion
+(:func:`stage_matrices`), with ``channel.SingularMatrixError``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .channel import as_channel_matrix, require_full_column_rank
+from .channel import SingularMatrixError, as_channel_matrix
+from .selection import check_selection
 
 RECEIVERS = ("zf", "mmse", "df-zf", "df-mmse")
 FEEDBACK_MODES = ("actual", "genie")
@@ -129,35 +132,36 @@ def qpsk_bit_error_rate(snr) -> np.ndarray | float:
     return qfunc(np.sqrt(np.asarray(snr, dtype=float)))
 
 
-def _frame(H_s, budget: LinkBudget, decode_order=None, full_rank: bool = False) -> tuple[np.ndarray, list[int]]:
+def _frame(H_s, budget: LinkBudget, decode_order=None) -> tuple[np.ndarray, list[int]]:
     """The checks every per-frame function shares: ``H_s`` as a channel
-    matrix with ``budget.L`` columns, and ``decode_order`` (default: the
-    columns as they stand) as a permutation of them.  With ``full_rank``,
-    a rank-deficient ``H_s`` raises ``SingularMatrixError``.  Returns the
-    matrix and the order."""
+    matrix with ``budget.L`` columns and at least as many rows (the shape
+    check of ``selection.check_selection``), and ``decode_order``
+    (default: the columns as they stand) as a permutation of them.
+    Returns the matrix and the order.  Column rank is not checked here:
+    the ZF receivers' stage recursion rejects a dependent column
+    (:func:`stage_matrices`)."""
     H_s = as_channel_matrix(H_s)
     if H_s.shape[1] != budget.L:
         raise ValueError(f"budget declares {budget.L} streams but matrix has {H_s.shape[1]} columns")
+    check_selection(budget.L, H_s.shape[0], budget.L)
     order = [int(i) for i in (range(budget.L) if decode_order is None else decode_order)]
     if sorted(order) != list(range(budget.L)):
         raise ValueError(f"decode_order {decode_order} is not a permutation of 0..{budget.L - 1}")
-    if full_rank:
-        require_full_column_rank(H_s)
     return H_s, order
 
 
 def _frame_snrs(H_s, budget: LinkBudget, receiver: str, decode_order=None) -> tuple[float, ...]:
-    """:func:`_stage_snrs` of one checked frame (:func:`_frame`, with the
-    rank check for the ZF receivers), its columns in ``decode_order``."""
-    H_s, order = _frame(H_s, budget, decode_order, full_rank=receiver != "mmse")
+    """:func:`_stage_snrs` of one frame checked by :func:`_frame`, its
+    columns in ``decode_order``."""
+    H_s, order = _frame(H_s, budget, decode_order)
     return tuple(_stage_snrs(H_s[:, order][None], receiver, budget)[0].tolist())
 
 
 def zf_post_snr(H_s, budget: LinkBudget) -> StreamSnrReport:
     """Post-processing SNR of each stream under the decorrelating equalizer,
     (rho0 / L) / diag((H_s^H H_s)^-1), from :func:`_stage_snrs`.  Raises
-    ``SingularMatrixError`` on a rank-deficient ``H_s`` and
-    ``np.linalg.LinAlgError`` where :func:`detect_grid` does."""
+    ``SingularMatrixError`` where :func:`stage_matrices` does: a column
+    dependent on the others up to rounding."""
     return StreamSnrReport(snrs=_frame_snrs(H_s, budget, "zf"), receiver="zf")
 
 
@@ -221,11 +225,13 @@ def stage_matrices(G: np.ndarray, receiver: str, lam: float) -> tuple[np.ndarray
     the column b below it: with u = P b and the Schur complement
     sigma = a - b^H u, the bordered inverse is
     [[1, -u^H], [-u, sigma P + u u^H]] / sigma, and its first row is
-    stage s.  Raises ``np.linalg.LinAlgError`` when some sigma is not above
+    stage s.  Raises ``channel.SingularMatrixError`` (a
+    ``np.linalg.LinAlgError``) when some sigma is not above
     ``_DEPENDENT_SHARE`` times its a: the column lies in the span of the
-    later ones up to rounding.  Only a rank-deficient ZF block gives that:
-    an MMSE block keeps sigma >= lam, far above the share at any SNR
-    below about 120 dB.
+    later ones up to rounding.  This is the receivers' one test of a ZF
+    block's column rank.  Only a rank-deficient ZF block gives that: an
+    MMSE block keeps sigma >= lam, far above the share at any SNR below
+    about 120 dB.
     """
     B, L, _ = G.shape
     linear = receiver in ("zf", "mmse")
@@ -237,7 +243,7 @@ def stage_matrices(G: np.ndarray, receiver: str, lam: float) -> tuple[np.ndarray
         u = (inv * b[:, None, :]).sum(axis=2)
         sigma = a - (b.conj() * u).real.sum(axis=1)
         if not (sigma > _DEPENDENT_SHARE * a).all():
-            raise np.linalg.LinAlgError("singular matrix")
+            raise SingularMatrixError(f"column {s} of a block lies in the span of the later columns up to rounding")
         r = 1.0 / sigma
         row = u.conj() * -r[:, None]
         if not linear:
@@ -274,10 +280,10 @@ def _stage_snrs(Heff: np.ndarray, receiver: str, budget: LinkBudget) -> np.ndarr
     squared column norm; on near-collinear columns every stream stays
     within 1e-6 of the QR route of :mod:`antsel.channel` down to
     h / n = 1e-9 (TestStageSnrAccuracy), as ``selection._lattice_heights``.
-    Raises ``np.linalg.LinAlgError`` where :func:`detect_grid` does, when a
-    stage's Schur complement is within ``_DEPENDENT_SHARE`` (256 eps) of
-    its diagonal (h / n below about 6e-14), where the QR route still
-    returns a value.
+    Raises ``channel.SingularMatrixError`` where :func:`detect_grid` does,
+    when a stage's Schur complement is within ``_DEPENDENT_SHARE``
+    (256 eps) of its diagonal (h / n below about 6e-14), where the QR
+    route still returns a value.
     """
     regularized = receiver in ("mmse", "df-mmse")
     lam = budget.L / budget.rho0 if regularized else 0.0
@@ -333,7 +339,9 @@ def detect_grid(Heff: np.ndarray, x: np.ndarray, block: np.ndarray, receiver: st
     with x the transmitted symbols (the error domain), or a whole received
     block, with x = 0.  Genie feedback feeds back ``x``, so it cancels
     nothing and needs the error domain; see :func:`detect_matched`.
-    Inputs are not validated; ZF assumes full column rank.
+    Inputs are not validated, except that a ZF block with a column
+    dependent on the others raises ``channel.SingularMatrixError``
+    (:func:`stage_matrices`).
 
     At stream scale s the matched-filter output over s is
     G x + Heff^H block / s, with the Gram matrices G.  Every receiver's
@@ -407,7 +415,7 @@ def _detect_frame(H_s, block, budget: LinkBudget, receiver: str, decode_order=No
     defaults to zeros; ``block`` is the noise if ``error_domain``, else a
     received block, less the signal term of ``x`` before detection.
     Returns the L x T detected symbols in stream order."""
-    H_s, order = _frame(H_s, budget, decode_order, full_rank=receiver in ("zf", "df-zf"))
+    H_s, order = _frame(H_s, budget, decode_order)
     block = np.asarray(block, dtype=np.complex128)
     if block.ndim != 2 or block.shape[0] != H_s.shape[0]:
         raise ValueError(f"received block shape {block.shape} does not match {H_s.shape[0]} receive rows")
@@ -486,15 +494,16 @@ def df_stage_snrs(H_s, budget: LinkBudget, decode_order: tuple[int, ...]) -> tup
     Stage i sees (rho0 / L) times the squared projection height of its
     stream against the span of the streams decoded after it; reported in
     decode order.  Read off the "df-zf" stage matrices of the columns in
-    decode order (:func:`_stage_snrs`).  Raises ``SingularMatrixError`` on
-    a rank-deficient ``H_s`` and ``np.linalg.LinAlgError`` where
-    :func:`detect_grid` does.
+    decode order (:func:`_stage_snrs`).  Raises ``SingularMatrixError``
+    where :func:`stage_matrices` does: a stream dependent on the later
+    ones up to rounding.
     """
     return _frame_snrs(H_s, budget, "df-zf", decode_order)
 
 
 def vblast_order(H_s, budget: LinkBudget) -> tuple[int, ...]:
     """Greedy decode order: always pick the stream with the largest
-    current post-nulling SNR among the not-yet-decoded ones."""
-    H_s, _ = _frame(H_s, budget, full_rank=True)
+    current post-nulling SNR among the not-yet-decoded ones.  Raises
+    ``SingularMatrixError`` where :func:`stage_matrices` does."""
+    H_s, _ = _frame(H_s, budget)
     return tuple(int(k) for k in vblast_order_block(H_s[None])[0])

@@ -14,7 +14,8 @@ table.
 :func:`select_block` is its one-rule column call.  The per-draw rules are
 batch-of-one calls of :func:`select_block` returning a
 :class:`SelectionOutcome`, whose heights come from the QR route of
-:func:`subset_metrics`.
+:func:`subset_metrics`.  Whether rules and an (n_t, n_r, L) shape are
+valid is decided once, by :func:`check_selection`.
 
 Ties (probability zero under the continuous channel model) go to the
 lexicographically smallest subset or pair, and in qr-greedy to the
@@ -36,8 +37,10 @@ import numpy as np
 
 from .channel import as_channel_matrix, projection_height_sq
 
+#: The rules defined for two streams only.
+_TWO_STREAM_RULES = ("first-fixed", "first-ordered")
 #: Stable rule identifiers used by the CLI and in output files.
-RULES = ("maxmin", "first-fixed", "first-ordered", "qr-greedy", "random")
+RULES = ("maxmin", *_TWO_STREAM_RULES, "qr-greedy", "random")
 
 #: Channels per pass of the Gram-entry kernels at L != 2 (the determinant
 #: lattice and the Cholesky greedy).  Keeps their working set cache-sized
@@ -51,6 +54,25 @@ _LATTICE_LANES = 2048
 #: (3, 3, 2) outage rounds of the tier1-fixtures benchmark fastest
 #: (the sweep is in BENCH_21.json).
 _PAIR_LANES = 8192
+
+
+def check_selection(n_t: int, n_r: int, L: int, rules: Sequence[str] = (), has_rng: bool = True) -> None:
+    """The one check of a selection problem's rules and shape: n_t >= L >= 1
+    and n_r >= L; every rule of ``rules`` is one of ``RULES``; first-fixed
+    and first-ordered only at L = 2; and random only with an rng
+    (``has_rng``).  Raises ``ValueError`` naming the first that fails.
+    :func:`select_block`, :func:`subset_metrics`, the experiment
+    configurations of :mod:`antsel.montecarlo`, ``analytic.AnalyticSpec``
+    and the per-frame receivers call it; :func:`_rule_pass` relies on it."""
+    if L < 1 or n_t < L or n_r < L:
+        raise ValueError(f"need n_t >= L >= 1 and n_r >= L, got (n_t, n_r, L) = ({n_t}, {n_r}, {L})")
+    for rule in rules:
+        if rule not in RULES:
+            raise ValueError(f"unknown selection rule {rule!r}; expected one of {RULES}")
+        if rule in _TWO_STREAM_RULES and L != 2:
+            raise ValueError(f"{rule} selection is defined for L = 2 only")
+        if rule == "random" and not has_rng:
+            raise ValueError("random selection needs an explicit rng")
 
 
 @dataclass(frozen=True)
@@ -119,8 +141,7 @@ def enumerate_subsets(n_t: int, L: int) -> list[AntennaSubset]:
 def subset_metrics(H, subset: AntennaSubset) -> SubsetMetrics:
     """Per-stream squared projection heights for ``subset`` columns of ``H``."""
     H = as_channel_matrix(H)
-    if H.shape[0] < len(subset):
-        raise ValueError(f"need at least {len(subset)} receive rows, got {H.shape[0]}")
+    check_selection(H.shape[1], H.shape[0], len(subset))
     idx = subset.indices
     heights = []
     for i, k in enumerate(idx):
@@ -511,12 +532,10 @@ def _rule_pass(rules: Sequence[str], H: np.ndarray, L: int, rng: np.random.Gener
     largest height against the first, which at n_t = 3 is faster than the
     Cholesky greedy.  A rule forms an argmax only for its columns, and a
     pass builds no table that none of its rules reads.
+
+    The pass checks nothing: its callers pass rules and a shape that
+    :func:`check_selection` accepts.
     """
-    for rule in rules:
-        if rule not in RULES:
-            raise ValueError(f"unknown selection rule {rule!r}; expected one of {RULES}")
-        if rule in ("first-fixed", "first-ordered") and L != 2:
-            raise ValueError(f"{rule} selection is defined for L = 2 only")
     B, _, n_t = H.shape
     subsets = _subsets(n_t, L)
     ranks = rng.integers(0, len(subsets), size=B) if "random" in rules else None
@@ -561,8 +580,11 @@ def select_block(rule: str, H: np.ndarray, L: int, rng: np.random.Generator | No
     """Selected columns of every channel of the (B, n_r, n_t) block ``H``,
     as a (B, L) array ordered first-decoded first: the columns of
     :func:`_rule_pass` for ``rule`` alone.  random draws B subset ranks
-    from ``rng`` at once."""
-    cols = np.empty((1, H.shape[0], L), dtype=np.int64)
+    from ``rng`` at once.  ``ValueError`` where :func:`check_selection`
+    rejects the rule, the shape or a missing rng."""
+    B, n_r, n_t = H.shape
+    check_selection(n_t, n_r, L, (rule,), has_rng=rng is not None)
+    cols = np.empty((1, B, L), dtype=np.int64)
     _rule_pass((rule,), H, L, rng, cols)
     return cols[0]
 
@@ -574,16 +596,12 @@ def select_block(rule: str, H: np.ndarray, L: int, rng: np.random.Generator | No
 def select(rule: str, H, L: int, rng: np.random.Generator | None = None) -> SelectionOutcome:
     """Select ``L`` columns of the channel matrix ``H`` by rule identifier.
 
-    One batch-of-one call of :func:`select_block`; ``rng`` is required for
-    "random", which draws one subset rank from it.  first-fixed and
-    first-ordered are defined for L = 2 only.
+    One batch-of-one call of :func:`select_block`, which checks the rule
+    and the shape; ``rng`` is required for "random", which draws one
+    subset rank from it.  first-fixed and first-ordered are defined for
+    L = 2 only.
     """
-    if rule == "random" and rng is None:
-        raise ValueError("random selection needs an explicit rng")
     H = as_channel_matrix(H)
-    n_r, n_t = H.shape
-    if L < 1 or n_t < L or n_r < L:
-        raise ValueError(f"selection of {L} streams needs n_t >= {L} and n_r >= {L}, got {n_t}x{n_r}")
     cols = tuple(int(c) for c in select_block(rule, H[None], L, rng)[0])
     subset = AntennaSubset(tuple(sorted(cols)))
     decode_order = tuple(subset.indices.index(c) for c in cols)

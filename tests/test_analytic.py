@@ -51,6 +51,15 @@ class TestAngleDensity:
             assert theta_cdf(0.9, n_r) == pytest.approx(val, rel=1e-10)
 
 
+@pytest.mark.parametrize("law", [theta_pdf, theta_cdf, theta0_pdf, theta0_cdf, chi2n_cdf], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("arg", [math.nan, np.array([0.5, math.nan])], ids=["scalar", "array"])
+def test_nan_argument_raises(law, arg):
+    # every comparison with nan is False, so the domain checks once let it
+    # through and the laws returned nan
+    with pytest.raises(ValueError):
+        law(arg, 3)
+
+
 class TestChi2nCdf:
     def test_zero(self):
         assert chi2n_cdf(0.0, 3) == 0.0

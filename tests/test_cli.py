@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from antsel.channel import RNG_LAYOUT
+from antsel.channel import RNG_LAYOUT, SingularMatrixError
 from antsel.cli import _library_versions, main, parse_grid, UsageError
 from antsel.montecarlo import EmpiricalCurve, fit_slope
 from antsel.verify import ber_ordering_measurement, check_ber_ordering
@@ -355,6 +355,35 @@ def test_missing_output_directory_exits_two_before_the_run(tmp_path, monkeypatch
         "--frames", "50", "--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: output directory {str(missing)!r} does not exist\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("work,argv", [
+    ("antsel.analytic.outage_coefficient", ["coefficient", "--nt", "3", "--nr", "3"]),
+    ("antsel.analytic.quadrature_slope", ["quadrature", "--nt", "3", "--nr", "3", "--x-grid", "0.1,0.2"]),
+    ("antsel.analytic.dmt_curve", ["dmt", "--nt", "3", "--nr", "3", "--L", "2", "--r-grid", "0,1"]),
+    ("antsel.verify.analytic_selftest", ["selftest"]),
+], ids=["coefficient", "quadrature", "dmt", "selftest"])
+def test_missing_output_directory_exits_two_before_the_report(tmp_path, monkeypatch, capsys, work, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("the report ran")
+
+    monkeypatch.setattr(work, never)
+    missing = tmp_path / "missing"
+    assert main(["analytic", *argv, "--out", str(missing / "report.json")]) == 2
+    assert capsys.readouterr().err == f"error: output directory {str(missing)!r} does not exist\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_singular_frame_exits_two(tmp_path, monkeypatch, capsys):
+    def singular(*args, **kwargs):
+        raise SingularMatrixError("column 0 of a block lies in the span of the later columns up to rounding")
+
+    monkeypatch.setattr("antsel.cli.estimate_ber", singular)
+    argv = ["ber", "--nt", "3", "--nr", "3", "--L", "2", "--rule", "maxmin", "--snr-db", "10",
+            "--frames", "50", "--out", str(tmp_path / "run.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: column 0 of a block")
     assert list(tmp_path.iterdir()) == []
 
 

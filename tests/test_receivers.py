@@ -8,6 +8,7 @@ from antsel.channel import (
     complex_gaussian,
     projection_height_sq,
     qr_factorize,
+    require_full_column_rank,
     stream_generator,
 )
 from antsel.receivers import (
@@ -520,6 +521,56 @@ class TestStageMatrices:
             with pytest.raises(np.linalg.LinAlgError):
                 stage_matrices(G, receiver, 0.0)
         stage_matrices(H.conj().transpose(0, 2, 1) @ H, receiver, 0.0)
+
+
+class TestOneRankTest:
+    """The stage recursion (:func:`stage_matrices`) is the one rank test of
+    the ZF receivers; the SVD test ``channel.require_full_column_rank``
+    stays as its oracle."""
+
+    def test_singular_matrix_error_is_a_linalg_and_a_value_error(self):
+        assert issubclass(SingularMatrixError, np.linalg.LinAlgError)
+        assert issubclass(SingularMatrixError, ValueError)  # the CLI's usage errors: exit 2
+
+    def test_recursion_rejects_every_frame_the_svd_rejects(self):
+        # one column a multiple of another plus delta * noise, delta from 1
+        # to 1e-18, every tenth frame or so with a dead column, and the frame
+        # scaled by 1e-3..1e3 as a whole: per-column scales would move the
+        # SVD's singular value ratio but not the columns' dependence
+        params = stream_generator(33, 0)
+        rejected = 0
+        for i in range(1, 1501):
+            n_r = int(params.integers(2, 6))
+            L = int(params.integers(2, n_r + 1))
+            rng = stream_generator(33, i)
+            H = complex_gaussian(rng, (n_r, L))
+            a, b = params.choice(L, 2, replace=False)
+            H[:, a] = (0.3 - 1.1j) * H[:, b] + 10.0 ** -params.uniform(0, 18) * complex_gaussian(rng, (n_r,))
+            if params.random() < 0.1:
+                H[:, params.integers(L)] = 0
+            H *= 10.0 ** params.uniform(-3, 3)
+            try:
+                require_full_column_rank(H)
+                continue
+            except SingularMatrixError:
+                rejected += 1
+            for receiver in ("zf", "df-zf"):
+                with pytest.raises(SingularMatrixError):
+                    stage_matrices(_gram(H[None]), receiver, 0.0)
+        assert rejected > 500
+
+    @pytest.mark.parametrize("entry", list(FRAME_ENTRY_POINTS))
+    def test_wide_frames_fail_the_shape_check(self, entry):
+        # fewer receive rows than streams: a shape the frame check rejects
+        # for every receiver.  The recursion alone let through 16 of 18000
+        # Gaussian wide frames (1-4 rows, 2-5 columns): the Schur complement
+        # of the first dependent stage rounded just above 256 eps of its
+        # diagonal behind ill-conditioned later columns.
+        for n_r, L in ((1, 2), (2, 3), (3, 4)):
+            for stream in range(10):
+                with pytest.raises(ValueError, match="n_r >= L"):
+                    FRAME_ENTRY_POINTS[entry](rand_matrix(n_r, L, seed=34, stream=stream), LinkBudget(10.0, L),
+                                              tuple(range(L)))
 
 
 class TestShortAxisProducts:

@@ -311,6 +311,28 @@ class TestBatchOfOne:
         with pytest.raises(ValueError):
             select(rule, H, L, rng)
 
+    @pytest.mark.parametrize("rule,dims,has_rng", [
+        pytest.param("best-effort", (3, 3, 2), True, id="unknown-rule"),
+        pytest.param("random", (3, 3, 2), False, id="random-without-rng"),
+        pytest.param("first-fixed", (4, 4, 3), True, id="first-fixed-at-L3"),
+        pytest.param("first-ordered", (4, 4, 3), True, id="first-ordered-at-L3"),
+        *[pytest.param(rule, (4, 2, 3), True, id=f"fewer-rows-than-streams-{rule}")
+          for rule in ("maxmin", "qr-greedy", "random")],
+        *[pytest.param(rule, (3, 1, 2), True, id=f"one-row-two-streams-{rule}") for rule in RULES],
+        *[pytest.param(rule, (3, 4, 4), True, id=f"more-streams-than-columns-{rule}")
+          for rule in ("maxmin", "qr-greedy", "random")],
+        *[pytest.param(rule, (3, 3, 0), True, id=f"no-streams-{rule}") for rule in ("maxmin", "qr-greedy", "random")],
+    ])
+    def test_select_block_rejects_what_select_rejects(self, rule, dims, has_rng):
+        # before one check served both, select_block returned columns for
+        # fewer rows than streams, repeated columns for more streams than
+        # columns, and AttributeError for random without an rng
+        n_t, n_r, L = dims
+        H = complex_gaussian(stream_generator(24, 0), (4, n_r, n_t))
+        for call in (lambda rng: select_block(rule, H, L, rng), lambda rng: select(rule, H[0], L, rng)):
+            with pytest.raises(ValueError):
+                call(stream_generator(24, 1) if has_rng else None)
+
 
 class TestDeadAntenna:
     """An all-zero column: every height against it is the other column's
