@@ -16,9 +16,10 @@ the signal term of the symbols x: the noise with x the transmitted symbols
 :func:`detect_df`), or a received block with x = 0.  The post-processing
 SNRs are read off the same stage matrices (:func:`_stage_snrs`).  The
 per-frame functions share one frame check (:func:`_frame`) and call the
-batched kernels on a batch of one.  A ZF block whose columns are
-dependent up to rounding is rejected once, by the stage recursion
-(:func:`stage_matrices`), with ``channel.SingularMatrixError``.
+batched kernels on a batch of one.  A ZF frame's column rank is decided
+there, by ``channel.require_full_column_rank``; the stage recursion
+(:func:`stage_matrices`) raises ``channel.SingularMatrixError`` on its
+own only where a block is dependent up to rounding.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .channel import SingularMatrixError, as_channel_matrix
-from .selection import check_selection
+from .channel import SingularMatrixError, as_channel_matrix, require_full_column_rank
 
 RECEIVERS = ("zf", "mmse", "df-zf", "df-mmse")
 FEEDBACK_MODES = ("actual", "genie")
@@ -132,36 +132,37 @@ def qpsk_bit_error_rate(snr) -> np.ndarray | float:
     return qfunc(np.sqrt(np.asarray(snr, dtype=float)))
 
 
-def _frame(H_s, budget: LinkBudget, decode_order=None) -> tuple[np.ndarray, list[int]]:
+def _frame(H_s, budget: LinkBudget, receiver: str, decode_order=None) -> tuple[np.ndarray, list[int]]:
     """The checks every per-frame function shares: ``H_s`` as a channel
-    matrix with ``budget.L`` columns and at least as many rows (the shape
-    check of ``selection.check_selection``), and ``decode_order``
-    (default: the columns as they stand) as a permutation of them.
-    Returns the matrix and the order.  Column rank is not checked here:
-    the ZF receivers' stage recursion rejects a dependent column
-    (:func:`stage_matrices`)."""
+    matrix with ``budget.L`` columns, ``decode_order`` (default: the
+    columns as they stand) as a permutation of them, and for the ZF
+    receivers ("zf", "df-zf") full column rank, which also needs at least
+    L rows: a rank-deficient ``H_s`` raises ``SingularMatrixError``.  The
+    stage recursion alone is no rank test: rounding behind ill-conditioned
+    later columns can lift a Schur complement above its threshold
+    (:func:`stage_matrices`).  Returns the matrix and the order."""
     H_s = as_channel_matrix(H_s)
     if H_s.shape[1] != budget.L:
         raise ValueError(f"budget declares {budget.L} streams but matrix has {H_s.shape[1]} columns")
-    check_selection(budget.L, H_s.shape[0], budget.L)
     order = [int(i) for i in (range(budget.L) if decode_order is None else decode_order)]
     if sorted(order) != list(range(budget.L)):
         raise ValueError(f"decode_order {decode_order} is not a permutation of 0..{budget.L - 1}")
+    if receiver in ("zf", "df-zf"):
+        require_full_column_rank(H_s)
     return H_s, order
 
 
 def _frame_snrs(H_s, budget: LinkBudget, receiver: str, decode_order=None) -> tuple[float, ...]:
     """:func:`_stage_snrs` of one frame checked by :func:`_frame`, its
     columns in ``decode_order``."""
-    H_s, order = _frame(H_s, budget, decode_order)
+    H_s, order = _frame(H_s, budget, receiver, decode_order)
     return tuple(_stage_snrs(H_s[:, order][None], receiver, budget)[0].tolist())
 
 
 def zf_post_snr(H_s, budget: LinkBudget) -> StreamSnrReport:
     """Post-processing SNR of each stream under the decorrelating equalizer,
     (rho0 / L) / diag((H_s^H H_s)^-1), from :func:`_stage_snrs`.  Raises
-    ``SingularMatrixError`` where :func:`stage_matrices` does: a column
-    dependent on the others up to rounding."""
+    ``SingularMatrixError`` on a rank-deficient ``H_s`` (:func:`_frame`)."""
     return StreamSnrReport(snrs=_frame_snrs(H_s, budget, "zf"), receiver="zf")
 
 
@@ -228,10 +229,12 @@ def stage_matrices(G: np.ndarray, receiver: str, lam: float) -> tuple[np.ndarray
     stage s.  Raises ``channel.SingularMatrixError`` (a
     ``np.linalg.LinAlgError``) when some sigma is not above
     ``_DEPENDENT_SHARE`` times its a: the column lies in the span of the
-    later ones up to rounding.  This is the receivers' one test of a ZF
-    block's column rank.  Only a rank-deficient ZF block gives that: an
-    MMSE block keeps sigma >= lam, far above the share at any SNR below
-    about 120 dB.
+    later ones up to rounding.  Only a rank-deficient ZF block gives that:
+    an MMSE block keeps sigma >= lam, far above the share at any SNR
+    below about 120 dB.  The test reads the rounded sigma, so it is no
+    complete rank test: behind ill-conditioned later columns a true share
+    below the threshold can round above it.  The per-frame functions test
+    the rank first (:func:`_frame`).
     """
     B, L, _ = G.shape
     linear = receiver in ("zf", "mmse")
@@ -281,9 +284,9 @@ def _stage_snrs(Heff: np.ndarray, receiver: str, budget: LinkBudget) -> np.ndarr
     within 1e-6 of the QR route of :mod:`antsel.channel` down to
     h / n = 1e-9 (TestStageSnrAccuracy), as ``selection._lattice_heights``.
     Raises ``channel.SingularMatrixError`` where :func:`detect_grid` does,
-    when a stage's Schur complement is within ``_DEPENDENT_SHARE``
-    (256 eps) of its diagonal (h / n below about 6e-14), where the QR
-    route still returns a value.
+    when a stage's Schur complement, as rounded, is within
+    ``_DEPENDENT_SHARE`` (256 eps) of its diagonal (h / n below about
+    6e-14), where the QR route still returns a value.
     """
     regularized = receiver in ("mmse", "df-mmse")
     lam = budget.L / budget.rho0 if regularized else 0.0
@@ -339,9 +342,9 @@ def detect_grid(Heff: np.ndarray, x: np.ndarray, block: np.ndarray, receiver: st
     with x the transmitted symbols (the error domain), or a whole received
     block, with x = 0.  Genie feedback feeds back ``x``, so it cancels
     nothing and needs the error domain; see :func:`detect_matched`.
-    Inputs are not validated, except that a ZF block with a column
-    dependent on the others raises ``channel.SingularMatrixError``
-    (:func:`stage_matrices`).
+    Inputs are not validated; ZF assumes full column rank, and a ZF block
+    with a column dependent on the others up to rounding raises
+    ``channel.SingularMatrixError`` (:func:`stage_matrices`).
 
     At stream scale s the matched-filter output over s is
     G x + Heff^H block / s, with the Gram matrices G.  Every receiver's
@@ -415,7 +418,7 @@ def _detect_frame(H_s, block, budget: LinkBudget, receiver: str, decode_order=No
     defaults to zeros; ``block`` is the noise if ``error_domain``, else a
     received block, less the signal term of ``x`` before detection.
     Returns the L x T detected symbols in stream order."""
-    H_s, order = _frame(H_s, budget, decode_order)
+    H_s, order = _frame(H_s, budget, receiver, decode_order)
     block = np.asarray(block, dtype=np.complex128)
     if block.ndim != 2 or block.shape[0] != H_s.shape[0]:
         raise ValueError(f"received block shape {block.shape} does not match {H_s.shape[0]} receive rows")
@@ -495,8 +498,7 @@ def df_stage_snrs(H_s, budget: LinkBudget, decode_order: tuple[int, ...]) -> tup
     stream against the span of the streams decoded after it; reported in
     decode order.  Read off the "df-zf" stage matrices of the columns in
     decode order (:func:`_stage_snrs`).  Raises ``SingularMatrixError``
-    where :func:`stage_matrices` does: a stream dependent on the later
-    ones up to rounding.
+    on a rank-deficient ``H_s`` (:func:`_frame`).
     """
     return _frame_snrs(H_s, budget, "df-zf", decode_order)
 
@@ -504,6 +506,6 @@ def df_stage_snrs(H_s, budget: LinkBudget, decode_order: tuple[int, ...]) -> tup
 def vblast_order(H_s, budget: LinkBudget) -> tuple[int, ...]:
     """Greedy decode order: always pick the stream with the largest
     current post-nulling SNR among the not-yet-decoded ones.  Raises
-    ``SingularMatrixError`` where :func:`stage_matrices` does."""
-    H_s, _ = _frame(H_s, budget)
+    ``SingularMatrixError`` on a rank-deficient ``H_s`` (:func:`_frame`)."""
+    H_s, _ = _frame(H_s, budget, "zf")
     return tuple(int(k) for k in vblast_order_block(H_s[None])[0])

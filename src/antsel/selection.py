@@ -62,8 +62,8 @@ def check_selection(n_t: int, n_r: int, L: int, rules: Sequence[str] = (), has_r
     and first-ordered only at L = 2; and random only with an rng
     (``has_rng``).  Raises ``ValueError`` naming the first that fails.
     :func:`select_block`, :func:`subset_metrics`, the experiment
-    configurations of :mod:`antsel.montecarlo`, ``analytic.AnalyticSpec``
-    and the per-frame receivers call it; :func:`_rule_pass` relies on it."""
+    configurations of :mod:`antsel.montecarlo` and
+    ``analytic.AnalyticSpec`` call it; :func:`_rule_pass` relies on it."""
     if L < 1 or n_t < L or n_r < L:
         raise ValueError(f"need n_t >= L >= 1 and n_r >= L, got (n_t, n_r, L) = ({n_t}, {n_r}, {L})")
     for rule in rules:

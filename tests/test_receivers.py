@@ -324,6 +324,8 @@ FRAME_ENTRY_POINTS = {
     "simulate_frame": lambda H, budget, order: simulate_frame(
         H, budget, np.zeros((budget.L, 4, 2), dtype=int), _zeros_block(H), receiver="df-zf", decode_order=order),
 }
+#: The entries that run a ZF receiver, so test the column rank.
+ZF_FRAME_ENTRY_POINTS = [entry for entry in FRAME_ENTRY_POINTS if entry != "mmse_post_snr"]
 
 
 @pytest.mark.parametrize("entry", list(FRAME_ENTRY_POINTS))
@@ -524,53 +526,65 @@ class TestStageMatrices:
 
 
 class TestOneRankTest:
-    """The stage recursion (:func:`stage_matrices`) is the one rank test of
-    the ZF receivers; the SVD test ``channel.require_full_column_rank``
-    stays as its oracle."""
+    """The per-frame ZF functions decide a frame's column rank by the SVD
+    test ``channel.require_full_column_rank`` (``receivers._frame``).  The
+    stage recursion (:func:`stage_matrices`) alone is no complete rank
+    test: behind ill-conditioned later columns, a Schur complement whose
+    true share lies below its threshold can round above it."""
 
     def test_singular_matrix_error_is_a_linalg_and_a_value_error(self):
         assert issubclass(SingularMatrixError, np.linalg.LinAlgError)
         assert issubclass(SingularMatrixError, ValueError)  # the CLI's usage errors: exit 2
 
-    def test_recursion_rejects_every_frame_the_svd_rejects(self):
+    def test_zf_entries_reject_every_frame_the_svd_rejects(self):
         # one column a multiple of another plus delta * noise, delta from 1
-        # to 1e-18, every tenth frame or so with a dead column, and the frame
-        # scaled by 1e-3..1e3 as a whole: per-column scales would move the
-        # SVD's singular value ratio but not the columns' dependence
-        params = stream_generator(33, 0)
+        # to 1e-18, every tenth frame or so with a dead column, and each
+        # column scaled by its own 1e-3..1e3.  A few of these frames pass the
+        # stage recursion alone, whose SNRs then read up to 60 % off the QR
+        # route: frame 103 (5 x 5) has a true worst share of 1.8e-14, below
+        # the recursion's 256 eps.
+        params = np.random.default_rng(1)
         rejected = 0
-        for i in range(1, 1501):
+        for i in range(4000):
             n_r = int(params.integers(2, 6))
             L = int(params.integers(2, n_r + 1))
-            rng = stream_generator(33, i)
+            rng = stream_generator(1, i)
             H = complex_gaussian(rng, (n_r, L))
             a, b = params.choice(L, 2, replace=False)
             H[:, a] = (0.3 - 1.1j) * H[:, b] + 10.0 ** -params.uniform(0, 18) * complex_gaussian(rng, (n_r,))
             if params.random() < 0.1:
                 H[:, params.integers(L)] = 0
-            H *= 10.0 ** params.uniform(-3, 3)
+            H = H * 10.0 ** params.uniform(-3, 3, size=L)
             try:
                 require_full_column_rank(H)
                 continue
             except SingularMatrixError:
                 rejected += 1
-            for receiver in ("zf", "df-zf"):
+            for entry in ZF_FRAME_ENTRY_POINTS:
                 with pytest.raises(SingularMatrixError):
-                    stage_matrices(_gram(H[None]), receiver, 0.0)
-        assert rejected > 500
+                    FRAME_ENTRY_POINTS[entry](H, LinkBudget(10.0, L), tuple(range(L)))
+        assert rejected > 1500
 
-    @pytest.mark.parametrize("entry", list(FRAME_ENTRY_POINTS))
-    def test_wide_frames_fail_the_shape_check(self, entry):
-        # fewer receive rows than streams: a shape the frame check rejects
-        # for every receiver.  The recursion alone let through 16 of 18000
-        # Gaussian wide frames (1-4 rows, 2-5 columns): the Schur complement
-        # of the first dependent stage rounded just above 256 eps of its
-        # diagonal behind ill-conditioned later columns.
+    @pytest.mark.parametrize("entry", ZF_FRAME_ENTRY_POINTS)
+    def test_wide_frames_are_rank_deficient(self, entry):
+        # fewer receive rows than streams.  The recursion alone let through
+        # 16 of 18000 Gaussian wide frames (1-4 rows, 2-5 columns): the Schur
+        # complement of the first dependent stage rounded just above 256 eps
+        # of its diagonal behind ill-conditioned later columns.
         for n_r, L in ((1, 2), (2, 3), (3, 4)):
             for stream in range(10):
-                with pytest.raises(ValueError, match="n_r >= L"):
+                with pytest.raises(SingularMatrixError):
                     FRAME_ENTRY_POINTS[entry](rand_matrix(n_r, L, seed=34, stream=stream), LinkBudget(10.0, L),
                                               tuple(range(L)))
+
+    def test_wide_mmse_frames_stay_defined(self):
+        # the regularization keeps the MMSE receivers defined on any frame
+        H = rand_matrix(2, 3, seed=34)
+        budget = LinkBudget(10.0, 3)
+        block = complex_gaussian(stream_generator(34, 1), (2, 4))
+        assert all(np.isfinite(mmse_post_snr(H, budget).snrs))
+        assert detect_linear(H, block, budget, "mmse").shape == (3, 4)
+        assert detect_df(H, block, budget, (2, 0, 1), front_end="mmse").shape == (3, 4)
 
 
 class TestShortAxisProducts:
