@@ -90,23 +90,25 @@ def _quadrant(theta, open_ends: bool) -> np.ndarray:
     return th
 
 
-def theta_pdf(theta, n_r: int):
-    """Density of the angle between one column and another's span.
+def _angle_order(n_r: int) -> int:
+    """The order m = n_r - 1 of the angle law of a pair of n_r-dimensional
+    complex Gaussian columns, sin^2(theta)^m (:func:`theta0_cdf`).  The
+    pair needs n_r >= 2, checked as selection checks two streams."""
+    check_selection(2, n_r, 2)
+    return n_r - 1
 
-    For an n_r-dimensional complex Gaussian pair the angle density is
-    (n_r - 1) sin(2 theta) sin(theta)^(2 n_r - 4) on (0, pi/2).
-    """
-    if n_r < 2:
-        raise ValueError(f"angle density needs n_r >= 2, got {n_r}")
-    th = _quadrant(theta, open_ends=True)
-    return _like(theta, (n_r - 1) * np.sin(2 * th) * np.sin(th) ** (2 * n_r - 4))
+
+def theta_pdf(theta, n_r: int):
+    """Density of the angle between one column and another's span:
+    :func:`theta0_pdf` of order n_r - 1, which is
+    (n_r - 1) sin(2 theta) sin(theta)^(2 n_r - 4) on (0, pi/2)."""
+    return theta0_pdf(theta, _angle_order(n_r))
 
 
 def theta_cdf(theta, n_r: int):
-    """Distribution function matching :func:`theta_pdf`: sin(theta)^(2(n_r-1))."""
-    if n_r < 2:
-        raise ValueError(f"angle law needs n_r >= 2, got {n_r}")
-    return _like(theta, np.sin(_quadrant(theta, open_ends=False)) ** (2 * (n_r - 1)))
+    """Distribution function matching :func:`theta_pdf`: :func:`theta0_cdf`
+    of order n_r - 1, sin(theta)^(2(n_r-1))."""
+    return theta0_cdf(theta, _angle_order(n_r))
 
 
 def chi2n_cdf(x, n: int):
@@ -127,7 +129,9 @@ def chi2n_cdf(x, n: int):
 
 
 def theta0_pdf(theta, m: int):
-    """Density of the largest of the reference angles: m sin^2(theta)^(m-1) sin(2 theta)."""
+    """Density of the largest of the reference angles: m sin^2(theta)^(m-1) sin(2 theta).
+    The one density of the sine-power angle law, of which the pair angle
+    (:func:`theta_pdf`) is the order n_r - 1."""
     if m < 1:
         raise ValueError(f"order parameter must be positive, got {m}")
     th = _quadrant(theta, open_ends=True)
@@ -135,7 +139,8 @@ def theta0_pdf(theta, m: int):
 
 
 def theta0_cdf(theta, m: int):
-    """Distribution function of the largest reference angle: sin^2(theta)^m."""
+    """Distribution function of the largest reference angle: sin^2(theta)^m,
+    the one distribution function of the sine-power angle law."""
     if m < 1:
         raise ValueError(f"order parameter must be positive, got {m}")
     return _like(theta, np.sin(_quadrant(theta, open_ends=False)) ** (2 * m))
@@ -177,9 +182,9 @@ def _tail_sum_exact(n_t: int, m: int) -> Fraction:
 
 def leading_coefficient_exact(n_t: int, n_r: int) -> Fraction:
     """Exact leading coefficient 1/m! - m * tail_sum, without the
-    polynomial bookkeeping of :func:`outage_coefficient`."""
-    if n_t < 2 or n_r < 2:
-        raise ValueError(f"need n_t >= 2 and n_r >= 2, got ({n_t}, {n_r})")
+    polynomial bookkeeping of :func:`outage_coefficient`.  The two-stream
+    shape n_t, n_r >= 2 is checked as selection checks it."""
+    check_selection(n_t, n_r, 2)
     m = (n_t - 1) * (n_r - 1)
     return Fraction(1, math.factorial(m)) - m * _tail_sum_exact(n_t, m)
 
@@ -289,13 +294,11 @@ def random_pair_outage(x: float, n_r: int) -> float:
     """
     if not 0 < x < math.inf:
         raise ValueError(f"threshold must be finite and positive, got {x}")
-    if n_r < 2:
-        raise ValueError(f"a pair angle needs n_r >= 2, got {n_r}")
+    m = _angle_order(n_r)
     from scipy import special
 
     if special.gammainc(n_r, x) == 1.0:
         return 1.0
-    m = n_r - 1
 
     def law(w):
         f = special.gammainc(n_r, w)

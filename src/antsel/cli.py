@@ -28,6 +28,7 @@ from .montecarlo import (
     ExperimentConfig,
     FitError,
     _ber_chunk_size,
+    _check_grid,
     estimate_ber,
     estimate_outage,
     fit_slope,
@@ -69,7 +70,8 @@ class RunManifest:
 
 def parse_grid(spec: str, require_positive: bool = False) -> tuple[float, ...]:
     """Parse a grid given as "logspace:lo,hi,n", "linspace:lo,hi,n" or a
-    comma list; the result must be finite and strictly increasing."""
+    comma list; the result must pass ``montecarlo._check_grid`` (non-empty,
+    finite, strictly increasing)."""
     s = spec.strip()
     try:
         if s.startswith(("logspace:", "linspace:")):
@@ -78,31 +80,23 @@ def parse_grid(spec: str, require_positive: bool = False) -> tuple[float, ...]:
             if len(parts) != 3:
                 raise UsageError(f"{kind} grid needs lo,hi,count: got {spec!r}")
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if not np.all(np.isfinite((lo, hi))):  # numpy warns when it spaces non-finite ends
-                raise UsageError(f"grid values must be finite, got {spec!r}")
             if count < 2:
                 raise UsageError(f"grid needs at least 2 points, got {count}")
-            if kind == "logspace":
-                if lo <= 0:
-                    raise UsageError(f"logspace grid needs a positive start, got {lo}")
-                values = np.geomspace(lo, hi, count)
-            else:
-                values = np.linspace(lo, hi, count)
+            if kind == "logspace" and lo <= 0:
+                raise UsageError(f"logspace grid needs a positive start, got {lo}")
+            with np.errstate(all="ignore"):  # non-finite ends space to non-finite points, which _check_grid names
+                values = (np.geomspace if kind == "logspace" else np.linspace)(lo, hi, count)
         else:
-            values = np.array([float(tok) for tok in s.split(",") if tok.strip() != ""])
-    except UsageError:
-        raise
+            values = [float(tok) for tok in s.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"cannot parse grid {spec!r}: {exc}") from None
-    if values.size == 0:
-        raise UsageError(f"grid {spec!r} is empty")
-    if not np.all(np.isfinite(values)):
-        raise UsageError(f"grid values must be finite, got {spec!r}")
-    if np.any(np.diff(values) <= 0):
-        raise UsageError(f"grid must be strictly increasing, got {spec!r}")
-    if require_positive and values[0] <= 0:
+    try:
+        grid = _check_grid(values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if require_positive and grid[0] <= 0:
         raise UsageError(f"grid values must be positive, got {spec!r}")
-    return tuple(float(v) for v in values)
+    return grid
 
 
 def _resolve_seed(value: int | None) -> int:

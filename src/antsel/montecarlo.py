@@ -83,8 +83,10 @@ class ExperimentConfig:
     """Fully resolved description of one Monte Carlo experiment.
 
     ``grid`` holds the abscissa values: outage thresholds for outage runs,
-    SNR points in dB for BER runs.  ``ordering`` overrides the selection
-    rule's native decode order when set ("fixed", "vblast", "qr-reverse").
+    SNR points in dB for BER runs (:func:`_check_grid`).  ``ordering``
+    overrides the selection rule's native decode order when set ("fixed",
+    "vblast", "qr-reverse").  ``trial_count`` is checked where every run
+    plans its chunks (:func:`_chunk_plan`).
     """
 
     n_t: int
@@ -102,28 +104,31 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_selection(self.n_t, self.n_r, self.L, (self.rule,))
-        if self.receiver not in rx.RECEIVERS:
-            raise ValueError(f"unknown receiver {self.receiver!r}; expected one of {rx.RECEIVERS}")
-        if self.feedback not in rx.FEEDBACK_MODES:
-            raise ValueError(f"unknown feedback mode {self.feedback!r}")
+        rx._check_modes(self.receiver, self.feedback)
         if self.ordering is not None and self.ordering not in rx.ORDERING_MODES:
             raise ValueError(f"unknown ordering {self.ordering!r}; expected one of {rx.ORDERING_MODES}")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
-        if self.trial_count < 1:
-            raise ValueError(f"trial_count must be positive, got {self.trial_count}")
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be positive, got {self.chunk_size}")
         if self.frame_symbols < 1:
             raise ValueError(f"frame_symbols must be positive, got {self.frame_symbols}")
-        grid = tuple(float(x) for x in self.grid)
-        if not grid:
-            raise ValueError("abscissa grid is empty")
-        if not all(math.isfinite(x) for x in grid):
-            raise ValueError(f"abscissa grid points must be finite, got {grid}")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("abscissa grid must be strictly increasing")
-        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "grid", _check_grid(self.grid))
+
+
+def _check_grid(points) -> tuple[float, ...]:
+    """``points`` as a tuple of floats: the one check that a grid is
+    non-empty, finite and strictly increasing, for ``ExperimentConfig``
+    and the grids of the command line.  Raises ``ValueError`` naming the
+    first that fails."""
+    grid = tuple(float(x) for x in points)
+    if not grid:
+        raise ValueError("grid is empty")
+    if not all(math.isfinite(x) for x in grid):
+        raise ValueError(f"grid values must be finite, got {grid}")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"grid must be strictly increasing, got {grid}")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -211,8 +216,9 @@ def fit_slope(curve: EmpiricalCurve, min_hits: int = 10, p_max: float = 0.2) -> 
 # ---------------------------------------------------------------------------
 
 def _chunk_plan(trial_count: int, chunk_size: int) -> list[tuple[int, int]]:
-    """Fixed (chunk_index, trials) decomposition, independent of workers;
-    ``trial_count`` < 1 raises ``ValueError``."""
+    """Fixed (chunk_index, trials) decomposition, independent of workers.
+    Every run plans its chunks here, so this is the one check of a trial
+    count: ``trial_count`` < 1 raises ``ValueError``."""
     if trial_count < 1:
         raise ValueError(f"trial count must be at least 1, got {trial_count}")
     return [(i, min(chunk_size, trial_count - lo)) for i, lo in enumerate(range(0, trial_count, chunk_size))]

@@ -41,6 +41,16 @@ _SQRT2 = math.sqrt(2.0)
 _RAIL = 1.0 / _SQRT2
 
 
+def _check_modes(receiver: str, feedback: str) -> None:
+    """The one check of a receiver and a feedback mode name, for the
+    per-frame detectors and the BER experiments' configuration; raises
+    ``ValueError`` naming the first unknown one."""
+    if receiver not in RECEIVERS:
+        raise ValueError(f"unknown receiver {receiver!r}; expected one of {RECEIVERS}")
+    if feedback not in FEEDBACK_MODES:
+        raise ValueError(f"unknown feedback mode {feedback!r}; expected one of {FEEDBACK_MODES}")
+
+
 @dataclass(frozen=True)
 class LinkBudget:
     """Average SNR per receive antenna (linear) and the stream count.
@@ -342,9 +352,15 @@ def detect_grid(Heff: np.ndarray, x: np.ndarray, block: np.ndarray, receiver: st
     with x the transmitted symbols (the error domain), or a whole received
     block, with x = 0.  Genie feedback feeds back ``x``, so it cancels
     nothing and needs the error domain; see :func:`detect_matched`.
-    Inputs are not validated; ZF assumes full column rank, and a ZF block
-    with a column dependent on the others up to rounding raises
-    ``channel.SingularMatrixError`` (:func:`stage_matrices`).
+    Inputs are not validated.  ZF assumes full column rank, and the only
+    rank test a batched caller gets is that of the stage recursion on the
+    rounded Schur complements: a ZF block with a column dependent on the
+    others up to rounding raises ``channel.SingularMatrixError``
+    (:func:`stage_matrices`).  That test is not complete.  The per-frame
+    ZF entry points add the SVD test of ``channel.require_full_column_rank``
+    (:func:`_frame`); an ill-conditioned block that a caller supplies here
+    can return ZF estimates and SNRs 20-60 % off the QR route without an
+    error.  Drawn Gaussian channels give such blocks with probability zero.
 
     At stream scale s the matched-filter output over s is
     G x + Heff^H block / s, with the Gram matrices G.  Every receiver's
@@ -394,7 +410,11 @@ def vblast_order_block(H: np.ndarray) -> np.ndarray:
     (the largest post-nulling SNR), ties to the earliest.  Returns (B, L)
     column positions, first decoded first.  The inverse of each step's
     Gram matrix (a term sum, :func:`_gram`) is the ZF stage matrix of
-    :func:`stage_matrices`."""
+    :func:`stage_matrices`, so its one rank test is the stage recursion's
+    on the rounded Schur complements, which is not complete: an
+    ill-conditioned block that a caller supplies can be ordered on ZF SNRs
+    20-60 % off the QR route without an error, where the per-frame
+    :func:`vblast_order` adds the SVD test (:func:`_frame`)."""
     B, _, L = H.shape
     order = np.tile(np.arange(L), (B, 1))
     for step in range(L - 1):
@@ -418,12 +438,11 @@ def _detect_frame(H_s, block, budget: LinkBudget, receiver: str, decode_order=No
     defaults to zeros; ``block`` is the noise if ``error_domain``, else a
     received block, less the signal term of ``x`` before detection.
     Returns the L x T detected symbols in stream order."""
+    _check_modes(receiver, feedback)
     H_s, order = _frame(H_s, budget, receiver, decode_order)
     block = np.asarray(block, dtype=np.complex128)
     if block.ndim != 2 or block.shape[0] != H_s.shape[0]:
         raise ValueError(f"received block shape {block.shape} does not match {H_s.shape[0]} receive rows")
-    if feedback not in FEEDBACK_MODES:
-        raise ValueError(f"unknown feedback mode {feedback!r}")
     shape = (budget.L, block.shape[1])
     if x is None:
         x = np.zeros(shape, dtype=np.complex128)
@@ -482,8 +501,6 @@ def simulate_frame(H_s, budget: LinkBudget, bits: np.ndarray, noise: np.ndarray,
     decode order, the bits and the noise of a frame, the decisions are the
     engine's bit for bit.  The linear receivers ignore ``decode_order``.
     """
-    if receiver not in RECEIVERS:
-        raise ValueError(f"unknown receiver {receiver!r}; expected one of {RECEIVERS}")
     symbols = qpsk_modulate(bits)
     order = decode_order if receiver in ("df-zf", "df-mmse") else None
     detected = _detect_frame(H_s, noise, budget, receiver, order, feedback, symbols, error_domain=True)

@@ -57,15 +57,19 @@ _PAIR_LANES = 8192
 
 
 def check_selection(n_t: int, n_r: int, L: int, rules: Sequence[str] = (), has_rng: bool = True) -> None:
-    """The one check of a selection problem's rules and shape: n_t >= L >= 1
+    """The one check of a selection problem's rules and shape: 1 <= L <= n_t
     and n_r >= L; every rule of ``rules`` is one of ``RULES``; first-fixed
     and first-ordered only at L = 2; and random only with an rng
     (``has_rng``).  Raises ``ValueError`` naming the first that fails.
     :func:`select_block`, :func:`subset_metrics`, the experiment
-    configurations of :mod:`antsel.montecarlo` and
-    ``analytic.AnalyticSpec`` call it; :func:`_rule_pass` relies on it."""
-    if L < 1 or n_t < L or n_r < L:
-        raise ValueError(f"need n_t >= L >= 1 and n_r >= L, got (n_t, n_r, L) = ({n_t}, {n_r}, {L})")
+    configurations of :mod:`antsel.montecarlo` and :mod:`antsel.analytic`
+    call it; :func:`_rule_pass` relies on it.  A subset size alone
+    (:func:`enumerate_subsets`) is checked with n_r = L, and the pair of
+    columns of a pair-angle law with n_t = L = 2."""
+    if not 1 <= L <= n_t:
+        raise ValueError(f"need 1 <= L <= n_t, got L = {L} and n_t = {n_t}")
+    if n_r < L:
+        raise ValueError(f"L = {L} streams need n_r >= {L} receive antennas, got n_r = {n_r}")
     for rule in rules:
         if rule not in RULES:
             raise ValueError(f"unknown selection rule {rule!r}; expected one of {RULES}")
@@ -112,7 +116,9 @@ class SelectionOutcome:
     """Chosen subset, its metrics, and the receiver decode order.
 
     ``decode_order`` is a permutation of stream positions 0..L-1 within
-    the sorted subset; the first entry is decoded first.
+    the sorted subset; the first entry is decoded first.  :func:`select`
+    builds it from the rule's columns; the receivers check any decode
+    order they are given.
     """
 
     rule: str
@@ -120,21 +126,14 @@ class SelectionOutcome:
     metrics: SubsetMetrics
     decode_order: tuple[int, ...]
 
-    def __post_init__(self):
-        if sorted(self.decode_order) != list(range(len(self.subset))):
-            raise ValueError(f"decode_order {self.decode_order} is not a permutation of 0..{len(self.subset) - 1}")
-
 
 def enumerate_subsets(n_t: int, L: int) -> list[AntennaSubset]:
     """All size-L column subsets of ``n_t`` antennas in lexicographic order.
 
     The first (n_t-1 choose L-1) subsets are exactly those containing
-    column 0.
+    column 0.  ``ValueError`` unless 1 <= L <= n_t (:func:`check_selection`).
     """
-    if L < 1:
-        raise ValueError(f"subset size must be positive, got {L}")
-    if L > n_t:
-        raise ValueError(f"cannot choose {L} antennas out of {n_t}")
+    check_selection(n_t, L, L)
     return [AntennaSubset(c) for c in itertools.combinations(range(int(n_t)), int(L))]
 
 
