@@ -118,9 +118,9 @@ class ExperimentConfig:
 
 def _check_grid(points) -> tuple[float, ...]:
     """``points`` as a tuple of floats: the one check that a grid is
-    non-empty, finite and strictly increasing, for ``ExperimentConfig``
-    and the grids of the command line.  Raises ``ValueError`` naming the
-    first that fails."""
+    non-empty, finite and strictly increasing, for ``ExperimentConfig``,
+    the SNR grids of :func:`estimate_dmt_gains` and the grids of the
+    command line.  Raises ``ValueError`` naming the first that fails."""
     grid = tuple(float(x) for x in points)
     if not grid:
         raise ValueError("grid is empty")
@@ -516,9 +516,10 @@ def estimate_dmt_gains(n_t: int, n_r: int, L: int, rule: str, grids: Mapping[flo
 
     One outage run counts the union of all the gains' thresholds, so each
     gain gets the hits a run of its own on ``master_seed`` would count.
-    An empty ``grids`` raises ``ValueError``.  Every SNR point is checked
-    before any chunk runs: one without a finite positive linear value
-    raises ``ValueError`` naming it (:func:`_linear_snr`).
+    An empty ``grids`` raises ``ValueError``.  Every SNR grid is checked
+    before any chunk runs: by :func:`_check_grid`, then each point
+    without a finite positive linear value raises ``ValueError`` naming
+    it (:func:`_linear_snr`).
     """
     if not grids:
         raise ValueError("need at least one multiplexing gain")
@@ -526,9 +527,7 @@ def estimate_dmt_gains(n_t: int, n_r: int, L: int, rule: str, grids: Mapping[flo
     for r, rho_grid_db in grids.items():
         if not 0 <= r < L:
             raise ValueError(f"multiplexing gain must satisfy 0 <= r < L, got {r}")
-        rho_db = sorted(float(v) for v in rho_grid_db)
-        if len(rho_db) != len(set(rho_db)):
-            raise ValueError("rho grid contains duplicate points")
+        rho_db = _check_grid(rho_grid_db)
         for snr_db in rho_db:
             _linear_snr(snr_db)
         rho = 10.0 ** (np.asarray(rho_db) / 10.0)

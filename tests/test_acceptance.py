@@ -7,12 +7,14 @@ exist and pass, so every measurement, window, tolerance, trial count and
 seed lives in ``antsel.verify`` alone; the worker count does not change
 any result (criterion 11).  Time bounds read the summed ``seconds`` of a
 criterion's rows.  Each test prints a one-line verdict so a verbose run
-reads as a checklist.
+reads as a checklist.  The last test requires a program mutation in
+``tests/test_mutations.py`` for every gating criterion but 9.
 """
 
 import pytest
 
 from antsel import verify
+from test_mutations import MUTATED_CRITERIA
 
 SEED = 20250809
 
@@ -41,10 +43,11 @@ def test_criterion_02_analytic_slope(table):
 
 
 def test_criterion_03_coefficient_identities(table):
-    # the self-test holds the coefficient positivity check and the exact
-    # closed form of the tail sum (which implies the tail bound
-    # 1/(m m!)) for 2..12, the series limit, the binomial identity and
-    # both exponential-integral checks, each at its contractual tolerance
+    # the self-test holds the exact closed form (n_t-2)!/(m+n_t-2)! of the
+    # leading coefficient for 2..12 (which implies that it is positive
+    # and that the tail sum is below 1/(m m!)), the series limit, the
+    # binomial identity and the exponential integral against quadrature,
+    # each at its contractual tolerance
     accept(table, 3, "coefficient positivity and special-function identities", max_seconds=10.0)
 
 
@@ -87,3 +90,10 @@ def test_criterion_tags_cover_the_contract(table):
     assert not any(o.criteria for o in table if not o.gating)
     names = [o.name for o in table]
     assert len(names) == len(set(names))
+
+
+def test_every_gating_criterion_but_9_has_a_program_mutation(table):
+    # criterion 9 reads the outage curve that criteria 6 and 7 mutate
+    # (see tests/test_mutations.py)
+    gating = set().union(*(o.criteria for o in table if o.gating))
+    assert set(MUTATED_CRITERIA) == gating - {9}

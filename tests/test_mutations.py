@@ -4,12 +4,23 @@ Each test runs a row's measurement and verdict, or the identity
 self-test, once on the program as it stands and once with one mutation
 patched in, and requires a pass and then a fail.  The rows run at the
 quick scale on the acceptance seed with one worker, so the patch reaches
-every chunk.
+every chunk; the reproducibility row runs its own worker counts.
+
+``MUTATED_CRITERIA`` maps each gating acceptance criterion to the tests
+that mutate one of its rows, and the acceptance tests require it to name
+every gating criterion but 9.  Criterion 9 has no mutation of its own:
+its d(1) is d(0)/2 by construction (``verify.dmt_estimates``), so any
+program fault it sees is one of the outage curve, which criteria 6 and 7
+already read.  It gets one once the tradeoff is measured on its own.
 """
+
+import math
+from fractions import Fraction
 
 import pytest
 
-from antsel import analytic, montecarlo, verify
+from antsel import analytic, montecarlo, selection, verify
+from antsel import receivers as rx
 
 SEED = 20250809
 QUICK = verify._SCALES["quick"]
@@ -29,10 +40,43 @@ def mutate_rule_pass(monkeypatch, mutation):
     monkeypatch.setattr(montecarlo, "_rule_pass", mutated)
 
 
+def mutate_tail_length(monkeypatch, extra_terms):
+    """``_tail_sum_exact(n_t, m)`` sums n_t - 2 terms, so n_t + 1 sums one
+    more and n_t - 1 one fewer (none at n_t = 2, as before)."""
+    true_tail = analytic._tail_sum_exact
+    monkeypatch.setattr(analytic, "_tail_sum_exact", lambda n_t, m: true_tail(n_t + extra_terms, m))
+
+
+def anchor_rows():
+    return [verify.check_expansion_anchor(shape, verify.quadrature_anchor_ratio(*shape))
+            for shape in verify.EXPANSION_ANCHORS]
+
+
+def quadrature_rows():
+    """The two rows of criterion 2: the (3,3) slope and the slope gap."""
+    _, unrestricted = analytic.quadrature_slope(verify.QUADRATURE_SLOPE_GRID, 3, 3)
+    _, restricted = analytic.quadrature_slope(verify.QUADRATURE_SLOPE_GRID, 3, 3, restricted=True)
+    return verify.check_quadrature_slope(unrestricted), verify.check_slope_gap(unrestricted, restricted)
+
+
+def marginal_rows():
+    return [verify.check_marginals(shape, verify.marginal_ks_pvalues(shape[1], verify.MARGINAL_SAMPLES, SEED))
+            for shape in verify.MARGINAL_SHAPES]
+
+
+def independence_row():
+    shape = verify.INDEPENDENCE_SHAPE
+    return verify.check_independence(shape, montecarlo.independence_suite(*shape, QUICK["independence_trials"], SEED))
+
+
 def outage_row():
     """The fits of the (3,3,2) outage-slope row and its verdict."""
     fits = verify.outage_slope_fits(QUICK["outage_trials"], SEED)
     return fits, verify.check_outage_slopes(fits)
+
+
+def stage_row():
+    return verify.check_stage_oracle(verify.qr_df_stage_oracle(verify.STAGE_ORACLE_DRAWS, SEED))
 
 
 def ber_row():
@@ -41,8 +85,131 @@ def ber_row():
     return ber, verify.check_ber_ordering(ber)
 
 
+def lemma_row():
+    return verify.check_lemmas(verify.lemma_fits(QUICK["lemma_trials"], SEED))
+
+
+def reproducibility_row():
+    return verify.check_reproducibility(verify.reproducibility_runs(SEED))
+
+
 def selftest():
     return {o.name: o.passed for o in verify.analytic_selftest()}
+
+
+@pytest.mark.parametrize("extra_terms", [1, -1])
+def test_wrong_tail_length_fails_both_anchors(monkeypatch, extra_terms):
+    # criterion 1: the computed leading coefficient moves off the
+    # quadrature and the literal anchors
+    assert all(row.passed for row in anchor_rows())
+    mutate_tail_length(monkeypatch, extra_terms)
+    assert not any(row.passed for row in anchor_rows())
+
+
+def test_diversity_order_one_high_fails_the_quadrature_slope(monkeypatch):
+    # criterion 2: the quadrature's x^m prefactor reads m + 1, and the
+    # (3,3) slope moves off 4 by about 1
+    assert quadrature_rows()[0].passed
+    true_m = analytic.AnalyticSpec.m
+    monkeypatch.setattr(analytic.AnalyticSpec, "m", property(lambda spec: true_m.fget(spec) + 1))
+    assert not quadrature_rows()[0].passed
+
+
+def test_restricted_probability_times_x_fails_the_slope_gap(monkeypatch):
+    # criterion 2: the restricted slope alone gains 1
+    assert all(row.passed for row in quadrature_rows())
+    true_quadrature = analytic.pr_outage_quadrature
+
+    def mutated(x, n_t, n_r, restricted=False):
+        return true_quadrature(x, n_t, n_r, restricted) * (x if restricted else 1.0)
+
+    monkeypatch.setattr(analytic, "pr_outage_quadrature", mutated)
+    slope, gap = quadrature_rows()
+    assert slope.passed and not gap.passed
+
+
+def test_wrong_angle_order_fails_the_order_one_check(monkeypatch):
+    # criterion 3
+    name = "largest-angle law collapses at order one"
+    assert selftest()[name]
+    true_pdf = analytic.theta0_pdf
+    monkeypatch.setattr(analytic, "theta0_pdf", lambda theta, m: true_pdf(theta, m + 1))
+    assert not selftest()[name]
+
+
+@pytest.mark.parametrize("extra_terms", [1, -1])
+def test_wrong_tail_length_fails_only_the_closed_form(monkeypatch, extra_terms):
+    # criterion 3: no other check of the self-test sees it
+    name = "leading coefficient in closed form for 2..12"
+    assert selftest()[name]
+    mutate_tail_length(monkeypatch, extra_terms)
+    assert [check for check, passed in selftest().items() if not passed] == [name]
+
+
+def test_flipped_tail_sign_fails_the_closed_form(monkeypatch):
+    # criterion 3: 1/m! + m * tail stays positive, so only the closed
+    # form sees it
+    name = "leading coefficient in closed form for 2..12"
+    assert selftest()[name]
+
+    def plus_tail(n_t, n_r):
+        m = (n_t - 1) * (n_r - 1)
+        return Fraction(1, math.factorial(m)) + m * analytic._tail_sum_exact(n_t, m)
+
+    monkeypatch.setattr(analytic, "leading_coefficient_exact", plus_tail)
+    assert not selftest()[name]
+
+
+def test_scaled_first_exponential_integral_fails_the_quadrature_check(monkeypatch):
+    # criterion 3: E_1, and every order the recursion builds from it,
+    # off by a relative 1e-8
+    from scipy import special
+
+    name = "exponential integral vs quadrature"
+    assert selftest()[name]
+    true_exp1 = special.exp1
+    monkeypatch.setattr(special, "exp1", lambda x: true_exp1(x) * (1.0 + 1e-8))
+    assert not selftest()[name]
+
+
+def test_wrong_recursion_divisor_fails_the_quadrature_check(monkeypatch):
+    # criterion 3: the last step of k E_{k+1} = e^-x - x E_k divides by
+    # k + 1
+    name = "exponential integral vs quadrature"
+    assert selftest()[name]
+    true_ei = analytic.exp_integral
+    monkeypatch.setattr(analytic, "exp_integral",
+                        lambda k, x: true_ei(k, x) if k <= 1 else (math.exp(-x) - x * true_ei(k - 1, x)) / k)
+    assert not selftest()[name]
+
+
+def test_angle_law_of_order_n_r_fails_the_marginals(monkeypatch):
+    # criterion 4: the pair angle judged against the law of one more
+    # receive antenna
+    assert all(row.passed for row in marginal_rows())
+    true_cdf = analytic.theta_cdf
+    monkeypatch.setattr(analytic, "theta_cdf", lambda theta, n_r: true_cdf(theta, n_r + 1))
+    assert not any(row.passed for row in marginal_rows())
+
+
+def test_dependent_chain_heights_fail_the_independence_row(monkeypatch):
+    # criterion 5: chain height (1,2) averaged with (0,1) in the pair
+    # table the suite reads
+    assert independence_row().passed
+    true_table = montecarlo._pair_table
+
+    def mutated(H):
+        norms, fwd, bwd = true_table(H)
+        n_t = H.shape[-1]
+        first, second = selection._pair_rank(n_t, 0, 1), selection._pair_rank(n_t, 1, 2)
+        fwd[second] = (fwd[first] + fwd[second]) / 2
+        return norms, fwd, bwd
+
+    monkeypatch.setattr(montecarlo, "_pair_table", mutated)
+    row = independence_row()
+    assert not row.passed
+    assert "|corr| chain heights (0,1)x(1,2)" in row.detail
+    assert "chain heights (0,1)x(1,2) product CDF" in row.detail
 
 
 def test_random_scalar_as_maxmin_fails_the_outage_slopes(monkeypatch):
@@ -57,6 +224,15 @@ def test_random_scalar_as_maxmin_fails_the_outage_slopes(monkeypatch):
     fits, row = outage_row()
     assert fits["maxmin"] == fits["random"]
     assert not row.passed
+
+
+def test_reversed_stage_columns_fail_the_stage_oracle(monkeypatch):
+    # criterion 7: the detectors' stage SNRs read the selected columns in
+    # the wrong decode order
+    assert stage_row().passed
+    true_stage = rx._stage_snrs
+    monkeypatch.setattr(rx, "_stage_snrs", lambda Heff, receiver, budget: true_stage(Heff[..., ::-1], receiver, budget))
+    assert not stage_row().passed
 
 
 def test_swapped_ber_rules_fail_the_ordering(monkeypatch):
@@ -74,21 +250,47 @@ def test_swapped_ber_rules_fail_the_ordering(monkeypatch):
     assert not row.passed
 
 
-def test_wrong_angle_order_fails_the_order_one_check(monkeypatch):
-    name = "largest-angle law collapses at order one"
-    assert selftest()[name]
-    true_pdf = analytic.theta0_pdf
-    monkeypatch.setattr(analytic, "theta0_pdf", lambda theta, m: true_pdf(theta, m + 1))
-    assert not selftest()[name]
+def test_exponents_one_high_fail_the_harnesses(monkeypatch):
+    # criterion 10: every harness draws its variables with exponents
+    # n_k + 1, against targets from n_k
+    assert lemma_row().passed
+    true_chunk = montecarlo._lemma_chunk
+
+    def mutated(lemma, exps, *args):
+        return true_chunk(lemma, tuple(n + 1 for n in exps), *args)
+
+    monkeypatch.setattr(montecarlo, "_lemma_chunk", mutated)
+    assert not lemma_row().passed
 
 
-@pytest.mark.parametrize("extra_terms", [1, -1])
-def test_wrong_tail_length_fails_only_the_closed_form(monkeypatch, extra_terms):
-    # _tail_sum_exact(n_t, m) sums n_t - 2 terms, so n_t + 1 sums one more
-    # and n_t - 1 one fewer (none at n_t = 2, as before)
-    assert selftest()["tail sum in closed form for 2..12"]
-    true_tail = analytic._tail_sum_exact
-    monkeypatch.setattr(analytic, "_tail_sum_exact", lambda n_t, m: true_tail(n_t + extra_terms, m))
-    verdicts = selftest()
-    assert not verdicts["tail sum in closed form for 2..12"]
-    assert verdicts["leading coefficient positive for 2..12"]
+def test_worker_dependent_chunk_streams_fail_reproducibility(monkeypatch):
+    # criterion 11: with more than one worker, chunk i draws from stream
+    # i + 1
+    assert reproducibility_row().passed
+    true_run = montecarlo._run_chunks
+    monkeypatch.setattr(montecarlo, "_run_chunks",
+                        lambda job, plan, workers: true_run(job, [(i + (workers > 1), n) for i, n in plan], workers))
+    row = reproducibility_row()
+    assert not row.passed and row.detail == "curves diverged"
+
+
+#: The tests that mutate a row of each gating acceptance criterion; the
+#: identity self-test is criterion 3's row.
+MUTATED_CRITERIA = {
+    1: [test_wrong_tail_length_fails_both_anchors],
+    2: [test_diversity_order_one_high_fails_the_quadrature_slope,
+        test_restricted_probability_times_x_fails_the_slope_gap],
+    3: [test_wrong_angle_order_fails_the_order_one_check,
+        test_wrong_tail_length_fails_only_the_closed_form,
+        test_flipped_tail_sign_fails_the_closed_form,
+        test_scaled_first_exponential_integral_fails_the_quadrature_check,
+        test_wrong_recursion_divisor_fails_the_quadrature_check],
+    4: [test_angle_law_of_order_n_r_fails_the_marginals],
+    5: [test_dependent_chain_heights_fail_the_independence_row],
+    6: [test_random_scalar_as_maxmin_fails_the_outage_slopes],
+    7: [test_random_scalar_as_maxmin_fails_the_outage_slopes,
+        test_reversed_stage_columns_fail_the_stage_oracle],
+    8: [test_swapped_ber_rules_fail_the_ordering],
+    10: [test_exponents_one_high_fail_the_harnesses],
+    11: [test_worker_dependent_chunk_streams_fail_reproducibility],
+}

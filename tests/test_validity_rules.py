@@ -115,6 +115,7 @@ def _grid_entries(points, spec):
     API and the same grid written as the command-line ``spec``."""
     return {
         "ExperimentConfig": lambda: _config(grid=points),
+        "estimate_dmt": lambda: estimate_dmt(3, 3, 2, "maxmin", 0.5, points, 10),
         "antsel outage": ["outage", "--nt", "3", "--nr", "3", "--L", "2", "--rule", "maxmin", "--trials", "10",
                           "--x-grid", spec],
         "antsel ber": ["ber", "--nt", "3", "--nr", "3", "--L", "2", "--rule", "maxmin", "--frames", "10",
