@@ -593,7 +593,8 @@ def lemma_harness(lemma: str, parameters: Sequence[float], trials: int,
     sum(n_k)/2.
     "V": ``parameters`` = (n_a, n_b); a is Gamma(n_a, 1) and two
     differently-shaped [0, 1] factors share CDF exponent n_b; the fits of
-    the two products, which agree and stay at or below n_a.
+    the two products, which agree, both of exponent min(n_a, n_b) when
+    n_a != n_b.
 
     Each chunk of 10^6 draws is counted into the curves and dropped, so
     memory does not grow with ``trials``.

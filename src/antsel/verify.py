@@ -9,13 +9,16 @@ takes those values and returns one :class:`CheckOutcome`; it holds the
 criterion's window, tolerance or significance level, and nothing else
 does.
 
-:func:`run_verification` measures each row at one of two scales, times it
-and calls its verdict.  "full" runs the statistical checks at their
-contractual trial counts; "quick" is a smoke-scale pass with the same
-verdicts (slope windows are wide enough to hold at both scales).  Each
-row names the acceptance criteria it is evidence for; the acceptance
-tests run this table at the full scale and assert the rows of each
-criterion, so the table is the one wiring of the contract.
+:func:`verification_rows` is the table: each row binds a measurement to
+its scale parameters and seed, pairs it with its verdict and names the
+acceptance criteria it is evidence for.  It has two scales.  "full" runs
+the statistical checks at their contractual trial counts; "quick" is a
+smoke-scale pass with the same verdicts (slope windows are wide enough to
+hold at both scales).  :func:`run_verification` measures, times and
+judges every row.  The acceptance tests run it at the full scale and
+assert the rows of each criterion, and the mutation tests and seed sweeps
+run single rows of :func:`verification_rows`, so the table is the one
+wiring of the contract.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -89,10 +92,13 @@ PRODUCT_CDF_SIGMAS = 3
 #: 0's norm) must show for the suite to count as able to see dependence.
 CONTROL_CORR_FLOOR = 0.05
 #: Largest gap of each harness's fitted tail exponents from their target
-#: (III, IV), from each other (IV, V) and above n_a (V).
+#: and, for IV and V, from each other.
 LEMMA_TOLERANCES = {"III": 0.15, "IV": 0.1, "V": 0.1}
 
 # Shapes and sample sizes that do not change with the scale.
+#: The (n_t, n_r, L) of the outage, stage-oracle, BER, DMT and
+#: reproducibility rows; the quadrature rows read its (n_t, n_r).
+SHAPE = (3, 3, 2)
 MARGINAL_SHAPES = ((3, 3), (4, 2))
 INDEPENDENCE_SHAPE = (4, 3)
 MARGINAL_SAMPLES = 100_000
@@ -238,19 +244,18 @@ def marginal_ks_pvalues(n_r: int, samples: int, seed: int) -> tuple[float, float
 
 
 def outage_slope_fits(trials: int, seed: int, workers: int = 1) -> dict[str, SlopeFit]:
-    """Fitted outage slopes for (3, 3, 2) under each rule, from one
+    """Fitted outage slopes for ``SHAPE`` under each rule, from one
     multi-rule pass over common draws."""
-    config = ExperimentConfig(n_t=3, n_r=3, L=2, rule=RULES[0], trial_count=trials,
-                              master_seed=seed, grid=OUTAGE_GRID)
+    config = ExperimentConfig(*SHAPE, rule=RULES[0], trial_count=trials, master_seed=seed, grid=OUTAGE_GRID)
     return {rule: fit_slope(curve) for rule, curve in estimate_outage_rules(config, RULES, workers).items()}
 
 
 def qr_df_stage_oracle(draws: int, seed: int) -> tuple[float, bool]:
-    """Genie decision-feedback stage SNRs of (3, 3, 2) at rho0 = 10, from the
+    """Genie decision-feedback stage SNRs of ``SHAPE`` at rho0 = 10, from the
     detectors' stage matrices, against the squared QR triangular diagonal
     of the selected columns, plus the max-norm first-pick check.
 
-    One pass over all draws: the channels of ``sample_channel(3, 3, seed, d)``
+    One pass over all draws: the channels of ``sample_channel(n_r, n_t, seed, d)``
     for d < ``draws``, stacked, select their columns in one qr-greedy
     ``select_block`` call and read their stage SNRs in one ``_stage_snrs``
     call.  The reference is one stacked LAPACK QR of the selected columns
@@ -261,7 +266,7 @@ def qr_df_stage_oracle(draws: int, seed: int) -> tuple[float, bool]:
     """
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
-    n_t, n_r, L, rho0 = 3, 3, 2, 10.0
+    (n_t, n_r, L), rho0 = SHAPE, 10.0
     H = np.stack([sample_channel(n_r, n_t, seed, d).matrix for d in range(draws)])
     cols = select_block("qr-greedy", H, L)  # first decoded first: the picks reversed
     H_dec = np.take_along_axis(H, cols[:, None, :], axis=2)
@@ -280,8 +285,8 @@ def ber_ordering_test(frames: int, snr_db: float, seed: int, workers: int = 1) -
     both rules detect the same channels, bits and noise, as
     :func:`ber_ordering_measurement`."""
     rules = ("qr-greedy", "first-fixed")
-    config = ExperimentConfig(n_t=3, n_r=3, L=2, rule=rules[0], trial_count=frames,
-                              master_seed=seed, grid=(float(snr_db),), receiver="df-zf", frame_symbols=50)
+    config = ExperimentConfig(*SHAPE, rule=rules[0], trial_count=frames, master_seed=seed,
+                              grid=(float(snr_db),), receiver="df-zf", frame_symbols=50)
     curves = estimate_ber_rules(config, rules, workers)
     return ber_ordering_measurement(snr_db, *((curves[r].hits[0], curves[r].trials[0]) for r in rules))
 
@@ -304,7 +309,7 @@ def ber_ordering_measurement(snr_db: float, qr: tuple[int, int], ff: tuple[int, 
 
 
 def dmt_estimates(trials: int, seed: int, workers: int = 1) -> dict[float, SlopeFit]:
-    """Empirical diversity at multiplexing gains 0 and 1 for (3, 3, 2).
+    """Empirical diversity at multiplexing gains 0 and 1 for ``SHAPE``.
 
     The SNR grids are chosen so the implied thresholds sweep the
     informative decade of the outage curve at each gain; both gains are
@@ -319,7 +324,7 @@ def dmt_estimates(trials: int, seed: int, workers: int = 1) -> dict[float, Slope
     ``seed + 1``, not an independent measurement of the tradeoff.
     """
     grids = {0.0: np.linspace(6.0, 20.0, 15), 1.0: np.linspace(12.0, 40.0, 15)}
-    return estimate_dmt_gains(3, 3, 2, "maxmin", grids, trials, master_seed=seed + 1, workers=workers)
+    return estimate_dmt_gains(*SHAPE, "maxmin", grids, trials, master_seed=seed + 1, workers=workers)
 
 
 def lemma_fits(trials: int, seed: int, workers: int = 1) -> dict[str, tuple[SlopeFit, ...]]:
@@ -330,11 +335,10 @@ def lemma_fits(trials: int, seed: int, workers: int = 1) -> dict[str, tuple[Slop
 def reproducibility_runs(seed: int) -> tuple[tuple, tuple]:
     """One outage config run twice at one worker and once at two, and one
     BER config at one and two workers."""
-    config = ExperimentConfig(n_t=3, n_r=3, L=2, rule="maxmin", trial_count=24_000,
-                              master_seed=seed, grid=OUTAGE_GRID, chunk_size=7_000)
-    ber_config = ExperimentConfig(n_t=3, n_r=3, L=2, rule="qr-greedy", trial_count=3_000,
-                                  master_seed=seed, grid=(12.0, 16.0), chunk_size=1_000,
-                                  receiver="df-zf", frame_symbols=20)
+    config = ExperimentConfig(*SHAPE, rule="maxmin", trial_count=24_000, master_seed=seed,
+                              grid=OUTAGE_GRID, chunk_size=7_000)
+    ber_config = ExperimentConfig(*SHAPE, rule="qr-greedy", trial_count=3_000, master_seed=seed,
+                                  grid=(12.0, 16.0), chunk_size=1_000, receiver="df-zf", frame_symbols=20)
     outage = tuple(estimate_outage(config, workers=w) for w in (1, 1, 2))
     ber = tuple(estimate_ber(ber_config, workers=w) for w in (1, 2))
     return outage, ber
@@ -450,11 +454,10 @@ def _lemma_holds(lemma: str, slopes: list[float]) -> bool:
     tol = LEMMA_TOLERANCES[lemma]
     if lemma == "III":  # the sum's exponent is sum(n_k)
         return abs(slopes[0] - sum(params)) <= tol
-    agree = abs(slopes[0] - slopes[1]) <= tol
-    if lemma == "IV":  # sum and max share exponent sum(n_k) / 2
-        return agree and all(abs(s - 0.5 * sum(params)) <= tol for s in slopes)
-    # V: products with [0, 1] factors cannot outpace the bare Gamma(n_a) variable
-    return agree and max(slopes) <= params[0] + tol
+    # IV: sum and max share exponent sum(n_k) / 2; V: a Gamma(n_a) variable
+    # times a [0, 1] factor of CDF exponent n_b != n_a has exponent min(n_a, n_b)
+    target = 0.5 * sum(params) if lemma == "IV" else min(params)
+    return abs(slopes[0] - slopes[1]) <= tol and all(abs(s - target) <= tol for s in slopes)
 
 
 def check_lemmas(fits: dict[str, tuple[SlopeFit, ...]]) -> CheckOutcome:
@@ -475,15 +478,21 @@ def check_reproducibility(runs: tuple[tuple, tuple]) -> CheckOutcome:
 # assembled table
 # ---------------------------------------------------------------------------
 
-def run_verification(scale: str = "quick", seed: int = 0, workers: int = 1) -> list[CheckOutcome]:
-    """Measure, time and judge every row of the verification table.
+def verification_rows(scale: str = "quick", seed: int = 0, workers: int = 1) -> list[tuple]:
+    """The rows of the verification table in order, as ``(criteria,
+    measure, verdict)`` triples: ``measure()`` takes no argument, and
+    ``verdict(measure())`` is the row's :class:`CheckOutcome`, evidence
+    for the acceptance ``criteria``.
 
     ``scale`` picks the trial counts of ``_SCALES`` ("quick" or "full"),
     ``seed`` keys every random row, and ``workers`` is the process count
     of the chunked measurements, which leaves every result unchanged
-    (criterion 11).  A bad argument raises ``ValueError`` before any row
-    runs.  Rows come back in a fixed order, each with its ``seconds`` and
-    the acceptance ``criteria`` it is evidence for.
+    (criterion 11).  A bad argument raises ``ValueError`` here, before any
+    row runs.  Two rows read a value of another row: the slope gap reads
+    the unrestricted quadrature slope and criterion 9 the maxmin outage
+    fit.  Each such value is measured once per call, when it is first
+    read, so a row run alone measures what it reads and, in the table,
+    reuses the earlier row's value.
     """
     if scale not in _SCALES:
         raise ValueError(f"unknown scale {scale!r}; expected one of {sorted(_SCALES)}")
@@ -492,33 +501,47 @@ def run_verification(scale: str = "quick", seed: int = 0, workers: int = 1) -> l
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     p = _SCALES[scale]
-    out: list[CheckOutcome] = []
+    quadrature = partial(analytic.quadrature_slope, QUADRATURE_SLOPE_GRID, *SHAPE[:2])  # (probabilities, slope)
+    unrestricted = cache(quadrature)
+    fits = cache(partial(outage_slope_fits, p["outage_trials"], seed, workers))
+    return [
+        *(((1,), partial(quadrature_anchor_ratio, *shape), partial(check_expansion_anchor, shape))
+          for shape in EXPANSION_ANCHORS),
+        ((2,), unrestricted, lambda q: check_quadrature_slope(q[1])),
+        ((2,), lambda: (unrestricted()[1], quadrature(restricted=True)[1]), lambda gap: check_slope_gap(*gap)),
+        ((3,), analytic_selftest, check_analytic_selftest),
+        *(((4,), partial(marginal_ks_pvalues, shape[1], MARGINAL_SAMPLES, seed), partial(check_marginals, shape))
+          for shape in MARGINAL_SHAPES),
+        ((5,), partial(independence_suite, *INDEPENDENCE_SHAPE, p["independence_trials"], seed, workers),
+         partial(check_independence, INDEPENDENCE_SHAPE)),
+        # the slope windows hold qr-greedy's first-layer exponent, so this
+        # row is evidence for criterion 7 as well
+        ((6, 7), fits, check_outage_slopes),
+        ((7,), partial(qr_df_stage_oracle, STAGE_ORACLE_DRAWS, seed), check_stage_oracle),
+        ((8,), partial(ber_ordering_test, p["ber_frames"], p["ber_snr_db"], seed, workers), check_ber_ordering),
+        ((9,), lambda: (dmt_estimates(p["dmt_trials"], seed, workers), fits()["maxmin"].slope),
+         lambda dmt: check_dmt(*dmt)),
+        ((10,), partial(lemma_fits, p["lemma_trials"], seed, workers), check_lemmas),
+        ((11,), partial(reproducibility_runs, seed), check_reproducibility),
+    ]
+
+
+def run_verification(scale: str = "quick", seed: int = 0, workers: int = 1) -> list[CheckOutcome]:
+    """Measure, time and judge every row of :func:`verification_rows`,
+    which checks the arguments.
+
+    Rows come back in the table's order, each with its ``seconds`` (the
+    wall time of its measurement and verdict) and the acceptance
+    ``criteria`` it is evidence for.
+    """
+    rows = verification_rows(scale, seed, workers)
     # the rows load scipy lazily; loading it here keeps the import out of
     # the first row's seconds
     from scipy import integrate, special, stats  # noqa: F401
 
-    def row(criteria, verdict, measure, *args):
+    out: list[CheckOutcome] = []
+    for criteria, measure, verdict in rows:
         t0 = time.perf_counter()
-        value = measure(*args)
-        out.append(replace(verdict(value), seconds=time.perf_counter() - t0, criteria=criteria))
-        return value
-
-    for shape in EXPANSION_ANCHORS:
-        row((1,), partial(check_expansion_anchor, shape), quadrature_anchor_ratio, *shape)
-    quadrature = partial(analytic.quadrature_slope, QUADRATURE_SLOPE_GRID, 3, 3)  # (probabilities, slope)
-    _, unrestricted = row((2,), lambda q: check_quadrature_slope(q[1]), quadrature)
-    row((2,), lambda q: check_slope_gap(unrestricted, q[1]), quadrature, True)
-    row((3,), check_analytic_selftest, analytic_selftest)
-    for shape in MARGINAL_SHAPES:
-        row((4,), partial(check_marginals, shape), marginal_ks_pvalues, shape[1], MARGINAL_SAMPLES, seed)
-    row((5,), partial(check_independence, INDEPENDENCE_SHAPE), independence_suite, *INDEPENDENCE_SHAPE,
-        p["independence_trials"], seed, workers)
-    # the slope windows hold qr-greedy's first-layer exponent, so this row
-    # is evidence for criterion 7 as well
-    fits = row((6, 7), check_outage_slopes, outage_slope_fits, p["outage_trials"], seed, workers)
-    row((7,), check_stage_oracle, qr_df_stage_oracle, STAGE_ORACLE_DRAWS, seed)
-    row((8,), check_ber_ordering, ber_ordering_test, p["ber_frames"], p["ber_snr_db"], seed, workers)
-    row((9,), lambda dmt: check_dmt(dmt, fits["maxmin"].slope), dmt_estimates, p["dmt_trials"], seed, workers)
-    row((10,), check_lemmas, lemma_fits, p["lemma_trials"], seed, workers)
-    row((11,), check_reproducibility, reproducibility_runs, seed)
+        outcome = verdict(measure())
+        out.append(replace(outcome, seconds=time.perf_counter() - t0, criteria=criteria))
     return out

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from draws import rand_matrix
 from scipy import stats
 
 from antsel.channel import (
@@ -14,10 +15,6 @@ from antsel.channel import (
 )
 from antsel.analytic import chi2n_cdf, theta_cdf
 from antsel.selection import RULES, _rule_pass
-
-
-def rand_matrix(n_r, n_t, seed=0, stream=0):
-    return complex_gaussian(stream_generator(seed, stream), (n_r, n_t))
 
 
 class TestSampling:

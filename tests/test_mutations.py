@@ -1,10 +1,12 @@
 """Power: each row or self-test check fails on a named wrong program.
 
-Each test runs a row's measurement and verdict, or the identity
-self-test, once on the program as it stands and once with one mutation
-patched in, and requires a pass and then a fail.  The rows run at the
-quick scale on the acceptance seed with one worker, so the patch reaches
-every chunk; the reproducibility row runs its own worker counts.
+Each test runs rows of the verification table, or checks of the
+identity self-test (criterion 3's row), once on the program as it stands
+and once with one mutation patched in, and requires a pass and then a
+fail.  The rows are the table's own, from ``verify.verification_rows``
+at the quick scale on the acceptance seed with one worker, so the patch
+reaches every chunk and no measurement, scale or verdict is bound here;
+the reproducibility row runs its own worker counts.
 
 ``MUTATED_CRITERIA`` maps each gating acceptance criterion to the tests
 that mutate one of its rows, and the acceptance tests require it to name
@@ -23,7 +25,6 @@ from antsel import analytic, montecarlo, selection, verify
 from antsel import receivers as rx
 
 SEED = 20250809
-QUICK = verify._SCALES["quick"]
 
 
 def mutate_rule_pass(monkeypatch, mutation):
@@ -47,84 +48,55 @@ def mutate_tail_length(monkeypatch, extra_terms):
     monkeypatch.setattr(analytic, "_tail_sum_exact", lambda n_t, m: true_tail(n_t + extra_terms, m))
 
 
-def anchor_rows():
-    return [verify.check_expansion_anchor(shape, verify.quadrature_anchor_ratio(*shape))
-            for shape in verify.EXPANSION_ANCHORS]
-
-
-def quadrature_rows():
-    """The two rows of criterion 2: the (3,3) slope and the slope gap."""
-    _, unrestricted = analytic.quadrature_slope(verify.QUADRATURE_SLOPE_GRID, 3, 3)
-    _, restricted = analytic.quadrature_slope(verify.QUADRATURE_SLOPE_GRID, 3, 3, restricted=True)
-    return verify.check_quadrature_slope(unrestricted), verify.check_slope_gap(unrestricted, restricted)
-
-
-def marginal_rows():
-    return [verify.check_marginals(shape, verify.marginal_ks_pvalues(shape[1], verify.MARGINAL_SAMPLES, SEED))
-            for shape in verify.MARGINAL_SHAPES]
-
-
-def independence_row():
-    shape = verify.INDEPENDENCE_SHAPE
-    return verify.check_independence(shape, montecarlo.independence_suite(*shape, QUICK["independence_trials"], SEED))
-
-
-def outage_row():
-    """The fits of the (3,3,2) outage-slope row and its verdict."""
-    fits = verify.outage_slope_fits(QUICK["outage_trials"], SEED)
-    return fits, verify.check_outage_slopes(fits)
-
-
-def stage_row():
-    return verify.check_stage_oracle(verify.qr_df_stage_oracle(verify.STAGE_ORACLE_DRAWS, SEED))
-
-
-def ber_row():
-    """The measurement of the BER-ordering row and its verdict."""
-    ber = verify.ber_ordering_test(QUICK["ber_frames"], QUICK["ber_snr_db"], SEED)
-    return ber, verify.check_ber_ordering(ber)
-
-
-def lemma_row():
-    return verify.check_lemmas(verify.lemma_fits(QUICK["lemma_trials"], SEED))
-
-
-def reproducibility_row():
-    return verify.check_reproducibility(verify.reproducibility_runs(SEED))
+def rows(*criteria):
+    """``(value, outcome)`` of each quick-scale row of the table whose
+    criteria are ``criteria``, measured and judged from
+    ``verify.verification_rows`` on ``SEED`` with one worker."""
+    out = []
+    for tags, measure, verdict in verify.verification_rows("quick", SEED, 1):
+        if tags == criteria:
+            value = measure()
+            out.append((value, verdict(value)))
+    assert out, f"no row of the table has criteria {criteria}"
+    return out
 
 
 def selftest():
-    return {o.name: o.passed for o in verify.analytic_selftest()}
+    """Pass or fail of each check of criterion 3's row, by name."""
+    [(checks, _)] = rows(3)
+    return {check.name: check.passed for check in checks}
 
 
 @pytest.mark.parametrize("extra_terms", [1, -1])
 def test_wrong_tail_length_fails_both_anchors(monkeypatch, extra_terms):
     # criterion 1: the computed leading coefficient moves off the
     # quadrature and the literal anchors
-    assert all(row.passed for row in anchor_rows())
+    assert all(row.passed for _, row in rows(1))
     mutate_tail_length(monkeypatch, extra_terms)
-    assert not any(row.passed for row in anchor_rows())
+    assert not any(row.passed for _, row in rows(1))
 
 
 def test_diversity_order_one_high_fails_the_quadrature_slope(monkeypatch):
     # criterion 2: the quadrature's x^m prefactor reads m + 1, and the
     # (3,3) slope moves off 4 by about 1
-    assert quadrature_rows()[0].passed
+    (_, slope), _ = rows(2)
+    assert slope.passed
     true_m = analytic.AnalyticSpec.m
     monkeypatch.setattr(analytic.AnalyticSpec, "m", property(lambda spec: true_m.fget(spec) + 1))
-    assert not quadrature_rows()[0].passed
+    (_, slope), _ = rows(2)
+    assert not slope.passed
 
 
 def test_restricted_probability_times_x_fails_the_slope_gap(monkeypatch):
     # criterion 2: the restricted slope alone gains 1
-    assert all(row.passed for row in quadrature_rows())
+    assert all(row.passed for _, row in rows(2))
     true_quadrature = analytic.pr_outage_quadrature
 
     def mutated(x, n_t, n_r, restricted=False):
         return true_quadrature(x, n_t, n_r, restricted) * (x if restricted else 1.0)
 
     monkeypatch.setattr(analytic, "pr_outage_quadrature", mutated)
-    slope, gap = quadrature_rows()
+    (_, slope), (_, gap) = rows(2)
     assert slope.passed and not gap.passed
 
 
@@ -186,16 +158,16 @@ def test_wrong_recursion_divisor_fails_the_quadrature_check(monkeypatch):
 def test_angle_law_of_order_n_r_fails_the_marginals(monkeypatch):
     # criterion 4: the pair angle judged against the law of one more
     # receive antenna
-    assert all(row.passed for row in marginal_rows())
+    assert all(row.passed for _, row in rows(4))
     true_cdf = analytic.theta_cdf
     monkeypatch.setattr(analytic, "theta_cdf", lambda theta, n_r: true_cdf(theta, n_r + 1))
-    assert not any(row.passed for row in marginal_rows())
+    assert not any(row.passed for _, row in rows(4))
 
 
 def test_dependent_chain_heights_fail_the_independence_row(monkeypatch):
     # criterion 5: chain height (1,2) averaged with (0,1) in the pair
     # table the suite reads
-    assert independence_row().passed
+    assert all(row.passed for _, row in rows(5))
     true_table = montecarlo._pair_table
 
     def mutated(H):
@@ -206,7 +178,7 @@ def test_dependent_chain_heights_fail_the_independence_row(monkeypatch):
         return norms, fwd, bwd
 
     monkeypatch.setattr(montecarlo, "_pair_table", mutated)
-    row = independence_row()
+    [(_, row)] = rows(5)
     assert not row.passed
     assert "|corr| chain heights (0,1)x(1,2)" in row.detail
     assert "chain heights (0,1)x(1,2) product CDF" in row.detail
@@ -215,13 +187,13 @@ def test_dependent_chain_heights_fail_the_independence_row(monkeypatch):
 def test_random_scalar_as_maxmin_fails_the_outage_slopes(monkeypatch):
     # criteria 6 and 7: maxmin reads random's fit, out of its window and
     # no longer separated from random
-    assert outage_row()[1].passed
+    assert all(row.passed for _, row in rows(6, 7))
 
     def random_as_maxmin(rules, scalars):
         scalars[rules.index("maxmin")] = scalars[rules.index("random")]
 
     mutate_rule_pass(monkeypatch, random_as_maxmin)
-    fits, row = outage_row()
+    [(fits, row)] = rows(6, 7)
     assert fits["maxmin"] == fits["random"]
     assert not row.passed
 
@@ -229,48 +201,51 @@ def test_random_scalar_as_maxmin_fails_the_outage_slopes(monkeypatch):
 def test_reversed_stage_columns_fail_the_stage_oracle(monkeypatch):
     # criterion 7: the detectors' stage SNRs read the selected columns in
     # the wrong decode order
-    assert stage_row().passed
+    assert all(row.passed for _, row in rows(7))
     true_stage = rx._stage_snrs
     monkeypatch.setattr(rx, "_stage_snrs", lambda Heff, receiver, budget: true_stage(Heff[..., ::-1], receiver, budget))
-    assert not stage_row().passed
+    assert not any(row.passed for _, row in rows(7))
 
 
 def test_swapped_ber_rules_fail_the_ordering(monkeypatch):
     # criterion 8: qr-greedy detects with first-fixed's columns and the
     # other way round, which negates the z of the common draws
-    before, row = ber_row()
+    [(before, row)] = rows(8)
     assert row.passed
 
     def swap(rules, cols):
         cols[[0, 1]] = cols[[1, 0]]
 
     mutate_rule_pass(monkeypatch, swap)
-    after, row = ber_row()
+    [(after, row)] = rows(8)
     assert after["z"] == -before["z"]
     assert not row.passed
 
 
 def test_exponents_one_high_fail_the_harnesses(monkeypatch):
     # criterion 10: every harness draws its variables with exponents
-    # n_k + 1, against targets from n_k
-    assert lemma_row().passed
+    # n_k + 1, against targets from n_k; V's exponent min(n_a, n_b)
+    # moves from 1 to 2, so V fails on its own as well
+    assert all(row.passed for _, row in rows(10))
     true_chunk = montecarlo._lemma_chunk
 
     def mutated(lemma, exps, *args):
         return true_chunk(lemma, tuple(n + 1 for n in exps), *args)
 
     monkeypatch.setattr(montecarlo, "_lemma_chunk", mutated)
-    assert not lemma_row().passed
+    [(fits, row)] = rows(10)
+    assert not row.passed
+    assert not verify.check_lemmas({"V": fits["V"]}).passed
 
 
 def test_worker_dependent_chunk_streams_fail_reproducibility(monkeypatch):
     # criterion 11: with more than one worker, chunk i draws from stream
     # i + 1
-    assert reproducibility_row().passed
+    assert all(row.passed for _, row in rows(11))
     true_run = montecarlo._run_chunks
     monkeypatch.setattr(montecarlo, "_run_chunks",
                         lambda job, plan, workers: true_run(job, [(i + (workers > 1), n) for i, n in plan], workers))
-    row = reproducibility_row()
+    [(_, row)] = rows(11)
     assert not row.passed and row.detail == "curves diverged"
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from draws import rand_matrix
 
 from antsel.channel import (
     SingularMatrixError,
@@ -48,10 +49,6 @@ INVERSE_TOLERANCE = 8 * np.finfo(np.float64).eps
 #: products and partial sums once (the two met within 2.6 such units over
 #: 10^5 draws per shape, k = 2..6).
 PRODUCT_ULPS = 4
-
-
-def rand_matrix(n_r, n_t, seed=0, stream=0):
-    return complex_gaussian(stream_generator(seed, stream), (n_r, n_t))
 
 
 def orthonormal(n_r, L, seed=0):

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from draws import rand_matrix
 from pair_oracle import reference_pair_table
 from qr_oracle import reference_columns, reference_scalar
 
@@ -31,10 +32,6 @@ from antsel.selection import (
 BLOCK_CASES = [pytest.param(rule, (5, 4, 2), id=f"{rule}-5x4x2") for rule in RULES] + [
     pytest.param(rule, (5, 5, 3), id=f"{rule}-5x5x3") for rule in ("maxmin", "random", "qr-greedy")
 ]
-
-
-def rand_matrix(n_r, n_t, seed=0, stream=0):
-    return complex_gaussian(stream_generator(seed, stream), (n_r, n_t))
 
 
 def diag_columns(norms):

@@ -201,21 +201,33 @@ def test_lemma_four_gap():
 
 @pytest.mark.parametrize("which", [0, 1])
 def test_lemma_five_gap(which):
+    # both fits within the tolerance of the target 1 but apart by more than it
     tol = verify.LEMMA_TOLERANCES["V"]
-    slopes = [1.0, 1.0]
-    slopes[which] = 1.0 + tol + EPS
-    assert not lemmas("V", *slopes).passed
-    slopes[which] = 1.0 + tol - EPS
-    assert lemmas("V", *slopes).passed
+    for half_gap, holds in ((tol / 2 + EPS, False), (tol / 2 - EPS, True)):
+        slopes = [1.0 + half_gap] * 2
+        slopes[which] = 1.0 - half_gap
+        assert lemmas("V", *slopes).passed is holds
 
 
 @pytest.mark.parametrize("which", [0, 1])
 def test_lemma_five_ceiling(which):
-    # n_a = 2: either fit may reach n_a + tol, but no higher; the other fit
-    # sits half a tolerance below, inside the gap
+    # (n_a, n_b) = (2, 1): either fit may reach min(n_a, n_b) + tol, but no
+    # higher; the other fit sits half a tolerance below, inside the gap
     tol = verify.LEMMA_TOLERANCES["V"]
-    ceiling = 2 + tol
+    ceiling = 1 + tol
     for slope, holds in ((ceiling + EPS, False), (ceiling - EPS, True)):
         slopes = [ceiling - tol / 2] * 2
+        slopes[which] = slope
+        assert lemmas("V", *slopes).passed is holds
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_lemma_five_floor(which):
+    # either fit may reach min(n_a, n_b) - tol, but no lower; the other fit
+    # sits half a tolerance above, inside the gap
+    tol = verify.LEMMA_TOLERANCES["V"]
+    floor = 1 - tol
+    for slope, holds in ((floor - EPS, False), (floor + EPS, True)):
+        slopes = [floor + tol / 2] * 2
         slopes[which] = slope
         assert lemmas("V", *slopes).passed is holds
