@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from antsel import analytic, verify
 from antsel.analytic import (
     AnalyticSpec,
+    QuadratureError,
+    adaptive_quadrature,
     binomial_identity_check,
     chi2n_cdf,
     diversity_bounds,
@@ -219,6 +222,82 @@ class TestRandomPairOutage:
     def test_nan_threshold_is_named(self):
         with pytest.raises(ValueError, match="threshold must be finite and positive, got nan"):
             random_pair_outage(math.nan, 3)
+
+
+class TestAdaptiveQuadrature:
+    """The Gauss-Kronrod 7/15 routine against scipy's QUADPACK on every
+    integral the package evaluates, and its failure modes."""
+
+    @staticmethod
+    def recorded_integrals(monkeypatch, *calls):
+        """(integrand, a, b, limit, value) of every adaptive_quadrature
+        call that ``calls`` make, one entry per row of a batched call, with
+        the integrand of that row as a scalar function."""
+        seen = []
+
+        def recording(f, a, b=math.inf, limit=50):
+            out = adaptive_quadrature(f, a, b, limit)
+            lower = np.atleast_1d(a)
+            for i, (lo, value) in enumerate(zip(lower, np.atleast_1d(out))):
+                def row(w, f=f, i=i, n=lower.size):
+                    return float(f(np.full((n, 1), w))[i, 0])
+
+                seen.append((row, float(lo), b, limit, float(value)))
+            return out
+
+        monkeypatch.setattr(analytic, "adaptive_quadrature", recording)
+        for call in calls:
+            call()
+        return seen
+
+    def assert_match_quadpack(self, seen):
+        assert seen
+        for row, lo, b, limit, value in seen:
+            ref, _ = integrate.quad(row, lo, b, epsabs=0.0, epsrel=1e-13, limit=max(limit, 400))
+            assert value == pytest.approx(ref, rel=1e-12, abs=0.0), (lo, b)
+
+    @pytest.mark.parametrize("restricted", [False, True], ids=["unrestricted", "restricted"])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 3), (5, 4)], ids=lambda s: "x".join(map(str, s)))
+    def test_tail_integrals_match_quadpack(self, monkeypatch, shape, restricted):
+        xs = (*verify.QUADRATURE_SLOPE_GRID, 1e-3, 0.1, 1.0, 5.0)
+        self.assert_match_quadpack(self.recorded_integrals(
+            monkeypatch, *(lambda x=x: pr_outage_quadrature(x, *shape, restricted=restricted) for x in xs)))
+
+    @pytest.mark.parametrize("n_r", range(2, 6))
+    def test_random_pair_law_matches_quadpack(self, monkeypatch, n_r):
+        xs = (1e-12, 1e-6, 1e-3, *verify.OUTAGE_GRID, 1.0, 2.0, 5.0)
+        self.assert_match_quadpack(self.recorded_integrals(
+            monkeypatch, *(lambda x=x: random_pair_outage(x, n_r) for x in xs)))
+
+    def test_selftest_references_match_quadpack(self, monkeypatch):
+        # the angle density normalizations and the 39 integrals of m^-k e^-xm over [1, inf)
+        seen = self.recorded_integrals(monkeypatch, verify.analytic_selftest)
+        assert len(seen) == 5 + 39
+        self.assert_match_quadpack(seen)
+
+    def test_rule_is_exact_to_degree_23(self):
+        # 15 Kronrod nodes integrate polynomials of degree 3 * 7 + 2 exactly, and no higher
+        degree = np.arange(25)
+        values, _ = analytic._gauss_kronrod(lambda w: w ** degree[:, None], np.tile([-1.0, 1.0], (25, 1)))
+        gap = np.abs(values[:, 0] - (1 + (-1.0) ** degree) / (degree + 1))
+        assert gap[:24].max() < 1e-14
+        assert gap[24] > 1e-10
+
+    def test_batched_integrals_match_single_ones(self):
+        xs = np.array([0.1, 1.0, 5.0])
+        batch = adaptive_quadrature(lambda w: np.exp(-xs[:, None] * w), np.ones(3))
+        for x, value in zip(xs, batch):
+            assert value == pytest.approx(adaptive_quadrature(lambda w: np.exp(-x * w), 1.0), rel=1e-15)
+            assert value == pytest.approx(math.exp(-x) / x, rel=1e-13)
+
+    def test_divergent_integrand_raises(self):
+        with pytest.raises(QuadratureError, match="in 50 subintervals"):
+            adaptive_quadrature(lambda w: 1.0 / w, 1.0)
+
+    @pytest.mark.parametrize("b", [1.0, math.inf], ids=["finite", "infinite"])
+    def test_nan_integrand_raises(self, b):
+        with pytest.raises(QuadratureError, match="not finite"):
+            adaptive_quadrature(lambda w: np.where(w > 0.5, np.nan, 1.0), 0.0, b)
 
 
 class TestExpIntegral:

@@ -483,6 +483,26 @@ def test_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_analytic_path_loads_no_scipy_integrate(tmp_path):
+    # the quadrature is in-house: the self-test, the quadrature slope, random's
+    # exact curve and the quadrature command run without scipy.integrate
+    import antsel
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(antsel.__file__)))
+    out = tmp_path / "quad.json"
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "from antsel import analytic, cli, verify\n"
+            "assert all(o.passed for o in verify.analytic_selftest())\n"
+            "analytic.quadrature_slope([1e-3, 1e-2], 3, 3)\n"
+            "analytic.random_pair_outage(0.1, 3)\n"
+            "argv = ['analytic', 'quadrature', '--nt', '3', '--nr', '3', '--x-grid', '1e-3,1e-2']\n"
+            f"assert cli.main([*argv, '--out', {str(out)!r}]) == 0\n"
+            "print('scipy.integrate' in sys.modules, 'scipy.special' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False True"
+
+
 def test_verify_loads_scipy_before_the_first_timed_row():
     # the first row's measurement sees scipy loaded, so its seconds hold no import
     import antsel
