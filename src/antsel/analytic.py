@@ -28,7 +28,6 @@ Doncker-Kapenga, Ueberhuber and Kahaner, 1983), so the module needs
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 import sys
@@ -46,8 +45,10 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge to the requested tolerance."""
 
 
-#: Relative tolerance of :func:`adaptive_quadrature`.
+#: Relative tolerance of :func:`adaptive_quadrature`, and the number of
+#: subintervals in which each integral must meet it.
 QUADRATURE_EPSREL = 1e-13
+QUADRATURE_LIMIT = 400
 
 # QUADPACK's qk15: the Kronrod nodes in [0, 1) of the rule on [-1, 1],
 # whose even-indexed ones are the 7-point Gauss nodes, with the Kronrod and
@@ -87,7 +88,7 @@ def _gauss_kronrod(f, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return kronrod.reshape(half.shape) * half, err.reshape(half.shape) * half
 
 
-def adaptive_quadrature(f, a, b: float = math.inf, limit: int = 50):
+def adaptive_quadrature(f, a, b: float = math.inf):
     """integral_a^b f(w) dw to relative error QUADRATURE_EPSREL by adaptive
     Gauss-Kronrod 7/15 quadrature: QUADPACK's QAG, and for b = inf its QAGI
     map w = a + (1 - t)/t of t in (0, 1].
@@ -98,7 +99,7 @@ def adaptive_quadrature(f, a, b: float = math.inf, limit: int = 50):
     its own subintervals and running sums: each step bisects the one of
     largest error estimate and evaluates both halves, for all integrals in
     one call of f.  A value that is not finite, or an integral that misses
-    the tolerance in ``limit`` subintervals, raises
+    the tolerance in ``QUADRATURE_LIMIT`` subintervals, raises
     :class:`QuadratureError`.  The result is a float for a scalar ``a``,
     else an array.
     """
@@ -126,9 +127,9 @@ def adaptive_quadrature(f, a, b: float = math.inf, limit: int = 50):
         values, errors = (v.tolist() for v in _gauss_kronrod(g, np.array(edges)))
         for i in open_:
             heap = heaps[i]
-            if len(heap) + 1 >= limit:
+            if len(heap) + 1 >= QUADRATURE_LIMIT:
                 raise QuadratureError(f"quadrature from {lower[i, 0]} to {b} reached relative error "
-                                      f"{error[i] / abs(total[i]):.3e} in {limit} subintervals")
+                                      f"{error[i] / abs(total[i]):.3e} in {QUADRATURE_LIMIT} subintervals")
             neg_err, lo, hi, value = worst[i]
             mid = edges[i][1]
             (v_lo, v_hi), (e_lo, e_hi) = values[i], errors[i]
@@ -331,14 +332,40 @@ def outage_coefficient(n_t: int, n_r: int) -> ExpansionCoefficients:
     )
 
 
-def _tail_integral(y: float, m: int, law) -> float:
-    """integral_y^inf law(w) w^{-(m+1)} dw."""
-    return adaptive_quadrature(lambda w: law(w) * w ** (-(m + 1)), y, limit=400)
+def _outage_tail(x, shape: int, m: int, prefactor: float, scale: float = 1.0, law=lambda f: f):
+    """min(1, prefactor * y^m * integral_y^inf law(F(w)) w^{-(m+1)} dw) at
+    y = x / scale, F the Gamma(shape, 1) CDF, for one threshold ``x`` or a
+    1-D array of them: a float for a scalar, else an array.
+
+    A threshold where F(y) is 1.0 in double precision reads 1.0, since
+    law(1) = 1 makes the integral exactly y^-m / m; one where
+    prefactor * y^m underflows to 0.0 reads 0.0, since law(F) <= 2 F and
+    F(w) <= w^shape / shape! with shape > m bound the integral by 2 + 1/m.
+    The other tails run through one :func:`adaptive_quadrature` call.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float)).tolist()
+    for v in xs:
+        if not 0 < v < math.inf:
+            raise ValueError(f"threshold must be finite and positive, got {v}")
+    from scipy import special
+
+    ys = [v / scale for v in xs]
+    saturated = (special.gammainc(shape, ys) == 1.0).tolist()
+    out = [1.0 if full else 0.0 for full in saturated]
+    heads = [0.0 if full else prefactor * y ** m for y, full in zip(ys, saturated)]
+    rows = [i for i, head in enumerate(heads) if head != 0.0]
+    if rows:
+        tails = adaptive_quadrature(lambda w: law(special.gammainc(shape, w)) * w ** (-(m + 1)),
+                                    np.array([ys[i] for i in rows])).tolist()
+        for i, tail in zip(rows, tails):
+            out[i] = min(1.0, heads[i] * tail)
+    return out[0] if np.ndim(x) == 0 else np.array(out)
 
 
-def pr_outage_quadrature(x: float, n_t: int, n_r: int, restricted: bool = False) -> float:
+def pr_outage_quadrature(x, n_t: int, n_r: int, restricted: bool = False):
     """Outage probability of the bounding variable z * sin^2(theta_0) at
-    threshold ``x``, by adaptive quadrature.
+    threshold ``x``, a float, or at each threshold of a 1-D array ``x``,
+    an array, by adaptive quadrature.
 
     ``z`` is Gamma((n_t - 1) n_r, 1) distributed and theta_0 is the
     largest of the n_t - 1 reference angles.  With ``restricted`` the
@@ -347,35 +374,24 @@ def pr_outage_quadrature(x: float, n_t: int, n_r: int, restricted: bool = False)
 
     The integral over the angle variable is transformed to
     m * x^m * integral_x^inf F_z(w) w^{-(m+1)} dw, which keeps full
-    relative precision for arbitrarily small thresholds.  The tail
-    integral is :func:`adaptive_quadrature` to relative error 1e-13 in at
-    most 400 subintervals; one that misses it raises
+    relative precision down to thresholds where m * x^m underflows; there
+    the probability reads 0.0.  The tail integral is
+    :func:`adaptive_quadrature`; one that misses its tolerance raises
     :class:`QuadratureError`.  Once F_z is 1.0 in double precision at the
-    lower limit, the integral is exactly x^-m / m and the probability 1.0.
+    lower limit, the probability is 1.0.
     """
-    if not 0 < x < math.inf:
-        raise ValueError(f"threshold must be finite and positive, got {x}")
-    from scipy import special
-
     spec = AnalyticSpec(n_t, n_r, 2)
     m = spec.m
-    n = (n_t - 1) * n_r
-    if restricted:
-        a0 = math.sin(spec.psi0) ** 2
-        norm_c = theta_cdf(spec.psi0, n_r)  # closed form of the angle-pdf integral over (0, psi0)
-        prefactor = m * a0 ** m / norm_c ** (n_t - 1)
-        y = x / a0
-    else:
-        prefactor = m
-        y = x
-    if special.gammainc(n, y) == 1.0:
-        return 1.0
-    value = prefactor * y ** m * _tail_integral(y, m, functools.partial(special.gammainc, n))
-    return min(1.0, value)
+    if not restricted:
+        return _outage_tail(x, (n_t - 1) * n_r, m, m)
+    a0 = math.sin(spec.psi0) ** 2
+    norm_c = theta_cdf(spec.psi0, n_r)  # closed form of the angle-pdf integral over (0, psi0)
+    return _outage_tail(x, (n_t - 1) * n_r, m, m * a0 ** m / norm_c ** (n_t - 1), scale=a0)
 
 
-def random_pair_outage(x: float, n_r: int) -> float:
-    """Exact outage probability P(s <= x) of random selection at L = 2.
+def random_pair_outage(x, n_r: int):
+    """Exact outage probability P(s <= x) of random selection at L = 2,
+    a float for one threshold ``x`` or an array for a 1-D array of them.
 
     The uniform pair's two columns are iid CN(0, I_{n_r}) for any n_t, so
     its scalar, the smaller of its two heights, is min(a, b) u: a and b
@@ -387,31 +403,20 @@ def random_pair_outage(x: float, n_r: int) -> float:
     m x^m integral_x^inf F(w) (2 - F(w)) w^{-(m+1)} dw with m = n_r - 1,
     the small-x exponent, which keeps full relative precision at depth.
     """
-    if not 0 < x < math.inf:
-        raise ValueError(f"threshold must be finite and positive, got {x}")
     m = _angle_order(n_r)
-    from scipy import special
-
-    if special.gammainc(n_r, x) == 1.0:
-        return 1.0
-
-    def law(w):
-        f = special.gammainc(n_r, w)
-        return f * (2.0 - f)
-
-    return min(1.0, m * x ** m * _tail_integral(x, m, law))
+    return _outage_tail(x, n_r, m, m, law=lambda f: f * (2.0 - f))
 
 
 def quadrature_slope(xs, n_t: int, n_r: int, restricted: bool = False) -> tuple[list[float], float]:
-    """:func:`pr_outage_quadrature` at each threshold of ``xs``, and the
-    unweighted least-squares slope of log P against log x.
+    """:func:`pr_outage_quadrature` at the thresholds ``xs``, in one call,
+    and the unweighted least-squares slope of log P against log x.
 
     A probability below the smallest normal float has no accurate
     logarithm to fit: the first such point raises ``ValueError`` naming
     its threshold.
     """
     xs = [float(x) for x in xs]
-    probabilities = [pr_outage_quadrature(x, n_t, n_r, restricted=restricted) for x in xs]
+    probabilities = pr_outage_quadrature(np.array(xs), n_t, n_r, restricted=restricted).tolist()
     for x, p in zip(xs, probabilities):
         if not p >= sys.float_info.min:
             raise ValueError(f"quadrature probability at x = {x!r} is {p!r}, below the smallest normal float; "

@@ -63,6 +63,15 @@ def test_nan_argument_raises(law, arg):
         law(arg, 3)
 
 
+@pytest.mark.parametrize("law,message", [(chi2n_cdf, "degrees parameter must be positive, got 0"),
+                                         (theta0_pdf, "order parameter must be positive, got 0"),
+                                         (theta0_cdf, "order parameter must be positive, got 0")],
+                         ids=["chi2n_cdf", "theta0_pdf", "theta0_cdf"])
+def test_order_zero_raises(law, message):
+    with pytest.raises(ValueError, match=message):
+        law(0.5, 0)
+
+
 class TestChi2nCdf:
     def test_zero(self):
         assert chi2n_cdf(0.0, 3) == 0.0
@@ -191,6 +200,36 @@ class TestOutageQuadrature:
         for x in (1e6, 1e80):
             assert pr_outage_quadrature(x, 3, 3, restricted=restricted) == 1.0
 
+    @pytest.mark.parametrize("restricted", [False, True], ids=["unrestricted", "restricted"])
+    def test_an_array_of_thresholds_reads_as_one_call_per_threshold(self, restricted):
+        xs = np.array([*verify.QUADRATURE_SLOPE_GRID, 1e-3, 0.1, 1.0, 5.0, 1e6])
+        batch = pr_outage_quadrature(xs, 3, 3, restricted=restricted)
+        assert isinstance(batch, np.ndarray) and batch.shape == xs.shape
+        assert batch.tolist() == [pr_outage_quadrature(x, 3, 3, restricted=restricted) for x in xs.tolist()]
+        assert type(pr_outage_quadrature(0.1, 3, 3, restricted=restricted)) is float
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("restricted", [False, True], ids=["unrestricted", "restricted"])
+    def test_an_underflowed_probability_reads_zero(self, restricted):
+        # m = 110 and 121: the prefactor times x^m is 0.0 in double
+        # precision, while the tail's integrand w^-(m+1) overflows; no
+        # warning, no QuadratureError
+        for shape in ((12, 11), (12, 12)):
+            assert pr_outage_quadrature(np.array([1e-12, 1e-8, 1e-6]), *shape, restricted=restricted).tolist() \
+                == [0.0] * 3
+            assert pr_outage_quadrature(1e-6, *shape, restricted=restricted) == 0.0
+
+    def test_the_slope_integrates_its_grid_in_one_call(self, monkeypatch):
+        calls = []
+
+        def counting(f, a, b=math.inf):
+            calls.append(np.size(a))
+            return adaptive_quadrature(f, a, b)
+
+        monkeypatch.setattr(analytic, "adaptive_quadrature", counting)
+        analytic.quadrature_slope(verify.QUADRATURE_SLOPE_GRID, 3, 3)
+        assert calls == [len(verify.QUADRATURE_SLOPE_GRID)]
+
 
 class TestRandomPairOutage:
     """Random selection's exact L = 2 curve: min(a, b) u with a, b iid
@@ -223,6 +262,13 @@ class TestRandomPairOutage:
         with pytest.raises(ValueError, match="threshold must be finite and positive, got nan"):
             random_pair_outage(math.nan, 3)
 
+    @pytest.mark.filterwarnings("error")
+    def test_arrays_and_underflow(self):
+        xs = [1e-300, 1e-12, 0.1, 5.0, 1e6]
+        batch = random_pair_outage(np.array(xs), 5)
+        assert batch.tolist() == [random_pair_outage(x, 5) for x in xs]
+        assert batch[0] == 0.0 and batch[-1] == 1.0
+
 
 class TestAdaptiveQuadrature:
     """The Gauss-Kronrod 7/15 routine against scipy's QUADPACK on every
@@ -230,19 +276,19 @@ class TestAdaptiveQuadrature:
 
     @staticmethod
     def recorded_integrals(monkeypatch, *calls):
-        """(integrand, a, b, limit, value) of every adaptive_quadrature
+        """(integrand, a, b, value) of every adaptive_quadrature
         call that ``calls`` make, one entry per row of a batched call, with
         the integrand of that row as a scalar function."""
         seen = []
 
-        def recording(f, a, b=math.inf, limit=50):
-            out = adaptive_quadrature(f, a, b, limit)
+        def recording(f, a, b=math.inf):
+            out = adaptive_quadrature(f, a, b)
             lower = np.atleast_1d(a)
             for i, (lo, value) in enumerate(zip(lower, np.atleast_1d(out))):
                 def row(w, f=f, i=i, n=lower.size):
                     return float(f(np.full((n, 1), w))[i, 0])
 
-                seen.append((row, float(lo), b, limit, float(value)))
+                seen.append((row, float(lo), b, float(value)))
             return out
 
         monkeypatch.setattr(analytic, "adaptive_quadrature", recording)
@@ -252,8 +298,8 @@ class TestAdaptiveQuadrature:
 
     def assert_match_quadpack(self, seen):
         assert seen
-        for row, lo, b, limit, value in seen:
-            ref, _ = integrate.quad(row, lo, b, epsabs=0.0, epsrel=1e-13, limit=max(limit, 400))
+        for row, lo, b, value in seen:
+            ref, _ = integrate.quad(row, lo, b, epsabs=0.0, epsrel=1e-13, limit=analytic.QUADRATURE_LIMIT)
             assert value == pytest.approx(ref, rel=1e-12, abs=0.0), (lo, b)
 
     @pytest.mark.parametrize("restricted", [False, True], ids=["unrestricted", "restricted"])
@@ -291,13 +337,19 @@ class TestAdaptiveQuadrature:
             assert value == pytest.approx(math.exp(-x) / x, rel=1e-13)
 
     def test_divergent_integrand_raises(self):
-        with pytest.raises(QuadratureError, match="in 50 subintervals"):
+        with pytest.raises(QuadratureError, match=f"in {analytic.QUADRATURE_LIMIT} subintervals"):
             adaptive_quadrature(lambda w: 1.0 / w, 1.0)
 
     @pytest.mark.parametrize("b", [1.0, math.inf], ids=["finite", "infinite"])
     def test_nan_integrand_raises(self, b):
         with pytest.raises(QuadratureError, match="not finite"):
             adaptive_quadrature(lambda w: np.where(w > 0.5, np.nan, 1.0), 0.0, b)
+
+    def test_nan_at_a_bisection_node_raises(self):
+        # finite on the first 15 nodes, whose smallest is 0.0043; the
+        # bisections toward the sqrt's kink at 0 reach below 1e-3
+        with pytest.raises(QuadratureError, match="from 0.0 to 1.0 met a value that is not finite"):
+            adaptive_quadrature(lambda w: np.where(w < 1e-3, np.nan, np.sqrt(np.abs(w))), 0.0, 1.0)
 
 
 class TestExpIntegral:
@@ -341,6 +393,10 @@ class TestSeriesPartial:
         vals = [series_partial(4, k) for k in (1, 5, 20, 100, 1000)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert vals[-1] <= 1.0 / (4 * math.factorial(5))
+
+    def test_order_zero_raises(self):
+        with pytest.raises(ValueError, match="need m >= 1 and k_max >= 1, got m=0"):
+            series_partial(0, 5)
 
 
 class TestBinomialIdentity:
@@ -390,9 +446,15 @@ class TestDiversityBoundsAndDmt:
         with pytest.raises(ValueError):
             dmt_curve(4, 4, 3, 0.0, bound="exact-l2")
 
+    def test_unknown_bound(self):
+        with pytest.raises(ValueError, match="unknown bound 'x'"):
+            dmt_curve(3, 3, 2, 0.5, bound="x")
+
     def test_spec_derived_constants(self):
         spec = AnalyticSpec(3, 3, 2)
         assert (spec.m, spec.m_lower, spec.m_upper) == (4, 4, 4)
         assert spec.psi0 == pytest.approx(math.pi / 4)
         with pytest.raises(ValueError):
             AnalyticSpec(2, 3, 3)
+        with pytest.raises(ValueError, match="psi0 requires n_t >= 2"):
+            AnalyticSpec(1, 1, 1).psi0

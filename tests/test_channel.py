@@ -6,6 +6,7 @@ from scipy import stats
 from antsel.channel import (
     ChannelSample,
     SingularMatrixError,
+    as_channel_matrix,
     complex_gaussian,
     gram_inverse_diag,
     projection_height_sq,
@@ -44,6 +45,11 @@ class TestSampling:
             sample_channel(0, 2, 1, 0)
         with pytest.raises(ValueError):
             sample_channel(2, 0, 1, 0)
+
+    @pytest.mark.parametrize("shape", [(3,), (0, 2), (2, 0)], ids=["1-D", "no-rows", "no-columns"])
+    def test_channel_matrix_must_be_2d_and_non_empty(self, shape):
+        with pytest.raises(ValueError, match="channel matrix must be 2-D and non-empty"):
+            as_channel_matrix(np.ones(shape))
 
     def test_unit_second_moment(self):
         # 1e5 entries across independent draws; |h|^2 has unit mean

@@ -264,6 +264,17 @@ class TestAnalyticCommand:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_quadrature_that_underflows_at_a_shallow_point_exits_two(self, tmp_path, capsys):
+        # at (12, 12), m = 121 and 121 x^121 is 0.0 at x = 1e-4, where the
+        # tail's integrand overflows: a probability of 0.0, not a failure
+        out = tmp_path / "quad.json"
+        assert main(["analytic", "quadrature", "--nt", "12", "--nr", "12", "--x-grid", "1e-4,1e-3,1e-2",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "quadrature probability at x = 0.0001 is 0.0, below the smallest normal float" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_quadrature_past_saturation(self, capsys):
         # the Gamma law is 1.0 in double precision at both points, so both
         # probabilities are exactly 1

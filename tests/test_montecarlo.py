@@ -178,9 +178,20 @@ class TestConfigValidation:
     def test_largest_seed(self):
         assert estimate_outage(outage_config("maxmin", trials=10, seed=2 ** 64 - 1)).trials[0] == 10
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("ordering", "diagonal", "unknown ordering 'diagonal'"),
+        ("chunk_size", 0, "chunk_size must be positive, got 0"),
+        ("frame_symbols", 0, "frame_symbols must be positive, got 0"),
+    ], ids=["ordering", "chunk-size", "frame-symbols"])
+    def test_field_out_of_range(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            outage_config("maxmin", **{field: value})
+
     def test_curve_invariants(self):
         with pytest.raises(ValueError):
             EmpiricalCurve((0.1,), (5,), (3,))
+        with pytest.raises(ValueError, match="abscissa, hits and trials must have equal length"):
+            EmpiricalCurve((0.1, 0.2), (1,), (3,))
 
     def test_curve_without_trials_is_named(self):
         # p_hat would divide 0 by 0
@@ -911,6 +922,9 @@ class TestLemmaHarness:
             lemma_harness("VII", (1,), 100)
         with pytest.raises(ValueError):
             lemma_harness("III", (0,), 100)
+        for parameters in ((2.5, 1), (2, 1, 1)):
+            with pytest.raises(ValueError, match="lemma V takes"):
+                lemma_harness("V", parameters, 100)
 
     def test_no_trials(self):
         with pytest.raises(ValueError, match="trial count must be at least 1, got 0"):

@@ -100,6 +100,10 @@ class TestBudgetAndConstellation:
         symbols = qpsk_modulate(np.array([[0, 0], [0, 1], [1, 0], [1, 1]]))
         np.testing.assert_allclose(qpsk_slice(symbols + 0.1 - 0.05j), symbols)
 
+    def test_modulation_needs_bit_pairs(self):
+        with pytest.raises(ValueError, match=r"expected trailing axis of 2 bits, got shape \(4, 3\)"):
+            qpsk_modulate(np.zeros((4, 3), dtype=int))
+
 
 class TestPostSnr:
     def test_zf_orthonormal(self):
@@ -186,6 +190,13 @@ class TestLinearDetection:
         H = rand_matrix(3, 2)
         with pytest.raises(ValueError):
             detect_linear(H, np.zeros((4, 8), dtype=complex), LinkBudget(1.0, 2))
+
+    def test_unknown_equalizer_and_front_end(self):
+        H, y, budget = rand_matrix(3, 2), np.zeros((3, 8), dtype=complex), LinkBudget(1.0, 2)
+        with pytest.raises(ValueError, match="unknown equalizer 'sphere'"):
+            detect_linear(H, y, budget, equalizer="sphere")
+        with pytest.raises(ValueError, match="unknown front end 'sphere'"):
+            detect_df(H, y, budget, (0, 1), front_end="sphere")
 
 
 class TestDecisionFeedback:

@@ -65,6 +65,8 @@ class TestEnumeration:
             AntennaSubset((1, 1))
         with pytest.raises(ValueError):
             AntennaSubset((2, 1))
+        with pytest.raises(ValueError, match="antenna subset cannot be empty"):
+            AntennaSubset(())
 
 
 class TestShortAxisArgmax:

@@ -11,10 +11,11 @@ with one ``error:`` line.  All the messages of a case must be equal.
 
 Receiver and feedback names reach the command line only through
 argparse's choices, which reject them before the package sees them, so
-those cases call the API alone.  The seed range is checked twice, with
-messages that name the argument (``ExperimentConfig``'s ``master_seed``
-and ``channel.stream_generator``'s ``seed``), so its case only requires
-the shared reason.
+those cases call the API alone; so do the threshold cases, whose values
+the command line's grid check rejects first.  The seed range is checked
+twice, with messages that name the argument (``ExperimentConfig``'s
+``master_seed`` and ``channel.stream_generator``'s ``seed``), so its
+case only requires the shared reason.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import contextlib
 import io
 import math
 
+import numpy as np
 import pytest
 
 from antsel.analytic import (
@@ -125,6 +127,16 @@ def _grid_entries(points, spec):
     }
 
 
+def _threshold_entries(x):
+    """Every entry point that takes an outage threshold of the closed forms."""
+    return {
+        "pr_outage_quadrature": lambda: pr_outage_quadrature(x, 3, 3),
+        "pr_outage_quadrature of an array": lambda: pr_outage_quadrature(np.array([0.1, x]), 3, 3),
+        "random_pair_outage": lambda: random_pair_outage(x, 3),
+        "quadrature_slope": lambda: quadrature_slope([0.1, x], 3, 3),
+    }
+
+
 def _trial_entries(count):
     """Every entry point that takes a trial count."""
     return {
@@ -197,6 +209,10 @@ CASES = {
     "(d) nan grid point": lambda: _grid_entries((0.1, math.nan), "0.1,nan"),
     "(d) infinite grid point": lambda: _grid_entries((0.1, math.inf), "0.1,inf"),
     "(d) empty grid": lambda: _grid_entries((), ","),
+    "threshold zero": lambda: _threshold_entries(0.0),
+    "negative threshold": lambda: _threshold_entries(-1.0),
+    "nan threshold": lambda: _threshold_entries(math.nan),
+    "infinite threshold": lambda: _threshold_entries(math.inf),
     "(e) no trials": lambda: _trial_entries(0),
     "(e) negative trials": lambda: _trial_entries(-5),
     "(f) unknown receiver": lambda: _mode_entries(receiver="sphere"),

@@ -24,6 +24,11 @@ def test_stage_oracle_needs_a_draw():
         verify.qr_df_stage_oracle(0, 1)
 
 
+def test_unknown_scale():
+    with pytest.raises(ValueError, match="unknown scale 'x'"):
+        verify.verification_rows(scale="x")
+
+
 @pytest.fixture(scope="module")
 def quick_table():
     return verify.run_verification("quick", SEED, 1)
