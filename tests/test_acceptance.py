@@ -7,12 +7,17 @@ exist and pass, so every measurement, window, tolerance, trial count and
 seed lives in ``antsel.verify`` alone; the worker count does not change
 any result (criterion 11).  Time bounds read the summed ``seconds`` of a
 criterion's rows.  Each test prints a one-line verdict so a verbose run
-reads as a checklist.  The last test requires a program mutation in
-``tests/test_mutations.py`` for every gating criterion but 9.
+reads as a checklist.  The last tests require a program mutation in
+``tests/test_mutations.py`` for every gating criterion but 9, and rows
+equal to their golden record (``tests/golden/verification_rows.json``)
+in every field but ``seconds``.
 """
+
+import json
 
 import pytest
 
+import golden_records as golden
 from antsel import verify
 from test_mutations import MUTATED_CRITERIA
 
@@ -97,3 +102,7 @@ def test_every_gating_criterion_but_9_has_a_program_mutation(table):
     # (see tests/test_mutations.py)
     gating = set().union(*(o.criteria for o in table if o.gating))
     assert set(MUTATED_CRITERIA) == gating - {9}
+
+
+def test_rows_equal_their_golden_record(table):
+    assert golden.table_rows(table) == json.loads(golden.read("verification_rows.json"))
