@@ -9,7 +9,6 @@ from .channel import (
     SingularMatrixError,
     gram_inverse_diag,
     projection_height_sq,
-    qr_factorize,
     sample_channel,
     stream_generator,
 )
@@ -20,11 +19,6 @@ from .selection import (
     SubsetMetrics,
     enumerate_subsets,
     select,
-    select_first_layer_fixed,
-    select_first_layer_ordered,
-    select_maxmin,
-    select_qr_greedy,
-    select_random,
     subset_metrics,
 )
 from .receivers import (
@@ -35,7 +29,6 @@ from .receivers import (
     StreamSnrReport,
     SymbolFrame,
     detect_df,
-    detect_linear,
     df_stage_snrs,
     mmse_post_snr,
     vblast_order,
@@ -47,7 +40,6 @@ from .analytic import (
     QuadratureError,
     binomial_identity_check,
     chi2n_cdf,
-    diversity_bounds,
     dmt_curve,
     exp_integral,
     outage_coefficient,
@@ -63,7 +55,6 @@ from .montecarlo import (
     FitError,
     SlopeFit,
     estimate_ber,
-    estimate_dmt,
     estimate_outage,
     fit_slope,
     independence_suite,

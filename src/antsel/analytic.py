@@ -470,12 +470,6 @@ def binomial_identity_check(m: int, k: int) -> bool:
     return lhs == rhs
 
 
-def diversity_bounds(n_t: int, n_r: int, L: int) -> tuple[int, int]:
-    """Lower and upper bounds on the achievable selection diversity order."""
-    spec = AnalyticSpec(n_t, n_r, L)
-    return spec.m_lower, spec.m_upper
-
-
 def dmt_curve(n_t: int, n_r: int, L: int, r: float, bound: str = "exact-l2") -> float:
     """Diversity-multiplexing curve d(r) = m* (1 - r/L)^+.
 

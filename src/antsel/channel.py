@@ -177,17 +177,3 @@ def gram_inverse_diag(H_s) -> np.ndarray:
     require_full_column_rank(H_s)
     gram = H_s.conj().T @ H_s
     return np.real(np.diagonal(np.linalg.inv(gram))).copy()
-
-
-def qr_factorize(H_s) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR factorization with real non-negative diagonal of R."""
-    H_s = as_channel_matrix(H_s)
-    require_full_column_rank(H_s)
-    q, r = np.linalg.qr(H_s)
-    d = np.diagonal(r).copy()
-    phase = np.where(np.abs(d) > 0, d / np.abs(d), 1.0)
-    q = q * phase[None, :]
-    r = np.conj(phase)[:, None] * r
-    idx = np.arange(r.shape[0])
-    r[idx, idx] = np.abs(d)
-    return q, r

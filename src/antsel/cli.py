@@ -340,14 +340,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; a missing directory of its ``--out`` path is a
-    usage error, raised before the command does any work."""
+    """Run one command; an ``--out`` path whose directory is missing, or
+    that names a directory, is a usage error, raised before the command
+    does any work."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        out_dir = os.path.dirname(getattr(args, "out", None) or "") or "."
+        out = getattr(args, "out", None) or ""
+        out_dir = os.path.dirname(out) or "."
         if not os.path.isdir(out_dir):
             raise UsageError(f"output directory {out_dir!r} does not exist")
+        if os.path.isdir(out):
+            raise UsageError(f"output path {out!r} is a directory")
         return args.func(args)
     except (UsageError, ValueError) as exc:  # invalid parameter combinations are usage problems too
         print(f"error: {exc}", file=sys.stderr)

@@ -175,14 +175,17 @@ def fit_slope(curve: EmpiricalCurve, min_hits: int = 10, p_max: float = 0.2) -> 
     """Weighted least-squares log-log slope of an empirical curve over its
     usable range.
 
-    Only points with at least ``min_hits`` (>= 1) events and probability at most
-    ``p_max`` enter the fit: small enough to probe the asymptote, large
-    enough for meaningful counts; a usable point whose abscissa is not
-    finite and positive raises ``FitError``.  Weights are the inverse
-    delta-method variances of log p_hat, hits / (1 - p_hat).
+    Only points with at least ``min_hits`` (>= 1) events and probability
+    at most ``p_max`` (0 < p_max < 1) enter the fit: small enough to probe
+    the asymptote, large enough for meaningful counts; a usable point
+    whose abscissa is not finite and positive raises ``FitError``.
+    Weights are the inverse delta-method variances of log p_hat,
+    hits / (1 - p_hat).
     """
     if min_hits < 1:  # a zero-hit point has no logarithm
         raise ValueError(f"min_hits must be at least 1, got {min_hits}")
+    if not 0 < p_max < 1:  # a point at p_hat = 1 has an infinite weight
+        raise ValueError(f"p_max must lie in (0, 1), got {p_max}")
     x = np.asarray(curve.abscissa, dtype=float)
     hits = np.asarray(curve.hits, dtype=float)
     p = hits / np.asarray(curve.trials, dtype=float)
@@ -496,23 +499,15 @@ def estimate_ber(config: ExperimentConfig, workers: int = 1) -> EmpiricalCurve:
 # diversity-multiplexing estimation
 # ---------------------------------------------------------------------------
 
-def estimate_dmt(n_t: int, n_r: int, L: int, rule: str, r: float,
-                 rho_grid_db: Sequence[float], trials: int, master_seed: int = 0,
-                 workers: int = 1) -> SlopeFit:
-    """Empirical diversity order at multiplexing gain ``r``.
-
-    At each SNR rho the outage event is the rule scalar falling below
-    L * rho^-(1 - r/L); the returned slope is the fitted decay rate of
-    that probability against log rho (so it estimates d(r) directly, with
-    ``fit_range`` in linear rho).
-    """
-    return estimate_dmt_gains(n_t, n_r, L, rule, {r: rho_grid_db}, trials, master_seed, workers)[r]
-
-
 def estimate_dmt_gains(n_t: int, n_r: int, L: int, rule: str, grids: Mapping[float, Sequence[float]],
                        trials: int, master_seed: int = 0, workers: int = 1) -> dict[float, SlopeFit]:
-    """:func:`estimate_dmt` at every multiplexing gain r of ``grids``, which
-    maps r to its SNR grid in dB.
+    """Empirical diversity order at every multiplexing gain r of ``grids``,
+    which maps r to its SNR grid in dB.
+
+    At each SNR rho the outage event of gain r is the rule scalar falling
+    below L * rho^-(1 - r/L); each returned slope is the fitted decay
+    rate of that probability against log rho (so it estimates d(r)
+    directly, with ``fit_range`` in linear rho).
 
     One outage run counts the union of all the gains' thresholds, so each
     gain gets the hits a run of its own on ``master_seed`` would count.
@@ -601,8 +596,8 @@ def lemma_harness(lemma: str, parameters: Sequence[float], trials: int,
     """
     lemma = str(lemma).upper()
     exps = tuple(float(n) for n in parameters)
-    if not exps or any(n <= 0 for n in exps):
-        raise ValueError(f"exponents must be positive, got {parameters}")
+    if not exps or not all(0 < n < math.inf for n in exps):
+        raise ValueError(f"exponents must be finite and positive, got {parameters}")
     if lemma not in _LEMMA_GRIDS:
         raise ValueError(f"unknown lemma {lemma!r}; expected III, IV or V")
     if lemma == "V" and (len(exps) != 2 or exps[0] != int(exps[0])):

@@ -36,9 +36,8 @@ RECEIVERS = ("zf", "mmse", "df-zf", "df-mmse")
 FEEDBACK_MODES = ("actual", "genie")
 ORDERING_MODES = ("fixed", "vblast", "qr-reverse")
 
-_SQRT2 = math.sqrt(2.0)
 #: Rail amplitude of unit-energy QPSK.
-_RAIL = 1.0 / _SQRT2
+_RAIL = 1.0 / math.sqrt(2.0)
 
 
 def _check_modes(receiver: str, feedback: str) -> None:
@@ -90,13 +89,6 @@ class SymbolFrame:
     detected: np.ndarray
 
 
-def qfunc(x) -> np.ndarray | float:
-    """Gaussian tail probability Pr(N(0,1) > x)."""
-    from scipy import special
-
-    return 0.5 * special.erfc(np.asarray(x) / _SQRT2)
-
-
 def _qpsk_points(positive: np.ndarray) -> np.ndarray:
     """QPSK points from a (..., 2) mask of positive (in-phase, quadrature)
     rails, written as the float pairs of a complex array.  Both rails are
@@ -135,11 +127,6 @@ def count_bit_errors(symbols: np.ndarray, bits: np.ndarray) -> int:
     ``symbols`` gets wrong, counted without forming the demodulated
     integer array."""
     return int(np.count_nonzero((_rails(symbols) < 0) != bits))
-
-
-def qpsk_bit_error_rate(snr) -> np.ndarray | float:
-    """Exact AWGN bit error rate of Gray QPSK at per-symbol SNR ``snr``."""
-    return qfunc(np.sqrt(np.asarray(snr, dtype=float)))
 
 
 def _frame(H_s, budget: LinkBudget, receiver: str, decode_order=None) -> tuple[np.ndarray, list[int]]:
@@ -454,16 +441,6 @@ def _detect_frame(H_s, block, budget: LinkBudget, receiver: str, decode_order=No
     detected = np.empty_like(x)
     detected[order] = qpsk_slice(est[0])
     return detected
-
-
-def detect_linear(H_s, received: np.ndarray, budget: LinkBudget, equalizer: str = "zf") -> np.ndarray:
-    """Equalize and slice each stream independently.
-
-    Returns the L x T block of detected QPSK symbols.
-    """
-    if equalizer not in ("zf", "mmse"):
-        raise ValueError(f"unknown equalizer {equalizer!r}")
-    return _detect_frame(H_s, received, budget, equalizer)
 
 
 def detect_df(

@@ -11,9 +11,9 @@ reduces the table either to the scalar the outage experiment thresholds
 or, when the caller asks for columns, to the rule's columns, first
 decoded first; random's columns are the subsets it draws and read no
 table.
-:func:`select_block` is its one-rule column call.  The per-draw rules are
-batch-of-one calls of :func:`select_block` returning a
-:class:`SelectionOutcome`, whose heights come from the QR route of
+:func:`select_block` is its one-rule column call.  The per-draw call,
+:func:`select`, is a batch-of-one call of :func:`select_block` returning
+a :class:`SelectionOutcome`, whose heights come from the QR route of
 :func:`subset_metrics`.  Whether rules and an (n_t, n_r, L) shape are
 valid is decided once, by :func:`check_selection`.
 
@@ -597,56 +597,28 @@ def select(rule: str, H, L: int, rng: np.random.Generator | None = None) -> Sele
 
     One batch-of-one call of :func:`select_block`, which checks the rule
     and the shape; ``rng`` is required for "random", which draws one
-    subset rank from it.  first-fixed and first-ordered are defined for
-    L = 2 only.
+    subset rank from it.  The rules:
+
+    - "maxmin": the subset whose weakest stream (smallest height) is
+      largest, the outage-optimal rule for linear receivers; decoded in
+      subset order, for which callers may substitute an ordered one from
+      the receivers module.
+    - "first-fixed" (L = 2 only): the first decoded layer maximized under
+      fixed order; decoding starts from the smaller-index stream of the
+      pair, so the rule maximizes the height of column k against column j
+      over pairs k < j.
+    - "first-ordered" (L = 2 only): the first decoded layer maximized over
+      both orders; both heights of each pair are candidates, and the
+      stream achieving the maximum is decoded first.
+    - "qr-greedy": incremental selection of the column with the largest
+      projection height onto the complement of the already-selected span,
+      so step one picks the largest-norm column.  Detection runs in
+      reverse selection order: the last-selected antenna's stream is
+      decoded first.
+    - "random": a uniformly random subset, the no-selection baseline.
     """
     H = as_channel_matrix(H)
     cols = tuple(int(c) for c in select_block(rule, H[None], L, rng)[0])
     subset = AntennaSubset(tuple(sorted(cols)))
     decode_order = tuple(subset.indices.index(c) for c in cols)
     return SelectionOutcome(rule, subset, subset_metrics(H, subset), decode_order)
-
-
-def select_maxmin(H, L: int) -> SelectionOutcome:
-    """Pick the subset whose weakest stream (smallest height) is largest.
-
-    This is the outage-optimal rule for linear receivers; the decode
-    order defaults to the identity and callers may substitute an ordered
-    one from the receivers module.
-    """
-    return select("maxmin", H, L)
-
-
-def select_first_layer_fixed(H) -> SelectionOutcome:
-    """Two-stream rule maximizing the first decoded layer under fixed order.
-
-    Decoding always starts from the smaller-index stream of the pair, so
-    the rule maximizes the height of column k against column j over pairs
-    k < j.
-    """
-    return select("first-fixed", H, 2)
-
-
-def select_first_layer_ordered(H) -> SelectionOutcome:
-    """Two-stream rule maximizing the first decoded layer over both orders.
-
-    For each pair both heights are candidates; the stream achieving the
-    maximum is decoded first.
-    """
-    return select("first-ordered", H, 2)
-
-
-def select_qr_greedy(H, L: int) -> SelectionOutcome:
-    """Incremental selection of the column with the largest projection
-    height onto the complement of the already-selected span.
-
-    Step one therefore picks the largest-norm column.  Detection runs in
-    reverse selection order: the last-selected antenna's stream is
-    decoded first.
-    """
-    return select("qr-greedy", H, L)
-
-
-def select_random(H, L: int, rng: np.random.Generator) -> SelectionOutcome:
-    """Uniformly random subset; the no-selection baseline."""
-    return select("random", H, L, rng)

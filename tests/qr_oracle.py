@@ -6,7 +6,9 @@ Every height comes from ``channel.projection_height_sq`` (Householder QR
 of the span columns), so these loops share no arithmetic with the
 Gram-entry kernels.  Each rule walks its candidates in lexicographic
 order and keeps the first best one; first-ordered prefers, within a pair,
-the smaller column first, and across pairs the earlier pair.
+the smaller column first, and across pairs the earlier pair.  The DF
+stage oracle's loop selects through the package's per-draw ``select``
+and reads its reference off the triangular diagonal of ``np.linalg.qr``.
 """
 
 import itertools
@@ -14,8 +16,8 @@ import itertools
 import numpy as np
 
 from antsel import receivers as rx
-from antsel.channel import as_channel_matrix, projection_height_sq, qr_factorize, sample_channel
-from antsel.selection import AntennaSubset, select_qr_greedy, subset_metrics
+from antsel.channel import as_channel_matrix, projection_height_sq, sample_channel
+from antsel.selection import AntennaSubset, select, subset_metrics
 
 
 def height(H, k, span):
@@ -76,21 +78,22 @@ def reference_scalar(rule, H, cols):
 
 def reference_stage_oracle(draws, seed):
     """``verify.qr_df_stage_oracle`` one draw at a time through the per-draw
-    API: ``sample_channel``, ``select_qr_greedy``, ``qr_factorize`` and
-    ``df_stage_snrs``."""
+    API: ``sample_channel``, ``select("qr-greedy", ...)`` and
+    ``df_stage_snrs``, against ``np.linalg.qr`` of each draw's selected
+    columns."""
     n_t, n_r, L, rho0 = 3, 3, 2, 10.0
     budget = rx.LinkBudget(rho0=rho0, L=L)
     worst = 0.0
     first_pick_ok = True
     for d in range(draws):
         H = sample_channel(n_r, n_t, seed, d).matrix
-        outcome = select_qr_greedy(H, L)
+        outcome = select("qr-greedy", H, L)
         # selection order: reverse of the decode order over the sorted subset
         selection_cols = [outcome.subset.indices[p] for p in reversed(outcome.decode_order)]
         norms = np.real(np.einsum("rt,rt->t", H.conj(), H))
         first_pick_ok &= bool(norms[selection_cols[0]] == norms.max())
         H_sel = H[:, selection_cols]
-        _, r = qr_factorize(H_sel)
+        r = np.linalg.qr(H_sel, mode="r")
         diag_snrs = (rho0 / L) * np.abs(np.diagonal(r)) ** 2
         stage = rx.df_stage_snrs(H_sel, budget, tuple(range(L - 1, -1, -1)))
         rel = np.abs(np.asarray(stage) - diag_snrs[::-1]) / diag_snrs[::-1]

@@ -12,7 +12,6 @@ from antsel.analytic import (
     adaptive_quadrature,
     binomial_identity_check,
     chi2n_cdf,
-    diversity_bounds,
     dmt_curve,
     exp_integral,
     leading_coefficient_exact,
@@ -417,14 +416,16 @@ class TestBinomialIdentity:
 
 class TestDiversityBoundsAndDmt:
     def test_two_stream_exact(self):
-        assert diversity_bounds(3, 3, 2) == (4, 4)
+        spec = AnalyticSpec(3, 3, 2)
+        assert (spec.m_lower, spec.m_upper) == (4, 4)
 
     def test_general_l(self):
-        assert diversity_bounds(5, 3, 3) == (3, 6)
+        spec = AnalyticSpec(5, 3, 3)
+        assert (spec.m_lower, spec.m_upper) == (3, 6)
 
     def test_square_receive_side(self):
         # when n_r equals L the lower bound collapses to n_t - L + 1
-        assert diversity_bounds(6, 3, 3)[0] == 4
+        assert AnalyticSpec(6, 3, 3).m_lower == 4
 
     def test_dmt_points(self):
         assert dmt_curve(3, 3, 2, 0.0) == pytest.approx(4.0)

@@ -10,7 +10,6 @@ from antsel.channel import (
     complex_gaussian,
     gram_inverse_diag,
     projection_height_sq,
-    qr_factorize,
     sample_channel,
     stream_generator,
 )
@@ -216,29 +215,3 @@ class TestGramInverseDiag:
         H = np.array([[1.0, 2.0], [1.0, 2.0]], dtype=complex)
         with pytest.raises(SingularMatrixError):
             gram_inverse_diag(H)
-
-
-class TestQrFactorize:
-    def test_identity(self):
-        eye = np.eye(3, dtype=complex)
-        q, r = qr_factorize(eye)
-        np.testing.assert_allclose(q, eye, atol=1e-12)
-        np.testing.assert_allclose(r, eye, atol=1e-12)
-
-    def test_hand_second_diagonal(self):
-        H = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-        _, r = qr_factorize(H)
-        assert abs(r[1, 1]) ** 2 == pytest.approx(1.0, rel=1e-12)
-
-    def test_reconstruction_and_orthonormality(self):
-        H = rand_matrix(5, 3, seed=7)
-        q, r = qr_factorize(H)
-        np.testing.assert_allclose(q.conj().T @ q, np.eye(3), atol=1e-9)
-        assert np.linalg.norm(q @ r - H) / np.linalg.norm(H) < 1e-9
-        d = np.diagonal(r)
-        assert np.all(d.imag == 0.0) and np.all(d.real >= 0.0)
-
-    def test_rank_deficient_rejected(self):
-        H = np.array([[1.0, 3.0], [2.0, 6.0]], dtype=complex)
-        with pytest.raises(SingularMatrixError):
-            qr_factorize(H)

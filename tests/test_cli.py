@@ -353,36 +353,58 @@ def test_runtime_failure_exits_one(tmp_path, monkeypatch, capsys, engine):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("engine", ["estimate_outage", "estimate_ber"])
-def test_missing_output_directory_exits_two_before_the_run(tmp_path, monkeypatch, capsys, engine):
-    def never(*args, **kwargs):
-        raise AssertionError("the engine ran")
-
-    monkeypatch.setattr(f"antsel.cli.{engine}", never)
-    missing = tmp_path / "missing"
-    out = missing / "run.csv"
-    argv = outage_argv(out) if engine == "estimate_outage" else [
+def engine_argv(engine, out):
+    """A command that runs ``engine`` and writes to ``out``."""
+    return outage_argv(out) if engine == "estimate_outage" else [
         "ber", "--nt", "3", "--nr", "3", "--L", "2", "--rule", "maxmin", "--snr-db", "10",
         "--frames", "50", "--out", str(out)]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: output directory {str(missing)!r} does not exist\n"
-    assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("work,argv", [
+def never(*args, **kwargs):
+    raise AssertionError("the computation ran")
+
+
+ENGINES = ["estimate_outage", "estimate_ber"]
+#: The work each ``analytic`` report runs, and the report's arguments.
+REPORTS = pytest.mark.parametrize("work,argv", [
     ("antsel.analytic.outage_coefficient", ["coefficient", "--nt", "3", "--nr", "3"]),
     ("antsel.analytic.quadrature_slope", ["quadrature", "--nt", "3", "--nr", "3", "--x-grid", "0.1,0.2"]),
     ("antsel.analytic.dmt_curve", ["dmt", "--nt", "3", "--nr", "3", "--L", "2", "--r-grid", "0,1"]),
     ("antsel.verify.analytic_selftest", ["selftest"]),
 ], ids=["coefficient", "quadrature", "dmt", "selftest"])
-def test_missing_output_directory_exits_two_before_the_report(tmp_path, monkeypatch, capsys, work, argv):
-    def never(*args, **kwargs):
-        raise AssertionError("the report ran")
 
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_missing_output_directory_exits_two_before_the_run(tmp_path, monkeypatch, capsys, engine):
+    monkeypatch.setattr(f"antsel.cli.{engine}", never)
+    missing = tmp_path / "missing"
+    assert main(engine_argv(engine, missing / "run.csv")) == 2
+    assert capsys.readouterr().err == f"error: output directory {str(missing)!r} does not exist\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@REPORTS
+def test_missing_output_directory_exits_two_before_the_report(tmp_path, monkeypatch, capsys, work, argv):
     monkeypatch.setattr(work, never)
     missing = tmp_path / "missing"
     assert main(["analytic", *argv, "--out", str(missing / "report.json")]) == 2
     assert capsys.readouterr().err == f"error: output directory {str(missing)!r} does not exist\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_directory_as_output_path_exits_two_before_the_run(tmp_path, monkeypatch, capsys, engine):
+    monkeypatch.setattr(f"antsel.cli.{engine}", never)
+    assert main(engine_argv(engine, tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: output path {str(tmp_path)!r} is a directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@REPORTS
+def test_directory_as_output_path_exits_two_before_the_report(tmp_path, monkeypatch, capsys, work, argv):
+    monkeypatch.setattr(work, never)
+    assert main(["analytic", *argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: output path {str(tmp_path)!r} is a directory\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -25,7 +25,7 @@ from antsel.montecarlo import (
     _ber_chunk_size,
     _outage_chunk,
     estimate_ber,
-    estimate_dmt,
+    estimate_dmt_gains,
     estimate_outage,
     fit_slope,
     independence_suite,
@@ -38,7 +38,6 @@ from antsel.receivers import (
     LinkBudget,
     detect_df,
     detect_grid,
-    detect_linear,
     qpsk_demodulate,
     qpsk_modulate,
     qpsk_slice,
@@ -478,6 +477,14 @@ class TestSlopeFit:
         with pytest.raises(ValueError, match="min_hits"):
             fit_slope(curve, min_hits=0)
 
+    @pytest.mark.parametrize("p_max", [1.0, 1.5, 0.0, -0.1, math.nan],
+                             ids=["one", "above-one", "zero", "negative", "nan"])
+    def test_p_max_outside_the_unit_interval(self, p_max):
+        # at p_max = 1 a saturated point would enter with weight hits / (1 - 1)
+        curve = EmpiricalCurve((0.1, 0.2, 0.4, 0.8), (20, 50, 90, 100), (100,) * 4)
+        with pytest.raises(ValueError, match=rf"p_max must lie in \(0, 1\), got {p_max}"):
+            fit_slope(curve, p_max=p_max)
+
     def test_non_positive_abscissa_is_named(self):
         curve = EmpiricalCurve((0.0, 0.1, 0.2, 0.3), (10, 12, 14, 16), (1000,) * 4)
         with pytest.raises(FitError, match="x = 0.0 is not"):
@@ -526,13 +533,14 @@ class TestBerEngine:
                                   master_seed=10, grid=(rho_db,), receiver="zf", frame_symbols=T)
         curve = estimate_ber(config)
         # fading single antenna: average the AWGN law over the channel gain
-        from scipy import integrate
+        from scipy import integrate, special
 
-        from antsel.receivers import qpsk_bit_error_rate
+        def awgn(snr):  # Gray QPSK bit error rate Q(sqrt(snr))
+            return 0.5 * special.erfc(math.sqrt(snr) / math.sqrt(2))
 
         rho = 10 ** (rho_db / 10)
-        p1, _ = integrate.quad(lambda g: qpsk_bit_error_rate(rho * g) * math.exp(-g), 0, np.inf)
-        p2, _ = integrate.quad(lambda g: qpsk_bit_error_rate(rho * g) ** 2 * math.exp(-g), 0, np.inf)
+        p1, _ = integrate.quad(lambda g: awgn(rho * g) * math.exp(-g), 0, np.inf)
+        p2, _ = integrate.quad(lambda g: awgn(rho * g) ** 2 * math.exp(-g), 0, np.inf)
         n = curve.trials[0]
         assert n == frames * 2 * T
         # a frame's 2T bits share one gain g, so its errors are Binomial(2T,
@@ -616,8 +624,9 @@ class TestBerEngine:
             y = scale * (Heff[b] @ symbols[b]) + noise[b]
             oracle = nulling_oracle(Heff[b], y, rho0, receiver, feedback, symbols[b])
             np.testing.assert_array_equal(fast[b], oracle)
-            if receiver in ("zf", "mmse"):
-                det = detect_linear(Heff[b], y, budget, equalizer=receiver)
+            if receiver in ("zf", "mmse"):  # the received-block route, x = 0
+                zero = np.zeros_like(symbols[b:b + 1])
+                det = qpsk_slice(next(detect_grid(Heff[b:b + 1], zero, y[None], receiver, "actual", (budget,)))[0])
             else:
                 det = detect_df(Heff[b], y, budget, tuple(range(L)), feedback=feedback,
                                 transmitted=symbols[b] if feedback == "genie" else None,
@@ -763,7 +772,7 @@ class TestBerEngine:
 class TestDmt:
     def test_gain_out_of_range(self):
         with pytest.raises(ValueError):
-            estimate_dmt(3, 3, 2, "maxmin", 2.0, [10, 20, 30], 1000)
+            estimate_dmt_gains(3, 3, 2, "maxmin", {2.0: [10, 20, 30]}, 1000)
 
     @pytest.mark.parametrize("grid,point", [((10.0, 4000.0), "4000.0"), ((-4000.0, 10.0), "-4000.0")],
                              ids=["4000", "-4000"])
@@ -774,24 +783,24 @@ class TestDmt:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"SNR point {point} dB"):
-                estimate_dmt(3, 3, 2, "maxmin", 1.0, list(grid), trials=100)
+                estimate_dmt_gains(3, 3, 2, "maxmin", {1.0: list(grid)}, trials=100)
             with pytest.raises(ValueError, match=f"SNR point {point} dB"):
-                montecarlo.estimate_dmt_gains(3, 3, 2, "maxmin", {0.5: [10.0, 20.0], 1.0: list(grid)}, 100)
+                estimate_dmt_gains(3, 3, 2, "maxmin", {0.5: [10.0, 20.0], 1.0: list(grid)}, 100)
 
     def test_needs_a_gain(self):
         with pytest.raises(ValueError, match="at least one multiplexing gain"):
-            montecarlo.estimate_dmt_gains(3, 3, 2, "maxmin", {}, 1000)
+            estimate_dmt_gains(3, 3, 2, "maxmin", {}, 1000)
 
     def test_zero_gain_reduces_to_outage_slope(self):
-        fit = estimate_dmt(3, 3, 2, "maxmin", 0.0, np.linspace(6, 20, 12), 300_000, master_seed=15)
+        fit = estimate_dmt_gains(3, 3, 2, "maxmin", {0.0: np.linspace(6, 20, 12)}, 300_000, master_seed=15)[0.0]
         assert 3.0 <= fit.slope <= 4.8
 
     def test_unit_gain_window(self):
-        fit = estimate_dmt(3, 3, 2, "maxmin", 1.0, np.linspace(12, 40, 12), 300_000, master_seed=15)
+        fit = estimate_dmt_gains(3, 3, 2, "maxmin", {1.0: np.linspace(12, 40, 12)}, 300_000, master_seed=15)[1.0]
         assert 1.4 <= fit.slope <= 2.6
 
     def test_diversity_collapses_near_full_rate(self):
-        fit = estimate_dmt(3, 3, 2, "maxmin", 1.5, np.linspace(20, 50, 12), 300_000, master_seed=15)
+        fit = estimate_dmt_gains(3, 3, 2, "maxmin", {1.5: np.linspace(20, 50, 12)}, 300_000, master_seed=15)[1.5]
         assert 0.5 <= fit.slope <= 1.5
 
 
@@ -895,8 +904,8 @@ def test_dmt_gains_share_one_outage_run():
     # one run over the union of both grids' thresholds fits each gain as
     # a run of its own does
     grids = {0.0: np.linspace(6, 20, 12), 1.0: np.linspace(12, 40, 12)}
-    fits = montecarlo.estimate_dmt_gains(3, 3, 2, "maxmin", grids, 100_000, master_seed=26)
-    assert fits == {r: estimate_dmt(3, 3, 2, "maxmin", r, rho_db, 100_000, master_seed=26)
+    fits = estimate_dmt_gains(3, 3, 2, "maxmin", grids, 100_000, master_seed=26)
+    assert fits == {r: estimate_dmt_gains(3, 3, 2, "maxmin", {r: rho_db}, 100_000, master_seed=26)[r]
                     for r, rho_db in grids.items()}
 
 
@@ -920,8 +929,9 @@ class TestLemmaHarness:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             lemma_harness("VII", (1,), 100)
-        with pytest.raises(ValueError):
-            lemma_harness("III", (0,), 100)
+        for exponent in (0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="exponents must be finite and positive"):
+                lemma_harness("III", (exponent,), 100)
         for parameters in ((2.5, 1), (2, 1, 1)):
             with pytest.raises(ValueError, match="lemma V takes"):
                 lemma_harness("V", parameters, 100)

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 from draws import rand_matrix
+from scipy import special
 
 from antsel.channel import (
     SingularMatrixError,
     complex_gaussian,
     projection_height_sq,
-    qr_factorize,
     require_full_column_rank,
     stream_generator,
 )
@@ -22,10 +22,8 @@ from antsel.receivers import (
     count_bit_errors,
     detect_df,
     detect_grid,
-    detect_linear,
     df_stage_snrs,
     mmse_post_snr,
-    qpsk_bit_error_rate,
     qpsk_demodulate,
     qpsk_modulate,
     qpsk_slice,
@@ -35,6 +33,7 @@ from antsel.receivers import (
     vblast_order,
     zf_post_snr,
 )
+from antsel.selection import select
 
 
 #: Distance allowed between the bordered stage matrices and np.linalg.inv
@@ -49,6 +48,13 @@ INVERSE_TOLERANCE = 8 * np.finfo(np.float64).eps
 #: products and partial sums once (the two met within 2.6 such units over
 #: 10^5 draws per shape, k = 2..6).
 PRODUCT_ULPS = 4
+
+
+def detect_received(H, y, budget, receiver="zf"):
+    """Linear detection of one frame's received block ``y``: the
+    received-block route of :func:`detect_grid` (x = 0) on a batch of one."""
+    x = np.zeros((1, budget.L, y.shape[1]), dtype=complex)
+    return qpsk_slice(next(detect_grid(H[None], x, y[None], receiver, "actual", (budget,)))[0])
 
 
 def orthonormal(n_r, L, seed=0):
@@ -159,7 +165,7 @@ class TestLinearDetection:
         s = qpsk_modulate(bits)
         y = transmit(H, budget, s, np.zeros((3, 32), dtype=complex))
         for eq in ("zf", "mmse"):
-            np.testing.assert_allclose(detect_linear(H, y, budget, equalizer=eq), s, atol=1e-12)
+            np.testing.assert_allclose(detect_received(H, y, budget, eq), s, atol=1e-12)
 
     def test_orthonormal_reduces_to_per_stream_slicing(self):
         H = orthonormal(4, 2, seed=7)
@@ -168,7 +174,7 @@ class TestLinearDetection:
         s = qpsk_modulate(rng.integers(0, 2, size=(2, 100, 2)))
         noise = complex_gaussian(rng, (4, 100))
         y = transmit(H, budget, s, noise)
-        detected = detect_linear(H, y, budget)
+        detected = detect_received(H, y, budget)
         per_stream = qpsk_slice((H.conj().T @ y) / budget.stream_scale)
         np.testing.assert_allclose(detected, per_stream)
 
@@ -181,20 +187,20 @@ class TestLinearDetection:
         bits = rng.integers(0, 2, size=(1, n, 2))
         s = qpsk_modulate(bits)
         y = transmit(H, budget, s, complex_gaussian(rng, (1, n)))
-        errs = int(np.sum(qpsk_demodulate(detect_linear(H, y, budget)) != bits))
-        p = qpsk_bit_error_rate(budget.rho0)
+        errs = int(np.sum(qpsk_demodulate(detect_received(H, y, budget)) != bits))
+        p = 0.5 * special.erfc(math.sqrt(budget.rho0) / math.sqrt(2))  # Q(sqrt(snr))
         sigma = math.sqrt(p * (1 - p) * 2 * n)
         assert abs(errs - p * 2 * n) < 3 * sigma
 
     def test_dimension_mismatch(self):
         H = rand_matrix(3, 2)
-        with pytest.raises(ValueError):
-            detect_linear(H, np.zeros((4, 8), dtype=complex), LinkBudget(1.0, 2))
+        with pytest.raises(ValueError, match=r"received block shape \(4, 8\) does not match 3 receive rows"):
+            simulate_frame(H, LinkBudget(1.0, 2), np.zeros((2, 8, 2), dtype=int), np.zeros((4, 8), dtype=complex))
 
     def test_unknown_equalizer_and_front_end(self):
         H, y, budget = rand_matrix(3, 2), np.zeros((3, 8), dtype=complex), LinkBudget(1.0, 2)
-        with pytest.raises(ValueError, match="unknown equalizer 'sphere'"):
-            detect_linear(H, y, budget, equalizer="sphere")
+        with pytest.raises(ValueError, match="unknown receiver 'sphere'"):
+            simulate_frame(H, budget, np.zeros((2, 8, 2), dtype=int), y, receiver="sphere")
         with pytest.raises(ValueError, match="unknown front end 'sphere'"):
             detect_df(H, y, budget, (0, 1), front_end="sphere")
 
@@ -207,7 +213,7 @@ class TestDecisionFeedback:
         s = qpsk_modulate(rng.integers(0, 2, size=(2, 200, 2)))
         y = transmit(H, budget, s, complex_gaussian(rng, (4, 200)))
         df = detect_df(H, y, budget, (0, 1))
-        lin = detect_linear(H, y, budget)
+        lin = detect_received(H, y, budget)
         np.testing.assert_allclose(df, lin)
 
     def test_noiseless_exact_both_modes(self):
@@ -233,12 +239,10 @@ class TestDecisionFeedback:
         budget = LinkBudget(10.0, 2)
         for stream in range(10):
             H = rand_matrix(3, 5, seed=16, stream=stream)
-            from antsel.selection import select_qr_greedy
-
-            out = select_qr_greedy(H, 2)
+            out = select("qr-greedy", H, 2)
             selection = [out.subset.indices[p] for p in reversed(out.decode_order)]
             H_sel = H[:, selection]
-            _, r = qr_factorize(H_sel)
+            r = np.linalg.qr(H_sel, mode="r")
             snrs = df_stage_snrs(H_sel, budget, (1, 0))
             diag = (budget.rho0 / budget.L) * np.abs(np.diagonal(r)) ** 2
             np.testing.assert_allclose(snrs, diag[::-1], rtol=1e-9)
@@ -327,10 +331,11 @@ FRAME_ENTRY_POINTS = {
     "mmse_post_snr": lambda H, budget, order: mmse_post_snr(H, budget),
     "df_stage_snrs": lambda H, budget, order: df_stage_snrs(H, budget, order),
     "vblast_order": lambda H, budget, order: vblast_order(H, budget),
-    "detect_linear": lambda H, budget, order: detect_linear(H, _zeros_block(H), budget, "zf"),
     "detect_df": lambda H, budget, order: detect_df(H, _zeros_block(H), budget, order, front_end="zf"),
     "simulate_frame": lambda H, budget, order: simulate_frame(
         H, budget, np.zeros((budget.L, 4, 2), dtype=int), _zeros_block(H), receiver="df-zf", decode_order=order),
+    "simulate_frame-zf": lambda H, budget, order: simulate_frame(
+        H, budget, np.zeros((budget.L, 4, 2), dtype=int), _zeros_block(H), receiver="zf"),
 }
 #: The entries that run a ZF receiver, so test the column rank.
 ZF_FRAME_ENTRY_POINTS = [entry for entry in FRAME_ENTRY_POINTS if entry != "mmse_post_snr"]
@@ -371,15 +376,6 @@ class TestBatchRows:
         budget = LinkBudget(8.0, 3)
         s = qpsk_modulate(bits)
         return H, bits, s, noise, budget, budget.stream_scale * (H @ s) + noise
-
-    @pytest.mark.parametrize("equalizer", ["zf", "mmse"])
-    def test_detect_linear(self, equalizer):
-        H, bits, s, _, budget, y = self.batch()
-        (est,) = detect_grid(H, np.zeros_like(s), y, equalizer, "actual", (budget,))
-        rows = qpsk_slice(est)
-        assert (qpsk_demodulate(rows) != bits).any()
-        for b in range(len(H)):
-            np.testing.assert_array_equal(detect_linear(H[b], y[b], budget, equalizer=equalizer), rows[b])
 
     @pytest.mark.parametrize("feedback", FEEDBACK_MODES)
     @pytest.mark.parametrize("front_end", ["zf", "mmse"])
@@ -591,7 +587,8 @@ class TestOneRankTest:
         budget = LinkBudget(10.0, 3)
         block = complex_gaussian(stream_generator(34, 1), (2, 4))
         assert all(np.isfinite(mmse_post_snr(H, budget).snrs))
-        assert detect_linear(H, block, budget, "mmse").shape == (3, 4)
+        frame = simulate_frame(H, budget, np.zeros((3, 4, 2), dtype=int), block, receiver="mmse")
+        assert frame.detected.shape == (3, 4)
         assert detect_df(H, block, budget, (2, 0, 1), front_end="mmse").shape == (3, 4)
 
 

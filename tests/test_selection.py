@@ -20,11 +20,6 @@ from antsel.selection import (
     enumerate_subsets,
     select,
     select_block,
-    select_first_layer_fixed,
-    select_first_layer_ordered,
-    select_maxmin,
-    select_qr_greedy,
-    select_random,
     subset_metrics,
 )
 
@@ -103,7 +98,7 @@ class TestSubsetMetrics:
 class TestMaxMin:
     def test_single_subset(self):
         H = rand_matrix(2, 2, seed=1)
-        out = select_maxmin(H, 2)
+        out = select("maxmin", H, 2)
         assert out.subset.indices == (0, 1)
         assert out.decode_order == (0, 1)
 
@@ -111,20 +106,20 @@ class TestMaxMin:
         # columns 0 and 1 orthonormal, column 2 repeats column 0: subsets
         # {0,1} and {1,2} tie at min height 1, {0,2} collapses to 0
         H = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], dtype=complex)
-        out = select_maxmin(H, 2)
+        out = select("maxmin", H, 2)
         assert out.subset.indices == (0, 1)
         assert out.metrics.min_height == pytest.approx(1.0)
 
     def test_scaling_invariance(self):
         H = rand_matrix(3, 4, seed=2)
         for c in (2.0, 1j, -0.25):
-            assert select_maxmin(c * H, 2).subset == select_maxmin(H, 2).subset
+            assert select("maxmin", c * H, 2).subset == select("maxmin", H, 2).subset
 
     def test_brute_force_optimality(self):
         for n_t, n_r, L in ((4, 2, 2), (5, 3, 3), (6, 3, 2)):
             for stream in range(5):
                 H = rand_matrix(n_r, n_t, seed=3, stream=stream)
-                best = select_maxmin(H, L)
+                best = select("maxmin", H, L)
                 for subset in enumerate_subsets(n_t, L):
                     assert best.metrics.min_height >= subset_metrics(H, subset).min_height - 1e-12
 
@@ -132,7 +127,7 @@ class TestMaxMin:
 class TestFirstLayerFixed:
     def test_two_antennas(self):
         H = rand_matrix(2, 2, seed=4)
-        out = select_first_layer_fixed(H)
+        out = select("first-fixed", H, 2)
         assert out.subset.indices == (0, 1)
         assert out.decode_order == (0, 1)
 
@@ -141,14 +136,14 @@ class TestFirstLayerFixed:
         # and only pairs with k < j compete, so norm 4 at index 0 wins and
         # the smaller-index stream is decoded first
         H = diag_columns([4.0, 1.0, 9.0])
-        out = select_first_layer_fixed(H)
+        out = select("first-fixed", H, 2)
         assert out.subset.indices == (0, 1)
         assert out.decode_order == (0, 1)
         assert out.metrics.heights[0] == pytest.approx(4.0)
 
     def test_first_layer_value_is_max_over_ordered_pairs(self):
         H = rand_matrix(3, 4, seed=5)
-        out = select_first_layer_fixed(H)
+        out = select("first-fixed", H, 2)
         values = {
             (k, j): subset_metrics(H, AntennaSubset((k, j))).heights[0]
             for k, j in itertools.combinations(range(4), 2)
@@ -157,7 +152,7 @@ class TestFirstLayerFixed:
 
     def test_scaling_invariance(self):
         H = rand_matrix(3, 4, seed=6)
-        assert select_first_layer_fixed(2j * H).subset == select_first_layer_fixed(H).subset
+        assert select("first-fixed", 2j * H, 2).subset == select("first-fixed", H, 2).subset
 
     def test_requires_two_streams(self):
         with pytest.raises(ValueError):
@@ -167,60 +162,60 @@ class TestFirstLayerFixed:
 class TestFirstLayerOrdered:
     def test_two_antennas_orders_by_norm(self):
         H = diag_columns([9.0, 1.0])
-        out = select_first_layer_ordered(H)
+        out = select("first-ordered", H, 2)
         assert out.subset.indices == (0, 1)
         assert out.decode_order == (0, 1)  # stream 0 has the larger height
 
     def test_orthogonal_norms_picks_global_best(self):
         # norm 9 at index 2 now competes through the reversed pair order
         H = diag_columns([4.0, 1.0, 9.0])
-        out = select_first_layer_ordered(H)
+        out = select("first-ordered", H, 2)
         assert out.subset.indices == (0, 2)
         assert out.decode_order == (1, 0)  # column 2's stream decoded first
 
     def test_matches_fixed_when_best_height_has_smaller_index(self):
         H = diag_columns([9.0, 4.0, 1.0])
-        fixed = select_first_layer_fixed(H)
-        ordered = select_first_layer_ordered(H)
+        fixed = select("first-fixed", H, 2)
+        ordered = select("first-ordered", H, 2)
         assert fixed.subset == ordered.subset
         assert ordered.decode_order == (0, 1)
 
     def test_forward_height_wins_an_exact_cross_pair_tie(self):
         # height 4 is reached backward in (0,1) and (0,2) and both ways in
         # (1,2): a forward height beats any backward one
-        out = select_first_layer_ordered(diag_columns([1.0, 4.0, 4.0]))
+        out = select("first-ordered", diag_columns([1.0, 4.0, 4.0]), 2)
         assert out.subset.indices == (1, 2)
         assert out.decode_order == (0, 1)
 
     def test_scaling_invariance(self):
         H = rand_matrix(3, 4, seed=7)
-        assert select_first_layer_ordered(-3.0 * H).subset == select_first_layer_ordered(H).subset
+        assert select("first-ordered", -3.0 * H, 2).subset == select("first-ordered", H, 2).subset
 
 
 class TestQrGreedy:
     def test_orthogonal_norms(self):
         H = diag_columns([1.0, 4.0, 9.0])
-        out = select_qr_greedy(H, 2)
+        out = select("qr-greedy", H, 2)
         assert out.subset.indices == (1, 2)
         # selected 2 then 1; decoding reverses: column 1's stream first
         assert out.decode_order == (0, 1)
 
     def test_full_selection(self):
         H = rand_matrix(3, 3, seed=8)
-        out = select_qr_greedy(H, 3)
+        out = select("qr-greedy", H, 3)
         assert out.subset.indices == (0, 1, 2)
 
     def test_first_pick_has_max_norm(self):
         for stream in range(20):
             H = rand_matrix(3, 5, seed=9, stream=stream)
-            out = select_qr_greedy(H, 2)
+            out = select("qr-greedy", H, 2)
             first_selected = out.subset.indices[out.decode_order[-1]]
             norms = np.real(np.einsum("rt,rt->t", H.conj(), H))
             assert norms[first_selected] == norms.max()
 
     def test_stepwise_optimality(self):
         H = rand_matrix(4, 5, seed=10)
-        out = select_qr_greedy(H, 3)
+        out = select("qr-greedy", H, 3)
         selection = [out.subset.indices[p] for p in reversed(out.decode_order)]
         for step in range(3):
             chosen = selection[step]
@@ -235,7 +230,7 @@ class TestQrGreedy:
 class TestRandomRule:
     def test_deterministic_when_single_subset(self):
         H = rand_matrix(2, 2, seed=11)
-        out = select_random(H, 2, stream_generator(0, 0))
+        out = select("random", H, 2, stream_generator(0, 0))
         assert out.subset.indices == (0, 1)
 
     def test_uniform_frequencies(self):
@@ -244,15 +239,15 @@ class TestRandomRule:
         counts = np.zeros(3)
         n = 6000
         for _ in range(n):
-            idx = select_random(H, 2, rng).subset.indices
+            idx = select("random", H, 2, rng).subset.indices
             counts[[s.indices for s in enumerate_subsets(3, 2)].index(idx)] += 1
         expected = n / 3
         sigma = np.sqrt(n * (1 / 3) * (2 / 3))
         assert np.all(np.abs(counts - expected) < 3.5 * sigma)
 
     def test_choice_ignores_channel_values(self):
-        a = select_random(rand_matrix(3, 3, seed=13), 2, stream_generator(2, 0))
-        b = select_random(rand_matrix(3, 3, seed=14), 2, stream_generator(2, 0))
+        a = select("random", rand_matrix(3, 3, seed=13), 2, stream_generator(2, 0))
+        b = select("random", rand_matrix(3, 3, seed=14), 2, stream_generator(2, 0))
         assert a.subset == b.subset
 
 
@@ -279,7 +274,7 @@ class TestCrossRuleProperties:
         for stream in range(50):
             H = rand_matrix(3, 3, seed=16, stream=stream)
             rng = stream_generator(17, stream)
-            best = select_maxmin(H, 2).metrics.min_height
+            best = select("maxmin", H, 2).metrics.min_height
             for rule in ("first-fixed", "first-ordered", "qr-greedy", "random"):
                 other = select(rule, H, 2, rng)
                 assert best >= other.metrics.min_height - 1e-12

@@ -29,7 +29,6 @@ import pytest
 
 from antsel.analytic import (
     AnalyticSpec,
-    diversity_bounds,
     dmt_curve,
     leading_coefficient_exact,
     outage_coefficient,
@@ -44,7 +43,7 @@ from antsel.cli import main
 from antsel.montecarlo import (
     ExperimentConfig,
     estimate_ber,
-    estimate_dmt,
+    estimate_dmt_gains,
     estimate_outage,
     estimate_outage_rules,
     independence_suite,
@@ -72,7 +71,6 @@ def _shape_entries(n_t, n_r, L):
         "select_block": lambda: select_block("qr-greedy", H[None], L),
         "ExperimentConfig": lambda: _config(n_t=n_t, n_r=n_r, L=L),
         "AnalyticSpec": lambda: AnalyticSpec(n_t, n_r, L),
-        "diversity_bounds": lambda: diversity_bounds(n_t, n_r, L),
         "dmt_curve": lambda: dmt_curve(n_t, n_r, L, 0.5, bound="lower"),
         "antsel outage": ["outage", *dims, "--rule", "maxmin", "--trials", "10", "--x-grid", "0.1,0.2"],
         "antsel ber": ["ber", *dims, "--rule", "maxmin", "--frames", "10", "--snr-db", "10"],
@@ -117,7 +115,7 @@ def _grid_entries(points, spec):
     API and the same grid written as the command-line ``spec``."""
     return {
         "ExperimentConfig": lambda: _config(grid=points),
-        "estimate_dmt": lambda: estimate_dmt(3, 3, 2, "maxmin", 0.5, points, 10),
+        "estimate_dmt_gains": lambda: estimate_dmt_gains(3, 3, 2, "maxmin", {0.5: points}, 10),
         "antsel outage": ["outage", "--nt", "3", "--nr", "3", "--L", "2", "--rule", "maxmin", "--trials", "10",
                           "--x-grid", spec],
         "antsel ber": ["ber", "--nt", "3", "--nr", "3", "--L", "2", "--rule", "maxmin", "--frames", "10",
@@ -143,7 +141,7 @@ def _trial_entries(count):
         "estimate_outage": lambda: estimate_outage(_config(trial_count=count)),
         "estimate_outage_rules": lambda: estimate_outage_rules(_config(trial_count=count), ("maxmin", "random")),
         "estimate_ber": lambda: estimate_ber(_config(trial_count=count, grid=(10.0,))),
-        "estimate_dmt": lambda: estimate_dmt(3, 3, 2, "maxmin", 0.5, [10.0, 20.0, 30.0], count),
+        "estimate_dmt_gains": lambda: estimate_dmt_gains(3, 3, 2, "maxmin", {0.5: [10.0, 20.0, 30.0]}, count),
         "lemma_harness": lambda: lemma_harness("III", (1, 2), count),
         "independence_suite": lambda: independence_suite(4, 3, count),
         "antsel outage": ["outage", "--nt", "3", "--nr", "3", "--L", "2", "--rule", "maxmin", "--trials", str(count),
