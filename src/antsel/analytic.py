@@ -22,12 +22,14 @@ point for large m.
 
 Integrals run through :func:`adaptive_quadrature`, the module's own
 adaptive Gauss-Kronrod 7/15 rule after QUADPACK (Piessens, de
-Doncker-Kapenga, Ueberhuber and Kahaner, 1983), so the module needs
-``scipy.special`` only, loaded on first use.
+Doncker-Kapenga, Ueberhuber and Kahaner, 1983), and the Gamma CDF at
+integer shape and E_1 are the module's own series and continued fraction
+(:func:`_gamma_cdf_int`, :func:`_exp1`), so the module needs numpy only.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import sys
@@ -66,7 +68,9 @@ _WG = (0.417959183673469387755102040816327, 0.0, 0.38183005050511894495036977548
        0.279705391489276667901467771423780, 0.0, 0.129484966168869693270611432679082, 0.0)
 _GK15_NODES = 0.5 + 0.5 * np.array([-x for x in _XGK[:0:-1]] + list(_XGK))
 _GK15_WEIGHTS = np.array([[*w[:0:-1], *w] for w in (_WGK, _WG)]).T
-_ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
+_EPS = np.finfo(float).eps
+_EULER_GAMMA = float(np.euler_gamma)
+_ROUNDOFF_FLOOR = 50.0 * _EPS
 
 
 def _gauss_kronrod(f, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,6 +220,120 @@ def theta_cdf(theta, n_r: int):
     return theta0_cdf(theta, _angle_order(n_r))
 
 
+#: A series ends at its first term below this share of its sum: the
+#: lower series of :func:`_gamma_cdf_int` (a sum of at least 1) at its
+#: first coefficient below it, and the power series of :func:`_exp1`.  The
+#: lower series runs in blocks of this many powers.
+_SERIES_TAIL = 2.0 ** -56
+_SERIES_BLOCK = 6
+
+
+def _gamma_cdf_int(n: int, x) -> np.ndarray:
+    """The Gamma(n, 1) CDF at integer shape n >= 1 and each x >= 0 (not
+    nan), as an array of the shape of ``x``.
+
+    Below x = n + 1 it is the Poisson(x) mass beyond n - 1: the head
+    e^{-x} x^n / n!, formed as e^{-x} times a product of n factors x/k,
+    times :func:`_lower_series`, whose terms fall by at least x / (n + 1).
+    It keeps full relative precision where the CDF is tiny and reads 0.0
+    where the head underflows.  From n + 1 up it is
+    1 - sum_{k<n} e^{-x} x^k / k!, the masses formed as a running product
+    from e^{-x}, so none overflows; it reads 1.0 once that sum is below
+    half an ulp of 1.  Past x = 708, where e^{-x} leaves the normal range
+    and loses precision, the sum is below 1e-16 for any shape up to 500.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    cdf = np.empty_like(flat)
+    low = flat < n + 1
+    if not low.all():
+        high = np.minimum(flat[~low], sys.float_info.max)  # e^-inf * inf is nan; the CDF there is 1
+        masses = np.empty((n, len(high)))
+        masses[0] = np.exp(-high)
+        np.divide(high, np.arange(1, n)[:, None], out=masses[1:])
+        cdf[~low] = 1.0 - np.cumprod(masses, axis=0, out=masses).sum(axis=0)
+    if low.any():
+        xl = flat[low]
+        head = np.exp(-xl) * np.prod(xl / np.arange(1, n + 1)[:, None], axis=0)
+        cdf[low] = head * _lower_series(n, xl)
+    return cdf.reshape(x.shape)
+
+
+@functools.lru_cache(maxsize=None)
+def _series_coefficients(n: int) -> np.ndarray:
+    """c_k = prod_{j<=k} (n+1)/(n+j) for k = 0, 1, ... up to the first
+    below ``_SERIES_TAIL``, zero-padded into rows of ``_SERIES_BLOCK``.
+
+    Step k multiplies by (n+1)/(n+k), which is at most 1, and at most 1/2
+    from k = n + 2 on, so c_{n+60} <= 2^-59 and the last is within n + 60
+    steps."""
+    c = np.cumprod(np.r_[1.0, (n + 1) / np.arange(n + 1, 2 * n + 61)])
+    terms = int(np.argmax(c < _SERIES_TAIL)) + 1
+    coef = np.zeros(-(-terms // _SERIES_BLOCK) * _SERIES_BLOCK)
+    coef[:terms] = c[:terms]
+    coef = coef.reshape(-1, _SERIES_BLOCK)
+    coef.setflags(write=False)
+    return coef
+
+
+def _lower_series(n: int, x: np.ndarray) -> np.ndarray:
+    """sum_k x^k / ((n+1)...(n+k)) at each 0 <= x < n + 1, as
+    sum_k c_k u^k with u = x / (n + 1) < 1 and the coefficients of
+    :func:`_series_coefficients`, so every omitted term is below
+    ``_SERIES_TAIL`` times the sum.  One matrix product of the coefficient
+    blocks and the powers u^0 .. u^(block-1) gives every block's partial
+    sum, and Horner's rule in u^block joins them."""
+    u = x / (n + 1)
+    powers = u ** np.arange(_SERIES_BLOCK)[:, None]
+    partial = _series_coefficients(n) @ powers
+    step = powers[-1] * u
+    total = partial[-1]
+    for block in partial[-2::-1]:
+        total = total * step + block
+    return total
+
+
+def _exp1(x: float) -> float:
+    """The exponential integral E_1(x) = int_x^inf e^{-t} / t dt for x > 0:
+    -gamma - ln x + sum_{k>=1} (-1)^{k+1} x^k / (k k!) for x <= 1, else
+    e^{-x} times the even continued fraction
+    1/(x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...))).
+
+    The modified Lentz method (Press et al., Numerical Recipes, section
+    6.3) runs the convergents until a step changes them by at most an ulp,
+    and the fraction is then evaluated from twice that depth up.  Near
+    x = 1 the convergents settle while the truncation error is still about
+    2e-15 (x = 1.21), and the forward pass's running product rounds once
+    per level; the deeper backward pass is within 3e-16 of E_1 on
+    (1, 30].  The upward recursion of :func:`exp_integral` multiplies this
+    error at x above the order.
+    """
+    if x <= 1.0:
+        total, term, k = 0.0, 1.0, 0
+        while True:
+            k += 1
+            term *= -x / k
+            total -= term / k
+            if abs(term / k) < _SERIES_TAIL * total:
+                return total - math.log(x) - _EULER_GAMMA
+    tiny = 1e-300
+    b = x + 1.0
+    c, d = 1.0 / tiny, 1.0 / b
+    depth = 0
+    while True:
+        depth += 1
+        a = -float(depth * depth)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        if abs(c * d - 1.0) <= _EPS:
+            break
+    tail = 0.0
+    for i in range(2 * depth, 0, -1):
+        tail = -float(i * i) / (x + 2.0 * i + 1.0 + tail)
+    return math.exp(-x) / (x + 1.0 + tail)
+
+
 def chi2n_cdf(x, n: int):
     """CDF 1 - e^{-x} sum_{k<n} x^k / k! of the Gamma(n, 1) law.
 
@@ -228,9 +346,7 @@ def chi2n_cdf(x, n: int):
     x_arr = np.asarray(x, dtype=float)
     if np.isnan(x_arr).any():
         raise ValueError("chi2n_cdf argument must not be nan")
-    from scipy import special
-
-    return _like(x, special.gammainc(n, np.maximum(x_arr, 0.0)))
+    return _like(x, _gamma_cdf_int(n, np.maximum(x_arr, 0.0)))
 
 
 def theta0_pdf(theta, m: int):
@@ -347,15 +463,13 @@ def _outage_tail(x, shape: int, m: int, prefactor: float, scale: float = 1.0, la
     for v in xs:
         if not 0 < v < math.inf:
             raise ValueError(f"threshold must be finite and positive, got {v}")
-    from scipy import special
-
     ys = [v / scale for v in xs]
-    saturated = (special.gammainc(shape, ys) == 1.0).tolist()
+    saturated = (_gamma_cdf_int(shape, ys) == 1.0).tolist()
     out = [1.0 if full else 0.0 for full in saturated]
     heads = [0.0 if full else prefactor * y ** m for y, full in zip(ys, saturated)]
     rows = [i for i, head in enumerate(heads) if head != 0.0]
     if rows:
-        tails = adaptive_quadrature(lambda w: law(special.gammainc(shape, w)) * w ** (-(m + 1)),
+        tails = adaptive_quadrature(lambda w: law(_gamma_cdf_int(shape, w)) * w ** (-(m + 1)),
                                     np.array([ys[i] for i in rows])).tolist()
         for i, tail in zip(rows, tails):
             out[i] = min(1.0, heads[i] * tail)
@@ -429,7 +543,7 @@ def exp_integral(k: int, x: float) -> float:
 
     Non-positive orders are the moment integrals int_1^inf m^{|k|} e^{-x m} dm,
     evaluated by their finite closed form; orders above one come from
-    upward recursion k E_{k+1} = e^{-x} - x E_k starting at the library E_1.
+    upward recursion k E_{k+1} = e^{-x} - x E_k starting at :func:`_exp1`.
     """
     if not 0 < x < math.inf:
         raise ValueError(f"argument must be finite and positive, got {x}")
@@ -438,9 +552,7 @@ def exp_integral(k: int, x: float) -> float:
         j = -k
         s = sum(x ** i / math.factorial(i) for i in range(j + 1))
         return math.factorial(j) * math.exp(-x) * s / x ** (j + 1)
-    from scipy import special
-
-    value = float(special.exp1(x))
+    value = _exp1(x)
     for i in range(1, k):
         value = (math.exp(-x) - x * value) / i
     return value

@@ -168,6 +168,11 @@ def _ber_run(args: argparse.Namespace, fields: dict) -> tuple:
     return config, ["snr_db", "bit_errors", "bits", "ber"], rows, dict(effective_chunk_size=_ber_chunk_size(config))
 
 
+def _manifest_path(out: str) -> str:
+    """Where a run writes the manifest of its CSV at ``out``."""
+    return out + ".manifest.json"
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     """Run one experiment (``args.run``: :func:`_outage_run` or
     :func:`_ber_run`) and record it: the CSV at ``args.out`` and its
@@ -184,7 +189,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         workers=args.workers, config=asdict(config), outputs=(args.out,),
         library_versions=_library_versions(), **recorded,
     )
-    with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
+    with open(_manifest_path(args.out), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -342,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command; an ``--out`` path whose directory is missing, or
     that names a directory, is a usage error, raised before the command
-    does any work."""
+    does any work, and so is a run's manifest path that names a
+    directory."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -352,6 +358,8 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(f"output directory {out_dir!r} does not exist")
         if os.path.isdir(out):
             raise UsageError(f"output path {out!r} is a directory")
+        if args.func is _cmd_run and os.path.isdir(_manifest_path(out)):
+            raise UsageError(f"manifest path {_manifest_path(out)!r} is a directory")
         return args.func(args)
     except (UsageError, ValueError) as exc:  # invalid parameter combinations are usage problems too
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,11 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from antsel import analytic, verify
 from antsel.analytic import (
@@ -87,6 +89,80 @@ class TestChi2nCdf:
             for x in (0.3, 1.7, 5.0):
                 series = 1.0 - math.exp(-x) * sum(x ** k / math.factorial(k) for k in range(n))
                 assert chi2n_cdf(x, n) == pytest.approx(series, rel=1e-12)
+
+
+def exact_gamma_cdf(n: int, x: float) -> Decimal:
+    """The Gamma(n, 1) CDF at the float x to 50 digits: the Poisson(x) mass
+    beyond n - 1 below x = n + 1, one minus the mass up to n - 1 above."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        xd = Decimal(x)
+        mass = (-xd).exp()
+        if x >= n + 1:
+            below = Decimal(0)
+            for k in range(n):
+                below += mass
+                mass = mass * xd / (k + 1)
+            return 1 - below
+        for k in range(1, n + 1):
+            mass = mass * xd / k
+        total, k = Decimal(0), n
+        while mass > total * Decimal("1e-45"):
+            total += mass
+            k += 1
+            mass = mass * xd / k
+        return total
+
+
+@pytest.mark.filterwarnings("error")
+class TestGammaCdfInt:
+    """The in-house Gamma(n, 1) CDF at integer shape against scipy's
+    ``gammainc`` and an exact decimal reference."""
+
+    @pytest.mark.parametrize("n", [*range(1, 25), 132])
+    def test_matches_scipy(self, n):
+        x = np.geomspace(1e-300, 800.0, 2000)
+        ours, ref = analytic._gamma_cdf_int(n, x), special.gammainc(n, x)
+        # scipy's own error reaches about 1.3e-13 (test_at_least_as_accurate_as_scipy);
+        # values below the smallest normal float carry no relative precision
+        np.testing.assert_allclose(ours, ref, rtol=5e-13, atol=sys.float_info.min)
+        assert np.array_equal(ours == 1.0, ref == 1.0)
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_at_least_as_accurate_as_scipy(self, n):
+        x = np.concatenate([np.geomspace(1e-14, n + 1, 40), np.linspace(n + 1, 3 * n + 40, 20)])
+        exact = [exact_gamma_cdf(n, v) for v in x.tolist()]
+
+        def worst(values):
+            return max(float(abs(Decimal(v) - e) / e) for v, e in zip(values.tolist(), exact))
+
+        ours = worst(analytic._gamma_cdf_int(n, x))
+        assert ours <= worst(special.gammainc(n, x))
+        assert ours < 4e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 20, 132])
+    def test_zero_and_one_where_the_true_value_rounds_to_them(self, n):
+        x = np.concatenate([np.geomspace(1e-300, 1e-10, 60), np.geomspace(n + 1, 700.0, 60)])
+        rounded = np.array([float(exact_gamma_cdf(n, v)) for v in x.tolist()])
+        ours = analytic._gamma_cdf_int(n, x)
+        assert np.array_equal(ours == 0.0, rounded == 0.0)
+        assert np.array_equal(ours == 1.0, rounded == 1.0)
+        assert (rounded == 0.0).any() and (rounded == 1.0).any()
+
+    def test_edges_and_shapes(self):
+        assert analytic._gamma_cdf_int(3, 0.0).shape == ()
+        grid = np.array([[0.0, 1.0], [np.inf, 1e300]])
+        got = analytic._gamma_cdf_int(3, grid)
+        assert got.shape == (2, 2)
+        assert got[0, 0] == 0.0 and got[1, 0] == 1.0 and got[1, 1] == 1.0
+        assert chi2n_cdf(np.inf, 5) == 1.0
+
+    def test_series_ends_below_its_tail_share(self):
+        for n in [*range(1, 200), 500, 1000]:
+            coef = analytic._series_coefficients(n).ravel()
+            last = np.flatnonzero(coef)[-1]
+            assert coef[0] == 1.0
+            assert coef[last] < analytic._SERIES_TAIL <= coef[last - 1]
 
 
 class TestLargestAngleLaw:
@@ -371,6 +447,12 @@ class TestExpIntegral:
         ref, _ = integrate.quad(lambda t: t ** (-k) * math.exp(-x * t), 1.0, np.inf,
                                 epsabs=0.0, epsrel=1e-13, limit=300)
         assert exp_integral(k, x) == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_first_order_matches_scipy(self):
+        x = np.geomspace(1e-10, 700.0, 2000)
+        ours = np.array([analytic._exp1(v) for v in x.tolist()])
+        np.testing.assert_allclose(ours, special.exp1(x), rtol=1e-14, atol=0.0)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

@@ -400,6 +400,17 @@ def test_directory_as_output_path_exits_two_before_the_run(tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+def test_directory_as_manifest_path_exits_two_before_the_run(tmp_path, monkeypatch, capsys, engine):
+    # the CSV was once written before the manifest failed to open
+    monkeypatch.setattr(f"antsel.cli.{engine}", never)
+    manifest = tmp_path / "run.csv.manifest.json"
+    manifest.mkdir()
+    assert main(engine_argv(engine, tmp_path / "run.csv")) == 2
+    assert capsys.readouterr().err == f"error: manifest path {str(manifest)!r} is a directory\n"
+    assert list(tmp_path.iterdir()) == [manifest]
+
+
 @REPORTS
 def test_directory_as_output_path_exits_two_before_the_report(tmp_path, monkeypatch, capsys, work, argv):
     monkeypatch.setattr(work, never)
@@ -517,8 +528,9 @@ def test_import_loads_no_scipy():
 
 
 def test_analytic_path_loads_no_scipy_integrate(tmp_path):
-    # the quadrature is in-house: the self-test, the quadrature slope, random's
-    # exact curve and the quadrature command run without scipy.integrate
+    # the quadrature, the Gamma CDF and E_1 are in-house: the self-test, the
+    # quadrature slope, random's exact curve and the quadrature command load
+    # neither scipy.integrate nor scipy.special
     import antsel
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(antsel.__file__)))
@@ -533,7 +545,26 @@ def test_analytic_path_loads_no_scipy_integrate(tmp_path):
             "print('scipy.integrate' in sys.modules, 'scipy.special' in sys.modules)\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False True"
+    assert done.stdout.strip() == "False False"
+
+
+@pytest.mark.parametrize("argv", [["analytic", "selftest"],
+                                  ["analytic", "quadrature", "--nt", "3", "--nr", "3", "--x-grid", "1e-3,1e-2"]],
+                         ids=["selftest", "quadrature"])
+def test_analytic_commands_run_with_scipy_unimportable(argv):
+    import antsel
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(antsel.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "class NoScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ImportError(f'{name} is blocked')\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
+            "from antsel import cli\n"
+            f"sys.exit(cli.main({argv!r}))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_verify_loads_scipy_before_the_first_timed_row():
