@@ -29,6 +29,7 @@ from .montecarlo import (
     FitError,
     _ber_chunk_size,
     _check_grid,
+    _check_min_hits,
     estimate_ber,
     estimate_outage,
     fit_slope,
@@ -49,7 +50,7 @@ class RunManifest:
     ``effective_chunk_size`` is the chunk the run was split into, which
     keys the random streams: ``config.chunk_size`` for outage runs, and
     for BER runs that size capped by the received-sample budget.
-    ``library_versions`` names the python, numpy and scipy releases, and
+    ``library_versions`` names the python and numpy releases, and
     ``rng_layout`` the package's draw layout (``channel.RNG_LAYOUT``).
     """
 
@@ -113,22 +114,9 @@ def _resolve_seed(value: int | None) -> int:
         raise UsageError(f"ANTSEL_SEED must be an integer, got {env!r}") from None
 
 
-@functools.lru_cache(maxsize=None)
-def _library_version_items() -> tuple[tuple[str, str], ...]:
-    # package metadata gives the versions without importing scipy
-    import importlib.metadata
-
-    return (
-        ("python", platform.python_version()),
-        ("numpy", importlib.metadata.version("numpy")),
-        ("scipy", importlib.metadata.version("scipy")),
-    )
-
-
 def _library_versions() -> dict:
-    """Python, numpy and scipy releases, read once per process; every
-    call returns a dict of its own."""
-    return dict(_library_version_items())
+    """The python and numpy releases; every call returns a dict of its own."""
+    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def _utc_now() -> str:
@@ -143,8 +131,8 @@ def _outage_run(args: argparse.Namespace, fields: dict) -> tuple:
     """The outage curve and slope fit of ``args`` as (config, CSV header,
     CSV rows, manifest fields); ``fields`` are the shared config fields."""
     config = ExperimentConfig(trial_count=args.trials, grid=parse_grid(args.x_grid, require_positive=True), **fields)
+    _check_min_hits(args.min_hits)
     curve = estimate_outage(config, workers=args.workers)
-    # fitted before any output is written: a rejected --min-hits leaves none
     try:
         fit = asdict(fit_slope(curve, min_hits=args.min_hits))
     except FitError as exc:

@@ -531,11 +531,6 @@ def run_verification(scale: str = "quick", seed: int = 0, workers: int = 1) -> l
     ``criteria`` it is evidence for.
     """
     rows = verification_rows(scale, seed, workers)
-    # the KS rows load scipy.stats lazily, and with it scipy.special and
-    # scipy.integrate; loading it here keeps the import out of the first
-    # row's seconds
-    from scipy import stats  # noqa: F401
-
     out: list[CheckOutcome] = []
     for criteria, measure, verdict in rows:
         t0 = time.perf_counter()

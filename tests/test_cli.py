@@ -1,8 +1,10 @@
+import ast
 import csv
 import dataclasses
 import importlib.metadata
 import json
 import os
+import pathlib
 import platform
 import subprocess
 import sys
@@ -19,7 +21,6 @@ from antsel.verify import ber_ordering_measurement, check_ber_ordering
 LIBRARY_VERSIONS = {
     "python": platform.python_version(),
     "numpy": importlib.metadata.version("numpy"),
-    "scipy": importlib.metadata.version("scipy"),
 }
 
 
@@ -143,9 +144,11 @@ class TestOutageCommand:
             assert main(argv) == 2
         assert list(tmp_path.iterdir()) == []
 
-    def test_zero_min_hits_exits_two(self, tmp_path, capsys):
+    def test_zero_min_hits_exits_two(self, tmp_path, monkeypatch, capsys):
+        # the hit floor is checked before the run, which once ran every trial first
+        monkeypatch.setattr("antsel.cli.estimate_outage", never)
         assert main(outage_argv(tmp_path / "x.csv", "--min-hits", "0")) == 2
-        assert "min_hits" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: min_hits must be at least 1, got 0\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_negative_workers_exit_two(self, tmp_path, capsys):
@@ -262,6 +265,14 @@ class TestAnalyticCommand:
         captured = capsys.readouterr()
         assert "probability at x = 1e-90" in captured.err
         assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_quadrature_of_one_point_exits_two_before_the_quadrature(self, tmp_path, monkeypatch, capsys):
+        # polyfit once fitted a slope through the one point, with a RankWarning
+        monkeypatch.setattr("antsel.analytic.pr_outage_quadrature", never)
+        out = tmp_path / "quad.json"
+        assert main(["analytic", "quadrature", "--nt", "3", "--nr", "3", "--x-grid", "0.1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: a slope needs at least 2 thresholds, got 1\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_quadrature_that_underflows_at_a_shallow_point_exits_two(self, tmp_path, capsys):
@@ -513,8 +524,25 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
+def test_package_imports_no_scipy():
+    # a static guard over every module, so it also covers code that no subprocess test runs
+    import antsel
+
+    found = []
+    for path in sorted(pathlib.Path(antsel.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
 def test_import_loads_no_scipy():
-    # scipy costs about a second to import; only the functions that need it load it.
+    # the package needs numpy alone, and scipy costs about a second to import.
     # The process pool costs 12-15 ms and is loaded only when a run uses more than one worker.
     import antsel
 
@@ -549,8 +577,9 @@ def test_analytic_path_loads_no_scipy_integrate(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["analytic", "selftest"],
-                                  ["analytic", "quadrature", "--nt", "3", "--nr", "3", "--x-grid", "1e-3,1e-2"]],
-                         ids=["selftest", "quadrature"])
+                                  ["analytic", "quadrature", "--nt", "3", "--nr", "3", "--x-grid", "1e-3,1e-2"],
+                                  ["verify", "--scale", "quick"]],
+                         ids=["selftest", "quadrature", "verify"])
 def test_analytic_commands_run_with_scipy_unimportable(argv):
     import antsel
 
@@ -567,21 +596,22 @@ def test_analytic_commands_run_with_scipy_unimportable(argv):
     assert done.returncode == 0, done.stderr
 
 
-def test_verify_loads_scipy_before_the_first_timed_row():
-    # the first row's measurement sees scipy loaded, so its seconds hold no import
+def test_verify_loads_no_scipy():
+    # neither the first timed row nor any later one sees a scipy module
     import antsel
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(antsel.__file__)))
     code = (f"import sys; sys.path.insert(0, {src!r})\n"
             "from antsel import verify\n"
-            "class FirstRow(Exception): pass\n"
-            "def first_row(*args):\n"
-            "    raise FirstRow([m for m in ('scipy.integrate', 'scipy.special', 'scipy.stats') if m in sys.modules])\n"
-            "verify.quadrature_anchor_ratio = first_row\n"
-            "try:\n"
-            "    verify.run_verification('quick')\n"
-            "except FirstRow as row:\n"
-            "    print(row.args[0])\n")
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "anchor, seen = verify.quadrature_anchor_ratio, []\n"
+            "def first_rows(*args):\n"
+            "    seen.append(loaded())\n"
+            "    return anchor(*args)\n"
+            "verify.quadrature_anchor_ratio = first_rows\n"
+            "assert all(o.passed for o in verify.run_verification('quick') if o.gating)\n"
+            "print(seen[0], loaded())\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "['scipy.integrate', 'scipy.special', 'scipy.stats']"
+    assert done.stdout.strip() == "[] []"

@@ -14,7 +14,7 @@ import pytest
 from qr_oracle import reference_columns, reference_scalar
 
 from antsel import montecarlo, selection, verify
-from antsel.analytic import chi2n_cdf, pr_outage_quadrature, random_pair_outage
+from antsel.analytic import chi2n_cdf, pr_outage_quadrature, random_pair_outage, theta_cdf
 from antsel.channel import complex_gaussian, gram_inverse_diag, projection_height_sq, stream_generator
 from antsel.montecarlo import (
     EmpiricalCurve,
@@ -23,6 +23,7 @@ from antsel.montecarlo import (
     _apply_ordering,
     _ber_chunk,
     _ber_chunk_size,
+    _ks_test,
     _outage_chunk,
     estimate_ber,
     estimate_dmt_gains,
@@ -30,6 +31,7 @@ from antsel.montecarlo import (
     fit_slope,
     independence_suite,
     lemma_harness,
+    pair_angle,
 )
 from antsel.receivers import (
     FEEDBACK_MODES,
@@ -957,6 +959,47 @@ class TestLemmaHarness:
         # three chunks of 10^6 draws; the hits add up in plan order
         fits = [lemma_harness("IV", (1, 1), 2_500_000, master_seed=22, workers=w) for w in (1, 2)]
         assert fits[0] == fits[1]
+
+
+class TestKsTest:
+    """The in-house KS test against ``scipy.stats.kstest`` at the size of
+    the marginal-law samples: the statistic bit for bit, the p-value
+    within 1e-5 relative for p in [1e-6, 0.99]."""
+
+    N = verify.MARGINAL_SAMPLES
+
+    @pytest.mark.parametrize("n_r", [2, 3])
+    def test_matches_scipy_on_the_marginal_laws(self, n_r):
+        from scipy import stats
+
+        norms, fwd, _ = _pair_table(complex_gaussian(stream_generator(3, 0), (self.N, n_r, 2)))
+        heights = fwd[0]
+        for sample, cdf in ((heights, lambda v: chi2n_cdf(v, n_r - 1)),
+                            (pair_angle(heights, norms[0]), lambda v: theta_cdf(v, n_r))):
+            d, p = _ks_test(sample, cdf)
+            reference = stats.kstest(sample, cdf)
+            assert d == reference.statistic
+            assert type(p) is float and p == pytest.approx(reference.pvalue, rel=1e-5)
+
+    def test_matches_scipy_across_the_p_range(self):
+        # an evenly spaced sample against a uniform law stretched by s: d is about
+        # s + 1/(2n), so z = d sqrt(n) sweeps the p-values from 1 down past 1e-6
+        from scipy import stats
+
+        x = (np.arange(self.N) + 0.5) / self.N
+        checked = []
+        for z in [0.0, 0.44, *np.linspace(0.5, 2.8, 24)]:
+            def cdf(v, s=z / math.sqrt(self.N)):
+                return np.minimum(v * (1 + s), 1.0)
+            d, p = _ks_test(x, cdf)
+            reference = stats.kstest(x, cdf)
+            assert d == reference.statistic
+            if z == 0.0:
+                assert p == reference.pvalue == 1.0
+            if 1e-6 <= reference.pvalue <= 0.99:
+                assert p == pytest.approx(reference.pvalue, rel=1e-5), z
+                checked.append(reference.pvalue)
+        assert min(checked) < 2e-6 and max(checked) > 0.989, checked
 
 
 class TestIndependenceSuite:

@@ -41,11 +41,13 @@ from antsel.analytic import (
 from antsel.channel import complex_gaussian, stream_generator
 from antsel.cli import main
 from antsel.montecarlo import (
+    EmpiricalCurve,
     ExperimentConfig,
     estimate_ber,
     estimate_dmt_gains,
     estimate_outage,
     estimate_outage_rules,
+    fit_slope,
     independence_suite,
     lemma_harness,
 )
@@ -211,6 +213,15 @@ CASES = {
     "negative threshold": lambda: _threshold_entries(-1.0),
     "nan threshold": lambda: _threshold_entries(math.nan),
     "infinite threshold": lambda: _threshold_entries(math.inf),
+    "slope of one threshold": lambda: {
+        "quadrature_slope": lambda: quadrature_slope([0.1], 3, 3),
+        "antsel analytic quadrature": ["analytic", "quadrature", "--nt", "3", "--nr", "3", "--x-grid", "0.1"],
+    },
+    "slope fit hit floor zero": lambda: {
+        "fit_slope": lambda: fit_slope(EmpiricalCurve((0.1, 0.2, 0.3), (10, 20, 30), (100,) * 3), min_hits=0),
+        "antsel outage": ["outage", "--nt", "3", "--nr", "3", "--L", "2", "--rule", "maxmin", "--trials", "10",
+                          "--x-grid", "0.1,0.2", "--min-hits", "0"],
+    },
     "(e) no trials": lambda: _trial_entries(0),
     "(e) negative trials": lambda: _trial_entries(-5),
     "(f) unknown receiver": lambda: _mode_entries(receiver="sphere"),
