@@ -4,7 +4,6 @@ selection in spatially multiplexed MIMO links."""
 __version__ = "0.1.0"
 
 from .channel import (
-    ChannelSample,
     ProjectionReport,
     SingularMatrixError,
     gram_inverse_diag,
@@ -26,13 +25,10 @@ from .receivers import (
     ORDERING_MODES,
     RECEIVERS,
     LinkBudget,
-    StreamSnrReport,
     SymbolFrame,
     detect_df,
-    df_stage_snrs,
-    mmse_post_snr,
+    stream_snrs,
     vblast_order,
-    zf_post_snr,
 )
 from .analytic import (
     AnalyticSpec,

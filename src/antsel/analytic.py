@@ -525,14 +525,15 @@ def quadrature_slope(xs, n_t: int, n_r: int, restricted: bool = False) -> tuple[
     """:func:`pr_outage_quadrature` at the thresholds ``xs``, in one call,
     and the unweighted least-squares slope of log P against log x.
 
-    Fewer than 2 thresholds raise ``ValueError`` before any quadrature.
+    Fewer than 2 distinct thresholds raise ``ValueError`` before any
+    quadrature.
     A probability below the smallest normal float has no accurate
     logarithm to fit: the first such point raises ``ValueError`` naming
     its threshold.
     """
     xs = [float(x) for x in xs]
-    if len(xs) < 2:  # one point has no slope
-        raise ValueError(f"a slope needs at least 2 thresholds, got {len(xs)}")
+    if len(set(xs)) < 2:  # one point has no slope
+        raise ValueError(f"a slope needs at least 2 distinct thresholds, got {len(set(xs))}")
     probabilities = pr_outage_quadrature(np.array(xs), n_t, n_r, restricted=restricted).tolist()
     for x, p in zip(xs, probabilities):
         if not p >= sys.float_info.min:

@@ -77,26 +77,13 @@ def as_channel_matrix(matrix) -> np.ndarray:
     return H
 
 
-@dataclass(frozen=True)
-class ChannelSample:
-    """One channel draw plus the RNG coordinates that produced it.
-
-    Regenerating with the same (seed, draw_index) and dimensions yields
-    bit-identical entries.
-    """
-
-    matrix: np.ndarray
-    seed: int
-    draw_index: int
-
-
-def sample_channel(n_r: int, n_t: int, seed: int, draw_index: int) -> ChannelSample:
-    """Draw one N_R x N_T channel matrix with i.i.d. CN(0, 1) entries."""
+def sample_channel(n_r: int, n_t: int, seed: int, draw_index: int) -> np.ndarray:
+    """One N_R x N_T channel matrix with i.i.d. CN(0, 1) entries, drawn
+    from sub-stream ``draw_index`` of ``seed`` (:func:`stream_generator`):
+    the same coordinates and dimensions give bit-identical entries."""
     if n_r < 1 or n_t < 1:
         raise ValueError(f"channel dimensions must be positive, got n_r={n_r}, n_t={n_t}")
-    rng = stream_generator(seed, draw_index)
-    matrix = complex_gaussian(rng, (n_r, n_t))
-    return ChannelSample(matrix=matrix, seed=int(seed), draw_index=int(draw_index))
+    return complex_gaussian(stream_generator(seed, draw_index), (n_r, n_t))
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ Detection runs in one batched kernel, :func:`detect_grid`, for every
 receiver, stream count, feedback mode and SNR point, on a block without
 the signal term of the symbols x: the noise with x the transmitted symbols
 (the error domain of the BER engine, :func:`simulate_frame` and genie
-:func:`detect_df`), or a received block with x = 0.  The post-processing
-SNRs are read off the same stage matrices (:func:`_stage_snrs`).  The
-per-frame functions share one frame check (:func:`_frame`) and call the
+:func:`detect_df`), or a received block with x = 0.  One function,
+:func:`stream_snrs`, gives every receiver's post-processing SNRs, read
+off the same stage matrices (:func:`_stage_snrs`).  The per-frame
+functions share one frame check (:func:`_frame`) and call the
 batched kernels on a batch of one.  A ZF frame's column rank is decided
 there, by ``channel.require_full_column_rank``; the stage recursion
 (:func:`stage_matrices`) raises ``channel.SingularMatrixError`` on its
@@ -40,9 +41,9 @@ ORDERING_MODES = ("fixed", "vblast", "qr-reverse")
 _RAIL = 1.0 / math.sqrt(2.0)
 
 
-def _check_modes(receiver: str, feedback: str) -> None:
+def _check_modes(receiver: str, feedback: str = "actual") -> None:
     """The one check of a receiver and a feedback mode name, for the
-    per-frame detectors and the BER experiments' configuration; raises
+    per-frame functions and the BER experiments' configuration; raises
     ``ValueError`` naming the first unknown one."""
     if receiver not in RECEIVERS:
         raise ValueError(f"unknown receiver {receiver!r}; expected one of {RECEIVERS}")
@@ -70,14 +71,6 @@ class LinkBudget:
     @property
     def stream_scale(self) -> float:
         return math.sqrt(self.rho0 / self.L)
-
-
-@dataclass(frozen=True)
-class StreamSnrReport:
-    """Post-processing SNR per selected stream, in linear scale."""
-
-    snrs: tuple[float, ...]
-    receiver: str
 
 
 @dataclass(frozen=True)
@@ -137,7 +130,9 @@ def _frame(H_s, budget: LinkBudget, receiver: str, decode_order=None) -> tuple[n
     L rows: a rank-deficient ``H_s`` raises ``SingularMatrixError``.  The
     stage recursion alone is no rank test: rounding behind ill-conditioned
     later columns can lift a Schur complement above its threshold
-    (:func:`stage_matrices`).  Returns the matrix and the order."""
+    (:func:`stage_matrices`).  Returns the matrix and the order, which is
+    the columns as they stand for the linear receivers: they decode no
+    stream before another."""
     H_s = as_channel_matrix(H_s)
     if H_s.shape[1] != budget.L:
         raise ValueError(f"budget declares {budget.L} streams but matrix has {H_s.shape[1]} columns")
@@ -146,28 +141,26 @@ def _frame(H_s, budget: LinkBudget, receiver: str, decode_order=None) -> tuple[n
         raise ValueError(f"decode_order {decode_order} is not a permutation of 0..{budget.L - 1}")
     if receiver in ("zf", "df-zf"):
         require_full_column_rank(H_s)
-    return H_s, order
+    return H_s, order if receiver in ("df-zf", "df-mmse") else list(range(budget.L))
 
 
-def _frame_snrs(H_s, budget: LinkBudget, receiver: str, decode_order=None) -> tuple[float, ...]:
-    """:func:`_stage_snrs` of one frame checked by :func:`_frame`, its
-    columns in ``decode_order``."""
+def stream_snrs(H_s, budget: LinkBudget, receiver: str = "zf", decode_order=None) -> tuple[float, ...]:
+    """Post-processing SNR of each stream of ``H_s`` under ``receiver``,
+    in linear scale, read off the stage matrices that detection applies
+    (:func:`_stage_snrs`).
+
+    The linear receivers report in stream order: (rho0 / L) / diag((H_s^H
+    H_s)^-1) for "zf", and for "mmse" a value that dominates it per stream
+    and meets it at high SNR.  They check ``decode_order`` and ignore it.  The
+    decision-feedback receivers report in decode order (default: the
+    columns as they stand), under perfect feedback: stage i of "df-zf"
+    sees (rho0 / L) times the squared projection height of its stream
+    against the streams decoded after it.  Raises ``SingularMatrixError``
+    on a rank-deficient ``H_s`` for "zf" and "df-zf" (:func:`_frame`).
+    """
+    _check_modes(receiver)
     H_s, order = _frame(H_s, budget, receiver, decode_order)
     return tuple(_stage_snrs(H_s[:, order][None], receiver, budget)[0].tolist())
-
-
-def zf_post_snr(H_s, budget: LinkBudget) -> StreamSnrReport:
-    """Post-processing SNR of each stream under the decorrelating equalizer,
-    (rho0 / L) / diag((H_s^H H_s)^-1), from :func:`_stage_snrs`.  Raises
-    ``SingularMatrixError`` on a rank-deficient ``H_s`` (:func:`_frame`)."""
-    return StreamSnrReport(snrs=_frame_snrs(H_s, budget, "zf"), receiver="zf")
-
-
-def mmse_post_snr(H_s, budget: LinkBudget) -> StreamSnrReport:
-    """Post-processing SNR of each stream under the linear MMSE equalizer,
-    from :func:`_stage_snrs`.  Never singular thanks to the regularization;
-    dominates the decorrelator per stream and meets it at high SNR."""
-    return StreamSnrReport(snrs=_frame_snrs(H_s, budget, "mmse"), receiver="mmse")
 
 
 def transmit(H_s, budget: LinkBudget, symbols: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -450,22 +443,22 @@ def detect_df(
     decode_order: tuple[int, ...],
     feedback: str = "actual",
     transmitted: np.ndarray | None = None,
-    front_end: str = "zf",
+    receiver: str = "df-zf",
 ) -> np.ndarray:
-    """Successive nulling-and-cancellation detection.
+    """Successive nulling-and-cancellation detection of a received block.
 
-    Each stage nulls the not-yet-decoded streams with the chosen front
-    end, slices, and subtracts the sliced (feedback="actual") or true
-    (feedback="genie") symbol contribution.  Genie mode needs the true
-    ``transmitted`` block (L, T) and detects on the received block less
-    its signal term (the error domain).
+    Each stage nulls the not-yet-decoded streams with the front end of
+    ``receiver`` ("df-zf" or "df-mmse"), slices, and subtracts the sliced
+    (feedback="actual") or true (feedback="genie") symbol contribution.
+    Genie mode needs the true ``transmitted`` block (L, T) and detects on
+    the received block less its signal term (the error domain).  A linear
+    receiver ("zf", "mmse") cancels nothing and ignores the order
+    (:func:`_frame`).
     """
-    if front_end not in ("zf", "mmse"):
-        raise ValueError(f"unknown front end {front_end!r}")
     if feedback == "genie" and transmitted is None:
         raise ValueError("genie feedback requires the transmitted block")
     x = np.asarray(transmitted, dtype=np.complex128) if feedback == "genie" else None
-    return _detect_frame(H_s, received, budget, "df-" + front_end, decode_order, feedback, x)
+    return _detect_frame(H_s, received, budget, receiver, decode_order, feedback, x)
 
 
 def simulate_frame(H_s, budget: LinkBudget, bits: np.ndarray, noise: np.ndarray,
@@ -476,25 +469,13 @@ def simulate_frame(H_s, budget: LinkBudget, bits: np.ndarray, noise: np.ndarray,
     Detection runs in the error domain, on the symbols and the noise, as
     the frame's row of a BER engine block does: given the columns in
     decode order, the bits and the noise of a frame, the decisions are the
-    engine's bit for bit.  The linear receivers ignore ``decode_order``.
+    engine's bit for bit.  The linear receivers check ``decode_order``
+    and ignore it (:func:`_frame`).
     """
     symbols = qpsk_modulate(bits)
-    order = decode_order if receiver in ("df-zf", "df-mmse") else None
-    detected = _detect_frame(H_s, noise, budget, receiver, order, feedback, symbols, error_domain=True)
+    detected = _detect_frame(H_s, noise, budget, receiver, decode_order, feedback, symbols, error_domain=True)
     received = transmit(H_s, budget, symbols, np.asarray(noise, dtype=np.complex128))
     return SymbolFrame(transmitted=symbols, received=received, detected=detected)
-
-
-def df_stage_snrs(H_s, budget: LinkBudget, decode_order: tuple[int, ...]) -> tuple[float, ...]:
-    """Effective SNR of each decision-feedback stage under perfect feedback.
-
-    Stage i sees (rho0 / L) times the squared projection height of its
-    stream against the span of the streams decoded after it; reported in
-    decode order.  Read off the "df-zf" stage matrices of the columns in
-    decode order (:func:`_stage_snrs`).  Raises ``SingularMatrixError``
-    on a rank-deficient ``H_s`` (:func:`_frame`).
-    """
-    return _frame_snrs(H_s, budget, "df-zf", decode_order)
 
 
 def vblast_order(H_s, budget: LinkBudget) -> tuple[int, ...]:

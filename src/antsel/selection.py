@@ -530,14 +530,17 @@ def _rule_pass(rules: Sequence[str], H: np.ndarray, L: int, rng: np.random.Gener
     table too: its first pick has the largest norm and its second the
     largest height against the first, which at n_t = 3 is faster than the
     Cholesky greedy.  A rule forms an argmax only for its columns, and a
-    pass builds no table that none of its rules reads.
+    pass builds no table that none of its rules reads.  That holds for
+    the C(n_t, L) x L subset table (:func:`_subsets`) too, which
+    qr-greedy never reads: a qr-greedy pass runs at shapes such as
+    (n_t, L) = (40, 20), where the table would hold 1.4e11 rows.
 
     The pass checks nothing: its callers pass rules and a shape that
     :func:`check_selection` accepts.
     """
     B, _, n_t = H.shape
-    subsets = _subsets(n_t, L)
-    ranks = rng.integers(0, len(subsets), size=B) if "random" in rules else None
+    subsets = None if set(rules) == {"qr-greedy"} else _subsets(n_t, L)
+    ranks = rng.integers(0, math.comb(n_t, L), size=B) if "random" in rules else None
     out = np.empty((len(rules), B)) if cols is None else None
     # random's columns are the subsets at its ranks; only its scalar reads a table
     tabled = [k for k, rule in enumerate(rules) if rule != "random" or out is not None]

@@ -263,7 +263,7 @@ def qr_df_stage_oracle(draws: int, seed: int) -> tuple[float, bool]:
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
     (n_t, n_r, L), rho0 = SHAPE, 10.0
-    H = np.stack([sample_channel(n_r, n_t, seed, d).matrix for d in range(draws)])
+    H = np.stack([sample_channel(n_r, n_t, seed, d) for d in range(draws)])
     cols = select_block("qr-greedy", H, L)  # first decoded first: the picks reversed
     H_dec = np.take_along_axis(H, cols[:, None, :], axis=2)
     stage = rx._stage_snrs(H_dec, "df-zf", rx.LinkBudget(rho0=rho0, L=L))

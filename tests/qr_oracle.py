@@ -79,14 +79,14 @@ def reference_scalar(rule, H, cols):
 def reference_stage_oracle(draws, seed):
     """``verify.qr_df_stage_oracle`` one draw at a time through the per-draw
     API: ``sample_channel``, ``select("qr-greedy", ...)`` and
-    ``df_stage_snrs``, against ``np.linalg.qr`` of each draw's selected
+    ``stream_snrs`` of "df-zf", against ``np.linalg.qr`` of each draw's selected
     columns."""
     n_t, n_r, L, rho0 = 3, 3, 2, 10.0
     budget = rx.LinkBudget(rho0=rho0, L=L)
     worst = 0.0
     first_pick_ok = True
     for d in range(draws):
-        H = sample_channel(n_r, n_t, seed, d).matrix
+        H = sample_channel(n_r, n_t, seed, d)
         outcome = select("qr-greedy", H, L)
         # selection order: reverse of the decode order over the sorted subset
         selection_cols = [outcome.subset.indices[p] for p in reversed(outcome.decode_order)]
@@ -95,7 +95,7 @@ def reference_stage_oracle(draws, seed):
         H_sel = H[:, selection_cols]
         r = np.linalg.qr(H_sel, mode="r")
         diag_snrs = (rho0 / L) * np.abs(np.diagonal(r)) ** 2
-        stage = rx.df_stage_snrs(H_sel, budget, tuple(range(L - 1, -1, -1)))
+        stage = rx.stream_snrs(H_sel, budget, "df-zf", tuple(range(L - 1, -1, -1)))
         rel = np.abs(np.asarray(stage) - diag_snrs[::-1]) / diag_snrs[::-1]
         worst = max(worst, float(rel.max()))
     return worst, first_pick_ok

@@ -272,7 +272,7 @@ class TestAnalyticCommand:
         monkeypatch.setattr("antsel.analytic.pr_outage_quadrature", never)
         out = tmp_path / "quad.json"
         assert main(["analytic", "quadrature", "--nt", "3", "--nr", "3", "--x-grid", "0.1", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: a slope needs at least 2 thresholds, got 1\n"
+        assert capsys.readouterr().err == "error: a slope needs at least 2 distinct thresholds, got 1\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_quadrature_that_underflows_at_a_shallow_point_exits_two(self, tmp_path, capsys):

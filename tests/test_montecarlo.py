@@ -347,6 +347,23 @@ class TestOutageEngine:
         assert done.returncode == 0, done.stderr
         assert float(done.stdout) < 2000
 
+    @pytest.mark.parametrize("libc", ["unloadable", "without-mallopt"])
+    def test_heap_thresholds_are_left_alone_without_glibc(self, libc, monkeypatch):
+        # the uncached body: a C library that will not load, or one without mallopt
+        import ctypes
+
+        asked = []
+
+        def cdll(name):
+            asked.append(name)
+            if libc == "unloadable":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert montecarlo._keep_freed_heap.__wrapped__() is None
+        assert asked == [None]
+
     def test_pair_rules_are_ordered_draw_by_draw(self):
         # first-ordered >= first-fixed >= maxmin >= random on common draws, exactly
         H = complex_gaussian(stream_generator(42, 0), (20_000, 3, 3))
@@ -626,13 +643,9 @@ class TestBerEngine:
             y = scale * (Heff[b] @ symbols[b]) + noise[b]
             oracle = nulling_oracle(Heff[b], y, rho0, receiver, feedback, symbols[b])
             np.testing.assert_array_equal(fast[b], oracle)
-            if receiver in ("zf", "mmse"):  # the received-block route, x = 0
-                zero = np.zeros_like(symbols[b:b + 1])
-                det = qpsk_slice(next(detect_grid(Heff[b:b + 1], zero, y[None], receiver, "actual", (budget,)))[0])
-            else:
-                det = detect_df(Heff[b], y, budget, tuple(range(L)), feedback=feedback,
-                                transmitted=symbols[b] if feedback == "genie" else None,
-                                front_end=receiver[3:])
+            # the received-block route (x = 0), but for genie feedback
+            det = detect_df(Heff[b], y, budget, tuple(range(L)), feedback=feedback,
+                            transmitted=symbols[b] if feedback == "genie" else None, receiver=receiver)
             np.testing.assert_array_equal(fast[b], det)
 
     @pytest.mark.parametrize("receiver,feedback,L", GRID_CASES)

@@ -18,5 +18,5 @@ def test_python_examples_run_in_order():
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i}", "exec"), namespace)
     # the per-draw example's names and the multi-rule example's slopes
-    assert len(namespace["snrs"].snrs) == 2
+    assert len(namespace["snrs"]) == 2
     assert set(namespace["slopes"]) == set(namespace["RULES"])

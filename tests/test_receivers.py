@@ -22,16 +22,14 @@ from antsel.receivers import (
     count_bit_errors,
     detect_df,
     detect_grid,
-    df_stage_snrs,
-    mmse_post_snr,
     qpsk_demodulate,
     qpsk_modulate,
     qpsk_slice,
     simulate_frame,
     stage_matrices,
+    stream_snrs,
     transmit,
     vblast_order,
-    zf_post_snr,
 )
 from antsel.selection import select
 
@@ -72,7 +70,7 @@ class TestBudgetAndConstellation:
 
     @pytest.mark.parametrize("rho0", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_rho0_is_named(self, rho0):
-        # such a budget gave zf_post_snr nan or inf SNRs
+        # such a budget gave nan or inf ZF SNRs
         with pytest.raises(ValueError, match=f"rho0 must be finite and positive, got {rho0}"):
             LinkBudget(rho0=rho0, L=2)
 
@@ -113,13 +111,11 @@ class TestBudgetAndConstellation:
 
 class TestPostSnr:
     def test_zf_orthonormal(self):
-        report = zf_post_snr(orthonormal(4, 2), LinkBudget(10.0, 2))
-        assert report.snrs == pytest.approx((5.0, 5.0), rel=1e-9)
+        assert stream_snrs(orthonormal(4, 2), LinkBudget(10.0, 2)) == pytest.approx((5.0, 5.0), rel=1e-9)
 
     def test_zf_hand_pair(self):
         H = np.array([[1.0, 1 / np.sqrt(2)], [0.0, 1 / np.sqrt(2)]], dtype=complex)
-        report = zf_post_snr(H, LinkBudget(10.0, 2))
-        assert report.snrs == pytest.approx((2.5, 2.5), rel=1e-9)
+        assert stream_snrs(H, LinkBudget(10.0, 2)) == pytest.approx((2.5, 2.5), rel=1e-9)
 
     @pytest.mark.parametrize("n_r,L", [(n_r, L) for n_r in range(2, 6) for L in range(2, 5) if n_r >= L])
     def test_zf_routes_agree(self, n_r, L):
@@ -128,32 +124,32 @@ class TestPostSnr:
         budget = LinkBudget(7.0, L)
         for stream in range(10):
             H = rand_matrix(n_r, L, seed=21, stream=stream)
-            via_heights = np.asarray(zf_post_snr(H, budget).snrs)
+            via_heights = np.asarray(stream_snrs(H, budget))
             via_gram = (budget.rho0 / L) / gram_inverse_diag(H)
             np.testing.assert_allclose(via_heights, via_gram, rtol=1e-9)
 
     def test_mmse_orthonormal_matches_zf(self):
         H = orthonormal(4, 2, seed=1)
         budget = LinkBudget(10.0, 2)
-        assert mmse_post_snr(H, budget).snrs == pytest.approx(zf_post_snr(H, budget).snrs, rel=1e-9)
+        assert stream_snrs(H, budget, "mmse") == pytest.approx(stream_snrs(H, budget), rel=1e-9)
 
     def test_mmse_vanishes_at_zero_snr(self):
         H = rand_matrix(3, 2, seed=2)
-        assert max(mmse_post_snr(H, LinkBudget(1e-9, 2)).snrs) < 1e-8
+        assert max(stream_snrs(H, LinkBudget(1e-9, 2), "mmse")) < 1e-8
 
     def test_mmse_meets_zf_at_high_snr(self):
         H = rand_matrix(3, 2, seed=3)
         budget = LinkBudget(1e6, 2)
-        zf = np.asarray(zf_post_snr(H, budget).snrs)
-        mmse = np.asarray(mmse_post_snr(H, budget).snrs)
+        zf = np.asarray(stream_snrs(H, budget))
+        mmse = np.asarray(stream_snrs(H, budget, "mmse"))
         np.testing.assert_allclose(mmse / zf, 1.0, rtol=0.01)
 
     def test_mmse_dominates_zf(self):
         budget = LinkBudget(5.0, 3)
         for stream in range(20):
             H = rand_matrix(4, 3, seed=4, stream=stream)
-            zf = np.asarray(zf_post_snr(H, budget).snrs)
-            mmse = np.asarray(mmse_post_snr(H, budget).snrs)
+            zf = np.asarray(stream_snrs(H, budget))
+            mmse = np.asarray(stream_snrs(H, budget, "mmse"))
             assert np.all(mmse >= zf - 1e-9)
 
 
@@ -197,12 +193,14 @@ class TestLinearDetection:
         with pytest.raises(ValueError, match=r"received block shape \(4, 8\) does not match 3 receive rows"):
             simulate_frame(H, LinkBudget(1.0, 2), np.zeros((2, 8, 2), dtype=int), np.zeros((4, 8), dtype=complex))
 
-    def test_unknown_equalizer_and_front_end(self):
+    def test_unknown_receiver_is_named(self):
         H, y, budget = rand_matrix(3, 2), np.zeros((3, 8), dtype=complex), LinkBudget(1.0, 2)
         with pytest.raises(ValueError, match="unknown receiver 'sphere'"):
             simulate_frame(H, budget, np.zeros((2, 8, 2), dtype=int), y, receiver="sphere")
-        with pytest.raises(ValueError, match="unknown front end 'sphere'"):
-            detect_df(H, y, budget, (0, 1), front_end="sphere")
+        with pytest.raises(ValueError, match="unknown receiver 'sphere'"):
+            detect_df(H, y, budget, (0, 1), receiver="sphere")
+        with pytest.raises(ValueError, match="unknown receiver 'sphere'"):
+            stream_snrs(H, budget, "sphere")
 
 
 class TestDecisionFeedback:
@@ -230,7 +228,7 @@ class TestDecisionFeedback:
         for stream in range(10):
             H = rand_matrix(4, 3, seed=14, stream=stream)
             order = tuple(stream_generator(15, stream).permutation(3))
-            snrs = df_stage_snrs(H, budget, order)
+            snrs = stream_snrs(H, budget, "df-zf", order)
             for stage, k in enumerate(order):
                 expected = 3.0 * projection_height_sq(H, k, order[stage + 1:]).height_sq
                 assert snrs[stage] == pytest.approx(expected, rel=1e-9)
@@ -243,7 +241,7 @@ class TestDecisionFeedback:
             selection = [out.subset.indices[p] for p in reversed(out.decode_order)]
             H_sel = H[:, selection]
             r = np.linalg.qr(H_sel, mode="r")
-            snrs = df_stage_snrs(H_sel, budget, (1, 0))
+            snrs = stream_snrs(H_sel, budget, "df-zf", (1, 0))
             diag = (budget.rho0 / budget.L) * np.abs(np.diagonal(r)) ** 2
             np.testing.assert_allclose(snrs, diag[::-1], rtol=1e-9)
 
@@ -255,11 +253,11 @@ class TestDecisionFeedback:
         s = qpsk_modulate(rng.integers(0, 2, size=(3, 200, 2)))
         y = transmit(H, budget, s, complex_gaussian(rng, (4, 200)))
         order = (2, 0, 1)
-        for front_end in ("zf", "mmse"):
+        for receiver in ("df-zf", "df-mmse"):
             for feedback in ("actual", "genie"):
-                out = detect_df(H, y, budget, order, feedback=feedback, transmitted=s, front_end=front_end)
+                out = detect_df(H, y, budget, order, feedback=feedback, transmitted=s, receiver=receiver)
                 ref = detect_df(H[:, list(order)], y, budget, (0, 1, 2), feedback=feedback,
-                                transmitted=s[list(order)], front_end=front_end)
+                                transmitted=s[list(order)], receiver=receiver)
                 np.testing.assert_array_equal(out[list(order)], ref)
 
     def test_genie_requires_transmitted(self):
@@ -278,7 +276,7 @@ class TestDecisionFeedback:
     def test_stage_snrs_reject_dependent_columns(self):
         column = rand_matrix(3, 1, seed=17)
         with pytest.raises(SingularMatrixError):
-            df_stage_snrs(np.hstack([column, column]), LinkBudget(10.0, 2), (0, 1))
+            stream_snrs(np.hstack([column, column]), LinkBudget(10.0, 2), "df-zf", (0, 1))
 
     def test_invalid_permutation(self):
         H = rand_matrix(3, 2, seed=18)
@@ -325,37 +323,38 @@ def _zeros_block(H):
 
 
 #: Every per-frame entry point as f(H_s, budget, decode_order), in its ZF
-#: variant where it has one; the order reaches only those that take one.
+#: variant where it has one; the order reaches every one but vblast_order.
 FRAME_ENTRY_POINTS = {
-    "zf_post_snr": lambda H, budget, order: zf_post_snr(H, budget),
-    "mmse_post_snr": lambda H, budget, order: mmse_post_snr(H, budget),
-    "df_stage_snrs": lambda H, budget, order: df_stage_snrs(H, budget, order),
+    "stream_snrs-zf": lambda H, budget, order: stream_snrs(H, budget, "zf", order),
+    "stream_snrs-mmse": lambda H, budget, order: stream_snrs(H, budget, "mmse", order),
+    "stream_snrs-df-zf": lambda H, budget, order: stream_snrs(H, budget, "df-zf", order),
     "vblast_order": lambda H, budget, order: vblast_order(H, budget),
-    "detect_df": lambda H, budget, order: detect_df(H, _zeros_block(H), budget, order, front_end="zf"),
+    "detect_df": lambda H, budget, order: detect_df(H, _zeros_block(H), budget, order),
     "simulate_frame": lambda H, budget, order: simulate_frame(
         H, budget, np.zeros((budget.L, 4, 2), dtype=int), _zeros_block(H), receiver="df-zf", decode_order=order),
     "simulate_frame-zf": lambda H, budget, order: simulate_frame(
-        H, budget, np.zeros((budget.L, 4, 2), dtype=int), _zeros_block(H), receiver="zf"),
+        H, budget, np.zeros((budget.L, 4, 2), dtype=int), _zeros_block(H), receiver="zf", decode_order=order),
 }
 #: The entries that run a ZF receiver, so test the column rank.
-ZF_FRAME_ENTRY_POINTS = [entry for entry in FRAME_ENTRY_POINTS if entry != "mmse_post_snr"]
+ZF_FRAME_ENTRY_POINTS = [entry for entry in FRAME_ENTRY_POINTS if entry != "stream_snrs-mmse"]
 
 
 @pytest.mark.parametrize("entry", list(FRAME_ENTRY_POINTS))
 def test_frame_check(entry):
     """The one frame check of the per-frame functions: the stream count,
-    the decode order and, for the ZF receivers, the column rank."""
+    the decode order, which the linear receivers check and ignore, and
+    for the ZF receivers the column rank."""
     call = FRAME_ENTRY_POINTS[entry]
     budget = LinkBudget(10.0, 2)
     with pytest.raises(ValueError, match="budget declares 2 streams but matrix has 3 columns"):
         call(rand_matrix(3, 3, seed=28), budget, (0, 1))
-    if entry in ("df_stage_snrs", "detect_df", "simulate_frame"):
+    if entry != "vblast_order":
         with pytest.raises(ValueError, match=r"decode_order \(0, 0\) is not a permutation of 0..1"):
             call(rand_matrix(3, 2, seed=28), budget, (0, 0))
     column = rand_matrix(3, 1, seed=29)
     dependent = np.hstack([column, (0.5 - 2j) * column])
-    if entry == "mmse_post_snr":  # no ZF variant: the regularization keeps it defined
-        assert all(np.isfinite(call(dependent, budget, (0, 1)).snrs))
+    if entry == "stream_snrs-mmse":  # no ZF variant: the regularization keeps it defined
+        assert all(np.isfinite(call(dependent, budget, (0, 1))))
     else:
         with pytest.raises(SingularMatrixError):
             call(dependent, budget, (0, 1))
@@ -382,14 +381,15 @@ class TestBatchRows:
     def test_detect_df_with_a_permuted_order(self, front_end, feedback):
         # genie feedback detects in the error domain: the received block less the symbols' signal term
         H, bits, s, _, budget, y = self.batch()
+        receiver = "df-" + front_end
         x, block = (s, y - budget.stream_scale * (H @ s)) if feedback == "genie" else (np.zeros_like(s), y)
-        (est,) = detect_grid(H[:, :, self.ORDER], x[:, self.ORDER], block, "df-" + front_end, feedback, (budget,))
+        (est,) = detect_grid(H[:, :, self.ORDER], x[:, self.ORDER], block, receiver, feedback, (budget,))
         rows = np.empty_like(s)
         rows[:, self.ORDER] = qpsk_slice(est)
         assert (qpsk_demodulate(rows) != bits).any()
         for b in range(len(H)):
             out = detect_df(H[b], y[b], budget, tuple(self.ORDER), feedback=feedback, transmitted=s[b],
-                            front_end=front_end)
+                            receiver=receiver)
             np.testing.assert_array_equal(out, rows[b])
 
     @pytest.mark.parametrize("receiver,feedback", [(r, f) for r in RECEIVERS for f in FEEDBACK_MODES
@@ -410,20 +410,21 @@ class TestBatchRows:
 
 
 class TestStageSnrRows:
-    """The SNR functions return the rows of one :func:`_stage_snrs` call
-    on the same channels, bit for bit."""
+    """:func:`stream_snrs` returns the rows of one :func:`_stage_snrs` call
+    on the same channels, bit for bit, for every receiver and decode
+    order; the linear receivers ignore the order."""
 
     ORDER = [2, 0, 1]
 
     def test_snr_functions_are_batch_rows(self):
         H = complex_gaussian(stream_generator(29, 0), (40, 4, 3))
         budget = LinkBudget(8.0, 3)
-        zf, mmse = _stage_snrs(H, "zf", budget), _stage_snrs(H, "mmse", budget)
-        df = _stage_snrs(H[:, :, self.ORDER], "df-zf", budget)
-        for b in range(len(H)):
-            np.testing.assert_array_equal(zf_post_snr(H[b], budget).snrs, zf[b])
-            np.testing.assert_array_equal(mmse_post_snr(H[b], budget).snrs, mmse[b])
-            np.testing.assert_array_equal(df_stage_snrs(H[b], budget, tuple(self.ORDER)), df[b])
+        for receiver in RECEIVERS:
+            for order in ([0, 1, 2], self.ORDER):
+                decoded = H if receiver in ("zf", "mmse") else H[:, :, order]
+                rows = _stage_snrs(decoded, receiver, budget)
+                for b in range(len(H)):
+                    np.testing.assert_array_equal(stream_snrs(H[b], budget, receiver, tuple(order)), rows[b])
 
 
 class TestStageSnrAccuracy:
@@ -464,8 +465,8 @@ class TestStageSnrAccuracy:
         depths, errors = [], []
         for ratio in self.RATIOS:
             for H in self.channels(L, ratio, self.DRAWS):
-                zf = np.asarray(zf_post_snr(H, budget).snrs) * L / budget.rho0
-                df = np.asarray(df_stage_snrs(H, budget, order)) * L / budget.rho0
+                zf = np.asarray(stream_snrs(H, budget)) * L / budget.rho0
+                df = np.asarray(stream_snrs(H, budget, "df-zf", order)) * L / budget.rho0
                 zf_oracle = np.array([projection_height_sq(H, k, [c for c in range(L) if c != k]).height_sq
                                       for k in range(L)])
                 df_oracle = np.array([projection_height_sq(H, k, order[i + 1:]).height_sq
@@ -482,8 +483,8 @@ class TestStageSnrAccuracy:
         # zero, where the stage recursion raises and the QR route does not
         H = self.channels(2, 1e-15, 1)[0]
         assert projection_height_sq(H, 1, [0]).height_sq > 0
-        for snrs in (lambda: zf_post_snr(H, LinkBudget(10.0, 2)),
-                     lambda: df_stage_snrs(H, LinkBudget(10.0, 2), (1, 0))):
+        for snrs in (lambda: stream_snrs(H, LinkBudget(10.0, 2)),
+                     lambda: stream_snrs(H, LinkBudget(10.0, 2), "df-zf", (1, 0))):
             with pytest.raises(np.linalg.LinAlgError):
                 snrs()
 
@@ -586,10 +587,10 @@ class TestOneRankTest:
         H = rand_matrix(2, 3, seed=34)
         budget = LinkBudget(10.0, 3)
         block = complex_gaussian(stream_generator(34, 1), (2, 4))
-        assert all(np.isfinite(mmse_post_snr(H, budget).snrs))
+        assert all(np.isfinite(stream_snrs(H, budget, "mmse")))
         frame = simulate_frame(H, budget, np.zeros((3, 4, 2), dtype=int), block, receiver="mmse")
         assert frame.detected.shape == (3, 4)
-        assert detect_df(H, block, budget, (2, 0, 1), front_end="mmse").shape == (3, 4)
+        assert detect_df(H, block, budget, (2, 0, 1), receiver="df-mmse").shape == (3, 4)
 
 
 class TestShortAxisProducts:

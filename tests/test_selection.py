@@ -8,6 +8,7 @@ from qr_oracle import reference_columns, reference_scalar
 
 from antsel import selection
 from antsel.channel import complex_gaussian, projection_height_sq, stream_generator
+from antsel.montecarlo import ExperimentConfig, estimate_outage
 from antsel.selection import (
     RULES,
     AntennaSubset,
@@ -225,6 +226,27 @@ class TestQrGreedy:
                 if j in selection[:step + 1]:
                     continue
                 assert got >= projection_height_sq(H, j, span).height_sq - 1e-12
+
+    def test_builds_no_subset_table(self, monkeypatch):
+        # C(40, 20) subsets would take 1.4e11 rows; the greedy reads none
+        def no_table(n_t, L):
+            raise AssertionError(f"subset table of C({n_t}, {L}) rows built")
+
+        monkeypatch.setattr(selection, "_subsets", no_table)
+        (n_t, n_r, L), draws, seed = (40, 40, 20), 64, 35
+        H = complex_gaussian(stream_generator(seed, 0), (draws, n_r, n_t))
+        cols = select_block("qr-greedy", H, L)
+        scalars = []
+        for b in range(draws):
+            out = select("qr-greedy", H[b], L)
+            assert tuple(cols[b]) == tuple(out.subset.indices[p] for p in out.decode_order)
+            scalars.append(out.metrics.heights[out.decode_order[0]])  # the first decoded layer
+        # estimate_outage draws the same block first; thresholds between the
+        # replayed scalars count them exactly
+        ranked = np.sort(scalars)
+        grid = tuple((ranked[1:] + ranked[:-1])[::8] / 2)
+        config = ExperimentConfig(n_t, n_r, L, "qr-greedy", trial_count=draws, master_seed=seed, grid=grid)
+        assert estimate_outage(config).hits == tuple(range(1, draws, 8))
 
 
 class TestRandomRule:

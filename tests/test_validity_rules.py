@@ -51,7 +51,7 @@ from antsel.montecarlo import (
     independence_suite,
     lemma_harness,
 )
-from antsel.receivers import LinkBudget, detect_df, df_stage_snrs, simulate_frame
+from antsel.receivers import LinkBudget, detect_df, simulate_frame, stream_snrs
 from antsel.selection import AntennaSubset, enumerate_subsets, select, select_block, subset_metrics
 
 
@@ -161,15 +161,16 @@ def _frame_args():
     return H, LinkBudget(10.0, 2), bits, noise
 
 
-def _mode_entries(receiver="zf", feedback="actual"):
+def _mode_entries(receiver="df-zf", feedback="actual"):
     """Every entry point that takes a receiver or a feedback mode name."""
     H, budget, bits, noise = _frame_args()
     entries = {
         "ExperimentConfig": lambda: _config(receiver=receiver, feedback=feedback),
         "simulate_frame": lambda: simulate_frame(H, budget, bits, noise, receiver=receiver, feedback=feedback),
+        "detect_df": lambda: detect_df(H, noise, budget, (1, 0), feedback=feedback, receiver=receiver),
     }
-    if receiver == "zf":
-        entries["detect_df"] = lambda: detect_df(H, noise, budget, (1, 0), feedback=feedback)
+    if feedback == "actual":  # stream_snrs takes no feedback mode
+        entries["stream_snrs"] = lambda: stream_snrs(H, budget, receiver)
     return entries
 
 
@@ -177,7 +178,7 @@ def _order_entries(order):
     """Every entry point that takes a decode order."""
     H, budget, bits, noise = _frame_args()
     return {
-        "df_stage_snrs": lambda: df_stage_snrs(H, budget, order),
+        "stream_snrs": lambda: stream_snrs(H, budget, "df-zf", order),
         "detect_df": lambda: detect_df(H, noise, budget, order),
         "simulate_frame": lambda: simulate_frame(H, budget, bits, noise, receiver="df-zf", decode_order=order),
     }
@@ -216,6 +217,11 @@ CASES = {
     "slope of one threshold": lambda: {
         "quadrature_slope": lambda: quadrature_slope([0.1], 3, 3),
         "antsel analytic quadrature": ["analytic", "quadrature", "--nt", "3", "--nr", "3", "--x-grid", "0.1"],
+    },
+    "slope of one repeated threshold": lambda: {  # polyfit fitted 3.04 through the one point
+        "quadrature_slope of two": lambda: quadrature_slope([0.1, 0.1], 3, 3),
+        "quadrature_slope of three": lambda: quadrature_slope([0.2, 0.2, 0.2], 3, 3),
+        "quadrature_slope of one": lambda: quadrature_slope([0.2], 3, 3),
     },
     "slope fit hit floor zero": lambda: {
         "fit_slope": lambda: fit_slope(EmpiricalCurve((0.1, 0.2, 0.3), (10, 20, 30), (100,) * 3), min_hits=0),
